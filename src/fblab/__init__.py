@@ -13,6 +13,7 @@ from .codec import (
     apply_mask,
     decode,
     encode,
+    encode_gemm,
     pseudo_inverse,
     write_tfrep_csv,
 )

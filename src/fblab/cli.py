@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import encode, decode, pseudo_inverse
+from .codec import decode, encode_gemm, pseudo_inverse
 from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform
 from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
 from .filterbank import Filterbank, frequency_response, load_filterbank, save_filterbank
@@ -28,7 +28,7 @@ from .separation import (
     bank_info,
     make_mixture_item,
     make_multi_mixture_item,
-    run_separation,
+    score_separation,
     separate,
     write_report_csv,
     write_report_json,
@@ -154,7 +154,7 @@ def cmd_roundtrip(args) -> int:
     x = read_wav(args.wav_in)
     hop = args.hop if args.hop is not None else bank.filter_len
     p = FrameParams(bank.filter_len, hop)
-    rep = encode(x, bank, p, apply_relu=args.relu)
+    rep = encode_gemm(x, bank, p, apply_relu=args.relu)
     decoded = decode(rep, pseudo_inverse(bank))
     out = Waveform(decoded.samples[: len(x)], decoded.sample_rate)
     write_wav(args.wav_out, out, encoding="float32")
@@ -182,7 +182,7 @@ def cmd_separate(args) -> int:
     p = FrameParams(bank.filter_len, args.hop)
     dec = pseudo_inverse(bank)
     estimates = separate(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)
-    report = run_separation(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)
+    report = score_separation(item.item_id, estimates, item.sources)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

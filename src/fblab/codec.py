@@ -6,6 +6,16 @@ convolution), optionally rectified so the representation is nonnegative:
 
     X[n, i] = H( sum_l x[i*D + l] * taps[n, L-1-l] )
 
+Two functions evaluate it, with the same arguments and errors:
+
+- `encode` is the bitwise reference. It accumulates over the tap index in
+  fixed ascending order and matches a naive loop evaluation exactly
+  (acceptance criterion 08 pins this). Tests compare against it; the
+  pipeline does not call it.
+- `encode_gemm` is what the pipeline runs: one BLAS product
+  `analysis_matrix(bank) @ frame_signal(x, p).T`. BLAS sums in its own
+  order, so it agrees with `encode` to about 1e-15 relative, not bitwise.
+
 The decoder synthesizes one frame per column as a tap-weighted sum of
 decoder rows and overlap-adds them at hop D. A decoder built from the
 Moore-Penrose pseudo-inverse of the analysis matrix makes
@@ -75,17 +85,21 @@ def analysis_matrix(bank: Filterbank) -> np.ndarray:
     return bank.taps[:, ::-1]
 
 
+def _check_encode_args(x: Waveform, bank: Filterbank, p: FrameParams) -> None:
+    if bank.sample_rate != x.sample_rate:
+        raise ValueError(f"sample rate mismatch: bank {bank.sample_rate} Hz, signal {x.sample_rate} Hz")
+    if bank.filter_len != p.frame_len:
+        raise ValueError(f"bank filter length {bank.filter_len} != frame length {p.frame_len}")
+
+
 def encode(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = True) -> TFRepresentation:
-    """Analysis transform of `x` through `bank` at framing `p`.
+    """Analysis transform of `x` through `bank` at framing `p` (bitwise reference).
 
     The inner products accumulate over the tap index in fixed ascending
     order, so the result is bit-reproducible and matches a naive loop
     evaluation of the analysis sum exactly.
     """
-    if bank.sample_rate != x.sample_rate:
-        raise ValueError(f"sample rate mismatch: bank {bank.sample_rate} Hz, signal {x.sample_rate} Hz")
-    if bank.filter_len != p.frame_len:
-        raise ValueError(f"bank filter length {bank.filter_len} != frame length {p.frame_len}")
+    _check_encode_args(x, bank, p)
     frames = frame_signal(x, p)  # (I, L)
     rev = analysis_matrix(bank)  # (N, L)
     values = np.zeros((bank.n_filters, frames.shape[0]), dtype=np.float64)
@@ -93,6 +107,19 @@ def encode(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = Tru
         values += rev[:, l:l + 1] * frames[:, l][None, :]
     if apply_relu:
         values = np.maximum(values, 0.0)
+    return TFRepresentation(values, p, relu_applied=apply_relu)
+
+
+def encode_gemm(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = True) -> TFRepresentation:
+    """The analysis transform of `encode` as one BLAS matrix product.
+
+    Same arguments, result shape and errors as `encode`; the values agree
+    with it to about 1e-15 relative but not bitwise.
+    """
+    _check_encode_args(x, bank, p)
+    values = analysis_matrix(bank) @ frame_signal(x, p).T  # (N, I)
+    if apply_relu:
+        np.maximum(values, 0.0, out=values)
     return TFRepresentation(values, p, relu_applied=apply_relu)
 
 

@@ -113,6 +113,12 @@ def overlap_add(frames: np.ndarray, p: FrameParams, sample_rate: int) -> Wavefor
 
     Overlapping regions are summed as-is (no synthesis window or overlap
     compensation). Output length is (num_frames - 1) * D + L.
+
+    The output is built as rows of D samples. Column slab k of the frames
+    (samples k*D .. k*D + D - 1, the last one narrower when D does not
+    divide L) lands on output rows k .. k + count - 1. Adding the slabs in
+    decreasing k adds the frames in increasing order at every sample, so
+    the sums are those of a frame-by-frame loop, bit for bit.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -120,11 +126,14 @@ def overlap_add(frames: np.ndarray, p: FrameParams, sample_rate: int) -> Wavefor
     if frames.shape[1] != p.frame_len:
         raise ValueError(f"frame length mismatch: frames have {frames.shape[1]} samples, expected {p.frame_len}")
     count = frames.shape[0]
-    out = np.zeros((count - 1) * p.hop + p.frame_len, dtype=np.float64)
-    for i in range(count):  # fixed order keeps the reduction deterministic
-        start = i * p.hop
-        out[start:start + p.frame_len] += frames[i]
-    return Waveform(out, sample_rate)
+    hop = p.hop
+    n_slabs = -(-p.frame_len // hop)
+    rows = np.zeros((count - 1 + n_slabs, hop), dtype=np.float64)
+    for k in reversed(range(n_slabs)):
+        lo = k * hop
+        width = min(hop, p.frame_len - lo)
+        rows[k:k + count, :width] += frames[:, lo:lo + width]
+    return Waveform(rows.ravel()[:(count - 1) * hop + p.frame_len], sample_rate)
 
 
 def mix_at_snr(s1: Waveform, s2: Waveform, spec: MixSpec) -> tuple[Waveform, float]:

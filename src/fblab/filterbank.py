@@ -2,10 +2,12 @@
 
 FBANK1 is a plain-text exchange format: one header line
 
-    FBANK1 kind=<kind> n=<N> len=<L> fs=<Hz> c1=<value|-> c2=<value|->
+    FBANK1 kind=<kind> n=<N> len=<L> fs=<Hz> c1=<value|-> c2=<value|-> centers=<f1,f2,...|->
 
-followed by N lines of L space-separated floats written with 17
-significant digits (lossless float64 round-trip), LF newlines.
+followed by N lines of L space-separated floats, LF newlines. Every float
+is written with 17 significant digits, so taps and centers round-trip
+float64 exactly. The `centers` field is optional on read: files without
+it load with no center frequencies.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ def save_filterbank(path, bank: Filterbank) -> None:
     """Write a bank in FBANK1 format."""
     c1 = _fmt(bank.erb_params.c1) if bank.erb_params else "-"
     c2 = _fmt(bank.erb_params.c2) if bank.erb_params else "-"
+    centers = "-" if bank.center_freqs is None else ",".join(_fmt(v) for v in bank.center_freqs)
     header = (
         f"FBANK1 kind={bank.kind.value} n={bank.n_filters} len={bank.filter_len} "
-        f"fs={bank.sample_rate} c1={c1} c2={c2}"
+        f"fs={bank.sample_rate} c1={c1} c2={c2} centers={centers}"
     )
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
@@ -118,6 +121,8 @@ def load_filterbank(path) -> Filterbank:
         n = int(fields["n"])
         length = int(fields["len"])
         fs = int(fields["fs"])
+        centers = fields.get("centers", "-")
+        center_freqs = None if centers == "-" else np.array([float(v) for v in centers.split(",")])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad FBANK1 header: {exc}") from exc
 
@@ -136,7 +141,9 @@ def load_filterbank(path) -> Filterbank:
     erb_params = None
     if fields.get("c1", "-") != "-" and fields.get("c2", "-") != "-":
         erb_params = ErbParams(float(fields["c1"]), float(fields["c2"]))
-    return Filterbank(taps, fs, kind=kind, erb_params=erb_params)
+    if center_freqs is not None and not np.all(np.isfinite(center_freqs)):
+        raise ValueError("FBANK1 center frequencies contain non-finite values")
+    return Filterbank(taps, fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
 
 
 def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, np.ndarray]:

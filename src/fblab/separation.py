@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Mask, TFRepresentation, apply_mask, decode, encode
+from .codec import Mask, TFRepresentation, apply_mask, decode, encode_gemm
 from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform, mix_at_snr
 from .filterbank import Filterbank
 from .metrics import si_snr
@@ -117,7 +117,8 @@ def oracle_irm_masks(
 
     mask_c = |encode(s_c)| / sum_c' |encode(s_c')| with cells where every
     source is zero set to 1/C. The last mask is the complement of the
-    others, so the set sums to one exactly.
+    others, so the set sums to one exactly. The sources are encoded with
+    `encode_gemm`.
     """
     if len(sources) < 2:
         raise ValueError(f"need at least 2 sources, got {len(sources)}")
@@ -126,21 +127,20 @@ def oracle_irm_masks(
         raise ValueError("sources must have equal lengths")
     if any(s.sample_rate != sources[0].sample_rate for s in sources):
         raise ValueError("sources must share one sample rate")
-    mags = [np.abs(encode(s, bank, frame_params, apply_relu=False).values) for s in sources]
-    denom = mags[0].copy()
-    for m in mags[1:]:
+    mags = [np.abs(encode_gemm(s, bank, frame_params, apply_relu=False).values) for s in sources]
+    denom = mags[0] + mags[1]
+    for m in mags[2:]:
         denom += m
-    zero = denom == 0.0
+    nonzero = denom != 0.0
     c = len(sources)
     masks = []
     partial = None
     for mag in mags[:-1]:
-        with np.errstate(invalid="ignore"):
-            values = np.where(zero, 1.0 / c, mag / np.where(zero, 1.0, denom))
+        values = np.divide(mag, denom, out=np.full_like(mag, 1.0 / c), where=nonzero)
         masks.append(values)
         partial = values if partial is None else partial + values
-    last = np.clip(1.0 - partial, 0.0, 1.0)
-    masks.append(last)
+    last = 1.0 - partial
+    masks.append(np.clip(last, 0.0, 1.0, out=last))
     return [Mask(values) for values in masks]
 
 
@@ -152,8 +152,11 @@ def separate(
     frame_params: FrameParams,
     apply_relu: bool = True,
 ) -> list[Waveform]:
-    """Oracle-masked estimates of every source, trimmed to the mixture length."""
-    rep = encode(mixture, enc_bank, frame_params, apply_relu=apply_relu)
+    """Oracle-masked estimates of every source, trimmed to the mixture length.
+
+    The mixture and the sources are encoded with `encode_gemm`.
+    """
+    rep = encode_gemm(mixture, enc_bank, frame_params, apply_relu=apply_relu)
     masks = oracle_irm_masks(sources, enc_bank, frame_params)
     estimates = []
     for mask in masks:

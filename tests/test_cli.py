@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from fblab import Waveform, load_filterbank, read_wav, write_wav
+import fblab.cli
+import fblab.separation
+from fblab import MixSpec, Waveform, load_filterbank, make_multi_mixture_item, read_wav, si_snr, write_wav
 from fblab.cli import main
 
 
@@ -130,6 +132,30 @@ class TestSeparate:
         est1 = read_wav(out_dir / "est_1.wav")
         est2 = read_wav(out_dir / "est_2.wav")
         np.testing.assert_array_equal(est1.samples, est2.samples)
+
+    def test_separates_once_and_scores_written_estimates(self, tmp_path, source_wavs, monkeypatch):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--out", bank])
+        calls = []
+        original = fblab.separation.separate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # Patch both namespaces, so a second pass through run_separation is counted too.
+        monkeypatch.setattr(fblab.cli, "separate", counting)
+        monkeypatch.setattr(fblab.separation, "separate", counting)
+        out_dir = tmp_path / "sep"
+        assert run(["separate", bank, *source_wavs, "--out-dir", out_dir, "--snr-db", "0"]) == 0
+        assert len(calls) == 1
+
+        item = make_multi_mixture_item("item-0", [read_wav(p) for p in source_wavs], MixSpec(0.0))
+        scores = json.loads((out_dir / "report.json").read_text())["items"][0]["si_snr_db"]
+        assert len(scores) == len(item.sources)
+        for i, (score, src) in enumerate(zip(scores, item.sources), start=1):
+            written = si_snr(read_wav(out_dir / f"est_{i}.wav"), src).value_db
+            assert abs(score - written) <= 1e-6
 
     def test_single_source_is_usage_error(self, tmp_path, source_wavs, capsys):
         bank = tmp_path / "bank.fbank"

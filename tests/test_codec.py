@@ -13,6 +13,7 @@ from fblab import (
     apply_mask,
     decode,
     encode,
+    encode_gemm,
     pseudo_inverse,
     write_tfrep_csv,
 )
@@ -90,15 +91,42 @@ class TestEncode:
             + b * encode(Waveform(y, FS), bank, p, apply_relu=False).values
         np.testing.assert_allclose(mixed, split, rtol=1e-12, atol=1e-12)
 
-    def test_rate_mismatch(self):
+    @pytest.mark.parametrize("encoder", [encode, encode_gemm], ids=["encode", "encode_gemm"])
+    def test_rate_mismatch(self, encoder):
         bank = random_bank(np.random.default_rng(4))
         with pytest.raises(ValueError, match="sample rate mismatch"):
-            encode(Waveform(np.ones(16), 16000), bank, FrameParams(8, 4))
+            encoder(Waveform(np.ones(16), 16000), bank, FrameParams(8, 4))
 
-    def test_frame_len_mismatch(self):
+    @pytest.mark.parametrize("encoder", [encode, encode_gemm], ids=["encode", "encode_gemm"])
+    def test_frame_len_mismatch(self, encoder):
         bank = random_bank(np.random.default_rng(5))
         with pytest.raises(ValueError, match="filter length"):
-            encode(Waveform(np.ones(16), FS), bank, FrameParams(4, 2))
+            encoder(Waveform(np.ones(16), FS), bank, FrameParams(4, 2))
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_filters=st.integers(1, 64),
+    frame_len=st.integers(1, 32),
+    hop_frac=st.floats(0.0, 1.0),
+    sig_len=st.integers(1, 600),
+    apply_relu=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_encode_gemm_matches_reference(seed, n_filters, frame_len, hop_frac, sig_len, apply_relu):
+    rng = np.random.default_rng(seed)
+    hop = 1 + int(hop_frac * (frame_len - 1))
+    bank = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
+    x = Waveform(rng.standard_normal(sig_len), FS)
+    p = FrameParams(frame_len, hop)
+    ref = encode(x, bank, p, apply_relu=apply_relu)
+    fast = encode_gemm(x, bank, p, apply_relu=apply_relu)
+    assert fast.values.shape == ref.values.shape
+    assert fast.frame_params == p and fast.relu_applied is apply_relu
+    scale = max(1.0, float(np.max(np.abs(ref.values))))
+    assert np.max(np.abs(fast.values - ref.values)) <= 1e-12 * scale
+    if apply_relu:
+        assert not np.any(fast.values < 0)
 
 
 class TestDecode:

@@ -10,6 +10,15 @@ def wave(values, fs=8000):
     return Waveform(np.asarray(values, dtype=np.float64), fs)
 
 
+def naive_overlap_add(frames, frame_len, hop):
+    """Frame-by-frame overlap-add in increasing frame order, used as an oracle."""
+    count = frames.shape[0]
+    out = np.zeros((count - 1) * hop + frame_len)
+    for i in range(count):
+        out[i * hop:i * hop + frame_len] += frames[i]
+    return out
+
+
 class TestWaveform:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -107,6 +116,21 @@ class TestOverlapAdd:
         lhs = overlap_add(a * fx + b * fy, p, 8000).samples
         rhs = a * overlap_add(fx, p, 8000).samples + b * overlap_add(fy, p, 8000).samples
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        frame_len=st.integers(1, 40),
+        hop_frac=st.floats(0.0, 1.0),
+        count=st.integers(1, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_loop(self, seed, frame_len, hop_frac, count):
+        hop = 1 + int(hop_frac * (frame_len - 1))
+        frames = np.random.default_rng(seed).standard_normal((count, frame_len))
+        out = overlap_add(frames, FrameParams(frame_len, hop), 8000)
+        expected = naive_overlap_add(frames, frame_len, hop)
+        np.testing.assert_array_equal(out.samples, expected)
+        assert out.samples.tobytes() == expected.tobytes()
 
 
 class TestMixAtSnr:

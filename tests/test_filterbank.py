@@ -6,6 +6,7 @@ from fblab import (
     Filterbank,
     FilterbankKind,
     build_mpgtf,
+    build_parampgtf,
     build_stft_bank,
     frequency_response,
     load_filterbank,
@@ -63,7 +64,40 @@ class TestFbank1Format:
         path = tmp_path / "bank.fbank"
         save_filterbank(path, bank)
         header = path.read_text().splitlines()[0]
-        assert header == "FBANK1 kind=mpgtf n=64 len=16 fs=8000 c1=24.699999999999999 c2=9.2650000000000006"
+        centers = ",".join(f"{v:.17g}" for v in bank.center_freqs)
+        assert header == (
+            "FBANK1 kind=mpgtf n=64 len=16 fs=8000 c1=24.699999999999999 c2=9.2650000000000006 "
+            f"centers={centers}"
+        )
+        assert header.split("centers=")[1].startswith("100,137.47957310698982,")
+
+    @pytest.mark.parametrize("builder", [build_mpgtf, build_parampgtf])
+    def test_roundtrip_preserves_center_freqs(self, tmp_path, builder):
+        bank = builder(ErbParams(30.0, 8.5), 128, 16, FS)
+        path = tmp_path / "bank.fbank"
+        save_filterbank(path, bank)
+        back = load_filterbank(path)
+        assert back.center_freqs.tobytes() == bank.center_freqs.tobytes()
+
+    def test_header_without_centers_still_loads(self, tmp_path):
+        path = tmp_path / "old.fbank"
+        path.write_text("FBANK1 kind=mpgtf n=2 len=2 fs=8000 c1=24.7 c2=9.265\n1 2\n3 4\n")
+        bank = load_filterbank(path)
+        assert bank.center_freqs is None
+        np.testing.assert_array_equal(bank.taps, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_bank_without_centers_writes_dash(self, tmp_path):
+        path = tmp_path / "custom.fbank"
+        save_filterbank(path, Filterbank(np.ones((2, 4)), FS))
+        assert path.read_text().splitlines()[0].endswith(" centers=-")
+        assert load_filterbank(path).center_freqs is None
+
+    @pytest.mark.parametrize("centers", ["", "100,abc", "100,nan"])
+    def test_rejects_bad_centers(self, tmp_path, centers):
+        path = tmp_path / "bad.fbank"
+        path.write_text(f"FBANK1 kind=custom n=1 len=1 fs=8000 c1=- c2=- centers={centers}\n1\n")
+        with pytest.raises(ValueError):
+            load_filterbank(path)
 
     def test_stft_header_has_no_erb_params(self, tmp_path):
         bank = build_stft_bank(StftSpec(16, 8, StftMode.LINEAR), FS)
