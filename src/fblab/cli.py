@@ -21,7 +21,7 @@ import numpy as np
 from .codec import decode, encode_gemm, pseudo_inverse
 from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform
 from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
-from .filterbank import Filterbank, frequency_response, load_filterbank, save_filterbank
+from .filterbank import FilterbankKind, frequency_response, load_filterbank, save_filterbank
 from .gammatone import build_mpgtf, build_parampgtf
 from .metrics import clip_si_snr, si_snr
 from .separation import (
@@ -34,7 +34,7 @@ from .separation import (
     write_report_json,
 )
 from .stft import StftMode, StftSpec, StftWindow, build_stft_bank
-from .training import TrainerConfig, train_parampgtf, write_trace_csv
+from .training import TrainerConfig, TrainingDivergedError, train_parampgtf, write_trace_csv
 from .wavio import WavError, read_wav, write_wav
 
 SEED_ENV_VAR = "FBLAB_SEED"
@@ -55,20 +55,21 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser("build-bank", formatter_class=fmt, help="construct a filterbank and write it as FBANK1")
-    p.add_argument("kind", choices=["mpgtf", "parampgtf", "stft"], help="filterbank family")
+    p.add_argument("kind", choices=["mpgtf", "parampgtf", "stft"],
+                   help="filterbank family; mpgtf and parampgtf build the same multi-phase gammatone taps "
+                        "from --c1/--c2 and differ only in the kind recorded in the file")
     p.add_argument("--out", required=True, help="output FBANK1 path")
     p.add_argument("--fs", type=int, default=8000, help="sample rate in Hz")
     p.add_argument("--frame-len", type=int, default=16, help="filter length L in samples")
     p.add_argument("--n-filters", type=int, default=512, help="number of filters N (gammatone kinds)")
-    p.add_argument("--c1", type=float, default=DEFAULT_C1, help="ERB parameter c1 in Hz")
-    p.add_argument("--c2", type=float, default=DEFAULT_C2, help="ERB parameter c2 (dimensionless)")
-    p.add_argument("--order", type=int, default=2, help="gammatone order n")
-    p.add_argument("--alpha", type=float, default=1.0, help="gammatone amplitude (redundant under peak normalization)")
+    p.add_argument("--c1", type=float, default=DEFAULT_C1, help="ERB parameter c1 in Hz (gammatone kinds)")
+    p.add_argument("--c2", type=float, default=DEFAULT_C2, help="ERB parameter c2, dimensionless (gammatone kinds)")
+    p.add_argument("--order", type=int, default=2, help="gammatone order n (gammatone kinds)")
     p.add_argument("--mode", choices=[m.value for m in StftMode], default=StftMode.SIGN_SPLIT.value,
-                   help="STFT row mode")
-    p.add_argument("--nfreqs", type=int, default=128, help="distinct STFT frequencies")
+                   help="STFT row mode (stft)")
+    p.add_argument("--nfreqs", type=int, default=128, help="distinct STFT frequencies (stft)")
     p.add_argument("--window", choices=[w.value for w in StftWindow], default=StftWindow.RECTANGULAR.value,
-                   help="STFT analysis window")
+                   help="STFT analysis window (stft)")
     p.set_defaults(func=cmd_build_bank)
 
     p = sub.add_parser("freq-response", formatter_class=fmt, help="export per-filter FFT magnitudes as CSV")
@@ -119,21 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_build_bank(args) -> int:
-    params = ErbParams(args.c1, args.c2)
-    if args.kind == "mpgtf":
-        bank = build_mpgtf(params, args.n_filters, args.frame_len, args.fs, order=args.order, alpha=args.alpha)
-        n_centers = len(bank.center_freqs)
-    elif args.kind == "parampgtf":
-        bank = build_parampgtf(params, args.n_filters, args.frame_len, args.fs, order=args.order, alpha=args.alpha)
-        n_centers = len(bank.center_freqs)
-    else:
+    if args.kind == "stft":
         spec = StftSpec(args.frame_len, args.nfreqs, StftMode(args.mode), StftWindow(args.window))
         bank = build_stft_bank(spec, args.fs)
-        n_centers = args.nfreqs
+    else:
+        bank = build_mpgtf(ErbParams(args.c1, args.c2), args.n_filters, args.frame_len, args.fs,
+                           order=args.order, kind=FilterbankKind(args.kind))
     save_filterbank(args.out, bank)
     for warning in bank.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    print(f"N={bank.n_filters} L={bank.filter_len} M={n_centers}")
+    print(f"N={bank.n_filters} L={bank.filter_len} M={len(bank.center_freqs)}")
     return 0
 
 
@@ -178,7 +174,7 @@ def cmd_separate(args) -> int:
     bank = load_filterbank(args.bank)
     if any(s.sample_rate != bank.sample_rate for s in sources):
         raise ValueError("sample rate mismatch between sources and bank")
-    item = make_multi_mixture_item("item-0", sources, MixSpec(snr_db, seed))
+    item = make_multi_mixture_item("item-0", sources, MixSpec(snr_db))
     p = FrameParams(bank.filter_len, args.hop)
     dec = pseudo_inverse(bank)
     estimates = separate(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)
@@ -226,17 +222,20 @@ def cmd_train(args) -> int:
         split_items = []
         for stem, s1, s2 in _load_pairs(directory, args.fs):
             snr_db = float(rng.uniform(*SNR_RANGE_DB))
-            split_items.append(make_mixture_item(stem, s1, s2, MixSpec(snr_db, seed)))
+            split_items.append(make_mixture_item(stem, s1, s2, MixSpec(snr_db)))
         items[split] = split_items
 
-    cfg = TrainerConfig(learning_rate=args.lr, max_iters=args.max_iters, fd_epsilon=args.fd_epsilon, seed=seed)
+    cfg = TrainerConfig(learning_rate=args.lr, max_iters=args.max_iters, fd_epsilon=args.fd_epsilon)
     init = ErbParams(args.c1_init, args.c2_init)
     frame_params = FrameParams(args.frame_len, args.hop)
-    best, trace = train_parampgtf(items["train"], items["dev"], cfg, init,
-                                  n_filters=args.n_filters, frame_params=frame_params)
-
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        best, trace = train_parampgtf(items["train"], items["dev"], cfg, init,
+                                      n_filters=args.n_filters, frame_params=frame_params)
+    except TrainingDivergedError as exc:
+        write_trace_csv(out_dir / "trace.csv", exc.trace)  # keep the rows before the failure
+        raise
     write_trace_csv(out_dir / "trace.csv", trace)
     bank = build_parampgtf(best, args.n_filters, args.frame_len, args.fs)
     save_filterbank(out_dir / "parampgtf.fbank", bank)
@@ -268,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, WavError, OSError) as exc:
+    except (ValueError, WavError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

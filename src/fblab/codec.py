@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import FrameParams, Waveform, frame_signal, overlap_add
+from .dsp import FrameParams, Waveform, _frozen, frame_signal, overlap_add
 from .filterbank import Filterbank
 
 #: Relative singular-value cutoff for pseudo-inverse decoders. Multi-phase
@@ -50,9 +50,7 @@ class TFRepresentation:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
         if self.relu_applied and np.any(values < 0):
             raise ValueError("relu_applied representation contains negative entries")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values))
 
     @property
     def n_filters(self) -> int:
@@ -75,9 +73,7 @@ class Mask:
             raise ValueError(f"mask must be 2-D, got shape {values.shape}")
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("mask entries must lie in [0, 1]")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values))
 
 
 def analysis_matrix(bank: Filterbank) -> np.ndarray:

@@ -14,7 +14,8 @@ import numpy as np
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
+    """A read-only, C-ordered float64 copy of `a`, so no caller can mutate a stored value."""
+    out = np.array(a, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -65,14 +66,14 @@ class FrameParams:
 
 @dataclass(frozen=True)
 class MixSpec:
-    """Target SNR in dB for a two-source mixture plus a reproducibility seed.
+    """Target SNR in dB of a two-source mixture.
 
-    The conventional sampling range for randomized experiments is
-    [-5, +5] dB; `snr_db` itself may be any finite value.
+    Mixing is deterministic; experiments that draw `snr_db` at random own
+    their RNG. The conventional sampling range is [-5, +5] dB
+    (`SNR_RANGE_DB`); `snr_db` itself may be any finite value.
     """
 
     snr_db: float
-    seed: int = 0
 
     def __post_init__(self):
         if not math.isfinite(self.snr_db):

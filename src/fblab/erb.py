@@ -92,13 +92,18 @@ def center_frequency_grid(p: ErbParams, f_start: float = FC_MIN_HZ, f_max: float
     """Center frequencies spaced one ERB-rate unit apart, starting at f_start.
 
     The first element is f_start exactly; generation stops before the
-    recursion f_j = scale^-1(scale(f_{j-1}) + 1) would exceed f_max.
+    recursion f_j = scale^-1(scale(f_{j-1}) + 1) would exceed f_max. A
+    step whose inverse overflows a float (tiny c2, where one ERB-rate unit
+    spans the whole band) counts as exceeding f_max.
     """
     if not 0 < f_start < f_max:
         raise ValueError(f"need 0 < f_start < f_max, got f_start={f_start}, f_max={f_max}")
     centers = [float(f_start)]
     while True:
-        nxt = erb_scale_inv(erb_scale(centers[-1], p) + 1.0, p)
+        try:
+            nxt = erb_scale_inv(erb_scale(centers[-1], p) + 1.0, p)
+        except OverflowError:
+            break
         if nxt > f_max:
             break
         centers.append(nxt)

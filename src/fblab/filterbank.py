@@ -13,24 +13,22 @@ it load with no center frequencies.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsp import _frozen
 from .erb import FC_MAX_HZ, FC_MIN_HZ, ErbParams
 
 
 class FilterbankKind(enum.Enum):
-    GAMMATONE = "gammatone"
     MPGTF = "mpgtf"
     PARAMPGTF = "parampgtf"
     STFT = "stft"
-    LEARNED = "learned"
     CUSTOM = "custom"
 
 
-_GAMMATONE_KINDS = {FilterbankKind.GAMMATONE, FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF}
+_GAMMATONE_KINDS = {FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF}
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +55,7 @@ class Filterbank:
             raise ValueError("taps contain non-finite values")
         if not (isinstance(self.sample_rate, (int, np.integer)) and self.sample_rate > 0):
             raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
-        taps = taps.copy()
-        taps.setflags(write=False)
-        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "taps", _frozen(taps))
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
         if self.center_freqs is not None:
             cf = np.asarray(self.center_freqs, dtype=np.float64)
@@ -69,9 +65,7 @@ class Filterbank:
                 raise ValueError(
                     f"gammatone center frequencies must lie in [{FC_MIN_HZ:g}, {FC_MAX_HZ:g}] Hz"
                 )
-            cf = cf.copy()
-            cf.setflags(write=False)
-            object.__setattr__(self, "center_freqs", cf)
+            object.__setattr__(self, "center_freqs", _frozen(cf))
 
     @property
     def n_filters(self) -> int:

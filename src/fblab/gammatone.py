@@ -11,13 +11,18 @@ covers each center frequency with several phase shifts evenly spaced on
 outputs keep energy at every center. Center frequencies sit one ERB-rate
 unit apart from 100 Hz up to at most 4000 Hz.
 
-The parameterized variant exposes the same pipeline as a deterministic
-function of (c1, c2) so those constants can be fitted numerically; the
-first center stays pinned at 100 Hz regardless of the parameters.
+One builder, `build_mpgtf`, makes both the fixed bank (MPGTF) and the
+parameterized one (ParaMPGTF): the construction is a deterministic
+function of (c1, c2), so those constants can be fitted numerically, and
+`kind` only labels the result. `build_parampgtf` is that builder with
+kind=PARAMPGTF. The first center stays pinned at 100 Hz regardless of the
+parameters. The builders fix the amplitude alpha at 1, since peak
+normalization cancels it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,15 +80,27 @@ def gammatone_ir(spec: GammatoneSpec) -> np.ndarray:
     return ir / peak
 
 
-def _build_multiphase(
+def build_mpgtf(
     p: ErbParams,
-    n_filters: int,
-    frame_len: int,
-    sample_rate: int,
-    kind: FilterbankKind,
-    order: int,
-    alpha: float,
+    n_filters: int = 512,
+    frame_len: int | None = None,
+    sample_rate: int = 8000,
+    *,
+    order: int = 2,
+    kind: FilterbankKind = FilterbankKind.MPGTF,
 ) -> Filterbank:
+    """Build a multi-phase gammatone filterbank at the ERB constants `p`.
+
+    `frame_len` defaults to 2 ms at the given sample rate (16 taps at
+    8 kHz). The result has exactly `n_filters` rows: n_filters/2 phase
+    variants spread over the ERB-spaced centers, plus their negations.
+    `kind` (MPGTF or PARAMPGTF) only labels the bank; the taps depend on
+    `p` alone.
+    """
+    if kind not in (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF):
+        raise ValueError(f"not a multi-phase gammatone kind: {kind}")
+    if frame_len is None:
+        frame_len = round(FILTER_LENGTH_SECONDS * sample_rate)
     if n_filters < 2 or n_filters % 2 != 0:
         raise ValueError(f"n_filters must be a positive even number, got {n_filters}")
     centers = center_frequency_grid(p, FC_MIN_HZ, FC_MAX_HZ)
@@ -104,51 +121,13 @@ def _build_multiphase(
         b = bandwidth_b(erb(float(fc), p), order)
         for k in range(count):
             phi = math.pi * k / count  # phases evenly spaced on [0, pi)
-            spec = GammatoneSpec(order, alpha, phi, float(fc), b, frame_len, sample_rate)
+            spec = GammatoneSpec(order, 1.0, phi, float(fc), b, frame_len, sample_rate)
             rows[idx] = gammatone_ir(spec)
             idx += 1
     taps = np.vstack([rows, -rows])  # the negated copies supply [pi, 2*pi)
     return Filterbank(taps, sample_rate, kind=kind, center_freqs=centers, erb_params=p)
 
 
-def build_mpgtf(
-    p: ErbParams,
-    n_filters: int = 512,
-    frame_len: int | None = None,
-    sample_rate: int = 8000,
-    *,
-    order: int = 2,
-    alpha: float = 1.0,
-) -> Filterbank:
-    """Build a multi-phase gammatone filterbank.
-
-    `frame_len` defaults to 2 ms at the given sample rate (16 taps at
-    8 kHz). The result has exactly `n_filters` rows: n_filters/2 phase
-    variants spread over the ERB-spaced centers, plus their negations.
-    """
-    if frame_len is None:
-        frame_len = round(FILTER_LENGTH_SECONDS * sample_rate)
-    return _build_multiphase(p, n_filters, frame_len, sample_rate, FilterbankKind.MPGTF, order, alpha)
-
-
-def build_parampgtf(
-    p: ErbParams,
-    n_filters: int = 512,
-    frame_len: int | None = None,
-    sample_rate: int = 8000,
-    *,
-    order: int = 2,
-    alpha: float = 1.0,
-) -> Filterbank:
-    """Build the parameterized multi-phase gammatone bank at the supplied (c1, c2).
-
-    Identical pipeline to `build_mpgtf`, evaluated at the current
-    parameter values: bandwidths follow the ERB of each center and the
-    center grid follows the ERB-rate recursion, with the first center
-    pinned at 100 Hz. Deterministic in `p`, so an optimizer can rebuild
-    the bank every iteration; at the default (24.7, 9.265) the taps are
-    bit-identical to `build_mpgtf`.
-    """
-    if frame_len is None:
-        frame_len = round(FILTER_LENGTH_SECONDS * sample_rate)
-    return _build_multiphase(p, n_filters, frame_len, sample_rate, FilterbankKind.PARAMPGTF, order, alpha)
+#: ParaMPGTF: the same construction, labelled PARAMPGTF for trainable (c1, c2).
+build_parampgtf = functools.partial(build_mpgtf, kind=FilterbankKind.PARAMPGTF)
+build_parampgtf.__name__ = "build_parampgtf"  # a partial has no name of its own; reprs and test ids read it

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Mask, TFRepresentation, apply_mask, decode, encode_gemm
+from .codec import Mask, apply_mask, decode, encode_gemm
 from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform, mix_at_snr
 from .filterbank import Filterbank
 from .metrics import si_snr
@@ -35,15 +35,14 @@ class ExperimentReport:
 
     per_item: tuple[tuple[str, tuple[float, ...]], ...]
     mean_si_snr_db: float
-    trainer_trace: tuple | None = None
 
     @staticmethod
-    def from_scores(per_item, trainer_trace=None) -> "ExperimentReport":
+    def from_scores(per_item) -> "ExperimentReport":
         rows = tuple((str(item_id), tuple(float(v) for v in values)) for item_id, values in per_item)
         flat = [v for _, values in rows for v in values]
         if not flat:
             raise ValueError("report needs at least one score")
-        return ExperimentReport(rows, float(np.mean(flat)), trainer_trace)
+        return ExperimentReport(rows, float(np.mean(flat)))
 
 
 def make_mixture_item(item_id: str, s1: Waveform, s2: Waveform, spec: MixSpec) -> MixtureItem:
@@ -104,7 +103,7 @@ def make_sinusoid_mixture_items(
         snr_db = rng.uniform(*snr_range_db)
         s1 = Waveform(0.5 * np.sin(2.0 * np.pi * f_lo * t + ph_lo), sample_rate)
         s2 = Waveform(0.5 * np.sin(2.0 * np.pi * f_hi * t + ph_hi), sample_rate)
-        items.append(make_mixture_item(f"synth-{i:03d}", s1, s2, MixSpec(snr_db, seed)))
+        items.append(make_mixture_item(f"synth-{i:03d}", s1, s2, MixSpec(snr_db)))
     return items
 
 

@@ -34,7 +34,7 @@ class GradMode(enum.Enum):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the trace collected so far."""
+    """A step left the region where a loss can be evaluated; carries the trace so far."""
 
     def __init__(self, message: str, trace: list):
         super().__init__(message)
@@ -47,7 +47,6 @@ class TrainerConfig:
     max_iters: int = 20
     fd_epsilon: float = 1e-3  # relative step for central differences
     grad_mode: GradMode = GradMode.FINITE_DIFFERENCE
-    seed: int = 0
 
     def __post_init__(self):
         # learning_rate = 0 is allowed: it freezes the parameters while
@@ -128,23 +127,35 @@ def train_parampgtf(
     Every iteration logs one trace row (current parameters, train and dev
     loss) before stepping; the returned parameters are the ones with the
     lowest dev loss over the trace (the initial point included), so the
-    selection never regresses below the starting dev loss. Raises
-    TrainingDivergedError if any loss evaluation is non-finite.
+    selection never regresses below the starting dev loss.
+
+    Raises TrainingDivergedError if any loss evaluation is non-finite, or
+    if no bank can be built at a point the optimizer reached after the
+    initial one (a step or a finite-difference probe; e.g. more centers
+    than n_filters/2, or c2 so small that every tap underflows). A bad
+    initial point raises the builder's ValueError as is.
     """
     if not train_items or not dev_items:
         raise ValueError("train_items and dev_items must be non-empty")
+    trace: list[TraceRow] = []
 
-    def train_loss_at(theta: np.ndarray) -> float:
-        return separation_loss(ErbParams(float(theta[0]), float(theta[1])), train_items, n_filters, frame_params)
+    def loss_at(theta: np.ndarray, items: Sequence[MixtureItem]) -> float:
+        try:
+            return separation_loss(ErbParams(float(theta[0]), float(theta[1])), items, n_filters, frame_params)
+        except ValueError as exc:
+            if not trace:  # the initial point itself: a bad input, not a bad step
+                raise
+            raise TrainingDivergedError(
+                f"no valid bank at c1={float(theta[0])!r}, c2={float(theta[1])!r}: {exc}", trace
+            ) from exc
 
     theta = np.array([init.c1, init.c2], dtype=np.float64)
-    trace: list[TraceRow] = []
     best_params = init
     best_dev = math.inf
     for iteration in range(cfg.max_iters):
         params = ErbParams(float(theta[0]), float(theta[1]))
-        train_loss = separation_loss(params, train_items, n_filters, frame_params)
-        dev_loss = separation_loss(params, dev_items, n_filters, frame_params)
+        train_loss = loss_at(theta, train_items)
+        dev_loss = loss_at(theta, dev_items)
         if not (math.isfinite(train_loss) and math.isfinite(dev_loss)):
             raise TrainingDivergedError(
                 f"non-finite loss at iteration {iteration}: train={train_loss}, dev={dev_loss}", trace
@@ -154,7 +165,7 @@ def train_parampgtf(
             best_dev = dev_loss
             best_params = params
         if cfg.learning_rate > 0:
-            grad = fd_gradient(train_loss_at, theta, cfg.fd_epsilon)
+            grad = fd_gradient(lambda t: loss_at(t, train_items), theta, cfg.fd_epsilon)
             theta = np.maximum(theta - cfg.learning_rate * grad, PARAM_FLOOR)
     return best_params, trace
 

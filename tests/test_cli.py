@@ -50,6 +50,19 @@ class TestBuildBank:
         assert "N=512 L=16" in capsys.readouterr().out
         assert load_filterbank(out).taps.shape == (512, 16)
 
+    def test_tiny_c2_builds_one_center(self, tmp_path, capsys):
+        # one ERB-rate step overflows past 4 kHz: a single center, no traceback
+        out = tmp_path / "x.fbank"
+        assert run(["build-bank", "parampgtf", "--c2", "1e-3", "--out", out]) == 0
+        assert capsys.readouterr().out.strip() == "N=512 L=16 M=1"
+        assert len(load_filterbank(out).center_freqs) == 1
+
+    def test_vanishing_c2_is_typed_error(self, tmp_path, capsys):
+        out = tmp_path / "x.fbank"
+        assert run(["build-bank", "parampgtf", "--c2", "1e-6", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: degenerate gammatone filter")
+        assert not out.exists()
+
     def test_invalid_params_fail_before_writing(self, tmp_path, capsys):
         out = tmp_path / "bad.fbank"
         assert run(["build-bank", "mpgtf", "--c1", "-3", "--out", out]) == 1
@@ -209,6 +222,21 @@ class TestTrain:
         assert len(lines) == 4
         losses = {line.split(",")[3] for line in lines[1:]}
         assert len(losses) == 1
+
+    def test_infeasible_step_writes_partial_trace(self, tmp_path, capsys):
+        self._write_pairs(tmp_path / "train", 2, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        out_dir = tmp_path / "out"
+        code = run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir,
+                    "--lr", "5", "--max-iters", "3", "--n-filters", "64"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no valid bank at c1=") and "Traceback" not in err
+        lines = (out_dir / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iter,c1,c2,train_loss,dev_loss"
+        assert lines[1].startswith("0,24.7,9.265,")
+        assert len(lines) == 2
+        assert not (out_dir / "result.json").exists()
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         (tmp_path / "train").mkdir()

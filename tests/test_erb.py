@@ -135,6 +135,11 @@ class TestCenterFrequencyGrid:
         with pytest.raises(ValueError):
             center_frequency_grid(DEFAULTS, 4000.0, 100.0)
 
+    def test_overflowing_step_ends_the_grid(self):
+        # At c2 = 1e-3 one ERB-rate step from 100 Hz overflows exp(); the
+        # next center lies past any f_max.
+        assert center_frequency_grid(ErbParams(24.7, 1e-3)).tolist() == [100.0]
+
     @given(valid_params)
     @settings(max_examples=50, deadline=None)
     def test_grid_properties_random_params(self, params):

@@ -124,9 +124,10 @@ class TestFbank1Format:
         with pytest.raises(ValueError, match="bad magic"):
             load_filterbank(path)
 
-    def test_rejects_unknown_kind(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["wavelet", "gammatone", "learned"])
+    def test_rejects_unknown_kind(self, tmp_path, kind):
         path = tmp_path / "bad.fbank"
-        path.write_text("FBANK1 kind=wavelet n=1 len=1 fs=8000 c1=- c2=-\n1\n")
+        path.write_text(f"FBANK1 kind={kind} n=1 len=1 fs=8000 c1=- c2=-\n1\n")
         with pytest.raises(ValueError, match="header"):
             load_filterbank(path)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblab import (
     ErbParams,
@@ -117,6 +119,11 @@ class TestBuildMpgtf:
         bank = build_mpgtf(DEFAULTS, 48, 16, 8000)
         assert bank.taps.shape == (48, 16)
 
+    @pytest.mark.parametrize("kind", [FilterbankKind.STFT, FilterbankKind.CUSTOM])
+    def test_non_gammatone_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="multi-phase gammatone kind"):
+            build_mpgtf(DEFAULTS, 64, 16, 8000, kind=kind)
+
 
 class TestBuildParampgtf:
     def test_defaults_bit_identical_to_mpgtf(self):
@@ -124,6 +131,16 @@ class TestBuildParampgtf:
         b = build_parampgtf(DEFAULTS, 512, 16, 8000)
         assert a.taps.tobytes() == b.taps.tobytes()
         assert b.kind is FilterbankKind.PARAMPGTF
+
+    @given(st.floats(20.0, 30.0), st.floats(8.5, 10.0))
+    @settings(max_examples=25, deadline=None)
+    def test_same_taps_as_mpgtf_at_any_feasible_point(self, c1, c2):
+        p = ErbParams(c1, c2)
+        a = build_mpgtf(p)
+        b = build_parampgtf(p)
+        assert b.taps.tobytes() == a.taps.tobytes()
+        assert b.center_freqs.tobytes() == a.center_freqs.tobytes()
+        assert (a.kind, b.kind) == (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF)
 
     def test_paper_converged_point_builds(self):
         # converged operating point reported for the trained variant

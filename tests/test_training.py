@@ -8,6 +8,7 @@ from fblab import (
     FrameParams,
     GradMode,
     TrainerConfig,
+    TrainingDivergedError,
     fd_gradient,
     make_sinusoid_mixture_items,
     separation_loss,
@@ -72,7 +73,7 @@ class TestFdRatioOnPipeline:
         # median ratio across random points is a stable 4.
         import numpy as np
 
-        from fblab import Mask, Waveform, apply_mask, build_parampgtf, clip_si_snr, decode, encode, \
+        from fblab import Mask, Waveform, apply_mask, build_parampgtf, clip_si_snr, decode, encode_gemm, \
             pseudo_inverse, si_snr
 
         items = make_sinusoid_mixture_items(4, seed=42, duration_s=0.2)
@@ -84,8 +85,8 @@ class TestFdRatioOnPipeline:
             dec = pseudo_inverse(bank)
             vals = []
             for item in items:
-                rep = encode(item.mixture, bank, fp, apply_relu=False)
-                e = [encode(s, bank, fp, apply_relu=False).values ** 2 for s in item.sources]
+                rep = encode_gemm(item.mixture, bank, fp, apply_relu=False)
+                e = [encode_gemm(s, bank, fp, apply_relu=False).values ** 2 for s in item.sources]
                 denom = e[0] + e[1]
                 m1 = np.where(denom == 0, 0.5, e[0] / np.where(denom == 0, 1.0, denom))
                 for m, src in zip((m1, 1.0 - m1), item.sources):
@@ -143,3 +144,19 @@ class TestTrainParampgtf:
     def test_empty_items_rejected(self, tiny_items):
         with pytest.raises(ValueError, match="non-empty"):
             train_parampgtf([], tiny_items, TrainerConfig(max_iters=1), ErbParams())
+
+    def test_infeasible_step_keeps_trace(self):
+        # lr 5 drives c2 to PARAM_FLOOR on the first step; no bank exists there.
+        items = make_sinusoid_mixture_items(4, seed=1, duration_s=0.1)
+        with pytest.raises(TrainingDivergedError, match=r"c1=.*c2=1e-06") as excinfo:
+            train_parampgtf(items[:2], items[2:], TrainerConfig(learning_rate=5.0, max_iters=3), ErbParams(),
+                            n_filters=64)
+        trace = excinfo.value.trace
+        assert [(row.iteration, row.c1, row.c2) for row in trace] == [(0, 24.7, 9.265)]
+        assert math.isfinite(trace[0].train_loss) and math.isfinite(trace[0].dev_loss)
+
+    def test_infeasible_initial_point_is_plain_value_error(self, tiny_items, tiny_dev_items):
+        with pytest.raises(ValueError, match="not enough filters") as excinfo:
+            train_parampgtf(tiny_items, tiny_dev_items, TrainerConfig(max_iters=1), ErbParams(0.5, 100.0),
+                            n_filters=128)
+        assert not isinstance(excinfo.value, TrainingDivergedError)
