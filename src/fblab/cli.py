@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import decode, encode_gemm, pseudo_inverse
+from .codec import _resynthesize, pseudo_inverse
 from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform
 from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
 from .filterbank import FilterbankKind, frequency_response, load_filterbank, save_filterbank
@@ -150,9 +150,8 @@ def cmd_roundtrip(args) -> int:
     x = read_wav(args.wav_in)
     hop = args.hop if args.hop is not None else bank.filter_len
     p = FrameParams(bank.filter_len, hop)
-    rep = encode_gemm(x, bank, p, apply_relu=args.relu)
-    decoded = decode(rep, pseudo_inverse(bank))
-    out = Waveform(decoded.samples[: len(x)], decoded.sample_rate)
+    weigh = (lambda enc: np.maximum(enc, 0.0, out=enc)) if args.relu else (lambda enc: enc)
+    (out,) = _resynthesize([x], bank, pseudo_inverse(bank), p, weigh, 1)
     write_wav(args.wav_out, out, encoding="float32")
     if x.energy() == 0.0:
         print("si_snr_db=n/a")

@@ -90,6 +90,25 @@ def num_frames(n_samples: int, p: FrameParams) -> int:
     return -(-overflow // p.hop) + 1
 
 
+def _frame_windows(signals, p: FrameParams) -> np.ndarray:
+    """Read-only (S, num_frames, L) view of the frames of S equal-length signals.
+
+    The signals are copied once into a zero-padded (S, (count-1)*D + L)
+    array; frame i of signal s is the window padded[s, i*D : i*D + L],
+    so samples past the end read as zero.
+    """
+    n = len(signals[0])
+    if n == 0:
+        raise ValueError("empty input")
+    if any(len(samples) != n for samples in signals):
+        raise ValueError(f"signals must have equal lengths, got {[len(samples) for samples in signals]}")
+    count = num_frames(n, p)
+    padded = np.zeros((len(signals), (count - 1) * p.hop + p.frame_len), dtype=np.float64)
+    for row, samples in zip(padded, signals):
+        row[:n] = samples
+    return np.lib.stride_tricks.sliding_window_view(padded, p.frame_len, axis=1)[:, ::p.hop]
+
+
 def frame_signal(x: Waveform, p: FrameParams) -> np.ndarray:
     """Slice `x` into overlapping frames of length L at hop D.
 
@@ -99,27 +118,31 @@ def frame_signal(x: Waveform, p: FrameParams) -> np.ndarray:
     Returns:
         Array of shape (num_frames, frame_len).
     """
-    n = len(x)
-    if n == 0:
-        raise ValueError("empty input")
-    count = num_frames(n, p)
-    padded = np.zeros((count - 1) * p.hop + p.frame_len, dtype=np.float64)
-    padded[:n] = x.samples
-    idx = np.arange(count)[:, None] * p.hop + np.arange(p.frame_len)[None, :]
-    return padded[idx]
+    return _frame_windows([x.samples], p)[0].copy()
+
+
+def _add_frames(rows: np.ndarray, frames: np.ndarray, hop: int, first: int) -> None:
+    """Overlap-add frames (..., count, L) into rows (..., R, D) at hop D, from row `first` on.
+
+    Column slab k of the frames (samples k*D .. k*D + D - 1, the last one
+    narrower when D does not divide L) lands on rows first + k ..
+    first + k + count - 1. Adding the slabs in decreasing k adds the
+    frames in increasing order at every sample, so calls made in
+    increasing `first` sum as a frame-by-frame loop does, bit for bit.
+    """
+    count, frame_len = frames.shape[-2:]
+    for k in reversed(range(-(-frame_len // hop))):
+        lo = k * hop
+        width = min(hop, frame_len - lo)
+        rows[..., first + k:first + k + count, :width] += frames[..., lo:lo + width]
 
 
 def overlap_add(frames: np.ndarray, p: FrameParams, sample_rate: int) -> Waveform:
     """Sum shifted frames: output[t] = sum_i frames[i, t - i*D].
 
     Overlapping regions are summed as-is (no synthesis window or overlap
-    compensation). Output length is (num_frames - 1) * D + L.
-
-    The output is built as rows of D samples. Column slab k of the frames
-    (samples k*D .. k*D + D - 1, the last one narrower when D does not
-    divide L) lands on output rows k .. k + count - 1. Adding the slabs in
-    decreasing k adds the frames in increasing order at every sample, so
-    the sums are those of a frame-by-frame loop, bit for bit.
+    compensation). Output length is (num_frames - 1) * D + L. The sums are
+    those of a frame-by-frame loop, bit for bit.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -127,14 +150,9 @@ def overlap_add(frames: np.ndarray, p: FrameParams, sample_rate: int) -> Wavefor
     if frames.shape[1] != p.frame_len:
         raise ValueError(f"frame length mismatch: frames have {frames.shape[1]} samples, expected {p.frame_len}")
     count = frames.shape[0]
-    hop = p.hop
-    n_slabs = -(-p.frame_len // hop)
-    rows = np.zeros((count - 1 + n_slabs, hop), dtype=np.float64)
-    for k in reversed(range(n_slabs)):
-        lo = k * hop
-        width = min(hop, p.frame_len - lo)
-        rows[k:k + count, :width] += frames[:, lo:lo + width]
-    return Waveform(rows.ravel()[:(count - 1) * hop + p.frame_len], sample_rate)
+    rows = np.zeros((count - 1 + -(-p.frame_len // p.hop), p.hop), dtype=np.float64)
+    _add_frames(rows, frames, p.hop, 0)
+    return Waveform(rows.ravel()[:(count - 1) * p.hop + p.frame_len], sample_rate)
 
 
 def mix_at_snr(s1: Waveform, s2: Waveform, spec: MixSpec) -> tuple[Waveform, float]:

@@ -82,10 +82,20 @@ def erb_scale(f_hz: float, p: ErbParams = ErbParams()) -> float:
 
 
 def erb_scale_inv(u: float, p: ErbParams = ErbParams()) -> float:
-    """Map an ERB-rate value back to Hz; exact inverse of `erb_scale`."""
+    """Map an ERB-rate value back to Hz; exact inverse of `erb_scale`.
+
+    Raises ValueError when the frequency overflows a float (u / c2 above
+    about 709).
+    """
     if u < 0:
         raise ValueError(f"ERB-rate value must be >= 0, got {u}")
-    return p.c1 * p.c2 * math.expm1(u / p.c2)
+    try:
+        f_hz = p.c1 * p.c2 * math.expm1(u / p.c2)
+    except OverflowError:
+        f_hz = math.inf
+    if math.isinf(f_hz):
+        raise ValueError(f"ERB-rate value u={u!r} overflows a float frequency at c2={p.c2!r}")
+    return f_hz
 
 
 def center_frequency_grid(p: ErbParams, f_start: float = FC_MIN_HZ, f_max: float = FC_MAX_HZ) -> np.ndarray:
@@ -102,7 +112,7 @@ def center_frequency_grid(p: ErbParams, f_start: float = FC_MIN_HZ, f_max: float
     while True:
         try:
             nxt = erb_scale_inv(erb_scale(centers[-1], p) + 1.0, p)
-        except OverflowError:
+        except ValueError:  # the step overflows a float; its arguments are in range
             break
         if nxt > f_max:
             break

@@ -15,8 +15,10 @@ from fblab import (
     encode,
     encode_gemm,
     pseudo_inverse,
+    num_frames,
     write_tfrep_csv,
 )
+from fblab.codec import _resynthesize
 
 FS = 8000
 
@@ -127,6 +129,38 @@ def test_encode_gemm_matches_reference(seed, n_filters, frame_len, hop_frac, sig
     assert np.max(np.abs(fast.values - ref.values)) <= 1e-12 * scale
     if apply_relu:
         assert not np.any(fast.values < 0)
+
+
+def _relu(enc):
+    return np.maximum(enc, 0.0, out=enc)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_filters=st.integers(1, 64),
+    frame_len=st.integers(1, 32),
+    hop_frac=st.floats(0.0, 1.0),
+    sig_len=st.integers(1, 2000),
+    block_frac=st.floats(0.0, 1.0),
+    apply_relu=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocked_roundtrip_matches_whole_signal_reference(
+    seed, n_filters, frame_len, hop_frac, sig_len, block_frac, apply_relu
+):
+    rng = np.random.default_rng(seed)
+    hop = 1 + int(hop_frac * (frame_len - 1))
+    p = FrameParams(frame_len, hop)
+    bank = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
+    dec = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
+    x = Waveform(rng.standard_normal(sig_len), FS)
+    block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
+    ref = decode(encode_gemm(x, bank, p, apply_relu=apply_relu), dec).samples[:sig_len]
+    (out,) = _resynthesize([x], bank, dec, p, _relu if apply_relu else (lambda enc: enc), 1,
+                           block_frames=block_frames)
+    assert out.sample_rate == FS and len(out) == sig_len
+    assert not out.samples.flags.writeable
+    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
 class TestDecode:

@@ -87,6 +87,11 @@ class TestErbScale:
         expected = 24.7 * 9.265 * (math.e - 1.0)  # 393.2210641746244
         assert erb_scale_inv(DEFAULTS.c2, DEFAULTS) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("u", [7000.0, 709.0 * DEFAULTS.c2])  # expm1 overflows; the product does
+    def test_inverse_overflow_is_typed_error(self, u):
+        with pytest.raises(ValueError, match=rf"u={u!r} .*c2=9\.265"):
+            erb_scale_inv(u, DEFAULTS)
+
     @pytest.mark.parametrize("f", [100.0, 500.0, 4000.0])
     def test_inverse_identity_spot(self, f):
         assert erb_scale_inv(erb_scale(f, DEFAULTS), DEFAULTS) == pytest.approx(f, rel=1e-9)

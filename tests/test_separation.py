@@ -1,22 +1,30 @@
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblab import (
     ErbParams,
     ExperimentReport,
+    Filterbank,
     FrameParams,
     MixSpec,
     Waveform,
     bank_info,
     build_mpgtf,
+    apply_mask,
     decode,
     encode,
+    encode_gemm,
     make_mixture_item,
     make_sinusoid_mixture_items,
     merge_reports,
+    num_frames,
     oracle_irm_masks,
     pseudo_inverse,
     run_separation,
@@ -25,6 +33,8 @@ from fblab import (
     write_report_csv,
     write_report_json,
 )
+from fblab.codec import _resynthesize
+from fblab.separation import _oracle_mask_weigh
 
 FS = 8000
 FP = FrameParams(16, 8)
@@ -131,6 +141,101 @@ class TestRunSeparation:
         full = decode(rep, mpgtf_dec).samples[: len(item.mixture)]
         total = estimates[0].samples + estimates[1].samples
         np.testing.assert_allclose(total, full, rtol=0, atol=1e-9 * np.max(np.abs(full)))
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_filters=st.integers(1, 24),
+    frame_len=st.integers(1, 32),
+    hop_frac=st.floats(0.0, 1.0),
+    sig_len=st.integers(1, 2000),
+    block_frac=st.floats(0.0, 1.0),
+    n_sources=st.sampled_from([2, 3]),
+    apply_relu=st.booleans(),
+    silent_span=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocked_separation_matches_whole_signal_reference(
+    seed, n_filters, frame_len, hop_frac, sig_len, block_frac, n_sources, apply_relu, silent_span
+):
+    rng = np.random.default_rng(seed)
+    hop = 1 + int(hop_frac * (frame_len - 1))
+    p = FrameParams(frame_len, hop)
+    bank = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
+    dec = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
+    samples = rng.standard_normal((n_sources, sig_len))
+    if silent_span:  # all-zero cells take the 1/C mask
+        samples[:, sig_len // 4:sig_len // 2] = 0.0
+    sources = [Waveform(x, FS) for x in samples]
+    mixture = Waveform(samples.sum(axis=0), FS)
+    block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
+
+    rep = encode_gemm(mixture, bank, p, apply_relu=apply_relu)
+    masks = oracle_irm_masks(sources, bank, p)
+    refs = [decode(apply_mask(rep, mask), dec).samples[:sig_len] for mask in masks]
+    outs = _resynthesize([mixture, *sources], bank, dec, p, _oracle_mask_weigh(apply_relu), n_sources,
+                         block_frames=block_frames)
+    assert len(outs) == n_sources
+    for out, ref in zip(outs, refs):
+        assert out.sample_rate == FS and len(out) == sig_len
+        assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_separate_memory_is_flat_in_signal_length(mpgtf_bank, mpgtf_dec):
+    # The whole-signal path holds several N x I arrays at once (~266 MB
+    # at 8 s); the blocked engine holds O(N * BLOCK_FRAMES) plus a few
+    # signal-length buffers.
+    peaks = {}
+    for seconds in (2.0, 8.0):
+        item = make_sinusoid_mixture_items(1, seed=4, duration_s=seconds)[0]
+        tracemalloc.start()
+        try:
+            separate(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    rep_bytes = mpgtf_bank.n_filters * num_frames(8 * FS, FP) * 8  # one 8 s N x I float64 array
+    assert peaks[8.0] - peaks[2.0] < rep_bytes / 4
+    assert peaks[8.0] < rep_bytes / 2
+
+
+class TestSeparateErrors:
+    """Every bad argument is rejected before any work, with the message of the
+    whole-signal functions that used to raise it."""
+
+    def test_decoder_row_count(self, mpgtf_bank):
+        s = tone(440.0, n=800)
+        dec = Filterbank(np.ones((511, 16)), FS)
+        with pytest.raises(ValueError, match=re.escape("decoder has 511 filters but representation has 512 rows")):
+            separate(s, [s, s], mpgtf_bank, dec, FP)
+
+    def test_decoder_length(self, mpgtf_bank):
+        s = tone(440.0, n=800)
+        dec = Filterbank(np.ones((512, 12)), FS)
+        with pytest.raises(ValueError, match=re.escape("decoder filter length 12 != frame length 16")):
+            separate(s, [s, s], mpgtf_bank, dec, FP)
+
+    def test_bank_signal_rate_mismatch(self, mpgtf_bank, mpgtf_dec):
+        s = Waveform(np.ones(800), 16000)
+        with pytest.raises(ValueError, match=re.escape("sample rate mismatch: bank 8000 Hz, signal 16000 Hz")):
+            separate(s, [s, s], mpgtf_bank, mpgtf_dec, FP)
+
+    @pytest.mark.parametrize("source_len", [0, 800])
+    def test_empty_mixture(self, mpgtf_bank, mpgtf_dec, source_len):
+        empty = Waveform(np.zeros(0), FS)
+        s = tone(440.0, n=source_len)
+        with pytest.raises(ValueError, match=re.escape("empty input")):
+            separate(empty, [s, s], mpgtf_bank, mpgtf_dec, FP)
+
+    def test_mixture_length_differs_from_sources(self, mpgtf_bank, mpgtf_dec):
+        s = tone(440.0, n=800)
+        with pytest.raises(ValueError, match="equal lengths"):
+            separate(tone(440.0, n=801), [s, s], mpgtf_bank, mpgtf_dec, FP)
+
+    def test_single_source(self, mpgtf_bank, mpgtf_dec):
+        s = tone(440.0)
+        with pytest.raises(ValueError, match="at least 2"):
+            separate(s, [s], mpgtf_bank, mpgtf_dec, FP)
 
 
 class TestMixtureItems:
