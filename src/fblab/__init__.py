@@ -13,7 +13,6 @@ from .codec import (
     apply_mask,
     decode,
     encode,
-    encode_gemm,
     pseudo_inverse,
     write_tfrep_csv,
 )

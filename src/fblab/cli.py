@@ -171,8 +171,6 @@ def cmd_separate(args) -> int:
         snr_db = args.snr_db
     sources = [read_wav(path) for path in args.sources]
     bank = load_filterbank(args.bank)
-    if any(s.sample_rate != bank.sample_rate for s in sources):
-        raise ValueError("sample rate mismatch between sources and bank")
     item = make_multi_mixture_item("item-0", sources, MixSpec(snr_db))
     p = FrameParams(bank.filter_len, args.hop)
     dec = pseudo_inverse(bank)

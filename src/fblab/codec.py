@@ -11,8 +11,11 @@ decoder rows and overlap-adds them at hop D. A decoder built from the
 Moore-Penrose pseudo-inverse of the analysis matrix makes
 decode(encode(x)) the identity for full-rank banks when D = L.
 
-The pipeline (`separation.separate` and `fblab roundtrip`) runs one
-frame-blocked engine, `_resynthesize`: per block of `BLOCK_FRAMES` frames
+There are two encoders: the frame-blocked engine that does the work, and
+the bitwise whole-signal `encode` that pins its arithmetic.
+
+The pipeline (`separation.separate` and `fblab roundtrip`) runs the
+engine, `_resynthesize`: per block of `BLOCK_FRAMES` frames
 it encodes every input signal with one batched BLAS product, lets the
 caller weigh the encodings into synthesis coefficients in place, decodes
 them with one more product and overlap-adds the frames into the outputs.
@@ -26,12 +29,9 @@ size its output is deterministic.
 The whole-signal functions are the reference the tests compare against,
 and the public API for inspecting a representation:
 
-- `encode` is the bitwise reference. It accumulates over the tap index in
-  fixed ascending order and matches a naive loop evaluation exactly
-  (acceptance criterion 08 pins this).
-- `encode_gemm` is the same transform as one BLAS product
-  `analysis_matrix(bank) @ frame_signal(x, p).T`; it agrees with `encode`
-  to about 1e-15 relative, not bitwise.
+- `encode` is the bitwise reference encoder. It accumulates over the tap
+  index in fixed ascending order and matches a naive loop evaluation
+  exactly (acceptance criterion 08 pins this).
 - `decode` and `apply_mask` act on whole `TFRepresentation`s and `Mask`s.
 """
 
@@ -126,19 +126,6 @@ def encode(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = Tru
     return TFRepresentation(values, p, relu_applied=apply_relu)
 
 
-def encode_gemm(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = True) -> TFRepresentation:
-    """The analysis transform of `encode` as one BLAS matrix product.
-
-    Same arguments, result shape and errors as `encode`; the values agree
-    with it to about 1e-15 relative but not bitwise.
-    """
-    _check_encode_args(x, bank, p)
-    values = analysis_matrix(bank) @ frame_signal(x, p).T  # (N, I)
-    if apply_relu:
-        np.maximum(values, 0.0, out=values)
-    return TFRepresentation(values, p, relu_applied=apply_relu)
-
-
 def _check_decode_args(dec_bank: Filterbank, n_rows: int, frame_len: int) -> None:
     if dec_bank.n_filters != n_rows:
         raise ValueError(f"decoder has {dec_bank.n_filters} filters but representation has {n_rows} rows")
@@ -172,7 +159,7 @@ def _resynthesize(
     order into `n_out` outputs, each trimmed to the input length. Work
     buffers are allocated once per call and never escape it.
 
-    Raises the `ValueError`s of `encode_gemm` and `decode` for a bank,
+    Raises the `ValueError`s of `encode` and `decode` for a bank,
     decoder or signal that does not fit, and one for signals of unequal
     lengths, before any work.
     """

@@ -160,7 +160,8 @@ def mix_at_snr(s1: Waveform, s2: Waveform, spec: MixSpec) -> tuple[Waveform, flo
 
     The gain g = sqrt((E1 / E2) * 10^(-snr_db / 10)) makes the energy
     ratio of s1 to g*s2 equal snr_db exactly. Sources of different
-    lengths are truncated to the shorter one before mixing.
+    lengths are truncated to the shorter one before mixing. An snr_db so
+    extreme that g overflows or underflows to 0 is a `ValueError`.
 
     Returns:
         (mixture, g)
@@ -176,7 +177,12 @@ def mix_at_snr(s1: Waveform, s2: Waveform, spec: MixSpec) -> tuple[Waveform, flo
     e2 = float(np.dot(b, b))
     if e1 == 0.0 or e2 == 0.0:
         raise ValueError("silent source")
-    g = math.sqrt((e1 / e2) * 10.0 ** (-spec.snr_db / 10.0))
+    try:
+        g = math.sqrt((e1 / e2) * 10.0 ** (-spec.snr_db / 10.0))
+    except OverflowError:
+        g = math.inf
+    if not 0.0 < g < math.inf:
+        raise ValueError(f"snr_db={spec.snr_db!r} gives a mixing gain {g!r} outside (0, inf)")
     return Waveform(a + g * b, s1.sample_rate), g
 
 

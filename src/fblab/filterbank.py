@@ -59,8 +59,8 @@ class Filterbank:
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
         if self.center_freqs is not None:
             cf = np.asarray(self.center_freqs, dtype=np.float64)
-            if cf.ndim != 1 or not np.all(np.diff(cf) > 0):
-                raise ValueError("center_freqs must be 1-D and strictly increasing")
+            if cf.ndim != 1 or cf.size == 0 or not np.all(np.diff(cf) > 0):
+                raise ValueError("center_freqs must be 1-D, non-empty and strictly increasing")
             if self.kind in _GAMMATONE_KINDS and (cf[0] < FC_MIN_HZ or cf[-1] > FC_MAX_HZ):
                 raise ValueError(
                     f"gammatone center frequencies must lie in [{FC_MIN_HZ:g}, {FC_MAX_HZ:g}] Hz"

@@ -11,7 +11,7 @@ the CLI) runs the frame-blocked engine `codec._resynthesize`: the mixture
 and the sources are encoded together one block of `codec.BLOCK_FRAMES`
 frames at a time, masked and decoded, so no N x I array is ever built and
 memory stays flat in the signal length. Its estimates agree with the
-whole-signal path `encode_gemm` -> `oracle_irm_masks` -> `apply_mask` ->
+whole-signal path `encode` -> `oracle_irm_masks` -> `apply_mask` ->
 `decode` to about 1e-15 relative (tests bound it at 1e-12); that path is
 the reference, and both compute the masks with `_ratio_masks`.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Mask, _resynthesize, encode_gemm
+from .codec import Mask, _resynthesize, encode
 from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform, mix_at_snr
 from .filterbank import Filterbank
 from .metrics import si_snr
@@ -126,19 +126,18 @@ def _check_sources(sources) -> None:
         raise ValueError("sources must share one sample rate")
 
 
-def _ratio_masks(mags: np.ndarray, denom: np.ndarray, zero: np.ndarray) -> None:
+def _ratio_masks(mags: np.ndarray) -> None:
     """Turn C stacked magnitudes (C, ...) into ideal ratio masks, in place.
 
     mask_c = mags[c] / sum(mags), or 1/C where every magnitude is zero;
     the last mask is clip(1 - sum of the others), so the set sums to one.
-    `denom` (float) and `zero` (bool) are work buffers of one mask's shape.
     """
     c = mags.shape[0]
-    np.add(mags[0], mags[1], out=denom)
+    denom = mags[0] + mags[1]
     for m in mags[2:]:
         denom += m
     # A zero sum means every magnitude is zero there: 1 / C reads 1/C exactly.
-    np.equal(denom, 0.0, out=zero)
+    zero = denom == 0.0
     np.copyto(denom, c, where=zero)
     for m in mags[:-1]:
         np.copyto(m, 1.0, where=zero)
@@ -161,11 +160,13 @@ def oracle_irm_masks(
     mask_c = |encode(s_c)| / sum_c' |encode(s_c')| with cells where every
     source is zero set to 1/C. The last mask is the complement of the
     others, so the set sums to one exactly. The sources are encoded with
-    `encode_gemm`.
+    the bitwise reference `encode`; `encode` -> `oracle_irm_masks` ->
+    `apply_mask` -> `decode` is the whole-signal reference chain that the
+    blocked engine of `separate` is tested against.
     """
     _check_sources(sources)
-    mags = np.stack([np.abs(encode_gemm(s, bank, frame_params, apply_relu=False).values) for s in sources])
-    _ratio_masks(mags, np.empty(mags.shape[1:]), np.empty(mags.shape[1:], dtype=bool))
+    mags = np.stack([np.abs(encode(s, bank, frame_params, apply_relu=False).values) for s in sources])
+    _ratio_masks(mags)
     return [Mask(values) for values in mags]
 
 
@@ -176,17 +177,13 @@ def _oracle_mask_weigh(apply_relu: bool):
     ratio masks and multiplies them by the mixture's; returns the C masked
     blocks.
     """
-    work = []
 
     def weigh(enc: np.ndarray) -> np.ndarray:
         mix, mags = enc[0], enc[1:]
-        if not work:  # the first block is the largest
-            work.extend((np.empty(mix.shape), np.empty(mix.shape, dtype=bool)))
-        k = mix.shape[1]
         if apply_relu:
             np.maximum(mix, 0.0, out=mix)
         np.abs(mags, out=mags)
-        _ratio_masks(mags, work[0][:, :k], work[1][:, :k])
+        _ratio_masks(mags)
         np.multiply(mags, mix, out=mags)
         return mags
 

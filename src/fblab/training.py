@@ -98,8 +98,8 @@ def separation_loss(
 
     The bank and its pseudo-inverse decoder are rebuilt from `params`;
     scores accumulate in item order so the reduction is deterministic.
-    Each item runs through `run_separation`, so every encode is an
-    `encode_gemm`.
+    Each item runs through `run_separation`, so every encode happens in
+    the blocked engine `codec._resynthesize`.
     """
     if not items:
         raise ValueError("need at least one item")

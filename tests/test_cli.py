@@ -176,6 +176,28 @@ class TestSeparate:
         assert run(["separate", bank, source_wavs[0], "--out-dir", tmp_path / "sep"]) == 2
         assert "at least two" in capsys.readouterr().err
 
+    def test_extreme_snr_is_typed_error(self, tmp_path, source_wavs, capsys):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--out", bank])
+        out_dir = tmp_path / "sep"
+        # the "=" form: argparse reads a bare "-1e4" as a flag
+        assert run(["separate", bank, *source_wavs, "--out-dir", out_dir, "--snr-db=-1e4"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "snr_db" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_sources_bank_rate_mismatch_fails_before_writing(self, tmp_path, capsys):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--out", bank])
+        wavs = [tmp_path / "a16k.wav", tmp_path / "b16k.wav"]
+        write_wav(wavs[0], tone(300.0, fs=16000), encoding="float32")
+        write_wav(wavs[1], tone(2000.0, fs=16000), encoding="float32")
+        out_dir = tmp_path / "sep"
+        assert run(["separate", bank, *wavs, "--out-dir", out_dir, "--snr-db", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error: sample rate mismatch: bank 8000 Hz, signal 16000 Hz" in err
+        assert not out_dir.exists()
+
     def test_seed_env_var_used_as_default(self, tmp_path, source_wavs, monkeypatch):
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])

@@ -13,7 +13,6 @@ from fblab import (
     apply_mask,
     decode,
     encode,
-    encode_gemm,
     pseudo_inverse,
     num_frames,
     write_tfrep_csv,
@@ -93,42 +92,15 @@ class TestEncode:
             + b * encode(Waveform(y, FS), bank, p, apply_relu=False).values
         np.testing.assert_allclose(mixed, split, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("encoder", [encode, encode_gemm], ids=["encode", "encode_gemm"])
-    def test_rate_mismatch(self, encoder):
+    def test_rate_mismatch(self):
         bank = random_bank(np.random.default_rng(4))
         with pytest.raises(ValueError, match="sample rate mismatch"):
-            encoder(Waveform(np.ones(16), 16000), bank, FrameParams(8, 4))
+            encode(Waveform(np.ones(16), 16000), bank, FrameParams(8, 4))
 
-    @pytest.mark.parametrize("encoder", [encode, encode_gemm], ids=["encode", "encode_gemm"])
-    def test_frame_len_mismatch(self, encoder):
+    def test_frame_len_mismatch(self):
         bank = random_bank(np.random.default_rng(5))
         with pytest.raises(ValueError, match="filter length"):
-            encoder(Waveform(np.ones(16), FS), bank, FrameParams(4, 2))
-
-
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    n_filters=st.integers(1, 64),
-    frame_len=st.integers(1, 32),
-    hop_frac=st.floats(0.0, 1.0),
-    sig_len=st.integers(1, 600),
-    apply_relu=st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_encode_gemm_matches_reference(seed, n_filters, frame_len, hop_frac, sig_len, apply_relu):
-    rng = np.random.default_rng(seed)
-    hop = 1 + int(hop_frac * (frame_len - 1))
-    bank = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
-    x = Waveform(rng.standard_normal(sig_len), FS)
-    p = FrameParams(frame_len, hop)
-    ref = encode(x, bank, p, apply_relu=apply_relu)
-    fast = encode_gemm(x, bank, p, apply_relu=apply_relu)
-    assert fast.values.shape == ref.values.shape
-    assert fast.frame_params == p and fast.relu_applied is apply_relu
-    scale = max(1.0, float(np.max(np.abs(ref.values))))
-    assert np.max(np.abs(fast.values - ref.values)) <= 1e-12 * scale
-    if apply_relu:
-        assert not np.any(fast.values < 0)
+            encode(Waveform(np.ones(16), FS), bank, FrameParams(4, 2))
 
 
 def _relu(enc):
@@ -155,7 +127,7 @@ def test_blocked_roundtrip_matches_whole_signal_reference(
     dec = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
     x = Waveform(rng.standard_normal(sig_len), FS)
     block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
-    ref = decode(encode_gemm(x, bank, p, apply_relu=apply_relu), dec).samples[:sig_len]
+    ref = decode(encode(x, bank, p, apply_relu=apply_relu), dec).samples[:sig_len]
     (out,) = _resynthesize([x], bank, dec, p, _relu if apply_relu else (lambda enc: enc), 1,
                            block_frames=block_frames)
     assert out.sample_rate == FS and len(out) == sig_len

@@ -184,6 +184,12 @@ class TestMixAtSnr:
         with pytest.raises(ValueError, match="finite"):
             MixSpec(float("nan"))
 
+    @pytest.mark.parametrize("snr_db", [-1e4, 1e4])
+    def test_extreme_snr_is_typed_error(self, snr_db):
+        # 10 ** 1000 overflows and 10 ** -1000 underflows the gain to 0
+        with pytest.raises(ValueError, match="snr_db"):
+            mix_at_snr(wave([1.0, 2.0]), wave([2.0, -1.0]), MixSpec(snr_db))
+
 
 def test_write_samples_csv(tmp_path):
     path = tmp_path / "samples.csv"

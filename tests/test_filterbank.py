@@ -34,6 +34,11 @@ class TestFilterbankType:
         with pytest.raises(ValueError, match="strictly increasing"):
             Filterbank(np.ones((2, 4)), FS, center_freqs=np.array([200.0, 150.0]))
 
+    @pytest.mark.parametrize("kind", [FilterbankKind.MPGTF, FilterbankKind.STFT])
+    def test_rejects_empty_centers(self, kind):
+        with pytest.raises(ValueError, match="non-empty"):
+            Filterbank(np.ones((2, 4)), FS, kind=kind, center_freqs=np.array([]))
+
     def test_gammatone_centers_must_stay_in_band(self):
         with pytest.raises(ValueError, match=r"\[100, 4000\]"):
             Filterbank(np.ones((2, 4)), FS, kind=FilterbankKind.MPGTF, center_freqs=np.array([50.0, 200.0]))

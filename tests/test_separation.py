@@ -20,7 +20,6 @@ from fblab import (
     apply_mask,
     decode,
     encode,
-    encode_gemm,
     make_mixture_item,
     make_sinusoid_mixture_items,
     merge_reports,
@@ -170,7 +169,7 @@ def test_blocked_separation_matches_whole_signal_reference(
     mixture = Waveform(samples.sum(axis=0), FS)
     block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
 
-    rep = encode_gemm(mixture, bank, p, apply_relu=apply_relu)
+    rep = encode(mixture, bank, p, apply_relu=apply_relu)
     masks = oracle_irm_masks(sources, bank, p)
     refs = [decode(apply_mask(rep, mask), dec).samples[:sig_len] for mask in masks]
     outs = _resynthesize([mixture, *sources], bank, dec, p, _oracle_mask_weigh(apply_relu), n_sources,
@@ -214,6 +213,11 @@ class TestSeparateErrors:
         dec = Filterbank(np.ones((512, 12)), FS)
         with pytest.raises(ValueError, match=re.escape("decoder filter length 12 != frame length 16")):
             separate(s, [s, s], mpgtf_bank, dec, FP)
+
+    def test_encoder_frame_length(self, mpgtf_bank, mpgtf_dec):
+        s = tone(440.0, n=800)
+        with pytest.raises(ValueError, match=re.escape("bank filter length 16 != frame length 8")):
+            separate(s, [s, s], mpgtf_bank, mpgtf_dec, FrameParams(8, 4))
 
     def test_bank_signal_rate_mismatch(self, mpgtf_bank, mpgtf_dec):
         s = Waveform(np.ones(800), 16000)

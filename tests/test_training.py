@@ -73,11 +73,19 @@ class TestFdRatioOnPipeline:
         # median ratio across random points is a stable 4.
         import numpy as np
 
-        from fblab import Mask, Waveform, apply_mask, build_parampgtf, clip_si_snr, decode, encode_gemm, \
-            pseudo_inverse, si_snr
+        from fblab import build_parampgtf, clip_si_snr, pseudo_inverse, si_snr
+        from fblab.codec import _resynthesize
 
         items = make_sinusoid_mixture_items(4, seed=42, duration_s=0.2)
         fp = FrameParams(16, 8)
+
+        def power_weigh(enc):
+            # enc holds the linear encodings [mixture, s1, s2] of one block.
+            mix, e = enc[0], enc[1:] ** 2
+            denom = e[0] + e[1]
+            m1 = np.where(denom == 0, 0.5, e[0] / np.where(denom == 0, 1.0, denom))
+            masks = np.clip(np.stack((m1, 1.0 - m1)), 0.0, 1.0)
+            return np.multiply(masks, mix, out=enc[1:])
 
         def smooth_loss(theta):
             p = ErbParams(float(theta[0]), float(theta[1]))
@@ -85,13 +93,8 @@ class TestFdRatioOnPipeline:
             dec = pseudo_inverse(bank)
             vals = []
             for item in items:
-                rep = encode_gemm(item.mixture, bank, fp, apply_relu=False)
-                e = [encode_gemm(s, bank, fp, apply_relu=False).values ** 2 for s in item.sources]
-                denom = e[0] + e[1]
-                m1 = np.where(denom == 0, 0.5, e[0] / np.where(denom == 0, 1.0, denom))
-                for m, src in zip((m1, 1.0 - m1), item.sources):
-                    est = decode(apply_mask(rep, Mask(np.clip(m, 0.0, 1.0))), dec)
-                    est = Waveform(est.samples[: len(item.mixture)], est.sample_rate)
+                estimates = _resynthesize([item.mixture, *item.sources], bank, dec, fp, power_weigh, 2)
+                for est, src in zip(estimates, item.sources):
                     vals.append(clip_si_snr(si_snr(est, src).value_db))
             return -float(np.mean(vals))
 
