@@ -7,14 +7,12 @@ oracle-mask separation with SI-SNR.
 """
 
 from .codec import (
-    Mask,
     TFRepresentation,
     analysis_matrix,
     apply_mask,
     decode,
     encode,
     pseudo_inverse,
-    write_tfrep_csv,
 )
 from .dsp import (
     FrameParams,
@@ -22,10 +20,8 @@ from .dsp import (
     SNR_RANGE_DB,
     Waveform,
     frame_signal,
-    mix_at_snr,
     num_frames,
     overlap_add,
-    write_samples_csv,
 )
 from .erb import (
     DEFAULT_C1,
@@ -54,10 +50,8 @@ from .separation import (
     ExperimentReport,
     MixtureItem,
     bank_info,
-    make_mixture_item,
     make_multi_mixture_item,
     make_sinusoid_mixture_items,
-    merge_reports,
     oracle_irm_masks,
     run_separation,
     score_separation,

@@ -26,7 +26,6 @@ from .gammatone import build_mpgtf, build_parampgtf
 from .metrics import clip_si_snr, si_snr
 from .separation import (
     bank_info,
-    make_mixture_item,
     make_multi_mixture_item,
     score_separation,
     separate,
@@ -219,7 +218,7 @@ def cmd_train(args) -> int:
         split_items = []
         for stem, s1, s2 in _load_pairs(directory, args.fs):
             snr_db = float(rng.uniform(*SNR_RANGE_DB))
-            split_items.append(make_mixture_item(stem, s1, s2, MixSpec(snr_db)))
+            split_items.append(make_multi_mixture_item(stem, [s1, s2], MixSpec(snr_db)))
         items[split] = split_items
 
     cfg = TrainerConfig(learning_rate=args.lr, max_iters=args.max_iters, fd_epsilon=args.fd_epsilon)

@@ -32,7 +32,8 @@ and the public API for inspecting a representation:
 - `encode` is the bitwise reference encoder. It accumulates over the tap
   index in fixed ascending order and matches a naive loop evaluation
   exactly (acceptance criterion 08 pins this).
-- `decode` and `apply_mask` act on whole `TFRepresentation`s and `Mask`s.
+- `decode` and `apply_mask` act on whole `TFRepresentation`s; a mask is
+  a plain array of the representation's shape with entries in [0, 1].
 """
 
 from __future__ import annotations
@@ -75,25 +76,6 @@ class TFRepresentation:
     @property
     def n_filters(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class Mask:
-    """Elementwise gain matrix in [0, 1], same shape as its representation."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {values.shape}")
-        if np.any(values < 0) or np.any(values > 1):
-            raise ValueError("mask entries must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen(values))
 
 
 def analysis_matrix(bank: Filterbank) -> np.ndarray:
@@ -206,17 +188,11 @@ def pseudo_inverse(bank: Filterbank, rcond: float = PINV_RCOND) -> Filterbank:
     )
 
 
-def apply_mask(rep: TFRepresentation, mask: Mask) -> TFRepresentation:
-    """Elementwise product of a representation with a mask in [0, 1]."""
-    if mask.values.shape != rep.values.shape:
-        raise ValueError(f"mask shape {mask.values.shape} != representation shape {rep.values.shape}")
-    return TFRepresentation(rep.values * mask.values, rep.frame_params, rep.relu_applied)
-
-
-def write_tfrep_csv(path, rep: TFRepresentation) -> None:
-    """Write a representation as CSV rows `n,i,value` with LF newlines."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,i,value\n")
-        for n in range(rep.n_filters):
-            for i in range(rep.n_frames):
-                fh.write(f"{n},{i},{float(rep.values[n, i])!r}\n")
+def apply_mask(rep: TFRepresentation, mask: np.ndarray) -> TFRepresentation:
+    """Elementwise product of a representation with a mask in [0, 1] of its shape."""
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != rep.values.shape:
+        raise ValueError(f"mask shape {mask.shape} != representation shape {rep.values.shape}")
+    if not np.all((mask >= 0.0) & (mask <= 1.0)):  # NaN fails both comparisons
+        raise ValueError("mask entries must lie in [0, 1]")
+    return TFRepresentation(rep.values * mask, rep.frame_params, rep.relu_applied)

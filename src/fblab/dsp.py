@@ -1,4 +1,4 @@
-"""Time-domain signal primitives: waveforms, framing, overlap-add, mixing.
+"""Time-domain signal primitives: waveforms, framing, overlap-add, mixing gains.
 
 Everything operates on immutable float64 values. Framing follows strided
 1-D convolution semantics: the trailing partial frame is zero-padded, and
@@ -45,10 +45,6 @@ class Waveform:
         """Sum of squared samples."""
         return float(np.dot(self.samples, self.samples))
 
-    def scaled(self, gain: float) -> "Waveform":
-        """Return a copy with every sample multiplied by `gain`."""
-        return Waveform(self.samples * float(gain), self.sample_rate)
-
 
 @dataclass(frozen=True)
 class FrameParams:
@@ -66,7 +62,7 @@ class FrameParams:
 
 @dataclass(frozen=True)
 class MixSpec:
-    """Target SNR in dB of a two-source mixture.
+    """Target SNR in dB of a mixture's first source over each other source.
 
     Mixing is deterministic; experiments that draw `snr_db` at random own
     their RNG. The conventional sampling range is [-5, +5] dB
@@ -155,24 +151,13 @@ def overlap_add(frames: np.ndarray, p: FrameParams, sample_rate: int) -> Wavefor
     return Waveform(rows.ravel()[:(count - 1) * p.hop + p.frame_len], sample_rate)
 
 
-def mix_at_snr(s1: Waveform, s2: Waveform, spec: MixSpec) -> tuple[Waveform, float]:
-    """Mix two sources at a given SNR: x = s1 + g * s2.
+def _mixing_gain(a: np.ndarray, b: np.ndarray, spec: MixSpec) -> float:
+    """Gain g that puts g * b spec.snr_db below `a`, for equal-length sample arrays.
 
-    The gain g = sqrt((E1 / E2) * 10^(-snr_db / 10)) makes the energy
-    ratio of s1 to g*s2 equal snr_db exactly. Sources of different
-    lengths are truncated to the shorter one before mixing. An snr_db so
-    extreme that g overflows or underflows to 0 is a `ValueError`.
-
-    Returns:
-        (mixture, g)
+    g = sqrt((E_a / E_b) * 10^(-snr_db / 10)) makes the energy ratio of a
+    to g*b equal snr_db exactly. A silent source, or an snr_db so extreme
+    that g overflows or underflows to 0, is a `ValueError`.
     """
-    if s1.sample_rate != s2.sample_rate:
-        raise ValueError(f"sample rates differ: {s1.sample_rate} vs {s2.sample_rate}")
-    n = min(len(s1), len(s2))
-    if n == 0:
-        raise ValueError("empty input")
-    a = s1.samples[:n]
-    b = s2.samples[:n]
     e1 = float(np.dot(a, a))
     e2 = float(np.dot(b, b))
     if e1 == 0.0 or e2 == 0.0:
@@ -183,16 +168,4 @@ def mix_at_snr(s1: Waveform, s2: Waveform, spec: MixSpec) -> tuple[Waveform, flo
         g = math.inf
     if not 0.0 < g < math.inf:
         raise ValueError(f"snr_db={spec.snr_db!r} gives a mixing gain {g!r} outside (0, inf)")
-    return Waveform(a + g * b, s1.sample_rate), g
-
-
-def write_samples_csv(path, x: Waveform | np.ndarray) -> None:
-    """Write samples as CSV, one decimal value per line, LF newlines.
-
-    Accepts a waveform or any array; frame matrices are written row by
-    row (C order), still one sample per line.
-    """
-    samples = x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64)
-    with open(path, "w", newline="\n") as fh:
-        for v in samples.ravel():
-            fh.write(f"{float(v)!r}\n")
+    return g

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Mask, _resynthesize, encode
-from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform, mix_at_snr
+from .codec import _resynthesize, encode
+from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform, _mixing_gain
 from .filterbank import Filterbank
 from .metrics import si_snr
 
@@ -54,36 +54,33 @@ class ExperimentReport:
         return ExperimentReport(rows, float(np.mean(flat)))
 
 
-def make_mixture_item(item_id: str, s1: Waveform, s2: Waveform, spec: MixSpec) -> MixtureItem:
-    """Mix two sources at spec.snr_db and keep the scaled pair as targets.
-
-    The targets are the addends of the mixture itself (s1 and g*s2, both
-    truncated to the common length), so a perfect separator would score
-    +inf SI-SNR on each.
-    """
-    return make_multi_mixture_item(item_id, [s1, s2], spec)
-
-
 def make_multi_mixture_item(item_id: str, sources, spec: MixSpec) -> MixtureItem:
     """Mix two or more sources; every tail source sits spec.snr_db below the first.
 
-    Sources are truncated to the common length; source c >= 2 is scaled by
-    its own gain g_c = sqrt((E1 / E_c) * 10^(-snr_db / 10)). With two
-    sources this is exactly `mix_at_snr`.
+    Sources must share one sample rate and are truncated to the common
+    length; source c >= 2 is scaled by its own gain
+    g_c = sqrt((E1 / E_c) * 10^(-snr_db / 10)). The targets are the
+    addends of the mixture itself (the first source and each g_c * s_c),
+    so a perfect separator would score +inf SI-SNR on each.
     """
     if len(sources) < 2:
         raise ValueError(f"need at least 2 sources, got {len(sources)}")
-    n = min(len(s) for s in sources)
-    head = Waveform(sources[0].samples[:n], sources[0].sample_rate)
-    targets = [head]
-    total = head.samples.copy()
+    fs = sources[0].sample_rate
     for s in sources[1:]:
-        tail = Waveform(s.samples[:n], s.sample_rate)
-        _, g = mix_at_snr(head, tail, spec)
-        scaled = tail.scaled(g)
-        targets.append(scaled)
-        total += scaled.samples
-    return MixtureItem(item_id, Waveform(total, head.sample_rate), tuple(targets))
+        if s.sample_rate != fs:
+            raise ValueError(f"sample rates differ: {fs} vs {s.sample_rate}")
+    n = min(len(s) for s in sources)
+    if n == 0:
+        raise ValueError("empty input")
+    head = sources[0].samples[:n]
+    targets = [Waveform(head, fs)]
+    total = head.copy()
+    for s in sources[1:]:
+        tail = s.samples[:n]
+        scaled = tail * _mixing_gain(head, tail, spec)
+        targets.append(Waveform(scaled, fs))
+        total += scaled
+    return MixtureItem(item_id, Waveform(total, fs), tuple(targets))
 
 
 def make_sinusoid_mixture_items(
@@ -112,7 +109,7 @@ def make_sinusoid_mixture_items(
         snr_db = rng.uniform(*snr_range_db)
         s1 = Waveform(0.5 * np.sin(2.0 * np.pi * f_lo * t + ph_lo), sample_rate)
         s2 = Waveform(0.5 * np.sin(2.0 * np.pi * f_hi * t + ph_hi), sample_rate)
-        items.append(make_mixture_item(f"synth-{i:03d}", s1, s2, MixSpec(snr_db)))
+        items.append(make_multi_mixture_item(f"synth-{i:03d}", [s1, s2], MixSpec(snr_db)))
     return items
 
 
@@ -154,10 +151,11 @@ def oracle_irm_masks(
     sources: tuple[Waveform, ...] | list[Waveform],
     bank: Filterbank,
     frame_params: FrameParams,
-) -> list[Mask]:
+) -> np.ndarray:
     """Ideal ratio masks: each source's share of linear encoded magnitude.
 
-    mask_c = |encode(s_c)| / sum_c' |encode(s_c')| with cells where every
+    Returns a (C, N, I) array whose row c is
+    mask_c = |encode(s_c)| / sum_c' |encode(s_c')|, with cells where every
     source is zero set to 1/C. The last mask is the complement of the
     others, so the set sums to one exactly. The sources are encoded with
     the bitwise reference `encode`; `encode` -> `oracle_irm_masks` ->
@@ -167,7 +165,7 @@ def oracle_irm_masks(
     _check_sources(sources)
     mags = np.stack([np.abs(encode(s, bank, frame_params, apply_relu=False).values) for s in sources])
     _ratio_masks(mags)
-    return [Mask(values) for values in mags]
+    return mags
 
 
 def _oracle_mask_weigh(apply_relu: bool):
@@ -231,12 +229,6 @@ def run_separation(
     """Encode, oracle-mask, decode, and score one mixture."""
     estimates = separate(mixture, sources, enc_bank, dec_bank, frame_params, apply_relu)
     return score_separation(item_id, estimates, sources)
-
-
-def merge_reports(reports: list[ExperimentReport]) -> ExperimentReport:
-    """Pool the per-item rows of several reports into one."""
-    rows = [row for report in reports for row in report.per_item]
-    return ExperimentReport.from_scores(rows)
 
 
 def write_report_csv(path, report: ExperimentReport) -> None:

@@ -55,10 +55,6 @@ class StftSpec:
         if self.n_freqs < 1:
             raise ValueError(f"n_freqs must be >= 1, got {self.n_freqs}")
 
-    @property
-    def n_filters(self) -> int:
-        return (4 if self.mode is StftMode.SIGN_SPLIT else 2) * self.n_freqs
-
 
 def _window_taps(window: StftWindow, length: int) -> np.ndarray:
     if window is StftWindow.HANN:

@@ -1,16 +1,19 @@
-"""The benchmark's traced layers must name functions that exist in fblab.
+"""The benchmark's traced layers and library calls must exist in fblab.
 
 `benchmarks/run.py --trace 1` wraps every `module.function` in its
-`LAYERS` tuple; a name that no longer resolves breaks the traced run. The
-tuple is read with `ast`, because importing run.py sets BLAS environment
-variables and edits `sys.path`.
+`LAYERS` tuple, and `benchmarks/workloads.py` drives fblab through
+`fblab.<name>` attributes; a name that no longer resolves breaks every
+benchmark op. Both files are read with `ast`, because importing run.py
+sets BLAS environment variables and edits `sys.path`.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-RUN_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+RUN_PY = BENCHMARKS / "run.py"
+WORKLOADS_PY = BENCHMARKS / "workloads.py"
 
 
 def _layers() -> tuple[str, ...]:
@@ -26,3 +29,37 @@ def test_every_traced_layer_is_a_callable_in_fblab():
     for name in layers:
         module, _, function = name.partition(".")
         assert callable(getattr(importlib.import_module(f"fblab.{module}"), function, None)), name
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """`a.b.c` for an attribute chain rooted at a bare name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def _resolve(dotted: str):
+    """Follow `fblab.x.y` by attribute, importing submodules that are not loaded yet."""
+    obj = importlib.import_module("fblab")
+    prefix = "fblab"
+    for part in dotted.split(".")[1:]:
+        prefix = f"{prefix}.{part}"
+        if not hasattr(obj, part):
+            importlib.import_module(prefix)
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_fblab_name_the_workloads_read_resolves():
+    names = {
+        dotted
+        for node in ast.walk(ast.parse(WORKLOADS_PY.read_text()))
+        if (dotted := _dotted(node)) is not None and dotted.startswith("fblab.")
+    }
+    assert {"fblab.build_mpgtf", "fblab.train_parampgtf", "fblab.cli.main"} <= names
+    for name in sorted(names):
+        _resolve(name)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fblab import (
     Filterbank,
     FrameParams,
-    Mask,
     TFRepresentation,
     Waveform,
     analysis_matrix,
@@ -15,7 +14,6 @@ from fblab import (
     encode,
     pseudo_inverse,
     num_frames,
-    write_tfrep_csv,
 )
 from fblab.codec import _resynthesize
 
@@ -206,33 +204,39 @@ class TestPseudoInverse:
 
 class TestMask:
     def test_out_of_range_rejected(self):
+        rep = TFRepresentation(np.ones((1, 2)), FrameParams(8, 4), True)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            Mask(np.array([[0.5, 1.5]]))
+            apply_mask(rep, np.array([[0.5, 1.5]]))
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            Mask(np.array([[-0.1, 0.5]]))
+            apply_mask(rep, np.array([[-0.1, 0.5]]))
+
+    def test_nan_rejected(self):
+        rep = TFRepresentation(np.ones((1, 2)), FrameParams(8, 4), True)
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            apply_mask(rep, np.array([[np.nan, 0.5]]))
 
     def test_identity_mask(self):
         rep = TFRepresentation(np.abs(np.random.default_rng(12).standard_normal((4, 3))), FrameParams(8, 4), True)
-        out = apply_mask(rep, Mask(np.ones((4, 3))))
+        out = apply_mask(rep, np.ones((4, 3)))
         np.testing.assert_array_equal(out.values, rep.values)
         assert out.relu_applied
 
     def test_zero_mask(self):
         rep = TFRepresentation(np.ones((4, 3)), FrameParams(8, 4), True)
-        out = apply_mask(rep, Mask(np.zeros((4, 3))))
+        out = apply_mask(rep, np.zeros((4, 3)))
         np.testing.assert_array_equal(out.values, np.zeros((4, 3)))
 
     def test_complementary_masks_partition(self):
         rng = np.random.default_rng(13)
         rep = TFRepresentation(np.abs(rng.standard_normal((4, 3))), FrameParams(8, 4), True)
         m = rng.uniform(0, 1, size=(4, 3))
-        total = apply_mask(rep, Mask(m)).values + apply_mask(rep, Mask(1.0 - m)).values
+        total = apply_mask(rep, m).values + apply_mask(rep, 1.0 - m).values
         np.testing.assert_allclose(total, rep.values, rtol=1e-15)
 
     def test_shape_mismatch(self):
         rep = TFRepresentation(np.ones((4, 3)), FrameParams(8, 4), True)
         with pytest.raises(ValueError, match="shape"):
-            apply_mask(rep, Mask(np.ones((3, 4))))
+            apply_mask(rep, np.ones((3, 4)))
 
     def test_relu_flag_validation(self):
         with pytest.raises(ValueError, match="negative"):
@@ -249,9 +253,3 @@ def test_encode_decode_identity_property(seed):
     y = decode(encode(x, bank, p, apply_relu=False), pseudo_inverse(bank))
     np.testing.assert_allclose(y.samples, x.samples, atol=1e-9 * max(1.0, np.max(np.abs(x.samples))))
 
-
-def test_write_tfrep_csv(tmp_path):
-    rep = TFRepresentation(np.array([[1.0, 2.0], [3.0, 4.5]]), FrameParams(8, 4), False)
-    path = tmp_path / "rep.csv"
-    write_tfrep_csv(path, rep)
-    assert path.read_text() == "n,i,value\n0,0,1.0\n0,1,2.0\n1,0,3.0\n1,1,4.5\n"

@@ -20,9 +20,8 @@ from fblab import (
     apply_mask,
     decode,
     encode,
-    make_mixture_item,
+    make_multi_mixture_item,
     make_sinusoid_mixture_items,
-    merge_reports,
     num_frames,
     oracle_irm_masks,
     pseudo_inverse,
@@ -58,8 +57,8 @@ class TestOracleIrmMasks:
     def test_identical_sources_give_half_masks(self, mpgtf_bank):
         s = tone(440.0, n=800)
         masks = oracle_irm_masks([s, s], mpgtf_bank, FP)
-        np.testing.assert_array_equal(masks[0].values, np.full_like(masks[0].values, 0.5))
-        np.testing.assert_array_equal(masks[1].values, np.full_like(masks[1].values, 0.5))
+        np.testing.assert_array_equal(masks[0], np.full_like(masks[0], 0.5))
+        np.testing.assert_array_equal(masks[1], np.full_like(masks[1], 0.5))
 
     def test_silent_second_source(self, mpgtf_bank):
         s = tone(440.0, n=800)
@@ -67,22 +66,22 @@ class TestOracleIrmMasks:
         masks = oracle_irm_masks([s, silent], mpgtf_bank, FP)
         enc = np.abs(encode(s, mpgtf_bank, FP, apply_relu=False).values)
         live = enc > 0
-        assert np.all(masks[0].values[live] == 1.0)
-        assert np.all(masks[0].values[~live] == 0.5)
-        assert np.all(masks[1].values[live] == 0.0)
+        assert np.all(masks[0][live] == 1.0)
+        assert np.all(masks[0][~live] == 0.5)
+        assert np.all(masks[1][live] == 0.0)
 
     def test_partition_of_unity_exact(self, mpgtf_bank):
         rng = np.random.default_rng(0)
         sources = [Waveform(rng.standard_normal(800), FS) for _ in range(2)]
         masks = oracle_irm_masks(sources, mpgtf_bank, FP)
-        total = masks[0].values + masks[1].values
+        total = masks[0] + masks[1]
         np.testing.assert_array_equal(total, np.ones_like(total))
 
     def test_three_source_partition(self, mpgtf_bank):
         rng = np.random.default_rng(1)
         sources = [Waveform(rng.standard_normal(800), FS) for _ in range(3)]
         masks = oracle_irm_masks(sources, mpgtf_bank, FP)
-        total = masks[0].values + masks[1].values + masks[2].values
+        total = masks[0] + masks[1] + masks[2]
         np.testing.assert_allclose(total, 1.0, atol=1e-15)
 
     def test_rejects_single_source(self, mpgtf_bank):
@@ -109,7 +108,7 @@ class TestRunSeparation:
         assert clip_si_snr(value) == 60.0
 
     def test_disjoint_sinusoids_improve_over_mixture(self, mpgtf_bank, mpgtf_dec):
-        item = make_mixture_item("pair", tone(300.0), tone(2000.0, phase=1.2), MixSpec(0.0))
+        item = make_multi_mixture_item("pair", [tone(300.0), tone(2000.0, phase=1.2)], MixSpec(0.0))
         report = run_separation(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
         for est_db, src in zip(report.per_item[0][1], item.sources):
             mixture_db = si_snr(item.mixture, src).value_db
@@ -122,10 +121,10 @@ class TestRunSeparation:
         from fblab import clip_si_snr
 
         s = tone(440.0, n=2048)
-        item = make_mixture_item("same", s, s, MixSpec(0.0))
+        item = make_multi_mixture_item("same", [s, s], MixSpec(0.0))
         p = FrameParams(16, 16)  # disjoint frames keep the decode proportional
         masks = oracle_irm_masks(item.sources, mpgtf_bank, p)
-        assert np.all(masks[0].values == 0.5) and np.all(masks[1].values == 0.5)
+        assert np.all(masks[0] == 0.5) and np.all(masks[1] == 0.5)
         estimates = separate(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, p)
         np.testing.assert_array_equal(estimates[0].samples, estimates[1].samples)
         est_db = si_snr(estimates[0], item.sources[0]).value_db
@@ -134,7 +133,7 @@ class TestRunSeparation:
         assert clip_si_snr(mix_db) == 60.0
 
     def test_estimates_sum_to_decoded_mixture(self, mpgtf_bank, mpgtf_dec):
-        item = make_mixture_item("sum", tone(300.0), tone(2000.0), MixSpec(-3.0))
+        item = make_multi_mixture_item("sum", [tone(300.0), tone(2000.0)], MixSpec(-3.0))
         estimates = separate(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
         rep = encode(item.mixture, mpgtf_bank, FP, apply_relu=True)
         full = decode(rep, mpgtf_dec).samples[: len(item.mixture)]
@@ -244,10 +243,33 @@ class TestSeparateErrors:
 
 class TestMixtureItems:
     def test_mixture_is_sum_of_stored_sources(self):
-        item = make_mixture_item("x", tone(300.0), tone(2000.0), MixSpec(4.0))
+        item = make_multi_mixture_item("x", [tone(300.0), tone(2000.0)], MixSpec(4.0))
         np.testing.assert_array_equal(
             item.mixture.samples, item.sources[0].samples + item.sources[1].samples
         )
+
+    @pytest.mark.parametrize("lengths", [(900, 700), (700, 1000, 850)])
+    def test_targets_are_gained_truncated_sources_bitwise(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        sources = [Waveform(rng.standard_normal(n), FS) for n in lengths]
+        spec = MixSpec(-2.5)
+        item = make_multi_mixture_item("x", sources, spec)
+        n = min(lengths)
+        head = sources[0].samples[:n]
+        assert item.sources[0].samples.tobytes() == head.tobytes()
+        expected = head.copy()
+        for s, target in zip(sources[1:], item.sources[1:]):
+            tail = s.samples[:n]
+            g = math.sqrt((float(np.dot(head, head)) / float(np.dot(tail, tail))) * 10.0 ** (-spec.snr_db / 10.0))
+            assert target.samples.tobytes() == (tail * g).tobytes()
+            measured = 10.0 * np.log10(np.dot(head, head) / target.energy())
+            assert measured == pytest.approx(spec.snr_db, abs=1e-9)
+            expected += target.samples
+        assert item.mixture.samples.tobytes() == expected.tobytes()
+
+    def test_empty_input(self):
+        with pytest.raises(ValueError, match="empty input"):
+            make_multi_mixture_item("x", [tone(300.0), Waveform(np.zeros(0), FS)], MixSpec(0.0))
 
     def test_synthetic_set_is_deterministic(self):
         a = make_sinusoid_mixture_items(3, seed=5)
@@ -269,13 +291,6 @@ class TestExperimentReport:
     def test_mean_is_arithmetic_mean(self):
         report = ExperimentReport.from_scores([("a", (10.0, 20.0)), ("b", (30.0, 40.0))])
         assert report.mean_si_snr_db == pytest.approx(25.0, abs=1e-12)
-
-    def test_merge(self):
-        r1 = ExperimentReport.from_scores([("a", (10.0,))])
-        r2 = ExperimentReport.from_scores([("b", (20.0,))])
-        merged = merge_reports([r1, r2])
-        assert merged.mean_si_snr_db == pytest.approx(15.0)
-        assert [row[0] for row in merged.per_item] == ["a", "b"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -24,8 +24,8 @@ FS = 8000
 
 class TestBuildStftBank:
     def test_filter_counts(self):
-        assert StftSpec(16, 8, StftMode.LINEAR).n_filters == 16
-        assert StftSpec(16, 128, StftMode.SIGN_SPLIT).n_filters == 512
+        assert build_stft_bank(StftSpec(16, 8, StftMode.LINEAR), FS).n_filters == 16
+        assert build_stft_bank(StftSpec(16, 128, StftMode.SIGN_SPLIT), FS).n_filters == 512
 
     def test_default_spec_matches_paper_dimensions(self):
         bank = build_stft_bank(StftSpec(), FS)
