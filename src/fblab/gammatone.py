@@ -18,6 +18,12 @@ function of (c1, c2), so those constants can be fitted numerically, and
 kind=PARAMPGTF. The first center stays pinned at 100 Hz regardless of the
 parameters. The builders fix the amplitude alpha at 1, since peak
 normalization cancels it.
+
+The builder evaluates all its rows in one broadcast over per-row
+(fc, b, phi) and a shared time grid. `GammatoneSpec` and `gammatone_ir`
+are the single-filter reference: the tests build the bank one
+`gammatone_ir` call per row and require the builder's taps to equal it
+bitwise, and its errors to match.
 """
 
 from __future__ import annotations
@@ -48,16 +54,19 @@ class GammatoneSpec:
     sample_rate: int
 
     def __post_init__(self):
-        if self.order_n < 1:
-            raise ValueError(f"order_n must be >= 1, got {self.order_n}")
-        if self.bandwidth_b <= 0:
-            raise ValueError(f"bandwidth_b must be > 0, got {self.bandwidth_b}")
-        if not 0 < self.center_fc < self.sample_rate / 2:
-            raise ValueError(
-                f"center_fc must lie in (0, fs/2) = (0, {self.sample_rate / 2}), got {self.center_fc}"
-            )
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
+        _check_filter(self.order_n, self.center_fc, self.bandwidth_b, self.length, self.sample_rate)
+
+
+def _check_filter(order_n: int, center_fc: float, bandwidth_b: float, length: int, sample_rate: int) -> None:
+    """Raise ValueError for a gammatone filter that cannot be sampled."""
+    if order_n < 1:
+        raise ValueError(f"order_n must be >= 1, got {order_n}")
+    if bandwidth_b <= 0:
+        raise ValueError(f"bandwidth_b must be > 0, got {bandwidth_b}")
+    if not 0 < center_fc < sample_rate / 2:
+        raise ValueError(f"center_fc must lie in (0, fs/2) = (0, {sample_rate / 2}), got {center_fc}")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
 
 
 def gammatone_ir(spec: GammatoneSpec) -> np.ndarray:
@@ -96,6 +105,11 @@ def build_mpgtf(
     variants spread over the ERB-spaced centers, plus their negations.
     `kind` (MPGTF or PARAMPGTF) only labels the bank; the taps depend on
     `p` alone.
+
+    All n_filters/2 positive-phase rows come from one broadcast expression
+    in `gammatone_ir`'s factor order, so each row is bitwise the
+    `gammatone_ir` filter of its (fc, b, phi), and a bad input raises the
+    same ValueError as that per-row construction.
     """
     if kind not in (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF):
         raise ValueError(f"not a multi-phase gammatone kind: {kind}")
@@ -115,15 +129,34 @@ def build_mpgtf(
     counts = np.full(m, per_center, dtype=int)
     counts[: n_half - per_center * m] += 1
 
-    rows = np.empty((n_half, frame_len), dtype=np.float64)
-    idx = 0
-    for fc, count in zip(centers, counts):
+    # Every centre is checked before any row is sampled. The per-row loop
+    # raised in the same order: a degenerate row needs a decay above
+    # ~100*fs, and the ERB spacing that comes with it leaves no second
+    # centre below 4000 Hz.
+    decays = []
+    for fc in centers:
         b = bandwidth_b(erb(float(fc), p), order)
-        for k in range(count):
-            phi = math.pi * k / count  # phases evenly spaced on [0, pi)
-            spec = GammatoneSpec(order, 1.0, phi, float(fc), b, frame_len, sample_rate)
-            rows[idx] = gammatone_ir(spec)
-            idx += 1
+        _check_filter(order, float(fc), b, frame_len, sample_rate)
+        decays.append(b)
+
+    # Row r takes phase k of its centre's count, evenly spaced on [0, pi).
+    row_count = np.repeat(counts, counts)
+    k = np.arange(n_half) - np.repeat(np.cumsum(counts) - counts, counts)
+    row_phi = math.pi * k / row_count
+    row_b = np.repeat(decays, counts)
+    row_fc = np.repeat(centers, counts)
+    # `gammatone_ir`'s expression and factor order at alpha = 1, so every
+    # tap equals the reference's bitwise.
+    t = (np.arange(frame_len) + 1.0) / sample_rate
+    rows = (
+        t ** (order - 1)
+        * np.exp((-2.0 * math.pi * row_b)[:, None] * t)
+        * np.cos((2.0 * math.pi * row_fc)[:, None] * t + row_phi[:, None])
+    )
+    peaks = np.max(np.abs(rows), axis=1)
+    if np.any(peaks == 0.0):
+        raise ValueError("degenerate gammatone filter: all taps are zero")
+    rows /= peaks[:, None]
     taps = np.vstack([rows, -rows])  # the negated copies supply [pi, 2*pi)
     return Filterbank(taps, sample_rate, kind=kind, center_freqs=centers, erb_params=p)
 

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblab import (
+    FC_MAX_HZ,
+    FC_MIN_HZ,
+    FILTER_LENGTH_SECONDS,
     ErbParams,
     FilterbankKind,
     GammatoneSpec,
@@ -22,6 +25,37 @@ DEFAULTS = ErbParams()
 
 def spec(order=2, alpha=1.0, phi=0.0, fc=1000.0, b=200.0, length=16, fs=8000):
     return GammatoneSpec(order, alpha, phi, fc, b, length, fs)
+
+
+def per_row_reference(p, n_filters=512, frame_len=None, sample_rate=8000, order=2):
+    """The multi-phase bank built one `gammatone_ir` call per row: (taps, centers)."""
+    if frame_len is None:
+        frame_len = round(FILTER_LENGTH_SECONDS * sample_rate)
+    if n_filters < 2 or n_filters % 2 != 0:
+        raise ValueError(f"n_filters must be a positive even number, got {n_filters}")
+    centers = center_frequency_grid(p, FC_MIN_HZ, FC_MAX_HZ)
+    m = len(centers)
+    n_half = n_filters // 2
+    per_center = n_half // m
+    if per_center == 0:
+        raise ValueError(
+            f"not enough filters for one phase per center: n_filters={n_filters} < 2*M={2 * m}"
+        )
+    counts = [per_center + (j < n_half - per_center * m) for j in range(m)]
+    rows = []
+    for fc, count in zip(centers, counts):
+        b = bandwidth_b(erb(float(fc), p), order)
+        for k in range(count):
+            phi = math.pi * k / count
+            rows.append(gammatone_ir(GammatoneSpec(order, 1.0, phi, float(fc), b, frame_len, sample_rate)))
+    rows = np.vstack(rows)
+    return np.vstack([rows, -rows]), centers
+
+
+def value_error(fn, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
 
 
 class TestGammatoneIr:
@@ -123,6 +157,48 @@ class TestBuildMpgtf:
     def test_non_gammatone_kind_rejected(self, kind):
         with pytest.raises(ValueError, match="multi-phase gammatone kind"):
             build_mpgtf(DEFAULTS, 64, 16, 8000, kind=kind)
+
+
+class TestBroadcastMatchesPerRowLoop:
+    def test_default_bank_bitwise(self):
+        taps, centers = per_row_reference(DEFAULTS)
+        bank = build_mpgtf(DEFAULTS)
+        assert bank.taps.tobytes() == taps.tobytes()
+        assert bank.center_freqs.tobytes() == centers.tobytes()
+
+    @given(
+        c1=st.floats(10.0, 60.0),
+        c2=st.floats(3.0, 20.0),
+        order=st.integers(1, 6),
+        n_half=st.integers(1, 256),
+        frame_len=st.integers(1, 48),
+        fs=st.sampled_from([8000, 12000, 16000]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_or_same_error(self, c1, c2, order, n_half, frame_len, fs):
+        p = ErbParams(c1, c2)
+        args = (p, 2 * n_half, frame_len, fs)
+        try:
+            taps, centers = per_row_reference(*args, order=order)
+        except ValueError as err:
+            assert value_error(build_mpgtf, *args, order=order) == str(err)
+            return
+        bank = build_mpgtf(*args, order=order)
+        assert bank.taps.tobytes() == taps.tobytes()
+        assert bank.center_freqs.tobytes() == centers.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(sample_rate=7000),  # centres above fs/2 = 3500 Hz
+        dict(frame_len=0),
+        dict(order=0),
+        dict(order=13),
+        dict(p=ErbParams(DEFAULTS.c1, 1e-300)),  # one centre, every tap underflows
+        dict(n_filters=24),
+        dict(n_filters=511),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_same_error_as_per_row_loop(self, kwargs):
+        args = dict(p=DEFAULTS) | kwargs
+        assert value_error(build_mpgtf, **args) == value_error(per_row_reference, **args)
 
 
 class TestBuildParampgtf:
