@@ -26,6 +26,18 @@ columns it has, so the engine agrees with the whole-signal path to about
 1e-15 relative (tests bound it at 1e-12), not bitwise; for a fixed block
 size its output is deterministic.
 
+Sign-split banks fold. Every multi-phase gammatone bank and every
+sign-split STFT bank is `[P; -P]` bit for bit, and `pseudo_inverse` gives
+such a bank a decoder `[Q; -Q]`, again bit for bit. A negated row has the
+same magnitude, so it gets the same ratio mask, and with a weigh that is
+linear in the mixture's block
+
+    relu(e) * Q + relu(-e) * (-Q) = e * Q,    e * Q + (-e) * (-Q) = 2 * e * Q.
+
+So when both banks have that form, the engine encodes, weighs and decodes
+only the rows of P, skips the relu and decodes with Q (rectified) or 2*Q
+(linear). That halves its work; any other pair of banks runs every row.
+
 The whole-signal functions are the reference the tests compare against,
 and the public API for inspecting a representation:
 
@@ -122,6 +134,15 @@ def decode(rep: TFRepresentation, dec_bank: Filterbank) -> Waveform:
     return overlap_add(frames, rep.frame_params, dec_bank.sample_rate)
 
 
+def _sign_split_half(taps: np.ndarray) -> int:
+    """h if `taps` is [P; -P] bit for bit with P of h rows, else 0.
+
+    An odd row count fails the shape check of `np.array_equal`.
+    """
+    h = taps.shape[0] // 2
+    return h if h and np.array_equal(taps[h:], -taps[:h]) else 0
+
+
 def _resynthesize(
     signals: Sequence[Waveform],
     enc_bank: Filterbank,
@@ -130,16 +151,26 @@ def _resynthesize(
     weigh: Callable[[np.ndarray], np.ndarray],
     n_out: int,
     *,
+    relu: bool,
     block_frames: int = BLOCK_FRAMES,
 ) -> list[Waveform]:
     """Encode S equal-length signals, weigh, decode and overlap-add, block by block.
 
     For each block of up to `block_frames` frames, the (S, N, k) array of
-    linear encodings of all `signals` goes to `weigh`, which overwrites it
-    in place and returns an (n_out, N, k) view of it holding synthesis
+    linear encodings of all `signals` goes to `weigh`, with signal 0's
+    block rectified first if `relu`. The weigh overwrites the array in
+    place and returns an (n_out, N, k) view of it holding synthesis
     coefficients. Those are decoded and overlap-added in increasing frame
     order into `n_out` outputs, each trimmed to the input length. Work
     buffers are allocated once per call and never escape it.
+
+    If the encoder is [P; -P] and the decoder [Q; -Q], both checked bit
+    for bit, the weigh gets only the rows of P (N/2 of them), signal 0's
+    block is not rectified, and the coefficients are decoded with Q if
+    `relu`, else with 2*Q (see the module docstring). That is exact for a
+    weigh that is linear in signal 0's block and reads the other signals
+    only through their magnitudes, as the oracle mask and the identity
+    are; other weighs must not be given a sign-split pair.
 
     Raises the `ValueError`s of `encode` and `decode` for a bank,
     decoder or signal that does not fit, and one for signals of unequal
@@ -152,17 +183,25 @@ def _resynthesize(
     n = len(signals[0])
     n_sig, count, frame_len = windows.shape
     block = min(block_frames, count)
-    analysis = np.ascontiguousarray(analysis_matrix(enc_bank))
+    h = _sign_split_half(enc_bank.taps)
+    if h and _sign_split_half(dec_bank.taps):  # the decoder has N rows too
+        analysis, rectify = analysis_matrix(enc_bank)[:h], False
+        synthesis = dec_bank.taps[:h] if relu else 2.0 * dec_bank.taps[:h]
+    else:
+        analysis, synthesis, rectify = analysis_matrix(enc_bank), dec_bank.taps, relu
+    analysis = np.ascontiguousarray(analysis)
     frames = np.empty((n_sig, block, frame_len))
-    enc = np.empty((n_sig, enc_bank.n_filters, block))
+    enc = np.empty((n_sig, analysis.shape[0], block))
     synth = np.empty((n_out, block, frame_len))
     rows = np.zeros((n_out, count - 1 + -(-frame_len // p.hop), p.hop))
     for first in range(0, count, block):
         k = min(block, count - first)
         np.copyto(frames[:, :k], windows[:, first:first + k])
         np.matmul(analysis, frames[:, :k].transpose(0, 2, 1), out=enc[:, :, :k])
+        if rectify:
+            np.maximum(enc[0, :, :k], 0.0, out=enc[0, :, :k])
         coeffs = weigh(enc[:, :, :k])
-        np.matmul(coeffs.transpose(0, 2, 1), dec_bank.taps, out=synth[:, :k])
+        np.matmul(coeffs.transpose(0, 2, 1), synthesis, out=synth[:, :k])
         _add_frames(rows, synth[:, :k], p.hop, first)
     return [Waveform(out.ravel()[:n], dec_bank.sample_rate) for out in rows]
 
@@ -174,13 +213,28 @@ def pseudo_inverse(bank: Filterbank, rcond: float = PINV_RCOND) -> Filterbank:
     matrix (singular values below rcond * sigma_max truncated) and stores
     it transposed, so decoder row n has length L and pairs with
     representation row n in `decode`.
+
+    A sign-split bank [P; -P] (bit for bit) has analysis matrix
+    [1; -1] (x) A for A the analysis matrix of P, and
+
+        pinv([1; -1] (x) A) = pinv([1; -1]) (x) pinv(A) = 1/2 [1, -1] (x) pinv(A),
+
+    so its decoder is 1/2 [pinv(A)^T; -pinv(A)^T], computed from P alone.
+    Its singular values are sqrt(2) times those of A, so the relative
+    cutoff keeps the same rank, and its rows are exactly antisymmetric,
+    which lets `_resynthesize` fold the pair.
     """
     a = analysis_matrix(bank)
     if not np.all(np.isfinite(a)):
         raise ValueError("bank taps contain non-finite values")
-    pinv = np.linalg.pinv(a, rcond=rcond)  # (L, N)
+    h = _sign_split_half(bank.taps)
+    if h:
+        half = 0.5 * np.linalg.pinv(a[:h], rcond=rcond).T  # (h, L)
+        dec = np.vstack([half, -half])
+    else:
+        dec = np.linalg.pinv(a, rcond=rcond).T  # (N, L)
     return Filterbank(
-        pinv.T,
+        dec,
         bank.sample_rate,
         kind=bank.kind,
         center_freqs=bank.center_freqs,

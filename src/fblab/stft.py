@@ -10,8 +10,12 @@ The offset avoids the degenerate DC and Nyquist rows (an all-ones cosine
 and an all-zero sine), so with a rectangular window and n_freqs = L/2 the
 rows form an exactly orthogonal basis of rank L. Sign-split mode appends
 the negation of every row; since relu(a) - relu(-a) = a, a rectified
-sign-split encoding still determines the frame, and the pseudo-inverse
-decoder recovers it (up to the factor 1/2 the +/- redundancy introduces).
+sign-split encoding still determines the frame. The pseudo-inverse
+decoder of the sign-split bank is 1/2 [Q; -Q], with Q the decoder rows of
+the linear bank. A linear sign-split encoding therefore decodes to the
+frame, and a rectified one to half of it: each +/- pair of cells sums to
+the linear cell. SI-SNR does not see that scale. The engine runs only
+the linear half of such a bank (see `codec`).
 """
 
 from __future__ import annotations

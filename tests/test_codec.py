@@ -12,10 +12,11 @@ from fblab import (
     apply_mask,
     decode,
     encode,
+    numerical_rank,
     pseudo_inverse,
     num_frames,
 )
-from fblab.codec import _resynthesize
+from fblab.codec import PINV_RCOND, _resynthesize
 
 FS = 8000
 
@@ -101,10 +102,6 @@ class TestEncode:
             encode(Waveform(np.ones(16), FS), bank, FrameParams(4, 2))
 
 
-def _relu(enc):
-    return np.maximum(enc, 0.0, out=enc)
-
-
 @given(
     seed=st.integers(0, 2**31 - 1),
     n_filters=st.integers(1, 64),
@@ -126,10 +123,44 @@ def test_blocked_roundtrip_matches_whole_signal_reference(
     x = Waveform(rng.standard_normal(sig_len), FS)
     block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
     ref = decode(encode(x, bank, p, apply_relu=apply_relu), dec).samples[:sig_len]
-    (out,) = _resynthesize([x], bank, dec, p, _relu if apply_relu else (lambda enc: enc), 1,
-                           block_frames=block_frames)
+    (out,) = _resynthesize([x], bank, dec, p, lambda enc: enc, 1, relu=apply_relu, block_frames=block_frames)
     assert out.sample_rate == FS and len(out) == sig_len
     assert not out.samples.flags.writeable
+    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_half=st.integers(1, 32),
+    frame_len=st.integers(1, 32),
+    hop_frac=st.floats(0.0, 1.0),
+    sig_len=st.integers(1, 2000),
+    block_frac=st.floats(0.0, 1.0),
+    apply_relu=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_folded_roundtrip_matches_whole_signal_reference(
+    seed, n_half, frame_len, hop_frac, sig_len, block_frac, apply_relu
+):
+    # A [P; -P] bank with its pseudo-inverse decoder runs only the rows of P.
+    rng = np.random.default_rng(seed)
+    hop = 1 + int(hop_frac * (frame_len - 1))
+    p = FrameParams(frame_len, hop)
+    half = rng.standard_normal((n_half, frame_len))
+    bank = Filterbank(np.vstack([half, -half]), FS)
+    dec = pseudo_inverse(bank)
+    x = Waveform(rng.standard_normal(sig_len), FS)
+    block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
+    ref = decode(encode(x, bank, p, apply_relu=apply_relu), dec).samples[:sig_len]
+    seen = set()
+
+    def identity(enc):
+        seen.add(enc.shape[1])
+        return enc
+
+    (out,) = _resynthesize([x], bank, dec, p, identity, 1, relu=apply_relu, block_frames=block_frames)
+    assert seen == {n_half}
+    assert out.sample_rate == FS and len(out) == sig_len
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
@@ -191,6 +222,38 @@ class TestPseudoInverse:
         p = FrameParams(8, 8)
         y = decode(encode(x, bank, p, apply_relu=False), dec)
         np.testing.assert_allclose(y.samples, x.samples, atol=1e-9 * np.max(np.abs(x.samples)))
+
+    @pytest.fixture
+    def bank(self, request):
+        from fblab import ErbParams, StftSpec, build_mpgtf, build_parampgtf, build_stft_bank
+
+        if request.param == "mpgtf":
+            return build_mpgtf(ErbParams(), 512, 16, FS)
+        if request.param == "parampgtf":
+            return build_parampgtf(ErbParams(27.0, 8.5), 512, 16, FS)
+        if request.param == "stft_signsplit":  # the default: 128 frequencies, overcomplete
+            return build_stft_bank(StftSpec(), FS)
+        if request.param == "stft_complete":
+            return build_stft_bank(StftSpec(frame_len=16, n_freqs=8), FS)
+        half = np.random.default_rng(14).standard_normal((6, 16))  # rank 6 < L
+        rows = np.vstack([half, half])
+        return Filterbank(np.vstack([rows, -rows]), FS)
+
+    @pytest.mark.parametrize("bank", ["mpgtf", "parampgtf", "stft_signsplit", "stft_complete", "duplicated_rows"],
+                             indirect=True)
+    def test_sign_split_bank_gets_antisymmetric_exact_pinv(self, bank):
+        a = analysis_matrix(bank)
+        dec = pseudo_inverse(bank).taps
+        h = bank.n_filters // 2
+        np.testing.assert_array_equal(dec[h:], -dec[:h])
+        full = np.linalg.pinv(a, rcond=PINV_RCOND).T
+        assert np.max(np.abs(dec - full)) <= 1e-12 * np.max(np.abs(full))
+        p = dec.T
+        assert np.max(np.abs(a @ p @ a - a)) < 1e-8
+        assert np.max(np.abs(p @ a @ p - p)) < 1e-8
+        assert np.max(np.abs((a @ p).T - a @ p)) < 1e-8
+        assert np.max(np.abs((p @ a).T - p @ a)) < 1e-8
+        assert numerical_rank(dec) == numerical_rank(a) == numerical_rank(full)
 
     def test_metadata_carried_over(self):
         from fblab import ErbParams, build_mpgtf

@@ -171,8 +171,8 @@ def test_blocked_separation_matches_whole_signal_reference(
     rep = encode(mixture, bank, p, apply_relu=apply_relu)
     masks = oracle_irm_masks(sources, bank, p)
     refs = [decode(apply_mask(rep, mask), dec).samples[:sig_len] for mask in masks]
-    outs = _resynthesize([mixture, *sources], bank, dec, p, _oracle_mask_weigh(apply_relu), n_sources,
-                         block_frames=block_frames)
+    outs = _resynthesize([mixture, *sources], bank, dec, p, _oracle_mask_weigh, n_sources,
+                         relu=apply_relu, block_frames=block_frames)
     assert len(outs) == n_sources
     for out, ref in zip(outs, refs):
         assert out.sample_rate == FS and len(out) == sig_len
@@ -311,3 +311,115 @@ class TestExperimentReport:
         assert data["bank"]["kind"] == "mpgtf"
         assert data["bank"]["c1"] == 24.7
         assert data["config"]["snr_db"] == 0.0
+
+
+def _sign_split_bank(rng, n_half, frame_len):
+    half = rng.standard_normal((n_half, frame_len))
+    return Filterbank(np.vstack([half, -half]), FS)
+
+
+def _recording_rows(weigh, seen):
+    """Wrap a weigh so it records the row count of every block it gets."""
+
+    def wrapped(enc):
+        seen.add(enc.shape[1])
+        return weigh(enc)
+
+    return wrapped
+
+
+def _reference_estimates(mixture, sources, bank, dec, p, apply_relu):
+    rep = encode(mixture, bank, p, apply_relu=apply_relu)
+    masks = oracle_irm_masks(sources, bank, p)
+    return [decode(apply_mask(rep, mask), dec).samples[:len(mixture)] for mask in masks]
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_half=st.integers(1, 12),
+    frame_len=st.integers(1, 32),
+    hop_frac=st.floats(0.0, 1.0),
+    sig_len=st.integers(1, 2000),
+    block_frac=st.floats(0.0, 1.0),
+    n_sources=st.sampled_from([2, 3]),
+    apply_relu=st.booleans(),
+    silent_span=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_folded_separation_matches_whole_signal_reference(
+    seed, n_half, frame_len, hop_frac, sig_len, block_frac, n_sources, apply_relu, silent_span
+):
+    # A [P; -P] bank with its pseudo-inverse decoder runs only the rows of P.
+    rng = np.random.default_rng(seed)
+    hop = 1 + int(hop_frac * (frame_len - 1))
+    p = FrameParams(frame_len, hop)
+    bank = _sign_split_bank(rng, n_half, frame_len)
+    dec = pseudo_inverse(bank)
+    samples = rng.standard_normal((n_sources, sig_len))
+    if silent_span:  # all-zero cells take the 1/C mask
+        samples[:, sig_len // 4:sig_len // 2] = 0.0
+    sources = [Waveform(x, FS) for x in samples]
+    mixture = Waveform(samples.sum(axis=0), FS)
+    block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
+
+    refs = _reference_estimates(mixture, sources, bank, dec, p, apply_relu)
+    seen = set()
+    outs = _resynthesize([mixture, *sources], bank, dec, p, _recording_rows(_oracle_mask_weigh, seen), n_sources,
+                         relu=apply_relu, block_frames=block_frames)
+    assert seen == {n_half}
+    assert len(outs) == n_sources
+    for out, ref in zip(outs, refs):
+        assert out.sample_rate == FS and len(out) == sig_len
+        assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def _one_ulp_up(taps, row, col):
+    taps = taps.copy()
+    taps[row, col] = np.nextafter(taps[row, col], np.inf)
+    return taps
+
+
+def _unfoldable_pair(case, rng):
+    """(encoder, decoder) pairs that miss the fold's precondition, some by one bit."""
+    split = _sign_split_bank(rng, 6, 8)
+    if case == "decoder_one_ulp":
+        return split, Filterbank(_one_ulp_up(pseudo_inverse(split).taps, 8, 3), FS)
+    if case == "encoder_one_ulp":
+        bank = Filterbank(_one_ulp_up(split.taps, 8, 3), FS)
+        return bank, pseudo_inverse(bank)
+    if case == "odd_row_count":
+        bank = Filterbank(np.vstack([split.taps, rng.standard_normal((1, 8))]), FS)
+        return bank, pseudo_inverse(bank)
+    if case == "foreign_decoder":
+        return split, Filterbank(rng.standard_normal((12, 8)), FS)
+    return Filterbank(rng.standard_normal((12, 8)), FS), Filterbank(rng.standard_normal((12, 8)), FS)
+
+
+@pytest.mark.parametrize("apply_relu", [True, False])
+@pytest.mark.parametrize(
+    "case", ["decoder_one_ulp", "encoder_one_ulp", "odd_row_count", "foreign_decoder", "not_split"]
+)
+def test_unfoldable_banks_run_every_row(case, apply_relu):
+    rng = np.random.default_rng(21)
+    bank, dec = _unfoldable_pair(case, rng)
+    p = FrameParams(8, 3)
+    samples = rng.standard_normal((2, 301))
+    sources = [Waveform(x, FS) for x in samples]
+    mixture = Waveform(samples.sum(axis=0), FS)
+    seen = set()
+    outs = _resynthesize([mixture, *sources], bank, dec, p, _recording_rows(_oracle_mask_weigh, seen), 2,
+                         relu=apply_relu, block_frames=16)
+    assert seen == {bank.n_filters}
+    refs = _reference_estimates(mixture, sources, bank, dec, p, apply_relu)
+    for out, ref in zip(outs, refs):
+        assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+    # The engine's relu is the one the weigh used to apply itself: same bits.
+    def rectify_then_mask(enc):
+        if apply_relu:
+            np.maximum(enc[0], 0.0, out=enc[0])
+        return _oracle_mask_weigh(enc)
+
+    before = _resynthesize([mixture, *sources], bank, dec, p, rectify_then_mask, 2, relu=False, block_frames=16)
+    for out, old in zip(outs, before):
+        assert out.samples.tobytes() == old.samples.tobytes()

@@ -93,7 +93,8 @@ class TestFdRatioOnPipeline:
             dec = pseudo_inverse(bank)
             vals = []
             for item in items:
-                estimates = _resynthesize([item.mixture, *item.sources], bank, dec, fp, power_weigh, 2)
+                estimates = _resynthesize([item.mixture, *item.sources], bank, dec, fp, power_weigh, 2,
+                                             relu=False)
                 for est, src in zip(estimates, item.sources):
                     vals.append(clip_si_snr(si_snr(est, src).value_db))
             return -float(np.mean(vals))
