@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-filters", type=int, default=512, help="filters in the trained bank")
     p.add_argument("--frame-len", type=int, default=16, help="filter length L")
     p.add_argument("--hop", type=int, default=8, help="frame hop D")
-    p.add_argument("--fs", type=int, default=8000, help="expected WAV sample rate")
     p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     p.set_defaults(func=cmd_train)
 
@@ -193,7 +192,8 @@ def cmd_separate(args) -> int:
     return 0
 
 
-def _load_pairs(directory: Path, expected_fs: int) -> list[tuple[str, Waveform, Waveform]]:
+def _load_pairs(directory: Path, expected_fs: int | None) -> list[tuple[str, Waveform, Waveform]]:
+    """The <stem>_s1/_s2 pairs in `directory`, all at `expected_fs` (None: the first pair's rate)."""
     pairs = []
     for first in sorted(directory.glob("*_s1.wav")):
         second = first.with_name(first.name[: -len("_s1.wav")] + "_s2.wav")
@@ -201,6 +201,7 @@ def _load_pairs(directory: Path, expected_fs: int) -> list[tuple[str, Waveform, 
             raise ValueError(f"missing partner file for {first.name}")
         s1 = read_wav(first)
         s2 = read_wav(second)
+        expected_fs = expected_fs or s1.sample_rate
         if s1.sample_rate != expected_fs or s2.sample_rate != expected_fs:
             raise ValueError(f"sample rate mismatch in {first.stem}: expected {expected_fs} Hz")
         pairs.append((first.name[: -len("_s1.wav")], s1, s2))
@@ -213,12 +214,14 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     items = {}
+    fs = None  # every pair must match the first train pair's rate
     for split, directory in (("train", Path(args.train_dir)), ("dev", Path(args.dev_dir))):
         split_items = []
-        for stem, s1, s2 in _load_pairs(directory, args.fs):
+        for stem, s1, s2 in _load_pairs(directory, fs):
             snr_db = float(rng.uniform(*SNR_RANGE_DB))
             split_items.append(make_multi_mixture_item(stem, [s1, s2], MixSpec(snr_db)))
         items[split] = split_items
+        fs = split_items[0].mixture.sample_rate
 
     cfg = TrainerConfig(learning_rate=args.lr, max_iters=args.max_iters, fd_epsilon=args.fd_epsilon)
     init = ErbParams(args.c1_init, args.c2_init)
@@ -232,7 +235,7 @@ def cmd_train(args) -> int:
         write_trace_csv(out_dir / "trace.csv", exc.trace)  # keep the rows before the failure
         raise
     write_trace_csv(out_dir / "trace.csv", trace)
-    bank = build_parampgtf(best, args.n_filters, args.frame_len, args.fs)
+    bank = build_parampgtf(best, args.n_filters, args.frame_len, fs)
     save_filterbank(out_dir / "parampgtf.fbank", bank)
     result = {
         "c1": best.c1,

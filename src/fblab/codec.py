@@ -19,8 +19,11 @@ engine, `_resynthesize`: per block of `BLOCK_FRAMES` frames
 it encodes every input signal with one batched BLAS product, lets the
 caller weigh the encodings into synthesis coefficients in place, decodes
 them with one more product and overlap-adds the frames into the outputs.
-No frame couples to another further away than one frame length, so
-working memory stays O(N * BLOCK_FRAMES) however long the signal is.
+No frame couples to another further away than one frame length, so its
+work buffers are O(N * BLOCK_FRAMES) however long the signal is, and no
+N x I array is built. Inputs and outputs still grow with the signal: S
+zero-padded input copies, n_out overlap-add accumulators and the n_out
+returned waveforms cost O((S + 2 * n_out) * n) for S inputs of n samples.
 BLAS sums a product's columns in an order that depends on how many
 columns it has, so the engine agrees with the whole-signal path to about
 1e-15 relative (tests bound it at 1e-12), not bitwise; for a fixed block
@@ -37,6 +40,9 @@ linear in the mixture's block
 So when both banks have that form, the engine encodes, weighs and decodes
 only the rows of P, skips the relu and decodes with Q (rectified) or 2*Q
 (linear). That halves its work; any other pair of banks runs every row.
+Since Q is half the pseudo-inverse decoder of P alone, a rectified
+encoding through such a bank decodes to half of what the linear one does,
+a scale SI-SNR does not see.
 
 The whole-signal functions are the reference the tests compare against,
 and the public API for inspecting a representation:
@@ -56,11 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dsp import FrameParams, Waveform, _add_frames, _frame_windows, _frozen, frame_signal, overlap_add
-from .filterbank import Filterbank
-
-#: Relative singular-value cutoff for pseudo-inverse decoders. Multi-phase
-#: banks contain exact +/- row pairs and are rank-deficient by design.
-PINV_RCOND = 1e-10
+from .filterbank import PINV_RCOND, Filterbank
 
 #: Frames per block of `_resynthesize`. Measured on 512-filter banks, L = 16,
 #: hop 8: 64 was fastest on both 0.5 s and 10 s items, and every size from
@@ -75,14 +77,11 @@ class TFRepresentation:
 
     values: np.ndarray
     frame_params: FrameParams
-    relu_applied: bool
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
-        if self.relu_applied and np.any(values < 0):
-            raise ValueError("relu_applied representation contains negative entries")
         object.__setattr__(self, "values", _frozen(values))
 
     @property
@@ -117,7 +116,7 @@ def encode(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = Tru
         values += rev[:, l:l + 1] * frames[:, l][None, :]
     if apply_relu:
         values = np.maximum(values, 0.0)
-    return TFRepresentation(values, p, relu_applied=apply_relu)
+    return TFRepresentation(values, p)
 
 
 def _check_decode_args(dec_bank: Filterbank, n_rows: int, frame_len: int) -> None:
@@ -206,11 +205,11 @@ def _resynthesize(
     return [Waveform(out.ravel()[:n], dec_bank.sample_rate) for out in rows]
 
 
-def pseudo_inverse(bank: Filterbank, rcond: float = PINV_RCOND) -> Filterbank:
+def pseudo_inverse(bank: Filterbank) -> Filterbank:
     """Decoder bank inverting the analysis transform in the least-squares sense.
 
     Computes the Moore-Penrose pseudo-inverse of the N x L analysis
-    matrix (singular values below rcond * sigma_max truncated) and stores
+    matrix (singular values below PINV_RCOND * sigma_max truncated) and stores
     it transposed, so decoder row n has length L and pairs with
     representation row n in `decode`.
 
@@ -225,14 +224,12 @@ def pseudo_inverse(bank: Filterbank, rcond: float = PINV_RCOND) -> Filterbank:
     which lets `_resynthesize` fold the pair.
     """
     a = analysis_matrix(bank)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("bank taps contain non-finite values")
     h = _sign_split_half(bank.taps)
     if h:
-        half = 0.5 * np.linalg.pinv(a[:h], rcond=rcond).T  # (h, L)
+        half = 0.5 * np.linalg.pinv(a[:h], rcond=PINV_RCOND).T  # (h, L)
         dec = np.vstack([half, -half])
     else:
-        dec = np.linalg.pinv(a, rcond=rcond).T  # (N, L)
+        dec = np.linalg.pinv(a, rcond=PINV_RCOND).T  # (N, L)
     return Filterbank(
         dec,
         bank.sample_rate,
@@ -249,4 +246,4 @@ def apply_mask(rep: TFRepresentation, mask: np.ndarray) -> TFRepresentation:
         raise ValueError(f"mask shape {mask.shape} != representation shape {rep.values.shape}")
     if not np.all((mask >= 0.0) & (mask <= 1.0)):  # NaN fails both comparisons
         raise ValueError("mask entries must lie in [0, 1]")
-    return TFRepresentation(rep.values * mask, rep.frame_params, rep.relu_applied)
+    return TFRepresentation(rep.values * mask, rep.frame_params)

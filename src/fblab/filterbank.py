@@ -20,6 +20,11 @@ import numpy as np
 from .dsp import _frozen
 from .erb import FC_MAX_HZ, FC_MIN_HZ, ErbParams
 
+#: Relative singular-value cutoff for numerical rank and pseudo-inverse
+#: decoders. Multi-phase banks contain exact +/- row pairs and are
+#: rank-deficient by design.
+PINV_RCOND = 1e-10
+
 
 class FilterbankKind(enum.Enum):
     MPGTF = "mpgtf"
@@ -59,8 +64,8 @@ class Filterbank:
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
         if self.center_freqs is not None:
             cf = np.asarray(self.center_freqs, dtype=np.float64)
-            if cf.ndim != 1 or cf.size == 0 or not np.all(np.diff(cf) > 0):
-                raise ValueError("center_freqs must be 1-D, non-empty and strictly increasing")
+            if cf.ndim != 1 or cf.size == 0 or not np.all(np.isfinite(cf)) or not np.all(np.diff(cf) > 0):
+                raise ValueError("center_freqs must be 1-D, non-empty, finite and strictly increasing")
             if self.kind in _GAMMATONE_KINDS and (cf[0] < FC_MIN_HZ or cf[-1] > FC_MAX_HZ):
                 raise ValueError(
                     f"gammatone center frequencies must lie in [{FC_MIN_HZ:g}, {FC_MAX_HZ:g}] Hz"
@@ -129,14 +134,10 @@ def load_filterbank(path) -> Filterbank:
         if len(values) != length:
             raise ValueError(f"FBANK1 dimension mismatch on row {i}: expected {length} taps, got {len(values)}")
         taps[i] = [float(v) for v in values]
-    if not np.all(np.isfinite(taps)):
-        raise ValueError("FBANK1 taps contain non-finite values")
 
     erb_params = None
     if fields.get("c1", "-") != "-" and fields.get("c2", "-") != "-":
         erb_params = ErbParams(float(fields["c1"]), float(fields["c2"]))
-    if center_freqs is not None and not np.all(np.isfinite(center_freqs)):
-        raise ValueError("FBANK1 center frequencies contain non-finite values")
     return Filterbank(taps, fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
 
 
@@ -162,9 +163,9 @@ def peak_response_hz(bank: Filterbank, n_fft: int = 512) -> np.ndarray:
     return bin_hz[peaks]
 
 
-def numerical_rank(matrix: np.ndarray, rcond: float = 1e-10) -> int:
-    """Rank by counting singular values above rcond * sigma_max."""
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Rank by counting singular values above PINV_RCOND * sigma_max."""
     s = np.linalg.svd(np.asarray(matrix, dtype=np.float64), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rcond * s[0]))
+    return int(np.count_nonzero(s > PINV_RCOND * s[0]))

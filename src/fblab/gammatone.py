@@ -16,8 +16,9 @@ parameterized one (ParaMPGTF): the construction is a deterministic
 function of (c1, c2), so those constants can be fitted numerically, and
 `kind` only labels the result. `build_parampgtf` is that builder with
 kind=PARAMPGTF. The first center stays pinned at 100 Hz regardless of the
-parameters. The builders fix the amplitude alpha at 1, since peak
-normalization cancels it.
+parameters. Peak normalization cancels the amplitude alpha, so neither
+the builders nor `GammatoneSpec` take one: every filter is sampled at
+alpha = 1.
 
 The builder evaluates all its rows in one broadcast over per-row
 (fc, b, phi) and a shared time grid. `GammatoneSpec` and `gammatone_ir`
@@ -46,7 +47,6 @@ class GammatoneSpec:
     """Parameters of a single FIR-truncated gammatone filter."""
 
     order_n: int
-    amplitude_alpha: float
     phase_phi: float
     center_fc: float
     bandwidth_b: float
@@ -78,8 +78,7 @@ def gammatone_ir(spec: GammatoneSpec) -> np.ndarray:
     """
     t = (np.arange(spec.length) + 1.0) / spec.sample_rate
     ir = (
-        spec.amplitude_alpha
-        * t ** (spec.order_n - 1)
+        t ** (spec.order_n - 1)
         * np.exp(-2.0 * math.pi * spec.bandwidth_b * t)
         * np.cos(2.0 * math.pi * spec.center_fc * t + spec.phase_phi)
     )
@@ -145,8 +144,8 @@ def build_mpgtf(
     row_phi = math.pi * k / row_count
     row_b = np.repeat(decays, counts)
     row_fc = np.repeat(centers, counts)
-    # `gammatone_ir`'s expression and factor order at alpha = 1, so every
-    # tap equals the reference's bitwise.
+    # `gammatone_ir`'s expression and factor order, so every tap equals
+    # the reference's bitwise.
     t = (np.arange(frame_len) + 1.0) / sample_rate
     rows = (
         t ** (order - 1)

@@ -60,6 +60,6 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
     return SiSnrResult(value, target_energy, noise_energy)
 
 
-def clip_si_snr(value_db: float, clip_db: float = SI_SNR_CLIP_DB) -> float:
-    """Clip SI-SNR from above so perfect reconstructions do not poison means."""
-    return min(value_db, clip_db)
+def clip_si_snr(value_db: float) -> float:
+    """Clip SI-SNR at SI_SNR_CLIP_DB so perfect reconstructions do not poison means."""
+    return min(value_db, SI_SNR_CLIP_DB)

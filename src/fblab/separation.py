@@ -9,17 +9,14 @@ SI-SNR against the scaled sources that actually sum to the mixture.
 `separate` (and with it `run_separation`, `training.separation_loss` and
 the CLI) runs the frame-blocked engine `codec._resynthesize`: the mixture
 and the sources are encoded together one block of `codec.BLOCK_FRAMES`
-frames at a time, masked and decoded, so no N x I array is ever built and
-memory stays flat in the signal length. Its estimates agree with the
-whole-signal path `encode` -> `oracle_irm_masks` -> `apply_mask` ->
-`decode` to about 1e-15 relative (tests bound it at 1e-12); that path is
-the reference, and both compute the masks with `_ratio_masks`.
-
-A multi-phase gammatone or sign-split STFT bank is [P; -P], and its
-`pseudo_inverse` decoder is [Q; -Q]. A cell and its negated twin get the
-same mask, and their rectified contributions sum to the linear one, so
-the engine runs only the rows of P for such banks: half the encode, mask
-and decode work, with the same estimates to about 1e-15 relative.
+frames at a time, masked and decoded, so no N x I array is ever built.
+Its work buffers are O(N * BLOCK_FRAMES), while the padded inputs and the
+outputs cost O((3 * C + 1) * n) for C sources of n samples. Its estimates
+agree with the whole-signal path `encode` -> `oracle_irm_masks` ->
+`apply_mask` -> `decode` to about 1e-15 relative (tests bound it at
+1e-12); that path is the reference, and both compute the masks with
+`_ratio_masks`. On sign-split banks the engine runs only the positive
+half of each +/- row pair (see `codec`).
 """
 
 from __future__ import annotations
@@ -46,18 +43,18 @@ class MixtureItem:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Per-source SI-SNR for each item plus their arithmetic mean."""
+    """Per-source SI-SNR of one separated item."""
 
-    per_item: tuple[tuple[str, tuple[float, ...]], ...]
-    mean_si_snr_db: float
+    item_id: str
+    si_snr_db: tuple[float, ...]
 
-    @staticmethod
-    def from_scores(per_item) -> "ExperimentReport":
-        rows = tuple((str(item_id), tuple(float(v) for v in values)) for item_id, values in per_item)
-        flat = [v for _, values in rows for v in values]
-        if not flat:
+    def __post_init__(self):
+        if not self.si_snr_db:
             raise ValueError("report needs at least one score")
-        return ExperimentReport(rows, float(np.mean(flat)))
+
+    @property
+    def mean_si_snr_db(self) -> float:
+        return float(np.mean(self.si_snr_db))
 
 
 def make_multi_mixture_item(item_id: str, sources, spec: MixSpec) -> MixtureItem:
@@ -89,32 +86,25 @@ def make_multi_mixture_item(item_id: str, sources, spec: MixSpec) -> MixtureItem
     return MixtureItem(item_id, Waveform(total, fs), tuple(targets))
 
 
-def make_sinusoid_mixture_items(
-    n_items: int,
-    seed: int,
-    sample_rate: int = 8000,
-    duration_s: float = 0.5,
-    low_band: tuple[float, float] = (250.0, 1200.0),
-    high_band: tuple[float, float] = (1500.0, 3600.0),
-    snr_range_db: tuple[float, float] = SNR_RANGE_DB,
-) -> list[MixtureItem]:
-    """Deterministic synthetic set: pairs of sinusoids from disjoint bands.
+def make_sinusoid_mixture_items(n_items: int, seed: int, duration_s: float = 0.5) -> list[MixtureItem]:
+    """Deterministic synthetic set at 8 kHz: pairs of sinusoids from disjoint bands.
 
-    Each item mixes one low-band and one high-band tone (random frequency
-    and phase) at an SNR drawn uniformly from `snr_range_db`. Everything
-    derives from `seed`, so the set doubles as a reproducible corpus for
-    trainer and CLI tests.
+    Each item mixes one tone from 250-1200 Hz and one from 1500-3600 Hz
+    (random frequency and phase) at an SNR drawn uniformly from
+    `SNR_RANGE_DB`, [-5, 5] dB. Everything derives from `seed`, so the
+    set doubles as a reproducible corpus for trainer and CLI tests.
     """
+    fs = 8000
     rng = np.random.default_rng(seed)
-    t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
+    t = np.arange(int(round(duration_s * fs))) / fs
     items = []
     for i in range(n_items):
-        f_lo = rng.uniform(*low_band)
-        f_hi = rng.uniform(*high_band)
+        f_lo = rng.uniform(250.0, 1200.0)
+        f_hi = rng.uniform(1500.0, 3600.0)
         ph_lo, ph_hi = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        snr_db = rng.uniform(*snr_range_db)
-        s1 = Waveform(0.5 * np.sin(2.0 * np.pi * f_lo * t + ph_lo), sample_rate)
-        s2 = Waveform(0.5 * np.sin(2.0 * np.pi * f_hi * t + ph_hi), sample_rate)
+        snr_db = rng.uniform(*SNR_RANGE_DB)
+        s1 = Waveform(0.5 * np.sin(2.0 * np.pi * f_lo * t + ph_lo), fs)
+        s2 = Waveform(0.5 * np.sin(2.0 * np.pi * f_hi * t + ph_hi), fs)
         items.append(make_multi_mixture_item(f"synth-{i:03d}", [s1, s2], MixSpec(snr_db)))
     return items
 
@@ -214,8 +204,7 @@ def score_separation(
     sources: tuple[Waveform, ...] | list[Waveform],
 ) -> ExperimentReport:
     """SI-SNR of each estimate against its (scaled) source."""
-    values = tuple(si_snr(est, src).value_db for est, src in zip(estimates, sources))
-    return ExperimentReport.from_scores([(item_id, values)])
+    return ExperimentReport(item_id, tuple(si_snr(est, src).value_db for est, src in zip(estimates, sources)))
 
 
 def run_separation(
@@ -224,20 +213,17 @@ def run_separation(
     enc_bank: Filterbank,
     dec_bank: Filterbank,
     frame_params: FrameParams,
-    apply_relu: bool = True,
     item_id: str = "item-0",
 ) -> ExperimentReport:
-    """Encode, oracle-mask, decode, and score one mixture."""
-    estimates = separate(mixture, sources, enc_bank, dec_bank, frame_params, apply_relu)
-    return score_separation(item_id, estimates, sources)
+    """Encode (rectified), oracle-mask, decode, and score one mixture."""
+    return score_separation(item_id, separate(mixture, sources, enc_bank, dec_bank, frame_params), sources)
 
 
 def write_report_csv(path, report: ExperimentReport) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("item_id,source_idx,si_snr_db\n")
-        for item_id, values in report.per_item:
-            for idx, value in enumerate(values):
-                fh.write(f"{item_id},{idx},{value!r}\n")
+        for idx, value in enumerate(report.si_snr_db):
+            fh.write(f"{report.item_id},{idx},{value!r}\n")
 
 
 def write_report_json(path, report: ExperimentReport, config: dict, bank_info: dict) -> None:
@@ -245,9 +231,7 @@ def write_report_json(path, report: ExperimentReport, config: dict, bank_info: d
         "mean_si_snr_db": report.mean_si_snr_db,
         "config": config,
         "bank": bank_info,
-        "items": [
-            {"item_id": item_id, "si_snr_db": list(values)} for item_id, values in report.per_item
-        ],
+        "items": [{"item_id": report.item_id, "si_snr_db": list(report.si_snr_db)}],
     }
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

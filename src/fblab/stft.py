@@ -9,13 +9,9 @@ frequencies evenly spaced over (0, fs/2] with a half-step offset:
 The offset avoids the degenerate DC and Nyquist rows (an all-ones cosine
 and an all-zero sine), so with a rectangular window and n_freqs = L/2 the
 rows form an exactly orthogonal basis of rank L. Sign-split mode appends
-the negation of every row; since relu(a) - relu(-a) = a, a rectified
-sign-split encoding still determines the frame. The pseudo-inverse
-decoder of the sign-split bank is 1/2 [Q; -Q], with Q the decoder rows of
-the linear bank. A linear sign-split encoding therefore decodes to the
-frame, and a rectified one to half of it: each +/- pair of cells sums to
-the linear cell. SI-SNR does not see that scale. The engine runs only
-the linear half of such a bank (see `codec`).
+the negation of every row, so a rectified encoding still determines the
+frame; the `codec` module docstring derives why it then decodes to half
+the frame and how the engine runs only the linear half of such a bank.
 """
 
 from __future__ import annotations
@@ -87,19 +83,19 @@ def build_stft_bank(spec: StftSpec, sample_rate: int) -> Filterbank:
     return Filterbank(rows, sample_rate, kind=FilterbankKind.STFT, center_freqs=freqs, warnings=warnings)
 
 
-def istft_decoder(bank: Filterbank, allow_rank_deficient: bool = False) -> Filterbank:
-    """Pseudo-inverse decoder for an STFT bank.
+def istft_decoder(bank: Filterbank) -> Filterbank:
+    """Pseudo-inverse decoder for a full-rank STFT bank.
 
-    For a full-rank bank, linear encode -> decode -> overlap-add restores
-    every frame exactly; a rank-deficient bank only reconstructs the row
-    space, which must be acknowledged via `allow_rank_deficient`.
+    Linear encode -> decode -> overlap-add then restores every frame
+    exactly. A rank-deficient bank only reconstructs its row space, so it
+    is refused; `pseudo_inverse` gives its lossy decoder.
     """
     if bank.kind is not FilterbankKind.STFT:
         raise ValueError(f"istft_decoder requires an STFT bank, got kind={bank.kind.value!r}")
     rank = numerical_rank(analysis_matrix(bank))
-    if rank < bank.filter_len and not allow_rank_deficient:
+    if rank < bank.filter_len:
         raise ValueError(
             f"rank-deficient STFT bank (rank {rank} < frame length {bank.filter_len}); "
-            "pass allow_rank_deficient=True to accept lossy reconstruction"
+            "use pseudo_inverse to accept lossy reconstruction"
         )
     return pseudo_inverse(bank)

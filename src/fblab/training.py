@@ -109,8 +109,7 @@ def separation_loss(
     values = []
     for item in items:
         report = run_separation(item.mixture, item.sources, bank, dec, frame_params, item_id=item.item_id)
-        for _, scores in report.per_item:
-            values.extend(clip_si_snr(v) for v in scores)
+        values.extend(clip_si_snr(v) for v in report.si_snr_db)
     return -float(np.mean(values))
 
 

@@ -212,14 +212,14 @@ class TestSeparate:
 
 
 class TestTrain:
-    def _write_pairs(self, directory, n, seed):
+    def _write_pairs(self, directory, n, seed, fs=8000):
         directory.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(seed)
         for i in range(n):
             f1 = rng.uniform(250, 1200)
             f2 = rng.uniform(1500, 3600)
-            write_wav(directory / f"item{i}_s1.wav", tone(f1, n=1600), encoding="float32")
-            write_wav(directory / f"item{i}_s2.wav", tone(f2, n=1600), encoding="float32")
+            write_wav(directory / f"item{i}_s1.wav", tone(f1, n=1600, fs=fs), encoding="float32")
+            write_wav(directory / f"item{i}_s2.wav", tone(f2, n=1600, fs=fs), encoding="float32")
 
     def test_zero_iters_returns_init(self, tmp_path, capsys):
         self._write_pairs(tmp_path / "train", 2, 0)
@@ -259,6 +259,31 @@ class TestTrain:
         assert lines[1].startswith("0,24.7,9.265,")
         assert len(lines) == 2
         assert not (out_dir / "result.json").exists()
+
+    def test_sample_rate_comes_from_the_first_train_pair(self, tmp_path):
+        self._write_pairs(tmp_path / "train", 2, 0, fs=16000)
+        self._write_pairs(tmp_path / "dev", 1, 1, fs=16000)
+        out_dir = tmp_path / "out"
+        code = run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir,
+                    "--lr", "0", "--max-iters", "1", "--n-filters", "128"])
+        assert code == 0
+        assert load_filterbank(out_dir / "parampgtf.fbank").sample_rate == 16000
+
+    def test_dev_rate_must_match_train_rate(self, tmp_path, capsys):
+        self._write_pairs(tmp_path / "train", 2, 0, fs=16000)
+        self._write_pairs(tmp_path / "dev", 1, 1, fs=8000)
+        out_dir = tmp_path / "out"
+        code = run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir, "--n-filters", "128"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: sample rate mismatch in item0_s1: expected 16000 Hz\n"
+        assert not out_dir.exists()  # rejected before training
+
+    def test_help_has_no_rate_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--help"])
+        assert excinfo.value.code == 0
+        assert "--fs" not in capsys.readouterr().out
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         (tmp_path / "train").mkdir()

@@ -167,7 +167,7 @@ def test_folded_roundtrip_matches_whole_signal_reference(
 class TestDecode:
     def test_zero_representation_gives_silence_of_correct_length(self):
         bank = random_bank(np.random.default_rng(6))
-        rep = TFRepresentation(np.zeros((8, 5)), FrameParams(8, 4), relu_applied=False)
+        rep = TFRepresentation(np.zeros((8, 5)), FrameParams(8, 4))
         out = decode(rep, bank)
         assert len(out) == 4 * 4 + 8
         np.testing.assert_array_equal(out.samples, np.zeros(24))
@@ -176,13 +176,13 @@ class TestDecode:
         bank = random_bank(np.random.default_rng(7))
         values = np.zeros((8, 1))
         values[3, 0] = 2.5
-        rep = TFRepresentation(values, FrameParams(8, 8), relu_applied=False)
+        rep = TFRepresentation(values, FrameParams(8, 8))
         out = decode(rep, bank)
         np.testing.assert_allclose(out.samples, 2.5 * bank.taps[3], rtol=1e-15)
 
     def test_row_count_mismatch(self):
         bank = random_bank(np.random.default_rng(8))
-        rep = TFRepresentation(np.zeros((7, 5)), FrameParams(8, 4), relu_applied=False)
+        rep = TFRepresentation(np.zeros((7, 5)), FrameParams(8, 4))
         with pytest.raises(ValueError, match="filters"):
             decode(rep, bank)
 
@@ -267,43 +267,38 @@ class TestPseudoInverse:
 
 class TestMask:
     def test_out_of_range_rejected(self):
-        rep = TFRepresentation(np.ones((1, 2)), FrameParams(8, 4), True)
+        rep = TFRepresentation(np.ones((1, 2)), FrameParams(8, 4))
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             apply_mask(rep, np.array([[0.5, 1.5]]))
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             apply_mask(rep, np.array([[-0.1, 0.5]]))
 
     def test_nan_rejected(self):
-        rep = TFRepresentation(np.ones((1, 2)), FrameParams(8, 4), True)
+        rep = TFRepresentation(np.ones((1, 2)), FrameParams(8, 4))
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             apply_mask(rep, np.array([[np.nan, 0.5]]))
 
     def test_identity_mask(self):
-        rep = TFRepresentation(np.abs(np.random.default_rng(12).standard_normal((4, 3))), FrameParams(8, 4), True)
+        rep = TFRepresentation(np.abs(np.random.default_rng(12).standard_normal((4, 3))), FrameParams(8, 4))
         out = apply_mask(rep, np.ones((4, 3)))
         np.testing.assert_array_equal(out.values, rep.values)
-        assert out.relu_applied
 
     def test_zero_mask(self):
-        rep = TFRepresentation(np.ones((4, 3)), FrameParams(8, 4), True)
+        rep = TFRepresentation(np.ones((4, 3)), FrameParams(8, 4))
         out = apply_mask(rep, np.zeros((4, 3)))
         np.testing.assert_array_equal(out.values, np.zeros((4, 3)))
 
     def test_complementary_masks_partition(self):
         rng = np.random.default_rng(13)
-        rep = TFRepresentation(np.abs(rng.standard_normal((4, 3))), FrameParams(8, 4), True)
+        rep = TFRepresentation(np.abs(rng.standard_normal((4, 3))), FrameParams(8, 4))
         m = rng.uniform(0, 1, size=(4, 3))
         total = apply_mask(rep, m).values + apply_mask(rep, 1.0 - m).values
         np.testing.assert_allclose(total, rep.values, rtol=1e-15)
 
     def test_shape_mismatch(self):
-        rep = TFRepresentation(np.ones((4, 3)), FrameParams(8, 4), True)
+        rep = TFRepresentation(np.ones((4, 3)), FrameParams(8, 4))
         with pytest.raises(ValueError, match="shape"):
             apply_mask(rep, np.ones((3, 4)))
-
-    def test_relu_flag_validation(self):
-        with pytest.raises(ValueError, match="negative"):
-            TFRepresentation(np.array([[-1.0]]), FrameParams(8, 4), relu_applied=True)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -34,6 +34,12 @@ class TestFilterbankType:
         with pytest.raises(ValueError, match="strictly increasing"):
             Filterbank(np.ones((2, 4)), FS, center_freqs=np.array([200.0, 150.0]))
 
+    @pytest.mark.parametrize("kind", list(FilterbankKind))
+    @pytest.mark.parametrize("centers", [[1.0, np.inf], [-np.inf, 5.0], [np.nan]], ids=["inf", "-inf", "nan"])
+    def test_rejects_non_finite_centers(self, kind, centers):
+        with pytest.raises(ValueError, match="finite"):
+            Filterbank(np.ones((2, 4)), FS, kind=kind, center_freqs=np.array(centers))
+
     @pytest.mark.parametrize("kind", [FilterbankKind.MPGTF, FilterbankKind.STFT])
     def test_rejects_empty_centers(self, kind):
         with pytest.raises(ValueError, match="non-empty"):
@@ -97,7 +103,7 @@ class TestFbank1Format:
         assert path.read_text().splitlines()[0].endswith(" centers=-")
         assert load_filterbank(path).center_freqs is None
 
-    @pytest.mark.parametrize("centers", ["", "100,abc", "100,nan"])
+    @pytest.mark.parametrize("centers", ["", "100,abc", "100,nan", "100,inf"])
     def test_rejects_bad_centers(self, tmp_path, centers):
         path = tmp_path / "bad.fbank"
         path.write_text(f"FBANK1 kind=custom n=1 len=1 fs=8000 c1=- c2=- centers={centers}\n1\n")
@@ -170,7 +176,7 @@ class TestFrequencyResponse:
 
         for fc in (500.0, 1000.0, 2000.0, 3000.0):
             b = bandwidth_b(erb(fc, ErbParams()), 2)
-            ir = gammatone_ir(GammatoneSpec(2, 1.0, 0.0, fc, b, 256, FS))
+            ir = gammatone_ir(GammatoneSpec(2, 0.0, fc, b, 256, FS))
             peaks = peak_response_hz(Filterbank(ir[None, :], FS), n_fft=512)
             assert abs(peaks[0] - fc) <= FS / 512 + 1e-9
 

@@ -23,8 +23,8 @@ from fblab import (
 DEFAULTS = ErbParams()
 
 
-def spec(order=2, alpha=1.0, phi=0.0, fc=1000.0, b=200.0, length=16, fs=8000):
-    return GammatoneSpec(order, alpha, phi, fc, b, length, fs)
+def spec(order=2, phi=0.0, fc=1000.0, b=200.0, length=16, fs=8000):
+    return GammatoneSpec(order, phi, fc, b, length, fs)
 
 
 def per_row_reference(p, n_filters=512, frame_len=None, sample_rate=8000, order=2):
@@ -47,7 +47,7 @@ def per_row_reference(p, n_filters=512, frame_len=None, sample_rate=8000, order=
         b = bandwidth_b(erb(float(fc), p), order)
         for k in range(count):
             phi = math.pi * k / count
-            rows.append(gammatone_ir(GammatoneSpec(order, 1.0, phi, float(fc), b, frame_len, sample_rate)))
+            rows.append(gammatone_ir(GammatoneSpec(order, phi, float(fc), b, frame_len, sample_rate)))
     rows = np.vstack(rows)
     return np.vstack([rows, -rows]), centers
 
@@ -77,7 +77,7 @@ class TestGammatoneIr:
         assert np.max(np.abs(ir)) == 1.0
 
     def test_envelope_peak_location(self):
-        # envelope alpha*t*exp(-2*pi*b*t) peaks at t = 1/(2*pi*b); use a long
+        # envelope t*exp(-2*pi*b*t) peaks at t = 1/(2*pi*b); use a long
         # filter and a wide bandwidth so the peak falls inside the window
         b = 400.0
         t = (np.arange(256) + 1.0) / 8000.0
@@ -85,7 +85,7 @@ class TestGammatoneIr:
         t_peak = 1.0 / (2.0 * math.pi * b)
         assert t[np.argmax(envelope)] == pytest.approx(t_peak, abs=1.0 / 8000.0)
         # the sampled ir is bounded pointwise by its envelope (pre-normalization)
-        s = GammatoneSpec(2, 1.0, 0.0, 1000.0, b, 256, 8000)
+        s = GammatoneSpec(2, 0.0, 1000.0, b, 256, 8000)
         ir = gammatone_ir(s) * np.max(np.abs(envelope * np.cos(2.0 * math.pi * 1000.0 * t)))
         assert np.all(np.abs(ir) <= envelope * (1 + 1e-12))
 
@@ -100,10 +100,10 @@ class TestGammatoneIr:
         dict(order=0), dict(b=0.0), dict(fc=0.0), dict(fc=4000.0), dict(length=0),
     ])
     def test_invalid_spec(self, kwargs):
-        base = dict(order=2, alpha=1.0, phi=0.0, fc=1000.0, b=200.0, length=16, fs=8000)
+        base = dict(order=2, phi=0.0, fc=1000.0, b=200.0, length=16, fs=8000)
         base.update(kwargs)
         with pytest.raises(ValueError):
-            GammatoneSpec(base["order"], base["alpha"], base["phi"], base["fc"], base["b"], base["length"], base["fs"])
+            GammatoneSpec(base["order"], base["phi"], base["fc"], base["b"], base["length"], base["fs"])
 
 
 class TestBuildMpgtf:
@@ -136,7 +136,7 @@ class TestBuildMpgtf:
         centers = bank.center_freqs
         b0 = bandwidth_b(erb(float(centers[0]), DEFAULTS), 2)
         first_center_rows = [
-            gammatone_ir(GammatoneSpec(2, 1.0, math.pi * k / 11, float(centers[0]), b0, 16, 8000))
+            gammatone_ir(GammatoneSpec(2, math.pi * k / 11, float(centers[0]), b0, 16, 8000))
             for k in range(11)
         ]
         np.testing.assert_array_equal(bank.taps[:11], np.vstack(first_center_rows))
