@@ -21,9 +21,12 @@ caller weigh the encodings into synthesis coefficients in place, decodes
 them with one more product and overlap-adds the frames into the outputs.
 No frame couples to another further away than one frame length, so its
 work buffers are O(N * BLOCK_FRAMES) however long the signal is, and no
-N x I array is built. Inputs and outputs still grow with the signal: S
-zero-padded input copies, n_out overlap-add accumulators and the n_out
-returned waveforms cost O((S + 2 * n_out) * n) for S inputs of n samples.
+N x I array is built. It reads frames in place from the inputs' samples;
+only the last frame, where it runs past the end, comes from an O(S * L)
+zero-padded copy of the S inputs' tails. The n_out overlap-add
+accumulators become the returned waveforms without a copy, so besides
+its inputs the engine holds n_out signal lengths, the tail and the work
+buffers.
 BLAS sums a product's columns in an order that depends on how many
 columns it has, so the engine agrees with the whole-signal path to about
 1e-15 relative (tests bound it at 1e-12), not bitwise; for a fixed block
@@ -61,7 +64,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dsp import FrameParams, Waveform, _add_frames, _frame_windows, _frozen, frame_signal, overlap_add
+from .dsp import FrameParams, Waveform, _add_frames, _frozen, _strided_frames, frame_signal, num_frames, overlap_add
 from .filterbank import PINV_RCOND, Filterbank
 
 #: Frames per block of `_resynthesize`. Measured on 512-filter banks, L = 16,
@@ -160,8 +163,14 @@ def _resynthesize(
     block rectified first if `relu`. The weigh overwrites the array in
     place and returns an (n_out, N, k) view of it holding synthesis
     coefficients. Those are decoded and overlap-added in increasing frame
-    order into `n_out` outputs, each trimmed to the input length. Work
-    buffers are allocated once per call and never escape it.
+    order into `n_out` outputs, each trimmed to the input length.
+
+    Nothing signal-long is copied. The frames that lie inside the signals
+    are read in place from their samples; the last frame, if it runs past
+    the end, is read from a zero-padded copy of the signals' tails. The
+    overlap-add rows are frozen and handed out as the outputs. The work
+    buffers (O(N * block_frames)) are allocated once per call and never
+    escape it.
 
     If the encoder is [P; -P] and the decoder [Q; -Q], both checked bit
     for bit, the weigh gets only the rows of P (N/2 of them), signal 0's
@@ -178,9 +187,20 @@ def _resynthesize(
     for x in signals:
         _check_encode_args(x, enc_bank, p)
     _check_decode_args(dec_bank, enc_bank.n_filters, p.frame_len)
-    windows = _frame_windows([x.samples for x in signals], p)  # (S, I, L) view
     n = len(signals[0])
-    n_sig, count, frame_len = windows.shape
+    if n == 0:
+        raise ValueError("empty input")
+    if any(len(x) != n for x in signals):
+        raise ValueError(f"signals must have equal lengths, got {[len(x) for x in signals]}")
+    n_sig, count, frame_len = len(signals), num_frames(n, p), p.frame_len
+    # Frames [0, full) lie inside the signals and are read in place; the
+    # rest (at most one) come from zero-padded copies of the signals' tails.
+    full = (n - frame_len) // p.hop + 1 if n >= frame_len else 0
+    heads = [_strided_frames(x.samples, full, p) for x in signals]
+    tail = np.zeros((n_sig, (count - full - 1) * p.hop + frame_len))
+    for row, x in zip(tail, signals):
+        row[:n - full * p.hop] = x.samples[full * p.hop:]
+    tails = [_strided_frames(row, count - full, p) for row in tail]
     block = min(block_frames, count)
     h = _sign_split_half(enc_bank.taps)
     if h and _sign_split_half(dec_bank.taps):  # the decoder has N rows too
@@ -195,14 +215,19 @@ def _resynthesize(
     rows = np.zeros((n_out, count - 1 + -(-frame_len // p.hop), p.hop))
     for first in range(0, count, block):
         k = min(block, count - first)
-        np.copyto(frames[:, :k], windows[:, first:first + k])
+        inside = min(max(full - first, 0), k)  # frames of this block read in place
+        for dst, head, padded in zip(frames, heads, tails):
+            np.copyto(dst[:inside], head[first:first + inside])
+            if inside < k:
+                np.copyto(dst[inside:k], padded[first + inside - full:first + k - full])
         np.matmul(analysis, frames[:, :k].transpose(0, 2, 1), out=enc[:, :, :k])
         if rectify:
             np.maximum(enc[0, :, :k], 0.0, out=enc[0, :, :k])
         coeffs = weigh(enc[:, :, :k])
         np.matmul(coeffs.transpose(0, 2, 1), synthesis, out=synth[:, :k])
         _add_frames(rows, synth[:, :k], p.hop, first)
-    return [Waveform(out.ravel()[:n], dec_bank.sample_rate) for out in rows]
+    rows.setflags(write=False)
+    return [Waveform._adopt(out.ravel()[:n], dec_bank.sample_rate) for out in rows]
 
 
 def pseudo_inverse(bank: Filterbank) -> Filterbank:

@@ -28,15 +28,30 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        self._take(_frozen(self.samples), self.sample_rate)
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, sample_rate: int) -> Waveform:
+        """A waveform that takes over `samples` instead of copying them.
+
+        Only for float64 arrays the library has just allocated and keeps no
+        other writable reference to: they are checked as the constructor
+        checks its input, then made read-only in place.
+        """
+        w = object.__new__(cls)
+        w._take(np.asarray(samples, dtype=np.float64, order="C"), sample_rate)
+        return w
+
+    def _take(self, samples: np.ndarray, sample_rate: int) -> None:
         if samples.ndim != 1:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
-        if not (isinstance(self.sample_rate, (int, np.integer)) and self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
-        object.__setattr__(self, "samples", _frozen(samples))
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        if not (isinstance(sample_rate, (int, np.integer)) and sample_rate > 0):
+            raise ValueError(f"sample_rate must be a positive integer, got {sample_rate!r}")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_rate", int(sample_rate))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -86,25 +101,6 @@ def num_frames(n_samples: int, p: FrameParams) -> int:
     return -(-overflow // p.hop) + 1
 
 
-def _frame_windows(signals, p: FrameParams) -> np.ndarray:
-    """Read-only (S, num_frames, L) view of the frames of S equal-length signals.
-
-    The signals are copied once into a zero-padded (S, (count-1)*D + L)
-    array; frame i of signal s is the window padded[s, i*D : i*D + L],
-    so samples past the end read as zero.
-    """
-    n = len(signals[0])
-    if n == 0:
-        raise ValueError("empty input")
-    if any(len(samples) != n for samples in signals):
-        raise ValueError(f"signals must have equal lengths, got {[len(samples) for samples in signals]}")
-    count = num_frames(n, p)
-    padded = np.zeros((len(signals), (count - 1) * p.hop + p.frame_len), dtype=np.float64)
-    for row, samples in zip(padded, signals):
-        row[:n] = samples
-    return np.lib.stride_tricks.sliding_window_view(padded, p.frame_len, axis=1)[:, ::p.hop]
-
-
 def frame_signal(x: Waveform, p: FrameParams) -> np.ndarray:
     """Slice `x` into overlapping frames of length L at hop D.
 
@@ -114,7 +110,25 @@ def frame_signal(x: Waveform, p: FrameParams) -> np.ndarray:
     Returns:
         Array of shape (num_frames, frame_len).
     """
-    return _frame_windows([x.samples], p)[0].copy()
+    n = len(x)
+    if n == 0:
+        raise ValueError("empty input")
+    count = num_frames(n, p)
+    padded = np.zeros((count - 1) * p.hop + p.frame_len)
+    padded[:n] = x.samples
+    return _strided_frames(padded, count, p).copy()
+
+
+def _strided_frames(samples: np.ndarray, count: int, p: FrameParams) -> np.ndarray:
+    """(count, L) view of a C-contiguous float64 array: row i is samples[i*D : i*D + L].
+
+    The caller makes sure the last row ends inside the array; the view is
+    as writable as `samples`. Built with `np.ndarray`, which takes about
+    1 us per call against 10 us for `sliding_window_view`: the engine
+    builds two per input on every run.
+    """
+    step = samples.itemsize
+    return np.ndarray((count, p.frame_len), np.float64, samples, 0, (p.hop * step, step))
 
 
 def _add_frames(rows: np.ndarray, frames: np.ndarray, hop: int, first: int) -> None:

@@ -122,6 +122,9 @@ def load_filterbank(path) -> Filterbank:
         fs = int(fields["fs"])
         centers = fields.get("centers", "-")
         center_freqs = None if centers == "-" else np.array([float(v) for v in centers.split(",")])
+        erb_params = None
+        if fields.get("c1", "-") != "-" and fields.get("c2", "-") != "-":
+            erb_params = ErbParams(float(fields["c1"]), float(fields["c2"]))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad FBANK1 header: {exc}") from exc
 
@@ -135,9 +138,6 @@ def load_filterbank(path) -> Filterbank:
             raise ValueError(f"FBANK1 dimension mismatch on row {i}: expected {length} taps, got {len(values)}")
         taps[i] = [float(v) for v in values]
 
-    erb_params = None
-    if fields.get("c1", "-") != "-" and fields.get("c2", "-") != "-":
-        erb_params = ErbParams(float(fields["c1"]), float(fields["c2"]))
     return Filterbank(taps, fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
 
 

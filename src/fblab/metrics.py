@@ -47,10 +47,10 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
     if ref_energy == 0.0:
         raise ValueError("zero-energy reference")
     beta = float(np.dot(est, ref)) / ref_energy
-    target = beta * ref
-    residual = est - target
-    target_energy = float(np.dot(target, target))
-    noise_energy = float(np.dot(residual, residual))
+    work = beta * ref  # the target, then the residual est - target
+    target_energy = float(np.dot(work, work))
+    np.subtract(est, work, out=work)
+    noise_energy = float(np.dot(work, work))
     if noise_energy == 0.0:
         value = math.inf if target_energy > 0.0 else -math.inf
     elif target_energy == 0.0:

@@ -10,8 +10,9 @@ SI-SNR against the scaled sources that actually sum to the mixture.
 the CLI) runs the frame-blocked engine `codec._resynthesize`: the mixture
 and the sources are encoded together one block of `codec.BLOCK_FRAMES`
 frames at a time, masked and decoded, so no N x I array is ever built.
-Its work buffers are O(N * BLOCK_FRAMES), while the padded inputs and the
-outputs cost O((3 * C + 1) * n) for C sources of n samples. Its estimates
+Besides its inputs it holds the C estimates of n samples each, an
+O((C + 1) * L) zero-padded tail and O(N * BLOCK_FRAMES) work buffers:
+it reads frames in place and hands out its overlap-add rows. Its estimates
 agree with the whole-signal path `encode` -> `oracle_irm_masks` ->
 `apply_mask` -> `decode` to about 1e-15 relative (tests bound it at
 1e-12); that path is the reference, and both compute the masks with
@@ -81,9 +82,9 @@ def make_multi_mixture_item(item_id: str, sources, spec: MixSpec) -> MixtureItem
     for s in sources[1:]:
         tail = s.samples[:n]
         scaled = tail * _mixing_gain(head, tail, spec)
-        targets.append(Waveform(scaled, fs))
+        targets.append(Waveform._adopt(scaled, fs))
         total += scaled
-    return MixtureItem(item_id, Waveform(total, fs), tuple(targets))
+    return MixtureItem(item_id, Waveform._adopt(total, fs), tuple(targets))
 
 
 def make_sinusoid_mixture_items(n_items: int, seed: int, duration_s: float = 0.5) -> list[MixtureItem]:

@@ -43,6 +43,7 @@ def read_wav(path) -> Waveform:
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    view = memoryview(data)  # slices of a memoryview share the file's bytes
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("malformed header: not a RIFF/WAVE file")
 
@@ -52,7 +53,7 @@ def read_wav(path) -> Waveform:
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + chunk_size]
+        body = view[pos + 8:pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if chunk_size < 16 or len(body) < 16:
                 raise MalformedWavError("malformed header: truncated fmt chunk")
@@ -71,13 +72,14 @@ def read_wav(path) -> Waveform:
         raise MultichannelError(f"multichannel unsupported: {channels} channels")
     if audio_format == _PCM and bits == 16:
         raw = np.frombuffer(payload[:len(payload) - len(payload) % 2], dtype="<i2")
-        samples = raw.astype(np.float64) / _INT16_FULL_SCALE
+        samples = raw.astype(np.float64)
+        samples /= _INT16_FULL_SCALE
     elif audio_format == _IEEE_FLOAT and bits == 32:
         raw = np.frombuffer(payload[:len(payload) - len(payload) % 4], dtype="<f4")
         samples = raw.astype(np.float64)
     else:
         raise UnsupportedCodecError(f"unsupported codec: format tag {audio_format}, {bits}-bit")
-    return Waveform(samples, int(sample_rate))
+    return Waveform._adopt(samples, int(sample_rate))
 
 
 def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
@@ -88,19 +90,22 @@ def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
     """
     if encoding == "pcm16":
         audio_format, bits = _PCM, 16
-        q = np.clip(np.round(w.samples * _INT16_FULL_SCALE), -32768, 32767)
-        payload = q.astype("<i2").tobytes()
+        q = w.samples * _INT16_FULL_SCALE
+        np.round(q, out=q)
+        np.clip(q, -32768, 32767, out=q)
+        payload = q.astype("<i2")
     elif encoding == "float32":
         audio_format, bits = _IEEE_FLOAT, 32
-        payload = w.samples.astype("<f4").tobytes()
+        payload = w.samples.astype("<f4")
     else:
         raise ValueError(f"unknown encoding {encoding!r} (expected 'pcm16' or 'float32')")
 
     block_align = bits // 8
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + payload.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH", 16, audio_format, 1, w.sample_rate, w.sample_rate * block_align, block_align, bits
     )
-    header += b"data" + struct.pack("<I", len(payload))
+    header += b"data" + struct.pack("<I", payload.nbytes)
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(header)
+        fh.write(payload)

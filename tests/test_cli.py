@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,14 @@ class TestFreqResponse:
         assert run(["freq-response", bank, "--out", tmp_path / "x.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c1,reason", [("abc", "could not convert"), ("-3", "invalid ERB parameters")])
+    def test_bad_erb_params_are_header_errors(self, tmp_path, capsys, c1, reason):
+        bank = tmp_path / "bad.fbank"
+        bank.write_text(f"FBANK1 kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265 centers=-\n1\n")
+        assert run(["freq-response", bank, "--out", tmp_path / "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad FBANK1 header: ") and reason in err
+
 
 class TestRoundtrip:
     def test_stft_signsplit_relu_hits_clip(self, tmp_path, source_wavs, capsys):
@@ -115,6 +124,22 @@ class TestRoundtrip:
         assert run(["roundtrip", bank, silent, out_wav]) == 0
         assert capsys.readouterr().out.strip() == "si_snr_db=n/a"
         assert np.all(read_wav(out_wav).samples == 0.0)
+
+    def test_peak_memory_of_a_60s_roundtrip(self, tmp_path, capsys):
+        # The input, the engine's overlap-add rows handed out as the output,
+        # and one SI-SNR work buffer: about three signal lengths of float64.
+        bank = tmp_path / "stft.fbank"
+        run(["build-bank", "stft", "--out", bank])
+        n = 60 * 8000
+        wav_in = tmp_path / "long.wav"
+        write_wav(wav_in, Waveform(0.3 * np.random.default_rng(6).standard_normal(n), 8000), encoding="float32")
+        tracemalloc.start()
+        try:
+            assert run(["roundtrip", bank, wav_in, tmp_path / "out.wav", "--relu", "--hop", "8"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * n * 8
 
     def test_rate_mismatch_fails(self, tmp_path, capsys):
         bank = tmp_path / "bank.fbank"

@@ -16,7 +16,9 @@ from fblab import (
     pseudo_inverse,
     num_frames,
 )
-from fblab.codec import PINV_RCOND, _resynthesize
+from fblab.codec import PINV_RCOND, _resynthesize, _sign_split_half
+from fblab.dsp import _add_frames
+from fblab.separation import _oracle_mask_weigh
 
 FS = 8000
 
@@ -162,6 +164,145 @@ def test_folded_roundtrip_matches_whole_signal_reference(
     assert seen == {n_half}
     assert out.sample_rate == FS and len(out) == sig_len
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def model_resynthesize(signals, enc_bank, dec_bank, p, weigh, n_out, *, relu, block_frames):
+    """The engine as it ran on one zero-padded (S, (count-1)*D + L) copy of all inputs.
+
+    Kept as the model that `_resynthesize`, which reads whole frames in
+    place and pads only the tail, must match bit for bit.
+    """
+    n = len(signals[0])
+    count = num_frames(n, p)
+    padded = np.zeros((len(signals), (count - 1) * p.hop + p.frame_len))
+    for row, x in zip(padded, signals):
+        row[:n] = x.samples
+    windows = np.lib.stride_tricks.sliding_window_view(padded, p.frame_len, axis=1)[:, ::p.hop]
+    block = min(block_frames, count)
+    h = _sign_split_half(enc_bank.taps)
+    if h and _sign_split_half(dec_bank.taps):
+        analysis, rectify = analysis_matrix(enc_bank)[:h], False
+        synthesis = dec_bank.taps[:h] if relu else 2.0 * dec_bank.taps[:h]
+    else:
+        analysis, synthesis, rectify = analysis_matrix(enc_bank), dec_bank.taps, relu
+    analysis = np.ascontiguousarray(analysis)
+    frames = np.empty((len(signals), block, p.frame_len))
+    enc = np.empty((len(signals), analysis.shape[0], block))
+    synth = np.empty((n_out, block, p.frame_len))
+    rows = np.zeros((n_out, count - 1 + -(-p.frame_len // p.hop), p.hop))
+    for first in range(0, count, block):
+        k = min(block, count - first)
+        np.copyto(frames[:, :k], windows[:, first:first + k])
+        np.matmul(analysis, frames[:, :k].transpose(0, 2, 1), out=enc[:, :, :k])
+        if rectify:
+            np.maximum(enc[0, :, :k], 0.0, out=enc[0, :, :k])
+        coeffs = weigh(enc[:, :, :k])
+        np.matmul(coeffs.transpose(0, 2, 1), synthesis, out=synth[:, :k])
+        _add_frames(rows, synth[:, :k], p.hop, first)
+    return [out.ravel()[:n] for out in rows]
+
+
+def assert_engine_matches_model(seed, frame_len, hop, sig_len, block_frames, n_sig, oracle, folded, relu):
+    rng = np.random.default_rng(seed)
+    p = FrameParams(frame_len, hop)
+    if folded:
+        half = rng.standard_normal((1 + seed % 8, frame_len))
+        bank = Filterbank(np.vstack([half, -half]), FS)
+        dec = pseudo_inverse(bank)
+    else:
+        bank = random_bank(rng, n=1 + seed % 16, length=frame_len)
+        dec = random_bank(rng, n=bank.n_filters, length=frame_len)
+    if oracle:
+        weigh, n_sig, n_out = _oracle_mask_weigh, 3, 2  # the mixture and two sources
+    else:
+        weigh, n_out = (lambda enc: enc), n_sig
+    signals = [Waveform(x, FS) for x in rng.standard_normal((n_sig, sig_len))]
+    outs = _resynthesize(signals, bank, dec, p, weigh, n_out, relu=relu, block_frames=block_frames)
+    refs = model_resynthesize(signals, bank, dec, p, weigh, n_out, relu=relu, block_frames=block_frames)
+    assert len(outs) == n_out
+    for out, ref in zip(outs, refs):
+        assert np.array_equal(out.samples, ref)
+
+
+@st.composite
+def engine_cases(draw):
+    """(L, D, n, block): free draws plus the edges of the in-place / padded split."""
+    frame_len = draw(st.integers(1, 32))
+    hop = draw(st.integers(1, frame_len))
+    kind = draw(st.sampled_from(["free", "short", "exact", "no_tail", "straddle"]))
+    if kind == "short" and frame_len > 1:  # no frame lies inside the signal
+        sig_len = draw(st.integers(1, frame_len - 1))
+    elif kind == "no_tail":  # n = L + j*D: every frame lies inside
+        sig_len = frame_len + hop * draw(st.integers(0, (2000 - frame_len) // hop))
+    elif kind == "straddle" and hop > 1:  # one padded frame, in a block with in-place ones
+        sig_len = frame_len + hop * draw(st.integers(1, (2000 - frame_len) // hop - 1)) - draw(st.integers(1, hop - 1))
+    elif kind in ("short", "exact", "straddle"):
+        sig_len = frame_len
+    else:
+        sig_len = draw(st.integers(1, 2000))
+    count = num_frames(sig_len, FrameParams(frame_len, hop))
+    full = (sig_len - frame_len) // hop + 1 if sig_len >= frame_len else 0
+    if kind == "straddle" and full < count:
+        block = draw(st.sampled_from([b for b in range(2, count + 1) if full % b]))
+    else:
+        block = draw(st.integers(1, count + 1))
+    return frame_len, hop, sig_len, block
+
+
+@given(
+    case=engine_cases(),
+    seed=st.integers(0, 2**31 - 1),
+    n_sig=st.integers(1, 3),
+    oracle=st.booleans(),
+    folded=st.booleans(),
+    relu=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_engine_framing_matches_padded_copy_model_bitwise(case, seed, n_sig, oracle, folded, relu):
+    frame_len, hop, sig_len, block = case
+    assert_engine_matches_model(seed, frame_len, hop, sig_len, block, n_sig, oracle, folded, relu)
+
+
+@pytest.mark.parametrize(
+    "frame_len,hop,sig_len,block",
+    [
+        (16, 8, 5, 1),  # n < L: only the padded frame
+        (16, 8, 16, 1),  # n = L: one frame, inside
+        (16, 8, 16 + 5 * 8, 3),  # n = L + j*D: no padded frame
+        (16, 5, 16 + 4 * 5, 2),  # D does not divide L, no padded frame
+        (16, 5, 16 + 4 * 5 + 3, 5),  # D does not divide L, padded frame alone in its block
+        (16, 8, 16 + 9 * 8 + 3, 4),  # the last block straddles the split: frames 8, 9 inside, 10 padded
+        (12, 7, 12 + 6 * 7 + 1, 5),  # straddling block with D not dividing L
+        (1, 1, 7, 3),  # L = 1: every frame inside
+    ],
+)
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("folded", [False, True])
+def test_engine_framing_edges_match_padded_copy_model_bitwise(frame_len, hop, sig_len, block, oracle, folded):
+    assert_engine_matches_model(7, frame_len, hop, sig_len, block, 2, oracle, folded, relu=True)
+
+
+def test_engine_outputs_are_read_only_and_share_memory_with_no_writable_array():
+    rng = np.random.default_rng(3)
+    p = FrameParams(8, 3)
+    bank, dec = random_bank(rng), random_bank(rng)
+    signals = [Waveform(x, FS) for x in rng.standard_normal((3, 100))]
+    seen = []
+
+    def identity(enc):
+        seen.append(enc)
+        return enc
+
+    outs = _resynthesize(signals, bank, dec, p, identity, 3, relu=True, block_frames=4)
+    for i, out in enumerate(outs):
+        base = out.samples
+        while isinstance(base, np.ndarray):  # the owner of the memory, and every view on the way
+            assert not base.flags.writeable
+            base = base.base
+        for other in [*seen, *(x.samples for x in signals), *(o.samples for o in outs[:i])]:
+            assert not np.shares_memory(out.samples, other)
+        with pytest.raises(ValueError):
+            out.samples[0] = 1.0
 
 
 class TestDecode:

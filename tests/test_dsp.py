@@ -39,6 +39,32 @@ class TestWaveform:
             w.samples[0] = 5.0
 
 
+class TestAdoptedWaveform:
+    """`Waveform._adopt` takes over a fresh array without a copy, with the constructor's checks."""
+
+    def test_takes_over_and_freezes_the_array(self):
+        samples = np.array([1.0, 2.0, 3.0])
+        w = Waveform._adopt(samples, 8000)
+        assert w.samples is samples and w.sample_rate == 8000
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError):
+            w.samples[0] = 5.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="waveform contains non-finite samples"):
+            Waveform._adopt(np.array([0.0, bad]), 8000)
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError, match=r"waveform samples must be 1-D, got shape \(2, 2\)"):
+            Waveform._adopt(np.zeros((2, 2)), 8000)
+
+    @pytest.mark.parametrize("rate", [0, -8000, 8000.0])
+    def test_rejects_bad_rate(self, rate):
+        with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+            Waveform._adopt(np.zeros(4), rate)
+
+
 class TestFrameParams:
     @pytest.mark.parametrize("frame_len,hop", [(0, 1), (4, 0), (4, 5)])
     def test_invalid(self, frame_len, hop):
@@ -180,6 +206,18 @@ class TestMixAtSnr:
     def test_invalid_spec(self):
         with pytest.raises(ValueError, match="finite"):
             MixSpec(float("nan"))
+
+    def test_targets_and_mixture_are_read_only_and_share_no_memory(self):
+        s1 = wave([1.0, -2.0, 3.0, 99.0])
+        s2 = wave([1.0, -1.0, 1.0])
+        s3 = wave([0.5, 2.0, -1.0])
+        item = make_multi_mixture_item("x", [s1, s2, s3], MixSpec(1.0))
+        outputs = [item.mixture.samples, *(t.samples for t in item.sources)]
+        for i, out in enumerate(outputs):
+            assert not out.flags.writeable
+            assert out.base is None or not out.base.flags.writeable
+            for other in [*outputs[:i], s1.samples, s2.samples, s3.samples]:
+                assert not np.shares_memory(out, other)
 
     @pytest.mark.parametrize("snr_db", [-1e4, 1e4])
     def test_extreme_snr_is_typed_error(self, snr_db):

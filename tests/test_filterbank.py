@@ -110,6 +110,13 @@ class TestFbank1Format:
         with pytest.raises(ValueError):
             load_filterbank(path)
 
+    @pytest.mark.parametrize("c1", ["abc", "-3"])
+    def test_rejects_bad_erb_params_as_header_error(self, tmp_path, c1):
+        path = tmp_path / "bad.fbank"
+        path.write_text(f"FBANK1 kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265 centers=-\n1\n")
+        with pytest.raises(ValueError, match="bad FBANK1 header"):
+            load_filterbank(path)
+
     def test_stft_header_has_no_erb_params(self, tmp_path):
         bank = build_stft_bank(StftSpec(16, 8, StftMode.LINEAR), FS)
         path = tmp_path / "stft.fbank"

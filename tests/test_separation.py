@@ -197,6 +197,19 @@ def test_separate_memory_is_flat_in_signal_length(mpgtf_bank, mpgtf_dec):
     assert peaks[8.0] < rep_bytes / 2
 
 
+def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank, mpgtf_dec):
+    # Frames are read from the inputs in place and the overlap-add rows are
+    # handed out as the estimates: two output lengths plus O(N * BLOCK_FRAMES).
+    item = make_sinusoid_mixture_items(1, seed=4, duration_s=32.0)[0]
+    tracemalloc.start()
+    try:
+        separate(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(item.mixture) * 8
+
+
 class TestSeparateErrors:
     """Every bad argument is rejected before any work, with the message of the
     whole-signal functions that used to raise it."""

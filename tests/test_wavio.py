@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,3 +96,29 @@ def test_unknown_chunks_are_skipped(tmp_path):
 def test_write_unknown_encoding(tmp_path):
     with pytest.raises(ValueError, match="unknown encoding"):
         write_wav(tmp_path / "x.wav", sine(seconds=0.01), encoding="pcm24")
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+def test_read_samples_are_read_only(tmp_path, encoding):
+    path = tmp_path / "tone.wav"
+    write_wav(path, sine(seconds=0.1), encoding=encoding)
+    samples = read_wav(path).samples
+    assert not samples.flags.writeable
+    assert samples.base is None or not samples.base.flags.writeable
+    with pytest.raises(ValueError):
+        samples[0] = 0.0
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+def test_read_peak_memory_is_file_plus_one_signal_length(tmp_path, encoding):
+    # The file's bytes plus the float64 samples; no copy of the data chunk.
+    w = sine(seconds=10.0)
+    path = tmp_path / "long.wav"
+    write_wav(path, w, encoding=encoding)
+    tracemalloc.start()
+    try:
+        read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size + 1.2 * len(w) * 8
