@@ -9,7 +9,6 @@ oracle-mask separation with SI-SNR.
 from .codec import (
     TFRepresentation,
     analysis_matrix,
-    apply_mask,
     decode,
     encode,
     pseudo_inverse,
@@ -19,9 +18,7 @@ from .dsp import (
     MixSpec,
     SNR_RANGE_DB,
     Waveform,
-    frame_signal,
     num_frames,
-    overlap_add,
 )
 from .erb import (
     DEFAULT_C1,
@@ -52,7 +49,6 @@ from .separation import (
     bank_info,
     make_multi_mixture_item,
     make_sinusoid_mixture_items,
-    oracle_irm_masks,
     run_separation,
     score_separation,
     separate,

@@ -118,15 +118,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_build_bank(args) -> int:
+    overcomplete = False
     if args.kind == "stft":
         spec = StftSpec(args.frame_len, args.nfreqs, StftMode(args.mode), StftWindow(args.window))
         bank = build_stft_bank(spec, args.fs)
+        overcomplete = spec.overcomplete
     else:
         bank = build_mpgtf(ErbParams(args.c1, args.c2), args.n_filters, args.frame_len, args.fs,
                            order=args.order, kind=FilterbankKind(args.kind))
     save_filterbank(args.out, bank)
-    for warning in bank.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    if overcomplete:  # after the save, so a failed save reports only its error
+        print(f"warning: overcomplete: {args.nfreqs} frequencies exceed frame_len/2 = {args.frame_len / 2:g}; "
+              "the analysis matrix cannot have independent rows", file=sys.stderr)
     print(f"N={bank.n_filters} L={bank.filter_len} M={len(bank.center_freqs)}")
     return 0
 
@@ -169,6 +172,7 @@ def cmd_separate(args) -> int:
     sources = [read_wav(path) for path in args.sources]
     bank = load_filterbank(args.bank)
     item = make_multi_mixture_item("item-0", sources, MixSpec(snr_db))
+    del sources  # the item holds its own targets; this frees the read copies
     p = FrameParams(bank.filter_len, args.hop)
     dec = pseudo_inverse(bank)
     estimates = separate(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)

@@ -21,12 +21,11 @@ caller weigh the encodings into synthesis coefficients in place, decodes
 them with one more product and overlap-adds the frames into the outputs.
 No frame couples to another further away than one frame length, so its
 work buffers are O(N * BLOCK_FRAMES) however long the signal is, and no
-N x I array is built. It reads frames in place from the inputs' samples;
-only the last frame, where it runs past the end, comes from an O(S * L)
-zero-padded copy of the S inputs' tails. The n_out overlap-add
+N x I array is built. It frames every input with `dsp._framed`, as
+`encode` does, so it copies no signal-long array. The n_out overlap-add
 accumulators become the returned waveforms without a copy, so besides
-its inputs the engine holds n_out signal lengths, the tail and the work
-buffers.
+its inputs the engine holds n_out signal lengths, the padded tails and
+the work buffers.
 BLAS sums a product's columns in an order that depends on how many
 columns it has, so the engine agrees with the whole-signal path to about
 1e-15 relative (tests bound it at 1e-12), not bitwise; for a fixed block
@@ -64,7 +63,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dsp import FrameParams, Waveform, _add_frames, _frozen, _strided_frames, frame_signal, num_frames, overlap_add
+from .dsp import FrameParams, Waveform, _add_frames, _framed, _frozen, frame_signal, overlap_add
 from .filterbank import PINV_RCOND, Filterbank
 
 #: Frames per block of `_resynthesize`. Measured on 512-filter banks, L = 16,
@@ -165,9 +164,7 @@ def _resynthesize(
     coefficients. Those are decoded and overlap-added in increasing frame
     order into `n_out` outputs, each trimmed to the input length.
 
-    Nothing signal-long is copied. The frames that lie inside the signals
-    are read in place from their samples; the last frame, if it runs past
-    the end, is read from a zero-padded copy of the signals' tails. The
+    Nothing signal-long is copied: `dsp._framed` gives the frames, and the
     overlap-add rows are frozen and handed out as the outputs. The work
     buffers (O(N * block_frames)) are allocated once per call and never
     escape it.
@@ -192,15 +189,9 @@ def _resynthesize(
         raise ValueError("empty input")
     if any(len(x) != n for x in signals):
         raise ValueError(f"signals must have equal lengths, got {[len(x) for x in signals]}")
-    n_sig, count, frame_len = len(signals), num_frames(n, p), p.frame_len
-    # Frames [0, full) lie inside the signals and are read in place; the
-    # rest (at most one) come from zero-padded copies of the signals' tails.
-    full = (n - frame_len) // p.hop + 1 if n >= frame_len else 0
-    heads = [_strided_frames(x.samples, full, p) for x in signals]
-    tail = np.zeros((n_sig, (count - full - 1) * p.hop + frame_len))
-    for row, x in zip(tail, signals):
-        row[:n - full * p.hop] = x.samples[full * p.hop:]
-    tails = [_strided_frames(row, count - full, p) for row in tail]
+    framed = [_framed(x.samples, p) for x in signals]
+    full = len(framed[0][0])
+    n_sig, count, frame_len = len(signals), full + len(framed[0][1]), p.frame_len
     block = min(block_frames, count)
     h = _sign_split_half(enc_bank.taps)
     if h and _sign_split_half(dec_bank.taps):  # the decoder has N rows too
@@ -216,10 +207,10 @@ def _resynthesize(
     for first in range(0, count, block):
         k = min(block, count - first)
         inside = min(max(full - first, 0), k)  # frames of this block read in place
-        for dst, head, padded in zip(frames, heads, tails):
+        for dst, (head, tail) in zip(frames, framed):
             np.copyto(dst[:inside], head[first:first + inside])
             if inside < k:
-                np.copyto(dst[inside:k], padded[first + inside - full:first + k - full])
+                np.copyto(dst[inside:k], tail[first + inside - full:first + k - full])
         np.matmul(analysis, frames[:, :k].transpose(0, 2, 1), out=enc[:, :, :k])
         if rectify:
             np.maximum(enc[0, :, :k], 0.0, out=enc[0, :, :k])

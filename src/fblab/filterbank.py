@@ -13,7 +13,7 @@ it load with no center frequencies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Filterbank:
     kind: FilterbankKind = FilterbankKind.CUSTOM
     center_freqs: np.ndarray | None = None
     erb_params: ErbParams | None = None
-    warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -102,8 +101,11 @@ def save_filterbank(path, bank: Filterbank) -> None:
 
 def load_filterbank(path) -> Filterbank:
     """Read an FBANK1 file, rejecting dimension or header mismatches."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError("not an FBANK1 file: not UTF-8 text") from exc
     if not lines:
         raise ValueError("not an FBANK1 file: empty")
     head = lines[0].split()

@@ -55,6 +55,11 @@ class StftSpec:
         if self.n_freqs < 1:
             raise ValueError(f"n_freqs must be >= 1, got {self.n_freqs}")
 
+    @property
+    def overcomplete(self) -> bool:
+        """More cosine/sine row pairs than frame_len/2, so the rows cannot be independent."""
+        return 2 * self.n_freqs > self.frame_len
+
 
 def _window_taps(window: StftWindow, length: int) -> np.ndarray:
     if window is StftWindow.HANN:
@@ -74,13 +79,7 @@ def build_stft_bank(spec: StftSpec, sample_rate: int) -> Filterbank:
     rows = pairs.reshape(2 * spec.n_freqs, spec.frame_len)
     if spec.mode is StftMode.SIGN_SPLIT:
         rows = np.vstack([rows, -rows])
-    warnings = ()
-    if 2 * spec.n_freqs > spec.frame_len:
-        warnings = (
-            f"overcomplete: {spec.n_freqs} frequencies exceed frame_len/2 = {spec.frame_len / 2:g}; "
-            "the analysis matrix cannot have independent rows",
-        )
-    return Filterbank(rows, sample_rate, kind=FilterbankKind.STFT, center_freqs=freqs, warnings=warnings)
+    return Filterbank(rows, sample_rate, kind=FilterbankKind.STFT, center_freqs=freqs)
 
 
 def istft_decoder(bank: Filterbank) -> Filterbank:

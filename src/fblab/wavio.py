@@ -76,7 +76,8 @@ def read_wav(path) -> Waveform:
         samples /= _INT16_FULL_SCALE
     elif audio_format == _IEEE_FLOAT and bits == 32:
         raw = np.frombuffer(payload[:len(payload) - len(payload) % 4], dtype="<f4")
-        samples = raw.astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN; `Waveform` rejects it below
+            samples = raw.astype(np.float64)
     else:
         raise UnsupportedCodecError(f"unsupported codec: format tag {audio_format}, {bits}-bit")
     return Waveform._adopt(samples, int(sample_rate))

@@ -87,6 +87,19 @@ class TestFreqResponse:
         assert run(["freq-response", bank, "--out", tmp_path / "x.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["freq-response", "roundtrip"])
+    def test_wav_given_as_bank_is_typed_error(self, tmp_path, source_wavs, capsys, command):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
+        capsys.readouterr()
+        wav = source_wavs[0]
+        if command == "freq-response":
+            args = ["freq-response", wav, "--out", tmp_path / "x.csv"]
+        else:  # WAV and bank arguments swapped
+            args = ["roundtrip", wav, bank, tmp_path / "out.wav"]
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith("error: not an FBANK1 file")
+
     @pytest.mark.parametrize("c1,reason", [("abc", "could not convert"), ("-3", "invalid ERB parameters")])
     def test_bad_erb_params_are_header_errors(self, tmp_path, capsys, c1, reason):
         bank = tmp_path / "bad.fbank"

@@ -9,14 +9,13 @@ from fblab import (
     TFRepresentation,
     Waveform,
     analysis_matrix,
-    apply_mask,
     decode,
     encode,
     numerical_rank,
     pseudo_inverse,
     num_frames,
 )
-from fblab.codec import PINV_RCOND, _resynthesize, _sign_split_half
+from fblab.codec import PINV_RCOND, _resynthesize, _sign_split_half, apply_mask
 from fblab.dsp import _add_frames
 from fblab.separation import _oracle_mask_weigh
 

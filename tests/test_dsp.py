@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblab import FrameParams, MixSpec, Waveform, frame_signal, make_multi_mixture_item, num_frames, overlap_add
-from fblab.dsp import _mixing_gain
+from fblab import FrameParams, MixSpec, Waveform, make_multi_mixture_item, num_frames
+from fblab.dsp import _mixing_gain, frame_signal, overlap_add
 
 
 def wave(values, fs=8000):
@@ -18,6 +18,34 @@ def naive_overlap_add(frames, frame_len, hop):
     for i in range(count):
         out[i * hop:i * hop + frame_len] += frames[i]
     return out
+
+
+def padded_frames(samples, frame_len, hop):
+    """Framing on one zero-padded copy of the whole signal, sliced frame by frame.
+
+    Kept as the model that `frame_signal`, which reads whole frames in place
+    and pads only the tail, must match bit for bit.
+    """
+    count = num_frames(len(samples), FrameParams(frame_len, hop))
+    padded = np.zeros((count - 1) * hop + frame_len)
+    padded[:len(samples)] = samples
+    return np.array([padded[i * hop:i * hop + frame_len] for i in range(count)])
+
+
+@st.composite
+def framings(draw):
+    """(n, L, D) with L in 1..32, D in 1..L and n in 1..2000, drawing the edge
+    cases on purpose: n < L, n = L, n = L + j*D, and a hop that does not divide L."""
+    frame_len = draw(st.integers(1, 32))
+    non_divisors = [d for d in range(1, frame_len) if frame_len % d]
+    hops = st.integers(1, frame_len)
+    hop = draw(st.one_of(hops, st.sampled_from(non_divisors)) if non_divisors else hops)
+    n = draw(st.one_of(
+        st.integers(1, frame_len),  # n < L, and n = L
+        st.integers(0, (2000 - frame_len) // hop).map(lambda j: frame_len + j * hop),  # n = L + j*D
+        st.integers(1, 2000),
+    ))
+    return n, frame_len, hop
 
 
 class TestWaveform:
@@ -92,6 +120,17 @@ class TestFraming:
     def test_short_signal_single_frame(self):
         frames = frame_signal(wave([7]), FrameParams(4, 2))
         np.testing.assert_array_equal(frames, [[7, 0, 0, 0]])
+
+    @given(case=framings(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_whole_signal_padding(self, case, seed):
+        n, frame_len, hop = case
+        x = wave(np.random.default_rng(seed).standard_normal(n))
+        frames = frame_signal(x, FrameParams(frame_len, hop))
+        expected = padded_frames(x.samples, frame_len, hop)
+        assert frames.shape == expected.shape
+        assert frames.tobytes() == expected.tobytes()
+        assert frames.flags.writeable and not np.shares_memory(frames, x.samples)
 
     @pytest.mark.parametrize(
         "n,frame_len,hop,expected",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,29 @@ class TestFbank1Format:
         assert back.sample_rate == FS
         assert back.erb_params == ErbParams()
         np.testing.assert_array_equal(back.taps, bank.taps)  # 17 sig digits round-trip exactly
+
+        # A Filterbank is exactly its FBANK1 record: every field survives,
+        # for each kind, with and without centres and ERB parameters.
+        names = [f.name for f in dataclasses.fields(Filterbank)]
+        assert names == ["taps", "sample_rate", "kind", "center_freqs", "erb_params"]
+        banks = [
+            bank,
+            build_parampgtf(ErbParams(30.0, 8.5), 128, 16, FS),
+            build_stft_bank(StftSpec(), FS),  # overcomplete
+            build_stft_bank(StftSpec(16, 8, StftMode.LINEAR), FS),
+            Filterbank(np.arange(6.0).reshape(2, 3) / 7.0, FS),
+            Filterbank(np.ones((2, 3)), FS, kind=FilterbankKind.MPGTF, erb_params=ErbParams()),
+        ]
+        for i, bank in enumerate(banks):
+            path = tmp_path / f"bank{i}.fbank"
+            save_filterbank(path, bank)
+            back = load_filterbank(path)
+            for name in names:
+                a, b = getattr(bank, name), getattr(back, name)
+                if isinstance(a, np.ndarray):
+                    assert isinstance(b, np.ndarray) and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+                else:
+                    assert a == b, name
 
     def test_header_line(self, tmp_path):
         bank = build_mpgtf(ErbParams(), 64, 16, FS)
@@ -159,6 +184,12 @@ class TestFbank1Format:
         path = tmp_path / "empty.fbank"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
+            load_filterbank(path)
+
+    def test_rejects_non_text_file(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"RIFF\x84\x00\x00\x00WAVEfmt \xcd\xff")
+        with pytest.raises(ValueError, match="^not an FBANK1 file: not UTF-8 text$"):
             load_filterbank(path)
 
 

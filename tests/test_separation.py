@@ -17,13 +17,11 @@ from fblab import (
     Waveform,
     bank_info,
     build_mpgtf,
-    apply_mask,
     decode,
     encode,
     make_multi_mixture_item,
     make_sinusoid_mixture_items,
     num_frames,
-    oracle_irm_masks,
     pseudo_inverse,
     run_separation,
     separate,
@@ -31,8 +29,8 @@ from fblab import (
     write_report_csv,
     write_report_json,
 )
-from fblab.codec import _resynthesize
-from fblab.separation import _oracle_mask_weigh
+from fblab.codec import _resynthesize, apply_mask
+from fblab.separation import _oracle_mask_weigh, oracle_irm_masks
 
 FS = 8000
 FP = FrameParams(16, 8)

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ def test_unsupported_codec_rejected(tmp_path):
     path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
     with pytest.raises(UnsupportedCodecError, match="unsupported codec"):
         read_wav(path)
+
+
+def test_signalling_nan_is_a_typed_error_without_warning(tmp_path):
+    path = tmp_path / "snan.wav"
+    payload = struct.pack("<3I", 0, 0x7F800001, 0)  # float32 0, signalling NaN, 0
+    body = b"fmt " + struct.pack("<I", 16) + struct.pack("<HHIIHH", 3, 1, 8000, 32000, 4, 32)
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="waveform contains non-finite samples"):
+            read_wav(path)
 
 
 def test_unknown_chunks_are_skipped(tmp_path):
