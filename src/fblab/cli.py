@@ -151,7 +151,7 @@ def cmd_roundtrip(args) -> int:
     x = read_wav(args.wav_in)
     hop = args.hop if args.hop is not None else bank.filter_len
     p = FrameParams(bank.filter_len, hop)
-    (out,) = _resynthesize([x], bank, pseudo_inverse(bank), p, lambda enc: enc, 1, relu=args.relu)
+    (out,) = _resynthesize([x], bank, pseudo_inverse(bank), p, None, 1, relu=args.relu)
     write_wav(args.wav_out, out, encoding="float32")
     if x.energy() == 0.0:
         print("si_snr_db=n/a")

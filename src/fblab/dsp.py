@@ -15,6 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_sample_rate(sample_rate) -> None:
+    """Raise ValueError unless `sample_rate` is a positive integer (Hz)."""
+    if not (isinstance(sample_rate, (int, np.integer)) and sample_rate > 0):
+        raise ValueError(f"sample_rate must be a positive integer, got {sample_rate!r}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """A read-only, C-ordered float64 copy of `a`, so no caller can mutate a stored value."""
     out = np.array(a, dtype=np.float64, order="C")
@@ -49,8 +55,7 @@ class Waveform:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
-        if not (isinstance(sample_rate, (int, np.integer)) and sample_rate > 0):
-            raise ValueError(f"sample_rate must be a positive integer, got {sample_rate!r}")
+        _check_sample_rate(sample_rate)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(sample_rate))

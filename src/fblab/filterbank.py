@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import _frozen
+from .dsp import _check_sample_rate, _frozen
 from .erb import FC_MAX_HZ, FC_MIN_HZ, ErbParams
 
 #: Relative singular-value cutoff for numerical rank and pseudo-inverse
@@ -57,8 +57,7 @@ class Filterbank:
             raise ValueError(f"taps must be a non-empty 2-D matrix, got shape {taps.shape}")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps contain non-finite values")
-        if not (isinstance(self.sample_rate, (int, np.integer)) and self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
+        _check_sample_rate(self.sample_rate)
         object.__setattr__(self, "taps", _frozen(taps))
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
         if self.center_freqs is not None:
@@ -121,6 +120,8 @@ def load_filterbank(path) -> Filterbank:
         kind = FilterbankKind(fields["kind"])
         n = int(fields["n"])
         length = int(fields["len"])
+        if n < 1 or length < 1:
+            raise ValueError(f"n and len must be >= 1, got n={n} len={length}")
         fs = int(fields["fs"])
         centers = fields.get("centers", "-")
         center_freqs = None if centers == "-" else np.array([float(v) for v in centers.split(",")])
@@ -133,14 +134,14 @@ def load_filterbank(path) -> Filterbank:
     rows = [line for line in lines[1:] if line.strip()]
     if len(rows) != n:
         raise ValueError(f"FBANK1 dimension mismatch: header says {n} filters, file has {len(rows)}")
-    taps = np.empty((n, length), dtype=np.float64)
+    taps = []  # grown row by row, so no allocation is sized by the header's `len`
     for i, line in enumerate(rows):
         values = line.split()
         if len(values) != length:
             raise ValueError(f"FBANK1 dimension mismatch on row {i}: expected {length} taps, got {len(values)}")
-        taps[i] = [float(v) for v in values]
+        taps.append([float(v) for v in values])
 
-    return Filterbank(taps, fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
+    return Filterbank(np.array(taps), fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
 
 
 def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import _check_sample_rate
 from .erb import FC_MAX_HZ, FC_MIN_HZ, ErbParams, bandwidth_b, center_frequency_grid, erb
 from .filterbank import Filterbank, FilterbankKind
 
@@ -110,6 +111,7 @@ def build_mpgtf(
     `gammatone_ir` filter of its (fc, b, phi), and a bad input raises the
     same ValueError as that per-row construction.
     """
+    _check_sample_rate(sample_rate)  # before it sizes the frame and bounds the centres
     if kind not in (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF):
         raise ValueError(f"not a multi-phase gammatone kind: {kind}")
     if frame_len is None:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ class TestBuildBank:
         assert capsys.readouterr().err.startswith("error: degenerate gammatone filter")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["stft", "mpgtf"])
+    def test_zero_rate_is_named_without_warning(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.fbank"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["build-bank", kind, "--fs", "0", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: sample_rate must be a positive integer, got 0\n"
+        assert not out.exists()
+
     def test_invalid_params_fail_before_writing(self, tmp_path, capsys):
         out = tmp_path / "bad.fbank"
         assert run(["build-bank", "mpgtf", "--c1", "-3", "--out", out]) == 1
@@ -99,6 +109,25 @@ class TestFreqResponse:
             args = ["roundtrip", wav, bank, tmp_path / "out.wav"]
         assert run(args) == 1
         assert capsys.readouterr().err.startswith("error: not an FBANK1 file")
+
+    @pytest.mark.parametrize("command", ["freq-response", "roundtrip"])
+    @pytest.mark.parametrize(
+        "dims,message",
+        [
+            ("n=1 len=10000000000000", "error: FBANK1 dimension mismatch on row 0"),
+            ("n=1 len=-3", "error: bad FBANK1 header"),
+            ("n=0 len=3", "error: bad FBANK1 header"),
+        ],
+    )
+    def test_bad_dimensions_are_typed_errors(self, tmp_path, source_wavs, capsys, command, dims, message):
+        bank = tmp_path / "bad.fbank"
+        bank.write_text(f"FBANK1 kind=custom {dims} fs=8000 c1=- c2=- centers=-\n1 2 3\n")
+        if command == "freq-response":
+            args = ["freq-response", bank, "--out", tmp_path / "x.csv"]
+        else:
+            args = ["roundtrip", bank, source_wavs[0], tmp_path / "out.wav"]
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith(message)
 
     @pytest.mark.parametrize("c1,reason", [("abc", "could not convert"), ("-3", "invalid ERB parameters")])
     def test_bad_erb_params_are_header_errors(self, tmp_path, capsys, c1, reason):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from fblab import (
     pseudo_inverse,
     num_frames,
 )
+import fblab.codec as codec
 from fblab.codec import PINV_RCOND, _resynthesize, _sign_split_half, apply_mask
 from fblab.dsp import _add_frames
 from fblab.separation import _oracle_mask_weigh
@@ -279,6 +282,102 @@ def test_engine_framing_matches_padded_copy_model_bitwise(case, seed, n_sig, ora
 @pytest.mark.parametrize("folded", [False, True])
 def test_engine_framing_edges_match_padded_copy_model_bitwise(frame_len, hop, sig_len, block, oracle, folded):
     assert_engine_matches_model(7, frame_len, hop, sig_len, block, 2, oracle, folded, relu=True)
+
+
+@given(
+    case=engine_cases(),
+    seed=st.integers(0, 2**31 - 1),
+    folded=st.booleans(),
+    relu=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_weigh_free_pass_matches_whole_signal_reference(case, seed, folded, relu):
+    # One L x L frame operator per block: a [P; -P] bank with its
+    # pseudo-inverse, rectified or not, or any pair of banks without relu.
+    frame_len, hop, sig_len, block = case
+    rng = np.random.default_rng(seed)
+    p = FrameParams(frame_len, hop)
+    if folded:
+        half = rng.standard_normal((1 + seed % 32, frame_len))
+        bank = Filterbank(np.vstack([half, -half]), FS)
+        dec = pseudo_inverse(bank)
+    else:
+        bank = random_bank(rng, n=1 + seed % 64, length=frame_len)
+        dec = random_bank(rng, n=bank.n_filters, length=frame_len)
+        relu = False
+    x = Waveform(rng.standard_normal(sig_len), FS)
+    ref = decode(encode(x, bank, p, apply_relu=relu), dec).samples[:sig_len]
+    count = num_frames(sig_len, p)
+    with mock.patch.object(codec, "OPERATOR_BLOCK_FRAMES", block), \
+            mock.patch.object(codec, "_add_frames", wraps=_add_frames) as add:
+        (out,) = _resynthesize([x], bank, dec, p, None, 1, relu=relu, block_frames=count + 1)
+    assert add.call_count == -(-count // block)  # its blocks, not the engine's one
+    assert out.sample_rate == FS and len(out) == sig_len
+    assert not out.samples.flags.writeable
+    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+@given(case=engine_cases(), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_weigh_free_relu_through_a_plain_bank_stays_on_the_engine(case, seed):
+    # A rectified encoding is not linear in the frame, so it runs the engine unchanged.
+    frame_len, hop, sig_len, block = case
+    rng = np.random.default_rng(seed)
+    p = FrameParams(frame_len, hop)
+    bank = random_bank(rng, n=1 + seed % 16, length=frame_len)
+    dec = random_bank(rng, n=bank.n_filters, length=frame_len)
+    x = Waveform(rng.standard_normal(sig_len), FS)
+    (free,) = _resynthesize([x], bank, dec, p, None, 1, relu=True, block_frames=block)
+    (weighed,) = _resynthesize([x], bank, dec, p, lambda enc: enc, 1, relu=True, block_frames=block)
+    assert np.array_equal(free.samples, weighed.samples)
+
+
+@pytest.mark.parametrize("n_sig,n_out", [(2, 1), (1, 2)])
+def test_weigh_free_pass_takes_one_signal_and_one_output(n_sig, n_out):
+    rng = np.random.default_rng(15)
+    bank, dec = random_bank(rng), random_bank(rng)
+    signals = [Waveform(x, FS) for x in rng.standard_normal((n_sig, 40))]
+    with pytest.raises(ValueError, match="weigh=None takes one signal and n_out=1"):
+        _resynthesize(signals, bank, dec, FrameParams(8, 4), None, n_out, relu=False)
+
+
+def engine_frame_operator(bank, dec, relu):
+    """The L x L operator a weigh-free pass applies, read back from the engine.
+
+    At hop D = L, frame i of the flattened identity is e_i, so output frame
+    i is row i of the operator.
+    """
+    frame_len = bank.filter_len
+    x = Waveform(np.eye(frame_len).ravel(), bank.sample_rate)
+    (out,) = _resynthesize([x], bank, dec, FrameParams(frame_len, frame_len), None, 1, relu=relu)
+    return out.samples.reshape(frame_len, frame_len)
+
+
+@pytest.mark.parametrize("name", ["stft_signsplit", "mpgtf"])
+def test_frame_operator_of_a_full_rank_folded_bank_is_half_the_identity(name):
+    from fblab import ErbParams, StftSpec, build_mpgtf, build_stft_bank
+
+    bank = build_stft_bank(StftSpec(), FS) if name == "stft_signsplit" else build_mpgtf(ErbParams(), 512, 16, FS)
+    dec = pseudo_inverse(bank)
+    assert numerical_rank(analysis_matrix(bank)) == 16
+    h = _sign_split_half(bank.taps)
+    operator = analysis_matrix(bank)[:h].T @ dec.taps[:h]  # A_P^T * Q, closed form
+    assert np.max(np.abs(operator - np.eye(16) / 2)) <= 1e-12
+    assert np.array_equal(engine_frame_operator(bank, dec, relu=True), operator)
+    assert np.array_equal(engine_frame_operator(bank, dec, relu=False), 2.0 * operator)
+
+
+def test_frame_operator_of_a_rank_deficient_linear_bank_is_a_projector():
+    from fblab import StftMode, StftSpec, build_stft_bank
+
+    bank = build_stft_bank(StftSpec(16, 2, StftMode.LINEAR), FS)
+    dec = pseudo_inverse(bank)
+    assert numerical_rank(analysis_matrix(bank)) == 4
+    operator = analysis_matrix(bank).T @ dec.taps  # A^T * pinv(A)^T = (pinv(A) A)^T
+    assert np.max(np.abs(operator - operator.T)) <= 1e-12
+    assert np.max(np.abs(operator @ operator - operator)) <= 1e-12
+    assert abs(np.trace(operator) - 4.0) <= 1e-12
+    assert np.array_equal(engine_frame_operator(bank, dec, relu=False), operator)
 
 
 def test_engine_outputs_are_read_only_and_share_memory_with_no_writable_array():

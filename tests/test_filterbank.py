@@ -161,6 +161,20 @@ class TestFbank1Format:
         with pytest.raises(ValueError, match="dimension mismatch"):
             load_filterbank(path)
 
+    @pytest.mark.parametrize(
+        "dims,message",
+        [
+            ("n=1 len=10000000000000", "FBANK1 dimension mismatch on row 0"),  # would allocate 72.8 TiB
+            ("n=1 len=-3", "bad FBANK1 header"),
+            ("n=0 len=3", "bad FBANK1 header"),
+        ],
+    )
+    def test_rejects_bad_dimensions_before_allocating(self, tmp_path, dims, message):
+        path = tmp_path / "bad.fbank"
+        path.write_text(f"FBANK1 kind=custom {dims} fs=8000 c1=- c2=- centers=-\n1 2 3\n")
+        with pytest.raises(ValueError, match=message):
+            load_filterbank(path)
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fbank"
         path.write_text("FBANKX kind=custom n=1 len=1 fs=8000 c1=- c2=-\n1\n")
