@@ -44,7 +44,6 @@ from .filterbank import (
 from .gammatone import FILTER_LENGTH_SECONDS, GammatoneSpec, build_mpgtf, build_parampgtf, gammatone_ir
 from .metrics import SI_SNR_CLIP_DB, SiSnrResult, clip_si_snr, si_snr
 from .separation import (
-    ExperimentReport,
     MixtureItem,
     bank_info,
     make_multi_mixture_item,

@@ -176,14 +176,14 @@ def cmd_separate(args) -> int:
     p = FrameParams(bank.filter_len, args.hop)
     dec = pseudo_inverse(bank)
     estimates = separate(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)
-    report = score_separation(item.item_id, estimates, item.sources)
+    scores = score_separation(estimates, item.sources)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_wav(out_dir / "mixture.wav", item.mixture, encoding="float32")
     for i, est in enumerate(estimates, start=1):
         write_wav(out_dir / f"est_{i}.wav", est, encoding="float32")
-    write_report_csv(out_dir / "report.csv", report)
+    write_report_csv(out_dir / "report.csv", item.item_id, scores)
     config = {
         "snr_db": snr_db,
         "seed": seed,
@@ -191,8 +191,8 @@ def cmd_separate(args) -> int:
         "relu": not args.no_relu,
         "sources": [Path(s).name for s in args.sources],
     }
-    write_report_json(out_dir / "report.json", report, config, bank_info(bank))
-    print(f"mean_si_snr_db={report.mean_si_snr_db!r}")
+    write_report_json(out_dir / "report.json", item.item_id, scores, config, bank_info(bank))
+    print(f"mean_si_snr_db={float(np.mean(scores))!r}")
     return 0
 
 
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, WavError, OSError, TrainingDivergedError) as exc:
+    except (ValueError, WavError, OSError, TrainingDivergedError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -190,11 +190,10 @@ def _resynthesize(
     n_out: int,
     *,
     relu: bool,
-    block_frames: int = BLOCK_FRAMES,
 ) -> list[Waveform]:
     """Encode S equal-length signals, weigh, decode and overlap-add, block by block.
 
-    For each block of up to `block_frames` frames, the (S, N, k) array of
+    For each block of up to `BLOCK_FRAMES` frames, the (S, N, k) array of
     linear encodings of all `signals` goes to `weigh`, with signal 0's
     block rectified first if `relu`. The weigh overwrites the array in
     place and returns an (n_out, N, k) view of it holding synthesis
@@ -203,7 +202,7 @@ def _resynthesize(
 
     Nothing signal-long is copied: `dsp._framed` gives the frames, and the
     overlap-add rows are frozen and handed out as the outputs. The work
-    buffers (O(N * block_frames), or O(L * OPERATOR_BLOCK_FRAMES) for a
+    buffers (O(N * BLOCK_FRAMES), or O(L * OPERATOR_BLOCK_FRAMES) for a
     weigh-free pass) are allocated once per call and never escape it.
 
     If the encoder is [P; -P] and the decoder [Q; -Q], both checked bit
@@ -217,8 +216,8 @@ def _resynthesize(
     `weigh=None` means no weigh at all; it takes one signal and
     `n_out == 1`. If the pair folds or `relu` is off, the pass is then
     linear per frame and runs as one L x L frame operator per block of
-    `OPERATOR_BLOCK_FRAMES` frames, `block_frames` unused (see the module
-    docstring); otherwise it is the full engine with the identity weigh.
+    `OPERATOR_BLOCK_FRAMES` frames (see the module docstring); otherwise
+    it is the full engine with the identity weigh.
 
     Raises the `ValueError`s of `encode` and `decode` for a bank,
     decoder or signal that does not fit, one for signals of unequal
@@ -255,7 +254,7 @@ def _resynthesize(
             _add_frames(rows, synth[:k], p.hop, first)
     else:
         analysis = np.ascontiguousarray(analysis)
-        block = min(block_frames, count)
+        block = min(BLOCK_FRAMES, count)
         frames = np.empty((n_sig, block, frame_len))
         enc = np.empty((n_sig, analysis.shape[0], block))
         synth = np.empty((n_out, block, frame_len))

@@ -60,6 +60,7 @@ class GammatoneSpec:
 
 def _check_filter(order_n: int, center_fc: float, bandwidth_b: float, length: int, sample_rate: int) -> None:
     """Raise ValueError for a gammatone filter that cannot be sampled."""
+    _check_sample_rate(sample_rate)  # before fs/2 bounds the centre
     if order_n < 1:
         raise ValueError(f"order_n must be >= 1, got {order_n}")
     if bandwidth_b <= 0:

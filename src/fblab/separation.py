@@ -1,5 +1,10 @@
 """Oracle-mask separation experiments and their reports.
 
+An experiment's result is a tuple of floats: the SI-SNR in dB of each
+separated source, in source order. `score_separation` and
+`run_separation` return it, and the report writers take it with the id
+of the item it scores.
+
 Ideal ratio masks computed from the true sources stand in for a learned
 separator, so encoder/decoder feature families can be compared on their
 own merits at desk scale: encode the mixture, weight it by each source's
@@ -40,22 +45,6 @@ class MixtureItem:
     item_id: str
     mixture: Waveform
     sources: tuple[Waveform, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class ExperimentReport:
-    """Per-source SI-SNR of one separated item."""
-
-    item_id: str
-    si_snr_db: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.si_snr_db:
-            raise ValueError("report needs at least one score")
-
-    @property
-    def mean_si_snr_db(self) -> float:
-        return float(np.mean(self.si_snr_db))
 
 
 def make_multi_mixture_item(item_id: str, sources, spec: MixSpec) -> MixtureItem:
@@ -200,12 +189,11 @@ def separate(
 
 
 def score_separation(
-    item_id: str,
     estimates: list[Waveform],
     sources: tuple[Waveform, ...] | list[Waveform],
-) -> ExperimentReport:
-    """SI-SNR of each estimate against its (scaled) source."""
-    return ExperimentReport(item_id, tuple(si_snr(est, src).value_db for est, src in zip(estimates, sources)))
+) -> tuple[float, ...]:
+    """SI-SNR in dB of each estimate against its (scaled) source, as a tuple."""
+    return tuple(si_snr(est, src).value_db for est, src in zip(estimates, sources))
 
 
 def run_separation(
@@ -214,25 +202,24 @@ def run_separation(
     enc_bank: Filterbank,
     dec_bank: Filterbank,
     frame_params: FrameParams,
-    item_id: str = "item-0",
-) -> ExperimentReport:
-    """Encode (rectified), oracle-mask, decode, and score one mixture."""
-    return score_separation(item_id, separate(mixture, sources, enc_bank, dec_bank, frame_params), sources)
+) -> tuple[float, ...]:
+    """Encode (rectified), oracle-mask, decode, and score one mixture: the per-source SI-SNR tuple."""
+    return score_separation(separate(mixture, sources, enc_bank, dec_bank, frame_params), sources)
 
 
-def write_report_csv(path, report: ExperimentReport) -> None:
+def write_report_csv(path, item_id: str, scores: tuple[float, ...]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("item_id,source_idx,si_snr_db\n")
-        for idx, value in enumerate(report.si_snr_db):
-            fh.write(f"{report.item_id},{idx},{value!r}\n")
+        for idx, value in enumerate(scores):
+            fh.write(f"{item_id},{idx},{value!r}\n")
 
 
-def write_report_json(path, report: ExperimentReport, config: dict, bank_info: dict) -> None:
+def write_report_json(path, item_id: str, scores: tuple[float, ...], config: dict, bank_info: dict) -> None:
     payload = {
-        "mean_si_snr_db": report.mean_si_snr_db,
+        "mean_si_snr_db": float(np.mean(scores)),
         "config": config,
         "bank": bank_info,
-        "items": [{"item_id": report.item_id, "si_snr_db": list(report.si_snr_db)}],
+        "items": [{"item_id": item_id, "si_snr_db": list(scores)}],
     }
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

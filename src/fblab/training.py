@@ -98,8 +98,9 @@ def separation_loss(
 
     The bank and its pseudo-inverse decoder are rebuilt from `params`;
     scores accumulate in item order so the reduction is deterministic.
-    Each item runs through `run_separation`, so every encode happens in
-    the blocked engine `codec._resynthesize`.
+    Each item runs through `run_separation`, which returns its tuple of
+    per-source scores, so every encode happens in the blocked engine
+    `codec._resynthesize`.
     """
     if not items:
         raise ValueError("need at least one item")
@@ -108,8 +109,8 @@ def separation_loss(
     dec = pseudo_inverse(bank)
     values = []
     for item in items:
-        report = run_separation(item.mixture, item.sources, bank, dec, frame_params, item_id=item.item_id)
-        values.extend(clip_si_snr(v) for v in report.si_snr_db)
+        scores = run_separation(item.mixture, item.sources, bank, dec, frame_params)
+        values.extend(clip_si_snr(v) for v in scores)
     return -float(np.mean(values))
 
 

@@ -137,6 +137,16 @@ class TestFreqResponse:
         err = capsys.readouterr().err
         assert err.startswith("error: bad FBANK1 header: ") and reason in err
 
+    def test_unallocatable_n_fft_is_typed_error(self, tmp_path, capsys):
+        # 146 TiB of spectrum exceeds the 128 TiB user address space of
+        # x86-64, so the allocation fails at once and nothing is allocated.
+        bank = tmp_path / "one.fbank"
+        bank.write_text("FBANK1 kind=custom n=1 len=4 fs=8000 c1=- c2=- centers=-\n1 2 3 4\n")
+        csv = tmp_path / "x.csv"
+        assert run(["freq-response", bank, "--out", csv, "--n-fft", "10000000000000"]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not csv.exists()
+
 
 class TestRoundtrip:
     def test_stft_signsplit_relu_hits_clip(self, tmp_path, source_wavs, capsys):
@@ -236,6 +246,25 @@ class TestSeparate:
         for i, (score, src) in enumerate(zip(scores, item.sources), start=1):
             written = si_snr(read_wav(out_dir / f"est_{i}.wav"), src).value_db
             assert abs(score - written) <= 1e-6
+
+    @pytest.mark.parametrize("n_sources", [2, 3])
+    def test_reports_and_stdout_agree_on_the_scores(self, tmp_path, source_wavs, capsys, n_sources):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--out", bank])
+        wavs = [*source_wavs, source_wavs[0]][:n_sources]
+        out_dir = tmp_path / "sep"
+        capsys.readouterr()
+        assert run(["separate", bank, *wavs, "--out-dir", out_dir, "--snr-db", "3"]) == 0
+        printed = capsys.readouterr().out.strip()
+        rows = (out_dir / "report.csv").read_text().splitlines()
+        assert rows[0] == "item_id,source_idx,si_snr_db"
+        assert [row.split(",")[:2] for row in rows[1:]] == [["item-0", str(i)] for i in range(n_sources)]
+        scores = [float(row.split(",")[2]) for row in rows[1:]]
+        data = json.loads((out_dir / "report.json").read_text())
+        assert data["items"] == [{"item_id": "item-0", "si_snr_db": scores}]
+        mean = float(np.mean(scores))
+        assert data["mean_si_snr_db"] == mean
+        assert printed == f"mean_si_snr_db={mean!r}"
 
     def test_single_source_is_usage_error(self, tmp_path, source_wavs, capsys):
         bank = tmp_path / "bank.fbank"

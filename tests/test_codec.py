@@ -127,7 +127,8 @@ def test_blocked_roundtrip_matches_whole_signal_reference(
     x = Waveform(rng.standard_normal(sig_len), FS)
     block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
     ref = decode(encode(x, bank, p, apply_relu=apply_relu), dec).samples[:sig_len]
-    (out,) = _resynthesize([x], bank, dec, p, lambda enc: enc, 1, relu=apply_relu, block_frames=block_frames)
+    with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
+        (out,) = _resynthesize([x], bank, dec, p, lambda enc: enc, 1, relu=apply_relu)
     assert out.sample_rate == FS and len(out) == sig_len
     assert not out.samples.flags.writeable
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
@@ -162,7 +163,8 @@ def test_folded_roundtrip_matches_whole_signal_reference(
         seen.add(enc.shape[1])
         return enc
 
-    (out,) = _resynthesize([x], bank, dec, p, identity, 1, relu=apply_relu, block_frames=block_frames)
+    with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
+        (out,) = _resynthesize([x], bank, dec, p, identity, 1, relu=apply_relu)
     assert seen == {n_half}
     assert out.sample_rate == FS and len(out) == sig_len
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
@@ -219,7 +221,8 @@ def assert_engine_matches_model(seed, frame_len, hop, sig_len, block_frames, n_s
     else:
         weigh, n_out = (lambda enc: enc), n_sig
     signals = [Waveform(x, FS) for x in rng.standard_normal((n_sig, sig_len))]
-    outs = _resynthesize(signals, bank, dec, p, weigh, n_out, relu=relu, block_frames=block_frames)
+    with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
+        outs = _resynthesize(signals, bank, dec, p, weigh, n_out, relu=relu)
     refs = model_resynthesize(signals, bank, dec, p, weigh, n_out, relu=relu, block_frames=block_frames)
     assert len(outs) == n_out
     for out, ref in zip(outs, refs):
@@ -309,8 +312,9 @@ def test_weigh_free_pass_matches_whole_signal_reference(case, seed, folded, relu
     ref = decode(encode(x, bank, p, apply_relu=relu), dec).samples[:sig_len]
     count = num_frames(sig_len, p)
     with mock.patch.object(codec, "OPERATOR_BLOCK_FRAMES", block), \
+            mock.patch.object(codec, "BLOCK_FRAMES", count + 1), \
             mock.patch.object(codec, "_add_frames", wraps=_add_frames) as add:
-        (out,) = _resynthesize([x], bank, dec, p, None, 1, relu=relu, block_frames=count + 1)
+        (out,) = _resynthesize([x], bank, dec, p, None, 1, relu=relu)
     assert add.call_count == -(-count // block)  # its blocks, not the engine's one
     assert out.sample_rate == FS and len(out) == sig_len
     assert not out.samples.flags.writeable
@@ -327,8 +331,9 @@ def test_weigh_free_relu_through_a_plain_bank_stays_on_the_engine(case, seed):
     bank = random_bank(rng, n=1 + seed % 16, length=frame_len)
     dec = random_bank(rng, n=bank.n_filters, length=frame_len)
     x = Waveform(rng.standard_normal(sig_len), FS)
-    (free,) = _resynthesize([x], bank, dec, p, None, 1, relu=True, block_frames=block)
-    (weighed,) = _resynthesize([x], bank, dec, p, lambda enc: enc, 1, relu=True, block_frames=block)
+    with mock.patch.object(codec, "BLOCK_FRAMES", block):
+        (free,) = _resynthesize([x], bank, dec, p, None, 1, relu=True)
+        (weighed,) = _resynthesize([x], bank, dec, p, lambda enc: enc, 1, relu=True)
     assert np.array_equal(free.samples, weighed.samples)
 
 
@@ -391,7 +396,9 @@ def test_engine_outputs_are_read_only_and_share_memory_with_no_writable_array():
         seen.append(enc)
         return enc
 
-    outs = _resynthesize(signals, bank, dec, p, identity, 3, relu=True, block_frames=4)
+    with mock.patch.object(codec, "BLOCK_FRAMES", 4):
+        outs = _resynthesize(signals, bank, dec, p, identity, 3, relu=True)
+    assert max(enc.shape[2] for enc in seen) == 4  # the engine reads BLOCK_FRAMES at call time
     for i, out in enumerate(outs):
         base = out.samples
         while isinstance(base, np.ndarray):  # the owner of the memory, and every view on the way

@@ -105,6 +105,12 @@ class TestGammatoneIr:
         with pytest.raises(ValueError):
             GammatoneSpec(base["order"], base["phi"], base["fc"], base["b"], base["length"], base["fs"])
 
+    @pytest.mark.parametrize("fs", [0, -8000, 8000.0])
+    def test_rate_is_checked_before_the_centre(self, fs):
+        # fs/2 bounds the centre, so a bad rate is named before the centre is judged
+        with pytest.raises(ValueError, match=f"sample_rate must be a positive integer, got {fs!r}"):
+            gammatone_ir(GammatoneSpec(2, 0.0, 100.0, 50.0, 16, fs))
+
 
 class TestBuildMpgtf:
     def test_paper_scale_shape(self):
