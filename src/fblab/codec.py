@@ -15,10 +15,17 @@ There are two encoders: the frame-blocked engine that does the work, and
 the bitwise whole-signal `encode` that pins its arithmetic.
 
 The pipeline (`separation.separate` and `fblab roundtrip`) runs the
-engine, `_resynthesize`: per block of `BLOCK_FRAMES` frames
-it encodes every input signal with one batched BLAS product, lets the
+engine, `_resynthesize`: per block of k <= `BLOCK_FRAMES` frames it
+encodes every input signal with one batched BLAS product, lets the
 caller weigh the encodings into synthesis coefficients in place, decodes
 them with one more product and overlap-adds the frames into the outputs.
+The block is frame-major: the S signals' (k, L) frames times one
+contiguous (L, N') copy of the analysis matrix give the (S, k, N')
+encodings, and the (n_out, k, N') coefficients times the (N', L)
+synthesis rows give the output frames (N' is the number of rows the
+engine runs; see the fold below). Both products then read and write
+unit-stride rows, which BLAS runs faster than the transposed (N', k)
+layout.
 No frame couples to another further away than one frame length, so its
 work buffers are O(N * BLOCK_FRAMES) however long the signal is, and no
 N x I array is built. It frames every input with `dsp._framed`, as
@@ -89,7 +96,16 @@ from .filterbank import PINV_RCOND, Filterbank
 #: Frames per block of `_resynthesize`. Measured on 512-filter banks, L = 16,
 #: hop 8: 64 was fastest on both 0.5 s and 10 s items, and every size from
 #: 32 to 512 stayed within 1.5x of it; a block's working set (~1 MB) then
-#: fits in L2.
+#: fits in L2. Re-measured with frame-major blocks and the 3C + 1 pass mask
+#: weigh (two-source `separate`, default mpgtf bank folded to N' = 256,
+#: OpenBLAS on 1 thread of a shared 2-core host), ms per call at
+#: 32 / 64 / 128 / 256 frames: 36.3 / 31.7 / 30.2 / 38.8 on 10 s and
+#: 1.94 / 1.78 / 1.53 / 1.66 on 0.5 s. 128 is a little faster, but every
+#: frame of block adds (S + 1) * N' floats of work buffers: the tracemalloc
+#: peak of that `separate` on 2 s rises from 0.87 to 1.43 MB, and the
+#: harness's `peak_mb` from 4.04 to 4.56 MB on `separate_10s` and from
+#: 0.82 to 1.38 MB on `train_fd`, against a 5% bound.
+#: `tests/test_separation.py` holds the peak to the budget at 64 frames.
 BLOCK_FRAMES = 64
 
 #: Frames per block of a weigh-free `_resynthesize` pass, which runs one
@@ -193,17 +209,22 @@ def _resynthesize(
 ) -> list[Waveform]:
     """Encode S equal-length signals, weigh, decode and overlap-add, block by block.
 
-    For each block of up to `BLOCK_FRAMES` frames, the (S, N, k) array of
-    linear encodings of all `signals` goes to `weigh`, with signal 0's
-    block rectified first if `relu`. The weigh overwrites the array in
-    place and returns an (n_out, N, k) view of it holding synthesis
-    coefficients. Those are decoded and overlap-added in increasing frame
-    order into `n_out` outputs, each trimmed to the input length.
+    For each block of k <= `BLOCK_FRAMES` frames, the frame-major
+    (S, k, N) array of linear encodings of all `signals` goes to `weigh`,
+    with signal 0's block rectified first if `relu`. The weigh overwrites
+    the array in place and returns an (n_out, k, N) view of it holding
+    synthesis coefficients. Those are decoded and overlap-added in
+    increasing frame order into `n_out` outputs, each trimmed to the input
+    length.
 
     Nothing signal-long is copied: `dsp._framed` gives the frames, and the
-    overlap-add rows are frozen and handed out as the outputs. The work
-    buffers (O(N * BLOCK_FRAMES), or O(L * OPERATOR_BLOCK_FRAMES) for a
-    weigh-free pass) are allocated once per call and never escape it.
+    overlap-add rows are frozen and handed out as the outputs. Besides its
+    inputs and the n_out outputs, a call holds, allocated once and never
+    escaping it: the (S, BLOCK_FRAMES, N) encodings, the
+    (S + n_out, BLOCK_FRAMES, L) frame and synthesis buffers, an (L, N)
+    copy of the analysis matrix and the padded tails; a weigh-free pass
+    holds two (OPERATOR_BLOCK_FRAMES, L) buffers instead. Temporaries of
+    the weigh come on top (one (k, N) array for the oracle mask).
 
     If the encoder is [P; -P] and the decoder [Q; -Q], both checked bit
     for bit, the weigh gets only the rows of P (N/2 of them), signal 0's
@@ -253,20 +274,20 @@ def _resynthesize(
             np.matmul(frames[:k], operator, out=synth[:k])
             _add_frames(rows, synth[:k], p.hop, first)
     else:
-        analysis = np.ascontiguousarray(analysis)
+        analysis_t = np.ascontiguousarray(analysis.T)  # (L, N'): frames * A^T is frame-major
         block = min(BLOCK_FRAMES, count)
         frames = np.empty((n_sig, block, frame_len))
-        enc = np.empty((n_sig, analysis.shape[0], block))
+        enc = np.empty((n_sig, block, analysis_t.shape[1]))
         synth = np.empty((n_out, block, frame_len))
         for first in range(0, count, block):
             k = min(block, count - first)
             for dst, signal_frames in zip(frames, framed):
                 _copy_frames(dst, signal_frames, first, k)
-            np.matmul(analysis, frames[:, :k].transpose(0, 2, 1), out=enc[:, :, :k])
+            np.matmul(frames[:, :k], analysis_t, out=enc[:, :k])
             if rectify:
-                np.maximum(enc[0, :, :k], 0.0, out=enc[0, :, :k])
-            coeffs = enc[:, :, :k] if weigh is None else weigh(enc[:, :, :k])
-            np.matmul(coeffs.transpose(0, 2, 1), synthesis, out=synth[:, :k])
+                np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
+            coeffs = enc[:, :k] if weigh is None else weigh(enc[:, :k])
+            np.matmul(coeffs, synthesis, out=synth[:, :k])
             _add_frames(rows, synth[:, :k], p.hop, first)
     rows.setflags(write=False)
     return [Waveform._adopt(out.ravel()[:n], dec_bank.sample_rate) for out in rows]

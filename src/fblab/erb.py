@@ -98,6 +98,23 @@ def erb_scale_inv(u: float, p: ErbParams = ErbParams()) -> float:
     return f_hz
 
 
+def center_count(p: ErbParams) -> float:
+    """Centres `center_frequency_grid(p)` places from FC_MIN_HZ to FC_MAX_HZ, in closed form.
+
+    The grid steps one ERB-rate unit at a time from scale(FC_MIN_HZ), so it
+    holds floor(span) + 1 centres for the span
+
+        scale(FC_MAX_HZ) - scale(FC_MIN_HZ) = c2 * ln((c1*c2 + FC_MAX_HZ) / (c1*c2 + FC_MIN_HZ)),
+
+    computed as one `log1p` that neither divides by c1*c2 nor cancels.
+    Where the span lies within rounding of an integer, the recursion can
+    land one centre to either side. Returned as a float, so a span too
+    large for one reads inf.
+    """
+    span = p.c2 * math.log1p((FC_MAX_HZ - FC_MIN_HZ) / (p.c1 * p.c2 + FC_MIN_HZ))
+    return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
+
+
 def center_frequency_grid(p: ErbParams, f_start: float = FC_MIN_HZ, f_max: float = FC_MAX_HZ) -> np.ndarray:
     """Center frequencies spaced one ERB-rate unit apart, starting at f_start.
 

@@ -15,14 +15,17 @@ SI-SNR against the scaled sources that actually sum to the mixture.
 the CLI) runs the frame-blocked engine `codec._resynthesize`: the mixture
 and the sources are encoded together one block of `codec.BLOCK_FRAMES`
 frames at a time, masked and decoded, so no N x I array is ever built.
-Besides its inputs it holds the C estimates of n samples each, an
-O((C + 1) * L) zero-padded tail and O(N * BLOCK_FRAMES) work buffers:
-it reads frames in place and hands out its overlap-add rows. Its estimates
-agree with the whole-signal path `encode` -> `oracle_irm_masks` ->
-`apply_mask` -> `decode` to about 1e-15 relative (tests bound it at
-1e-12); that path is the reference, and both compute the masks with
-`_ratio_masks`. On sign-split banks the engine runs only the positive
-half of each +/- row pair (see `codec`).
+It reads frames in place and hands out its overlap-add rows, so besides
+its inputs it holds the C estimates of n samples each, the engine's
+(C + 1) * N * BLOCK_FRAMES encodings with its smaller frame buffers
+(see `codec._resynthesize`), and the one N * BLOCK_FRAMES temporary of
+the mask weigh. Its estimates agree with the whole-signal path `encode`
+-> `oracle_irm_masks` -> `apply_mask` -> `decode` to about 1e-15
+relative (tests bound it at 1e-12). That path is the reference: it
+builds the masks with `_ratio_masks`, where the engine's weigh
+`_oracle_mask_weigh` scales each source's magnitude by mixture / sum
+in one divide per cell. On sign-split banks the engine runs only the
+positive half of each +/- row pair (see `codec`).
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ def _ratio_masks(mags: np.ndarray) -> None:
 
     mask_c = mags[c] / sum(mags), or 1/C where every magnitude is zero;
     the last mask is clip(1 - sum of the others), so the set sums to one.
+    Only the whole-signal reference `oracle_irm_masks` builds masks; the
+    engine's `_oracle_mask_weigh` goes straight to masked coefficients.
     """
     c = mags.shape[0]
     denom = mags[0] + mags[1]
@@ -157,15 +162,34 @@ def oracle_irm_masks(
 def _oracle_mask_weigh(enc: np.ndarray) -> np.ndarray:
     """`_resynthesize` weigh for oracle separation of encodings [mixture, *sources].
 
-    Turns the sources' blocks into ratio masks and multiplies them by the
-    mixture's (already rectified by the engine if asked); returns the C
-    masked blocks. It is linear in the mixture and reads the sources only
-    through their magnitudes, so the engine may fold sign-split banks.
+    Takes the engine's (1 + C, k, N') block, C >= 2, and overwrites the
+    sources' rows with their masked coefficients |e_c| * (mix / sum_c' |e_c'|),
+    which it returns as a (C, k, N') view. That is the ratio mask of
+    `_ratio_masks` times the mixture's block (already rectified by the
+    engine if asked), within rounding, in 3C + 1 passes over a block and
+    one (k, N') temporary: C for the magnitudes, C - 1 for their sum, one
+    test for all-zero cells, one divide and C products. Where every
+    magnitude is zero the sum becomes C and each magnitude 1, so every
+    source gets mix / C exactly, as the 1/C mask gives; identical sources
+    get bitwise-equal coefficients. The ratio mix / sum overflows only if
+    the mixture's encoding outgrows the sources' magnitude sum by a factor
+    near 1e308, far beyond what rounding gives when the mixture is their
+    sum, as on every pipeline path.
+
+    It is linear in the mixture and reads the sources only through their
+    magnitudes, so the engine may fold sign-split banks.
     """
     mix, mags = enc[0], enc[1:]
     np.abs(mags, out=mags)
-    _ratio_masks(mags)
-    np.multiply(mags, mix, out=mags)
+    denom = mags[0] + mags[1]
+    for m in mags[2:]:
+        denom += m
+    if denom.min() == 0.0:  # the sum is >= 0, and where it is 0 so is every magnitude; min scans faster than all()
+        zero = denom == 0.0
+        np.copyto(denom, len(mags), where=zero)
+        np.copyto(mags, 1.0, where=zero)
+    np.divide(mix, denom, out=denom)
+    np.multiply(mags, denom, out=mags)
     return mags
 
 
@@ -179,9 +203,14 @@ def separate(
 ) -> list[Waveform]:
     """Oracle-masked estimates of every source, trimmed to the mixture length.
 
-    The mixture and the sources must have one length and one sample rate.
-    Runs the blocked engine `_resynthesize`; every argument is checked
-    before any work.
+    The mixture and the sources must have one length and one sample rate,
+    and the mixture must be the sum of the sources, up to rounding: the
+    weigh scales each source's magnitude by mixture / (sum of the sources'
+    magnitudes) per cell, which is finite while the mixture's encoding
+    stays below ~1e308 times that sum. A mixture that outgrows its sources
+    by more gives non-finite estimates, refused with the `ValueError` of
+    `Waveform`. Runs the blocked engine `_resynthesize`; every argument is
+    checked before any work.
     """
     _check_sources(sources)
     return _resynthesize([mixture, *sources], enc_bank, dec_bank, frame_params,
@@ -203,7 +232,10 @@ def run_separation(
     dec_bank: Filterbank,
     frame_params: FrameParams,
 ) -> tuple[float, ...]:
-    """Encode (rectified), oracle-mask, decode, and score one mixture: the per-source SI-SNR tuple."""
+    """Encode (rectified), oracle-mask, decode, and score one mixture: the per-source SI-SNR tuple.
+
+    The mixture must be the sum of the sources, up to rounding (see `separate`).
+    """
     return score_separation(separate(mixture, sources, enc_bank, dec_bank, frame_params), sources)
 
 

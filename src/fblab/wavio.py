@@ -33,6 +33,8 @@ _PCM = 1
 _IEEE_FLOAT = 3
 
 _INT16_FULL_SCALE = 32767.0
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_U32_MAX = 2**32 - 1
 
 
 def read_wav(path) -> Waveform:
@@ -88,6 +90,11 @@ def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
 
     encoding: "pcm16" quantizes by round(x * 32767) with clipping to the
     int16 range; "float32" stores samples cast to single precision.
+
+    Raises ValueError, before the file is opened, for an unknown encoding,
+    for float32 samples beyond the float32 range (they would be stored as
+    inf, which `read_wav` rejects) and for a sample rate whose byte rate
+    does not fit the header's 32-bit field.
     """
     if encoding == "pcm16":
         audio_format, bits = _PCM, 16
@@ -97,14 +104,22 @@ def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
         payload = q.astype("<i2")
     elif encoding == "float32":
         audio_format, bits = _IEEE_FLOAT, 32
-        payload = w.samples.astype("<f4")
+        with np.errstate(over="ignore"):  # samples are finite, so an inf here is an overflow, refused below
+            payload = w.samples.astype("<f4")
+        if np.isinf(payload.min(initial=0.0)) or np.isinf(payload.max(initial=0.0)):  # no n-long temporary
+            peak = float(np.max(np.abs(w.samples)))
+            raise ValueError(f"sample magnitude {peak!r} is beyond the float32 range ({_FLOAT32_MAX!r})")
     else:
         raise ValueError(f"unknown encoding {encoding!r} (expected 'pcm16' or 'float32')")
 
     block_align = bits // 8
+    byte_rate = w.sample_rate * block_align
+    if byte_rate > _U32_MAX:
+        raise ValueError(f"sample rate {w.sample_rate} Hz is too high for a {bits}-bit WAV: "
+                         f"its byte rate {byte_rate} does not fit 32 bits")
     header = b"RIFF" + struct.pack("<I", 36 + payload.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, audio_format, 1, w.sample_rate, w.sample_rate * block_align, block_align, bits
+        "<IHHIIHH", 16, audio_format, 1, w.sample_rate, byte_rate, block_align, bits
     )
     header += b"data" + struct.pack("<I", payload.nbytes)
     with open(path, "wb") as fh:

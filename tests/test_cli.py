@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 import warnings
 
@@ -193,6 +194,21 @@ class TestRoundtrip:
             tracemalloc.stop()
         assert peak < 3.2 * n * 8
 
+    def test_rate_beyond_the_wav_byte_rate_field_is_typed_error(self, tmp_path, capsys):
+        bank = tmp_path / "stft.fbank"
+        assert run(["build-bank", "stft", "--fs", "4000000000", "--out", bank]) == 0
+        wav_in = tmp_path / "fast.wav"  # a header `write_wav` refuses: its byte-rate field holds 0
+        payload = np.full(64, 0.25, dtype="<f4").tobytes()
+        body = b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 4_000_000_000, 0, 4, 32)
+        body += b"data" + struct.pack("<I", len(payload)) + payload
+        wav_in.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        capsys.readouterr()
+        out_wav = tmp_path / "out.wav"
+        assert run(["roundtrip", bank, wav_in, out_wav]) == 1
+        err = capsys.readouterr().err
+        assert "error: sample rate 4000000000 Hz is too high for a 32-bit WAV" in err and "Traceback" not in err
+        assert not out_wav.exists()
+
     def test_rate_mismatch_fails(self, tmp_path, capsys):
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])
@@ -281,6 +297,20 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert "error:" in err and "snr_db" in err and "Traceback" not in err
         assert not out_dir.exists()
+
+    def test_mixture_beyond_float32_is_typed_error_without_warning(self, tmp_path, capsys):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--out", bank])
+        wavs = [tmp_path / "a.wav", tmp_path / "b.wav"]
+        write_wav(wavs[0], Waveform(3e38 / 0.5 * tone(300.0).samples, 8000), encoding="float32")
+        write_wav(wavs[1], Waveform(3e38 / 0.5 * tone(2000.0, phase=1.0).samples, 8000), encoding="float32")
+        out_dir = tmp_path / "sep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["separate", bank, *wavs, "--out-dir", out_dir, "--snr-db=-5"]) == 1
+        err = capsys.readouterr().err
+        assert "error: sample magnitude" in err and "beyond the float32 range" in err and "Traceback" not in err
+        assert not (out_dir / "mixture.wav").exists()
 
     def test_sources_bank_rate_mismatch_fails_before_writing(self, tmp_path, capsys):
         bank = tmp_path / "bank.fbank"

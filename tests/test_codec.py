@@ -160,7 +160,7 @@ def test_folded_roundtrip_matches_whole_signal_reference(
     seen = set()
 
     def identity(enc):
-        seen.add(enc.shape[1])
+        seen.add(enc.shape[2])
         return enc
 
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
@@ -189,19 +189,19 @@ def model_resynthesize(signals, enc_bank, dec_bank, p, weigh, n_out, *, relu, bl
         synthesis = dec_bank.taps[:h] if relu else 2.0 * dec_bank.taps[:h]
     else:
         analysis, synthesis, rectify = analysis_matrix(enc_bank), dec_bank.taps, relu
-    analysis = np.ascontiguousarray(analysis)
+    analysis_t = np.ascontiguousarray(analysis.T)
     frames = np.empty((len(signals), block, p.frame_len))
-    enc = np.empty((len(signals), analysis.shape[0], block))
+    enc = np.empty((len(signals), block, analysis_t.shape[1]))
     synth = np.empty((n_out, block, p.frame_len))
     rows = np.zeros((n_out, count - 1 + -(-p.frame_len // p.hop), p.hop))
     for first in range(0, count, block):
         k = min(block, count - first)
         np.copyto(frames[:, :k], windows[:, first:first + k])
-        np.matmul(analysis, frames[:, :k].transpose(0, 2, 1), out=enc[:, :, :k])
+        np.matmul(frames[:, :k], analysis_t, out=enc[:, :k])
         if rectify:
-            np.maximum(enc[0, :, :k], 0.0, out=enc[0, :, :k])
-        coeffs = weigh(enc[:, :, :k])
-        np.matmul(coeffs.transpose(0, 2, 1), synthesis, out=synth[:, :k])
+            np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
+        coeffs = weigh(enc[:, :k])
+        np.matmul(coeffs, synthesis, out=synth[:, :k])
         _add_frames(rows, synth[:, :k], p.hop, first)
     return [out.ravel()[:n] for out in rows]
 
@@ -398,7 +398,7 @@ def test_engine_outputs_are_read_only_and_share_memory_with_no_writable_array():
 
     with mock.patch.object(codec, "BLOCK_FRAMES", 4):
         outs = _resynthesize(signals, bank, dec, p, identity, 3, relu=True)
-    assert max(enc.shape[2] for enc in seen) == 4  # the engine reads BLOCK_FRAMES at call time
+    assert max(enc.shape[1] for enc in seen) == 4  # the engine reads BLOCK_FRAMES at call time
     for i, out in enumerate(outs):
         base = out.samples
         while isinstance(base, np.ndarray):  # the owner of the memory, and every view on the way

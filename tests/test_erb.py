@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblab import ErbParams, bandwidth_b, center_frequency_grid, erb, erb_scale, erb_scale_inv
+from fblab.erb import FC_MAX_HZ, FC_MIN_HZ, center_count
 
 DEFAULTS = ErbParams()
 
@@ -101,6 +102,28 @@ class TestErbScale:
     def test_inverse_identity_property(self, params, f):
         back = erb_scale_inv(erb_scale(f, params), params)
         assert back == pytest.approx(f, rel=1e-9, abs=1e-9)
+
+
+class TestCenterCount:
+    def test_default_count(self):
+        assert center_count(DEFAULTS) == 24.0
+
+    @given(c1=st.floats(1e-3, 1e3), c2=st.floats(1e-2, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_grid(self, c1, c2):
+        p = ErbParams(c1, c2)
+        count = center_count(p)
+        assert count <= 20000  # the range keeps the grid small
+        grid_count = len(center_frequency_grid(p))
+        span = count - 1.0  # floor of the span
+        exact = c2 * math.log1p((FC_MAX_HZ - FC_MIN_HZ) / (c1 * c2 + FC_MIN_HZ))
+        if exact - span > 1e-9 and span + 1.0 - exact > 1e-9:  # not within rounding of an integer
+            assert grid_count == count
+        assert abs(grid_count - count) <= 1
+
+    @pytest.mark.parametrize("c1,c2,expected", [(1e-3, 1e6, 1514128.0), (1e-320, 1e308, math.inf), (1e200, 1e200, 1.0)])
+    def test_extreme_spans_need_no_grid(self, c1, c2, expected):
+        assert center_count(ErbParams(c1, c2)) == expected
 
 
 class TestCenterFrequencyGrid:

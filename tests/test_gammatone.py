@@ -1,4 +1,8 @@
+import contextlib
+import importlib
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from fblab import (
     erb,
     gammatone_ir,
 )
+
+erb_module = importlib.import_module("fblab.erb")  # the package's `erb` names the function
 
 DEFAULTS = ErbParams()
 
@@ -50,6 +56,24 @@ def per_row_reference(p, n_filters=512, frame_len=None, sample_rate=8000, order=
             rows.append(gammatone_ir(GammatoneSpec(order, phi, float(fc), b, frame_len, sample_rate)))
     rows = np.vstack(rows)
     return np.vstack([rows, -rows]), centers
+
+
+@contextlib.contextmanager
+def bounded_grid_steps(limit):
+    """Count the grid's `erb_scale_inv` steps, and stop the build at step limit + 1.
+
+    An unbounded grid (billions of centres) fails the test at once instead
+    of filling the memory.
+    """
+    real = erb_module.erb_scale_inv
+
+    def step(*args):
+        if inv.call_count > limit:
+            raise AssertionError(f"the centre grid took more than {limit} steps")
+        return real(*args)
+
+    with mock.patch.object(erb_module, "erb_scale_inv", side_effect=step) as inv:
+        yield inv
 
 
 def value_error(fn, *args, **kwargs):
@@ -154,6 +178,24 @@ class TestBuildMpgtf:
     def test_too_few_filters_rejected(self):
         with pytest.raises(ValueError, match="not enough filters"):
             build_mpgtf(DEFAULTS, 24, 16, 8000)  # 24 < 2*M = 48
+
+    @pytest.mark.parametrize("c1,c2,message", [
+        (1e-3, 1e6, "n_filters=512 < 2*M=3028256"),  # the grid would hold 1 514 128 centres
+        (1e-9, 1e9, "n_filters=512 < 2*M=7358358186"),  # ~3.7e9 centres: more than memory holds
+        (1e-320, 1e308, "n_filters=512 < 2*M=inf"),  # a span beyond a float
+    ])
+    def test_oversized_grid_is_refused_before_it_is_built(self, c1, c2, message):
+        with bounded_grid_steps(512 // 2 + 2):
+            with pytest.raises(ValueError, match=re.escape(f"not enough filters for one phase per center: {message}")):
+                build_mpgtf(ErbParams(c1, c2), 512, 16, 8000)
+
+    @pytest.mark.parametrize("n_filters,steps", [(44, 24), (42, 0)])  # M = 24 = n_half + 2, n_half + 3
+    def test_grid_is_built_up_to_two_centres_past_the_bank(self, n_filters, steps):
+        with bounded_grid_steps(n_filters // 2 + 2) as inv:
+            message = value_error(build_mpgtf, DEFAULTS, n_filters, 16, 8000)
+        assert inv.call_count == steps
+        assert message == value_error(per_row_reference, DEFAULTS, n_filters, 16, 8000)
+        assert message.endswith(f"n_filters={n_filters} < 2*M=48")
 
     def test_minimum_one_phase_per_center(self):
         bank = build_mpgtf(DEFAULTS, 48, 16, 8000)

@@ -111,6 +111,39 @@ def test_write_unknown_encoding(tmp_path):
         write_wav(tmp_path / "x.wav", sine(seconds=0.01), encoding="pcm24")
 
 
+def test_float32_extremes_roundtrip_exactly(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "edge.wav"
+    write_wav(path, Waveform(np.array([top, -top, 0.0]), 8000), encoding="float32")
+    np.testing.assert_array_equal(read_wav(path).samples, [top, -top, 0.0])
+
+
+@pytest.mark.parametrize("peak", [3.5e38, -1e300])
+def test_float32_overflow_is_refused_before_the_file_opens(tmp_path, peak):
+    path = tmp_path / "loud.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"beyond the float32 range"):
+            write_wav(path, Waveform(np.array([0.5, peak, -0.5]), 8000), encoding="float32")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("encoding,rate", [("pcm16", 2**31), ("float32", 2**30), ("float32", 4_000_000_000)])
+def test_byte_rate_beyond_32_bits_is_refused_before_the_file_opens(tmp_path, encoding, rate):
+    path = tmp_path / "fast.wav"
+    with pytest.raises(ValueError, match=r"byte rate \d+ does not fit 32 bits"):
+        write_wav(path, Waveform(np.zeros(4), rate), encoding=encoding)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("encoding,rate", [("pcm16", 2**31 - 1), ("float32", 2**30 - 1)])
+def test_highest_byte_rate_that_fits_is_written(tmp_path, encoding, rate):
+    path = tmp_path / "fast.wav"
+    write_wav(path, Waveform(np.zeros(4), rate), encoding=encoding)
+    assert read_wav(path).sample_rate == rate
+    assert struct.unpack_from("<I", path.read_bytes(), 28) == (rate * (2 if encoding == "pcm16" else 4),)
+
+
 @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
 def test_read_samples_are_read_only(tmp_path, encoding):
     path = tmp_path / "tone.wav"
