@@ -42,7 +42,10 @@ SEED_ENV_VAR = "FBLAB_SEED"
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    value = os.environ.get(SEED_ENV_VAR, "0")
+    if not value.strip().isdecimal():  # also "-1", which numpy refuses without naming the variable
+        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,7 @@ N x I array is built. It frames every input with `dsp._framed`, as
 accumulators become the returned waveforms without a copy, so besides
 its inputs the engine holds n_out signal lengths, the padded tails and
 the work buffers. A weigh-free pass, as `fblab roundtrip` makes, runs
-one smaller product in place of both (see below).
+the same loop with one smaller product in place of both (see below).
 BLAS sums a product's columns in an order that depends on how many
 columns it has, so the engine agrees with the whole-signal path to about
 1e-15 relative (tests bound it at 1e-12), not bitwise; for a fixed block
@@ -62,16 +62,17 @@ whole decoder),
 
     frame -> (frame * A^T) * S = frame * (A^T * S) = frame * M,
 
-so the engine computes the L x L frame operator M once per call and runs
-one (k, L) x (L, L) product per block of `OPERATOR_BLOCK_FRAMES` frames:
-L^2 multiply-adds per frame in place of 2 * N' * L, 32x fewer on the
-default 512 x 16 banks. For a pseudo-inverse decoder M is the projector
-onto the bank's row space (halved for a rectified fold), so I or I/2 at
-full rank. A relu pass through a bank that is not sign-split rectifies
-each encoding, is not linear in the frame and runs the full engine. Both
-forms sum the same products, grouped differently: the engine rounds the
-N' encodings of a frame, the operator rounds the entries of M. So they
-agree to about 1e-15 relative (tests bound it at 1e-12), not bitwise.
+so the engine computes the L x L frame operator M once per call, takes it
+for the analysis matrix and skips the decode product: one (k, L) x (L, L)
+product per block of `OPERATOR_BLOCK_FRAMES` frames, L^2 multiply-adds
+per frame in place of 2 * N' * L, 32x fewer on the default 512 x 16
+banks. For a pseudo-inverse decoder M is the projector onto the bank's
+row space (halved for a rectified fold), so I or I/2 at full rank. A
+relu pass through a bank that is not sign-split rectifies each encoding,
+is not linear in the frame and runs the full engine. Both forms sum the
+same products, grouped differently: the engine rounds the N' encodings
+of a frame, the operator rounds the entries of M. So they agree to about
+1e-15 relative (tests bound it at 1e-12), not bitwise.
 
 The whole-signal functions are the reference the tests compare against,
 and the public API for inspecting a representation:
@@ -187,16 +188,6 @@ def _sign_split_half(taps: np.ndarray) -> int:
     return h if h and np.array_equal(taps[h:], -taps[:h]) else 0
 
 
-def _copy_frames(dst: np.ndarray, framed: tuple[np.ndarray, np.ndarray], first: int, k: int) -> None:
-    """Copy frames first .. first + k - 1 of one `dsp._framed` (inside, tail) pair into dst[:k]."""
-    inside, tail = framed
-    full = len(inside)
-    split = min(max(full - first, 0), k)  # frames of this block read in place
-    np.copyto(dst[:split], inside[first:first + split])
-    if split < k:
-        np.copyto(dst[split:k], tail[first + split - full:first + k - full])
-
-
 def _resynthesize(
     signals: Sequence[Waveform],
     enc_bank: Filterbank,
@@ -222,9 +213,10 @@ def _resynthesize(
     inputs and the n_out outputs, a call holds, allocated once and never
     escaping it: the (S, BLOCK_FRAMES, N) encodings, the
     (S + n_out, BLOCK_FRAMES, L) frame and synthesis buffers, an (L, N)
-    copy of the analysis matrix and the padded tails; a weigh-free pass
-    holds two (OPERATOR_BLOCK_FRAMES, L) buffers instead. Temporaries of
-    the weigh come on top (one (k, N) array for the oracle mask).
+    copy of the analysis matrix and the padded tails. A weigh-free pass
+    holds (S, OPERATOR_BLOCK_FRAMES, L) frames and encodings, which it
+    overlap-adds directly, and no synthesis buffer. Temporaries of the
+    weigh come on top (one (k, N) array for the oracle mask).
 
     If the encoder is [P; -P] and the decoder [Q; -Q], both checked bit
     for bit, the weigh gets only the rows of P (N/2 of them), signal 0's
@@ -236,9 +228,10 @@ def _resynthesize(
 
     `weigh=None` means no weigh at all; it takes one signal and
     `n_out == 1`. If the pair folds or `relu` is off, the pass is then
-    linear per frame and runs as one L x L frame operator per block of
-    `OPERATOR_BLOCK_FRAMES` frames (see the module docstring); otherwise
-    it is the full engine with the identity weigh.
+    linear per frame: the same loop encodes with the L x L frame operator,
+    in blocks of `OPERATOR_BLOCK_FRAMES` frames, and decodes nothing (see
+    the module docstring); otherwise it is the full engine with the
+    identity weigh.
 
     Raises the `ValueError`s of `encode` and `decode` for a bank,
     decoder or signal that does not fit, one for signals of unequal
@@ -265,30 +258,28 @@ def _resynthesize(
         analysis, synthesis, rectify = analysis_matrix(enc_bank), dec_bank.taps, relu
     rows = np.zeros((n_out, count - 1 + -(-frame_len // p.hop), p.hop))
     if weigh is None and not rectify:  # every frame maps linearly: one L x L operator
-        operator = analysis.T @ synthesis
-        block = min(OPERATOR_BLOCK_FRAMES, count)
-        frames, synth = np.empty((block, frame_len)), np.empty((block, frame_len))
-        for first in range(0, count, block):
-            k = min(block, count - first)
-            _copy_frames(frames, framed[0], first, k)
-            np.matmul(frames[:k], operator, out=synth[:k])
-            _add_frames(rows, synth[:k], p.hop, first)
-    else:
-        analysis_t = np.ascontiguousarray(analysis.T)  # (L, N'): frames * A^T is frame-major
-        block = min(BLOCK_FRAMES, count)
-        frames = np.empty((n_sig, block, frame_len))
-        enc = np.empty((n_sig, block, analysis_t.shape[1]))
-        synth = np.empty((n_out, block, frame_len))
-        for first in range(0, count, block):
-            k = min(block, count - first)
-            for dst, signal_frames in zip(frames, framed):
-                _copy_frames(dst, signal_frames, first, k)
-            np.matmul(frames[:, :k], analysis_t, out=enc[:, :k])
-            if rectify:
-                np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
+        analysis_t, synthesis, block = analysis.T @ synthesis, None, OPERATOR_BLOCK_FRAMES
+    else:  # (L, N'): frames * A^T is frame-major
+        analysis_t, block = np.ascontiguousarray(analysis.T), BLOCK_FRAMES
+    block = min(block, count)
+    frames = np.empty((n_sig, block, frame_len))
+    enc = np.empty((n_sig, block, analysis_t.shape[1]))
+    synth = enc if synthesis is None else np.empty((n_out, block, frame_len))
+    for first in range(0, count, block):
+        k = min(block, count - first)
+        for dst, (inside, tail) in zip(frames, framed):
+            full = len(inside)
+            split = min(max(full - first, 0), k)  # frames of this block read in place
+            np.copyto(dst[:split], inside[first:first + split])
+            if split < k:
+                np.copyto(dst[split:k], tail[first + split - full:first + k - full])
+        np.matmul(frames[:, :k], analysis_t, out=enc[:, :k])
+        if rectify:
+            np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
+        if synthesis is not None:
             coeffs = enc[:, :k] if weigh is None else weigh(enc[:, :k])
             np.matmul(coeffs, synthesis, out=synth[:, :k])
-            _add_frames(rows, synth[:, :k], p.hop, first)
+        _add_frames(rows, synth[:, :k], p.hop, first)
     rows.setflags(write=False)
     return [Waveform._adopt(out.ravel()[:n], dec_bank.sample_rate) for out in rows]
 

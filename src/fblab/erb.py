@@ -37,7 +37,7 @@ MAX_ORDER = 12
 
 @dataclass(frozen=True)
 class ErbParams:
-    """The (c1, c2) pair of the affine ERB model; both strictly positive."""
+    """The (c1, c2) pair of the affine ERB model; both > 0, and so is c1 * c2."""
 
     c1: float = DEFAULT_C1
     c2: float = DEFAULT_C2
@@ -47,6 +47,8 @@ class ErbParams:
             raise ValueError(f"invalid ERB parameters: c1 must be finite and > 0, got {self.c1!r}")
         if not (math.isfinite(self.c2) and self.c2 > 0):
             raise ValueError(f"invalid ERB parameters: c2 must be finite and > 0, got {self.c2!r}")
+        if self.c1 * self.c2 == 0.0:  # the ERB-rate scale divides by it
+            raise ValueError(f"invalid ERB parameters: c1 * c2 underflows to 0, got c1={self.c1!r}, c2={self.c2!r}")
 
 
 def erb(fc: float, p: ErbParams = ErbParams()) -> float:

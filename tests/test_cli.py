@@ -81,6 +81,15 @@ class TestBuildBank:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_underflowing_erb_product_is_typed_error(self, tmp_path, capsys):
+        # c1 * c2 rounds to 0.0, which the ERB-rate scale divides by
+        out = tmp_path / "bad.fbank"
+        assert run(["build-bank", "mpgtf", "--c1", "1e-200", "--c2", "1e-200", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid ERB parameters: c1 * c2 underflows to 0, got c1=1e-200, c2=1e-200\n"
+        )
+        assert not out.exists()
+
 
 class TestFreqResponse:
     def test_csv_shape(self, tmp_path):
@@ -335,6 +344,17 @@ class TestSeparate:
         run(["separate", bank, *source_wavs, "--out-dir", d3])
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
         assert (d1 / "report.json").read_bytes() != (d3 / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_seed_env_var_is_named(self, tmp_path, source_wavs, monkeypatch, capsys, value):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
+        capsys.readouterr()
+        monkeypatch.setenv("FBLAB_SEED", value)
+        out_dir = tmp_path / "sep"
+        assert run(["separate", bank, *source_wavs, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == f"error: FBLAB_SEED must be a non-negative integer, got {value!r}\n"
+        assert not out_dir.exists()
 
 
 class TestTrain:

@@ -174,7 +174,9 @@ def model_resynthesize(signals, enc_bank, dec_bank, p, weigh, n_out, *, relu, bl
     """The engine as it ran on one zero-padded (S, (count-1)*D + L) copy of all inputs.
 
     Kept as the model that `_resynthesize`, which reads whole frames in
-    place and pads only the tail, must match bit for bit.
+    place and pads only the tail, must match bit for bit. A weigh-free
+    pass with no relu left to apply multiplies each block of frames by the
+    L x L operator A^T * S and decodes nothing.
     """
     n = len(signals[0])
     count = num_frames(n, p)
@@ -189,10 +191,11 @@ def model_resynthesize(signals, enc_bank, dec_bank, p, weigh, n_out, *, relu, bl
         synthesis = dec_bank.taps[:h] if relu else 2.0 * dec_bank.taps[:h]
     else:
         analysis, synthesis, rectify = analysis_matrix(enc_bank), dec_bank.taps, relu
-    analysis_t = np.ascontiguousarray(analysis.T)
+    operator = weigh is None and not rectify
+    analysis_t = analysis.T @ synthesis if operator else np.ascontiguousarray(analysis.T)
     frames = np.empty((len(signals), block, p.frame_len))
     enc = np.empty((len(signals), block, analysis_t.shape[1]))
-    synth = np.empty((n_out, block, p.frame_len))
+    synth = enc if operator else np.empty((n_out, block, p.frame_len))
     rows = np.zeros((n_out, count - 1 + -(-p.frame_len // p.hop), p.hop))
     for first in range(0, count, block):
         k = min(block, count - first)
@@ -200,13 +203,14 @@ def model_resynthesize(signals, enc_bank, dec_bank, p, weigh, n_out, *, relu, bl
         np.matmul(frames[:, :k], analysis_t, out=enc[:, :k])
         if rectify:
             np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
-        coeffs = weigh(enc[:, :k])
-        np.matmul(coeffs, synthesis, out=synth[:, :k])
+        if not operator:
+            coeffs = enc[:, :k] if weigh is None else weigh(enc[:, :k])
+            np.matmul(coeffs, synthesis, out=synth[:, :k])
         _add_frames(rows, synth[:, :k], p.hop, first)
     return [out.ravel()[:n] for out in rows]
 
 
-def assert_engine_matches_model(seed, frame_len, hop, sig_len, block_frames, n_sig, oracle, folded, relu):
+def assert_engine_matches_model(seed, frame_len, hop, sig_len, block_frames, n_sig, weigh, folded, relu):
     rng = np.random.default_rng(seed)
     p = FrameParams(frame_len, hop)
     if folded:
@@ -216,12 +220,15 @@ def assert_engine_matches_model(seed, frame_len, hop, sig_len, block_frames, n_s
     else:
         bank = random_bank(rng, n=1 + seed % 16, length=frame_len)
         dec = random_bank(rng, n=bank.n_filters, length=frame_len)
-    if oracle:
+    if weigh == "oracle":
         weigh, n_sig, n_out = _oracle_mask_weigh, 3, 2  # the mixture and two sources
+    elif weigh == "none":
+        weigh, n_sig, n_out = None, 1, 1
     else:
         weigh, n_out = (lambda enc: enc), n_sig
     signals = [Waveform(x, FS) for x in rng.standard_normal((n_sig, sig_len))]
-    with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
+    with mock.patch.object(codec, "BLOCK_FRAMES", block_frames), \
+            mock.patch.object(codec, "OPERATOR_BLOCK_FRAMES", block_frames):
         outs = _resynthesize(signals, bank, dec, p, weigh, n_out, relu=relu)
     refs = model_resynthesize(signals, bank, dec, p, weigh, n_out, relu=relu, block_frames=block_frames)
     assert len(outs) == n_out
@@ -258,14 +265,14 @@ def engine_cases(draw):
     case=engine_cases(),
     seed=st.integers(0, 2**31 - 1),
     n_sig=st.integers(1, 3),
-    oracle=st.booleans(),
+    weigh=st.sampled_from(["identity", "oracle", "none"]),
     folded=st.booleans(),
     relu=st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
-def test_engine_framing_matches_padded_copy_model_bitwise(case, seed, n_sig, oracle, folded, relu):
+def test_engine_framing_matches_padded_copy_model_bitwise(case, seed, n_sig, weigh, folded, relu):
     frame_len, hop, sig_len, block = case
-    assert_engine_matches_model(seed, frame_len, hop, sig_len, block, n_sig, oracle, folded, relu)
+    assert_engine_matches_model(seed, frame_len, hop, sig_len, block, n_sig, weigh, folded, relu)
 
 
 @pytest.mark.parametrize(
@@ -284,7 +291,8 @@ def test_engine_framing_matches_padded_copy_model_bitwise(case, seed, n_sig, ora
 @pytest.mark.parametrize("oracle", [False, True])
 @pytest.mark.parametrize("folded", [False, True])
 def test_engine_framing_edges_match_padded_copy_model_bitwise(frame_len, hop, sig_len, block, oracle, folded):
-    assert_engine_matches_model(7, frame_len, hop, sig_len, block, 2, oracle, folded, relu=True)
+    weigh = "oracle" if oracle else "identity"
+    assert_engine_matches_model(7, frame_len, hop, sig_len, block, 2, weigh, folded, relu=True)
 
 
 @given(

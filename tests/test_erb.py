@@ -18,7 +18,7 @@ valid_params = st.builds(
 
 
 class TestErbParams:
-    @pytest.mark.parametrize("c1,c2", [(0.0, 9.265), (-1.0, 9.265), (24.7, 0.0), (24.7, -2.0), (math.nan, 9.265)])
+    @pytest.mark.parametrize("c1,c2", [(0.0, 9.265), (-1.0, 9.265), (24.7, 0.0), (24.7, -2.0), (math.nan, 9.265), (1e-200, 1e-200)])
     def test_invalid(self, c1, c2):
         with pytest.raises(ValueError, match="invalid ERB parameters"):
             ErbParams(c1, c2)
