@@ -41,6 +41,8 @@ SEED_ENV_VAR = "FBLAB_SEED"
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:  # numpy's own refusal names neither the flag nor the value
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     value = os.environ.get(SEED_ENV_VAR, "0")
     if not value.strip().isdecimal():  # also "-1", which numpy refuses without naming the variable

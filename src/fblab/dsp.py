@@ -53,7 +53,12 @@ class Waveform:
     def _take(self, samples: np.ndarray, sample_rate: int) -> None:
         if samples.ndim != 1:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = np.dot(samples, samples)
+        # A NaN or inf sample makes the sum of squares non-finite, so a finite one
+        # proves every sample finite without an n-long temporary; a sum that
+        # overflows (|x| >~ 1e154) or meets a NaN takes the exact check.
+        if not math.isfinite(energy) and not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
         _check_sample_rate(sample_rate)
         samples.setflags(write=False)

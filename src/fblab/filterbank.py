@@ -134,14 +134,43 @@ def load_filterbank(path) -> Filterbank:
     rows = [line for line in lines[1:] if line.strip()]
     if len(rows) != n:
         raise ValueError(f"FBANK1 dimension mismatch: header says {n} filters, file has {len(rows)}")
+    h = n // 2
+    if n % 2 == 0 and _negates(rows[:h], rows[h:]):  # a sign-split bank [P; -P]: parse P alone
+        half = _parse_rows(rows[:h], length)
+        taps = np.vstack([half, -half])
+    else:
+        taps = _parse_rows(rows, length)
+
+    return Filterbank(taps, fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
+
+
+def _parse_rows(rows: list[str], length: int) -> np.ndarray:
+    """The taps of FBANK1 tap rows, each of which must hold `length` values."""
     taps = []  # grown row by row, so no allocation is sized by the header's `len`
     for i, line in enumerate(rows):
         values = line.split()
         if len(values) != length:
             raise ValueError(f"FBANK1 dimension mismatch on row {i}: expected {length} taps, got {len(values)}")
         taps.append([float(v) for v in values])
+    return np.array(taps)
 
-    return Filterbank(np.array(taps), fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
+
+def _negates(first: list[str], second: list[str]) -> bool:
+    """Whether the rows `second` are the rows `first` with every value negated, judged on the text.
+
+    It holds when `first` is values separated by single spaces, none with a
+    leading "+", and `second` reads as `first` with a "-" put before every
+    value and every "--" dropped. Then `second` has the same number of
+    values per row, and float("-" + v) == -float(v) bit for bit, also for
+    0 and subnormals, so parsing `first` and negating gives the taps, and
+    the errors, that parsing every row does. Any other text is parsed row
+    by row, so an error in `second` still names its row.
+    """
+    text = "\n".join(first)
+    spaced = " " + text.replace("\n", " ") + " "  # a stray space doubles one; a "+" value follows one
+    if not spaced.isprintable() or "  " in spaced or " +" in spaced:
+        return False
+    return ("-" + text.replace(" ", " -").replace("\n", "\n-")).replace("--", "") == "\n".join(second)
 
 
 def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, np.ndarray]:

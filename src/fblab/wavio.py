@@ -34,7 +34,14 @@ _IEEE_FLOAT = 3
 
 _INT16_FULL_SCALE = 32767.0
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+#: The smallest float64 magnitude the cast to float32 rounds to inf.
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 _U32_MAX = 2**32 - 1
+
+#: Samples `write_wav` converts and writes per chunk. Smaller chunks pay
+#: for more `write` calls (8192 samples wrote 60 s about 1.4x slower);
+#: larger ones lift a 60 s `fblab roundtrip` above its engine's peak.
+CHUNK_SAMPLES = 65536
 
 
 def read_wav(path) -> Waveform:
@@ -91,24 +98,26 @@ def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
     encoding: "pcm16" quantizes by round(x * 32767) with clipping to the
     int16 range; "float32" stores samples cast to single precision.
 
+    The payload is converted and written in chunks of `CHUNK_SAMPLES`
+    samples, so no signal-long copy is made; the bytes are those of a
+    whole-signal conversion.
+
     Raises ValueError, before the file is opened, for an unknown encoding,
     for float32 samples beyond the float32 range (they would be stored as
     inf, which `read_wav` rejects) and for a sample rate whose byte rate
     does not fit the header's 32-bit field.
     """
+    samples = w.samples
     if encoding == "pcm16":
         audio_format, bits = _PCM, 16
-        q = w.samples * _INT16_FULL_SCALE
-        np.round(q, out=q)
-        np.clip(q, -32768, 32767, out=q)
-        payload = q.astype("<i2")
     elif encoding == "float32":
         audio_format, bits = _IEEE_FLOAT, 32
-        with np.errstate(over="ignore"):  # samples are finite, so an inf here is an overflow, refused below
-            payload = w.samples.astype("<f4")
-        if np.isinf(payload.min(initial=0.0)) or np.isinf(payload.max(initial=0.0)):  # no n-long temporary
-            peak = float(np.max(np.abs(w.samples)))
-            raise ValueError(f"sample magnitude {peak!r} is beyond the float32 range ({_FLOAT32_MAX!r})")
+        with np.errstate(over="ignore"):  # a sum of squares past the float range is inf: checked exactly below
+            in_range = np.dot(samples, samples) < _FLOAT32_OVERFLOW**2  # then every |x| < _FLOAT32_OVERFLOW
+        if not in_range:
+            peak = max(float(samples.max()), -float(samples.min()))  # no n-long temporary
+            if peak >= _FLOAT32_OVERFLOW:
+                raise ValueError(f"sample magnitude {peak!r} is beyond the float32 range ({_FLOAT32_MAX!r})")
     else:
         raise ValueError(f"unknown encoding {encoding!r} (expected 'pcm16' or 'float32')")
 
@@ -117,11 +126,20 @@ def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
     if byte_rate > _U32_MAX:
         raise ValueError(f"sample rate {w.sample_rate} Hz is too high for a {bits}-bit WAV: "
                          f"its byte rate {byte_rate} does not fit 32 bits")
-    header = b"RIFF" + struct.pack("<I", 36 + payload.nbytes) + b"WAVE"
+    nbytes = len(samples) * block_align
+    header = b"RIFF" + struct.pack("<I", 36 + nbytes) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH", 16, audio_format, 1, w.sample_rate, byte_rate, block_align, bits
     )
-    header += b"data" + struct.pack("<I", payload.nbytes)
+    header += b"data" + struct.pack("<I", nbytes)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        for lo in range(0, len(samples), CHUNK_SAMPLES):
+            chunk = samples[lo:lo + CHUNK_SAMPLES]
+            if encoding == "pcm16":
+                q = chunk * _INT16_FULL_SCALE
+                np.round(q, out=q)
+                np.clip(q, -32768, 32767, out=q)
+                fh.write(q.astype("<i2"))
+            else:
+                fh.write(chunk.astype("<f4"))

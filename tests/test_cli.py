@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import fblab.cli
+import fblab.codec
 import fblab.separation
+import fblab.wavio
 from fblab import MixSpec, Waveform, load_filterbank, make_multi_mixture_item, read_wav, si_snr, write_wav
 from fblab.cli import main
 
@@ -187,12 +189,18 @@ class TestRoundtrip:
         assert capsys.readouterr().out.strip() == "si_snr_db=n/a"
         assert np.all(read_wav(out_wav).samples == 0.0)
 
-    def test_peak_memory_of_a_60s_roundtrip(self, tmp_path, capsys):
-        # The input, the engine's overlap-add rows handed out as the output,
-        # and one SI-SNR work buffer: about three signal lengths of float64.
+    @staticmethod
+    def _roundtrip_peak_and_budget(tmp_path, seconds):
+        # The input and the engine's overlap-add rows handed out as the
+        # output, two signal lengths of float64, are held from the engine to
+        # the end. On top of them come, one stage at a time, the engine's two
+        # (OPERATOR_BLOCK_FRAMES, L) frame and encoding buffers, one float32
+        # `write_wav` chunk and `si_snr`'s block buffer; the budget sums the
+        # first two and allows 64 kB for the rest: the bank, its decoder and
+        # interpreter objects.
         bank = tmp_path / "stft.fbank"
         run(["build-bank", "stft", "--out", bank])
-        n = 60 * 8000
+        n = int(seconds * 8000)
         wav_in = tmp_path / "long.wav"
         write_wav(wav_in, Waveform(0.3 * np.random.default_rng(6).standard_normal(n), 8000), encoding="float32")
         tracemalloc.start()
@@ -201,7 +209,20 @@ class TestRoundtrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.2 * n * 8
+        frame_len = load_filterbank(bank).filter_len
+        budget = (8 * 2 * n
+                  + 8 * 2 * fblab.codec.OPERATOR_BLOCK_FRAMES * frame_len
+                  + 4 * fblab.wavio.CHUNK_SAMPLES
+                  + 64 * 1024)
+        return peak, budget
+
+    def test_peak_memory_of_a_60s_roundtrip(self, tmp_path, capsys):
+        peak, budget = self._roundtrip_peak_and_budget(tmp_path, 60.0)
+        assert peak <= budget
+
+    def test_peak_memory_of_a_32s_roundtrip(self, tmp_path, capsys):
+        peak, budget = self._roundtrip_peak_and_budget(tmp_path, 32.0)
+        assert peak <= budget
 
     def test_rate_beyond_the_wav_byte_rate_field_is_typed_error(self, tmp_path, capsys):
         bank = tmp_path / "stft.fbank"
@@ -356,6 +377,15 @@ class TestSeparate:
         assert capsys.readouterr().err == f"error: FBLAB_SEED must be a non-negative integer, got {value!r}\n"
         assert not out_dir.exists()
 
+    def test_negative_seed_flag_is_named(self, tmp_path, source_wavs, capsys):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
+        capsys.readouterr()
+        out_dir = tmp_path / "sep"
+        assert run(["separate", bank, *source_wavs, "--out-dir", out_dir, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out_dir.exists()
+
 
 class TestTrain:
     def _write_pairs(self, directory, n, seed, fs=8000):
@@ -378,6 +408,15 @@ class TestTrain:
         assert result["c1"] == 24.7
         assert result["c2"] == 9.265
         assert (out_dir / "trace.csv").read_text() == "iter,c1,c2,train_loss,dev_loss\n"
+
+    def test_negative_seed_flag_is_named(self, tmp_path, capsys):
+        self._write_pairs(tmp_path / "train", 1, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        out_dir = tmp_path / "out"
+        assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir,
+                    "--max-iters", "0", "--n-filters", "128", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out_dir.exists()
 
     def test_zero_lr_constant_trace(self, tmp_path):
         self._write_pairs(tmp_path / "train", 2, 0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,22 @@ class TestWaveform:
     def test_rejects_inf(self):
         with pytest.raises(ValueError, match="non-finite"):
             wave([np.inf])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 500, 999])
+    def test_rejects_a_non_finite_sample_anywhere(self, bad, at):
+        samples = np.random.default_rng(at).standard_normal(1000)
+        samples[at] = bad
+        with pytest.raises(ValueError, match="waveform contains non-finite samples"):
+            Waveform(samples, 8000)
+        with pytest.raises(ValueError, match="waveform contains non-finite samples"):
+            Waveform._adopt(samples, 8000)
+
+    def test_accepts_samples_whose_sum_of_squares_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = wave([1e300, -1e300])
+        assert w.samples.tolist() == [1e300, -1e300]
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="sample_rate"):

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fblab.filterbank
+
 from fblab import (
     ErbParams,
     Filterbank,
@@ -205,6 +207,91 @@ class TestFbank1Format:
         path.write_bytes(b"RIFF\x84\x00\x00\x00WAVEfmt \xcd\xff")
         with pytest.raises(ValueError, match="^not an FBANK1 file: not UTF-8 text$"):
             load_filterbank(path)
+
+
+def parse_every_row(path):
+    """The taps of an FBANK1 file, every row parsed on its own: the loader's model."""
+    rows = [line for line in path.read_text().splitlines()[1:] if line.strip()]
+    return np.array([[float(v) for v in line.split()] for line in rows])
+
+
+def edit_row(path, index, edit):
+    """Rewrite tap row `index` of an FBANK1 file with `edit(row_text)`."""
+    lines = path.read_text().splitlines()
+    lines[1 + index] = edit(lines[1 + index])
+    path.write_text("\n".join(lines) + "\n")
+
+
+#: P of a [P; -P] bank with both zeros and subnormals of both signs.
+SIGNED_ZEROS_AND_SUBNORMALS = np.array([[0.0, -0.0, 5e-324, -5e-324], [2.2250738585072014e-308, -1e-310, 1.0, -3.5]])
+
+
+@pytest.fixture()
+def parsed_row_counts(monkeypatch):
+    """The number of rows of each `_parse_rows` call the loader makes."""
+    counts = []
+    original = fblab.filterbank._parse_rows
+
+    def counting(rows, length):
+        counts.append(len(rows))
+        return original(rows, length)
+
+    monkeypatch.setattr(fblab.filterbank, "_parse_rows", counting)
+    return counts
+
+
+class TestSignSplitLoad:
+    """A [P; -P] file is loaded by parsing P only; the taps must be those of parsing every row."""
+
+    @pytest.mark.parametrize("bank", [
+        build_mpgtf(ErbParams(), 512, 16, FS),
+        build_parampgtf(ErbParams(), 512, 16, FS),
+        build_stft_bank(StftSpec(), FS),
+        Filterbank(np.vstack([SIGNED_ZEROS_AND_SUBNORMALS, -SIGNED_ZEROS_AND_SUBNORMALS]), FS),
+    ], ids=["mpgtf", "parampgtf", "stft", "zeros-and-subnormals"])
+    def test_taps_equal_the_full_parse(self, tmp_path, parsed_row_counts, bank):
+        path = tmp_path / "bank.fbank"
+        save_filterbank(path, bank)
+        taps = load_filterbank(path).taps
+        assert parsed_row_counts == [bank.n_filters // 2]
+        assert taps.tobytes() == parse_every_row(path).tobytes() == bank.taps.tobytes()
+
+    def test_hand_spaced_second_half_is_parsed_row_by_row(self, tmp_path, parsed_row_counts):
+        bank = build_mpgtf(ErbParams(), 64, 16, FS)
+        path = tmp_path / "bank.fbank"
+        save_filterbank(path, bank)
+        edit_row(path, 32 + 1, lambda row: "  " + row.replace(" ", "   ") + " ")
+        taps = load_filterbank(path).taps
+        assert parsed_row_counts == [64]
+        assert taps.tobytes() == parse_every_row(path).tobytes() == bank.taps.tobytes()
+
+    @pytest.mark.parametrize("edit", [lambda row: row.rsplit(" ", 1)[0], lambda row: row + " 0.5"],
+                             ids=["missing-value", "extra-value"])
+    def test_bad_row_in_the_second_half_is_named(self, tmp_path, edit):
+        path = tmp_path / "bank.fbank"
+        save_filterbank(path, build_mpgtf(ErbParams(), 64, 16, FS))
+        edit_row(path, 32 + 3, edit)
+        with pytest.raises(ValueError, match="^FBANK1 dimension mismatch on row 35: expected 16 taps, got 1[57]$"):
+            load_filterbank(path)
+
+    @pytest.mark.parametrize("rows,expected", [
+        ("1\t2\n-1\t2", [[1.0, 2.0], [-1.0, 2.0]]),  # a tab: the text negation misses the second value
+        ("1  2\n-1 - -2", "FBANK1 dimension mismatch on row 1: expected 2 taps, got 3"),
+        ("+1 2\n-+1 -2", "could not convert string to float: '-\\+1'"),
+        ("1 +2\n-1 -+2", "could not convert string to float: '-\\+2'"),
+        (" 1 2\n- -1 -2", "FBANK1 dimension mismatch on row 1: expected 2 taps, got 3"),
+        ("1 2 \n-1 -2 -", "FBANK1 dimension mismatch on row 1: expected 2 taps, got 3"),
+    ], ids=["tab", "double-space", "leading-plus-sign", "plus-sign", "leading-space", "trailing-space"])
+    def test_second_half_that_is_only_the_text_negation_of_an_irregular_first_half(self, tmp_path, rows, expected):
+        # The text negation is a value negation only for single-space-separated
+        # values without a "+": any other first half takes the full parse.
+        path = tmp_path / "odd.fbank"
+        path.write_text(f"FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n{rows}\n")
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                load_filterbank(path)
+        else:
+            assert load_filterbank(path).taps.tolist() == expected
 
 
 class TestFrequencyResponse:

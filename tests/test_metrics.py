@@ -6,10 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblab import SI_SNR_CLIP_DB, Waveform, clip_si_snr, si_snr
+from fblab.metrics import BLOCK_SAMPLES
 
 
 def wave(values, fs=8000):
     return Waveform(np.asarray(values, dtype=np.float64), fs)
+
+
+def whole_signal_energies(est, ref):
+    """(target, noise) energies formed on whole-signal arrays: the model of the blocked sums."""
+    beta = float(np.dot(est, ref)) / float(np.dot(ref, ref))
+    target = beta * ref
+    residual = est - target
+    return float(np.dot(target, target)), float(np.dot(residual, residual))
+
+
+#: Lengths at, and one either side of, multiples of the energy block, and 1.
+BLOCK_EDGE_LENGTHS = sorted({1, *(k * BLOCK_SAMPLES + d for k in (1, 2, 3) for d in (-1, 0, 1))})
 
 
 class TestSiSnr:
@@ -77,6 +90,24 @@ class TestSiSnr:
     def test_rate_mismatch(self):
         with pytest.raises(ValueError, match="sample rate mismatch"):
             si_snr(wave([1.0]), Waveform(np.ones(1), 16000))
+
+    @given(st.sampled_from(BLOCK_EDGE_LENGTHS), st.integers(0, 2**32 - 1),
+           st.floats(-4.0, 4.0), st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e3]))
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_energies_match_the_whole_signal_formula(self, n, seed, gain, noise):
+        rng = np.random.default_rng(seed)
+        ref = rng.standard_normal(n)
+        est = gain * ref + noise * rng.standard_normal(n)
+        result = si_snr(wave(est), wave(ref))
+        target, residual = whole_signal_energies(est, ref)
+        assert math.isclose(result.target_energy, target, rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(result.noise_energy, residual, rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_LENGTHS)
+    def test_infinite_values_at_block_edges(self, n):
+        s = wave(np.random.default_rng(n).standard_normal(n))
+        assert si_snr(s, s).value_db == math.inf
+        assert si_snr(wave(np.zeros(n)), s).value_db == -math.inf
 
     def test_value_consistent_with_energies(self):
         rng = np.random.default_rng(2)

@@ -225,7 +225,7 @@ def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank, mpgtf_de
                   + block * rows
                   + (1 + 2 * n_sources) * block * frame_len
                   + frame_len * rows)
-    assert peak <= budget + 32 * 1024  # interpreter objects, the padded tails and the outputs' finiteness check
+    assert peak <= budget + 32 * 1024  # interpreter objects and the padded tails
 
 
 def test_separate_holds_while_the_mixture_outgrows_its_sources_by_up_to_1e300(mpgtf_bank, mpgtf_dec):

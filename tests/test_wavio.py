@@ -1,16 +1,64 @@
 import struct
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fblab import MalformedWavError, MultichannelError, UnsupportedCodecError, Waveform, read_wav, write_wav
+from fblab import wavio
 
 
 def sine(fs=8000, seconds=1.0, freq=440.0, amp=0.9):
     t = np.arange(int(fs * seconds)) / fs
     return Waveform(amp * np.sin(2 * np.pi * freq * t), fs)
+
+
+def whole_signal_wav_bytes(w, encoding):
+    """A WAV file converted in one piece: the model of the chunked writer's bytes."""
+    if encoding == "pcm16":
+        audio_format, bits = 1, 16
+        q = w.samples * 32767.0
+        np.round(q, out=q)
+        np.clip(q, -32768, 32767, out=q)
+        payload = q.astype("<i2")
+    else:
+        audio_format, bits = 3, 32
+        payload = w.samples.astype("<f4")
+    header = b"RIFF" + struct.pack("<I", 36 + payload.nbytes) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, audio_format, 1, w.sample_rate,
+                                    w.sample_rate * bits // 8, bits // 8, bits)
+    return header + b"data" + struct.pack("<I", payload.nbytes) + payload.tobytes()
+
+
+def loud_noise(n, seed):
+    """Noise of which about a third clips in pcm16, with exact half-LSB ties at the start."""
+    samples = 1.2 * np.random.default_rng(seed).standard_normal(n)
+    ties = np.array([0.5, -0.5, 1.5, -2.5, 32767.5, -32768.5]) / 32767.0
+    samples[:min(n, len(ties))] = ties[:n]
+    return Waveform(samples, 8000)
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+@pytest.mark.parametrize("n", sorted({0, 1, *(k * wavio.CHUNK_SAMPLES + d for k in (1, 2) for d in (-1, 0, 1))}))
+def test_chunked_bytes_equal_a_whole_signal_write(tmp_path, encoding, n):
+    w = loud_noise(n, seed=n)
+    path = tmp_path / "x.wav"
+    write_wav(path, w, encoding=encoding)
+    assert path.read_bytes() == whole_signal_wav_bytes(w, encoding)
+
+
+@given(st.sampled_from(["pcm16", "float32"]), st.integers(1, 9), st.integers(0, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_small_chunks_write_the_whole_signal_bytes(tmp_path_factory, encoding, chunk, n, seed):
+    w = loud_noise(n, seed)
+    path = tmp_path_factory.mktemp("wav") / "x.wav"
+    with mock.patch.object(wavio, "CHUNK_SAMPLES", chunk):
+        write_wav(path, w, encoding=encoding)
+    assert path.read_bytes() == whole_signal_wav_bytes(w, encoding)
 
 
 def test_pcm16_roundtrip_within_one_lsb(tmp_path):
@@ -111,14 +159,21 @@ def test_write_unknown_encoding(tmp_path):
         write_wav(tmp_path / "x.wav", sine(seconds=0.01), encoding="pcm24")
 
 
+#: The smallest float64 magnitude that the cast to float32 rounds to inf.
+FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
+
+
 def test_float32_extremes_roundtrip_exactly(tmp_path):
     top = float(np.finfo(np.float32).max)
+    below = np.nextafter(FLOAT32_OVERFLOW, 0.0)  # rounds to the float32 maximum
     path = tmp_path / "edge.wav"
-    write_wav(path, Waveform(np.array([top, -top, 0.0]), 8000), encoding="float32")
-    np.testing.assert_array_equal(read_wav(path).samples, [top, -top, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_wav(path, Waveform(np.array([top, -top, 0.0, below, -below]), 8000), encoding="float32")
+    np.testing.assert_array_equal(read_wav(path).samples, [top, -top, 0.0, top, -top])
 
 
-@pytest.mark.parametrize("peak", [3.5e38, -1e300])
+@pytest.mark.parametrize("peak", [3.5e38, -1e300, FLOAT32_OVERFLOW, -FLOAT32_OVERFLOW])
 def test_float32_overflow_is_refused_before_the_file_opens(tmp_path, peak):
     path = tmp_path / "loud.wav"
     with warnings.catch_warnings():
@@ -126,6 +181,14 @@ def test_float32_overflow_is_refused_before_the_file_opens(tmp_path, peak):
         with pytest.raises(ValueError, match=r"beyond the float32 range"):
             write_wav(path, Waveform(np.array([0.5, peak, -0.5]), 8000), encoding="float32")
     assert not path.exists()
+
+
+def test_float32_samples_whose_sum_of_squares_overflows_are_written(tmp_path):
+    # 16 * (1e38)^2 exceeds the square of the overflow boundary, so the
+    # writer checks the samples one by one, and none is out of range.
+    path = tmp_path / "loud.wav"
+    write_wav(path, Waveform(np.full(16, 1e38), 8000), encoding="float32")
+    np.testing.assert_array_equal(read_wav(path).samples, np.full(16, np.float32(1e38), dtype=np.float64))
 
 
 @pytest.mark.parametrize("encoding,rate", [("pcm16", 2**31), ("float32", 2**30), ("float32", 4_000_000_000)])
