@@ -56,7 +56,6 @@ from .separation import (
 )
 from .stft import StftMode, StftSpec, StftWindow, build_stft_bank, istft_decoder
 from .training import (
-    GradMode,
     TraceRow,
     TrainerConfig,
     TrainingDivergedError,

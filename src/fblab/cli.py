@@ -176,19 +176,20 @@ def cmd_separate(args) -> int:
         snr_db = args.snr_db
     sources = [read_wav(path) for path in args.sources]
     bank = load_filterbank(args.bank)
-    item = make_multi_mixture_item("item-0", sources, MixSpec(snr_db))
+    item = make_multi_mixture_item(sources, MixSpec(snr_db))
     del sources  # the item holds its own targets; this frees the read copies
     p = FrameParams(bank.filter_len, args.hop)
     dec = pseudo_inverse(bank)
     estimates = separate(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)
-    scores = score_separation(estimates, item.sources)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Written before scoring: the float32 range check refuses any signal whose SI-SNR sums overflow.
     write_wav(out_dir / "mixture.wav", item.mixture, encoding="float32")
     for i, est in enumerate(estimates, start=1):
         write_wav(out_dir / f"est_{i}.wav", est, encoding="float32")
-    write_report_csv(out_dir / "report.csv", item.item_id, scores)
+    scores = score_separation(estimates, item.sources)
+    write_report_csv(out_dir / "report.csv", scores)
     config = {
         "snr_db": snr_db,
         "seed": seed,
@@ -196,12 +197,12 @@ def cmd_separate(args) -> int:
         "relu": not args.no_relu,
         "sources": [Path(s).name for s in args.sources],
     }
-    write_report_json(out_dir / "report.json", item.item_id, scores, config, bank_info(bank))
+    write_report_json(out_dir / "report.json", scores, config, bank_info(bank))
     print(f"mean_si_snr_db={float(np.mean(scores))!r}")
     return 0
 
 
-def _load_pairs(directory: Path, expected_fs: int | None) -> list[tuple[str, Waveform, Waveform]]:
+def _load_pairs(directory: Path, expected_fs: int | None) -> list[tuple[Waveform, Waveform]]:
     """The <stem>_s1/_s2 pairs in `directory`, all at `expected_fs` (None: the first pair's rate)."""
     pairs = []
     for first in sorted(directory.glob("*_s1.wav")):
@@ -213,7 +214,7 @@ def _load_pairs(directory: Path, expected_fs: int | None) -> list[tuple[str, Wav
         expected_fs = expected_fs or s1.sample_rate
         if s1.sample_rate != expected_fs or s2.sample_rate != expected_fs:
             raise ValueError(f"sample rate mismatch in {first.stem}: expected {expected_fs} Hz")
-        pairs.append((first.name[: -len("_s1.wav")], s1, s2))
+        pairs.append((s1, s2))
     if not pairs:
         raise ValueError(f"no *_s1.wav/*_s2.wav pairs found in {directory}")
     return pairs
@@ -226,9 +227,9 @@ def cmd_train(args) -> int:
     fs = None  # every pair must match the first train pair's rate
     for split, directory in (("train", Path(args.train_dir)), ("dev", Path(args.dev_dir))):
         split_items = []
-        for stem, s1, s2 in _load_pairs(directory, fs):
+        for s1, s2 in _load_pairs(directory, fs):
             snr_db = float(rng.uniform(*SNR_RANGE_DB))
-            split_items.append(make_multi_mixture_item(stem, [s1, s2], MixSpec(snr_db)))
+            split_items.append(make_multi_mixture_item([s1, s2], MixSpec(snr_db)))
         items[split] = split_items
         fs = split_items[0].mixture.sample_rate
 

@@ -47,12 +47,13 @@ linear in the mixture's block
 
     relu(e) * Q + relu(-e) * (-Q) = e * Q,    e * Q + (-e) * (-Q) = 2 * e * Q.
 
-So when both banks have that form, the engine encodes, weighs and decodes
-only the rows of P, skips the relu and decodes with Q (rectified) or 2*Q
-(linear). That halves its work; any other pair of banks runs every row.
-Since Q is half the pseudo-inverse decoder of P alone, a rectified
-encoding through such a bank decodes to half of what the linear one does,
-a scale SI-SNR does not see.
+So when both banks have that form, which `Filterbank.sign_split_half`
+decides once per bank, the engine encodes, weighs and decodes only the
+rows of P, skips the relu and decodes with Q (rectified) or 2*Q (linear).
+That halves its work; any other pair of banks runs every row. Since Q is
+half the pseudo-inverse decoder of P alone, a rectified encoding through
+such a bank decodes to half of what the linear one does, a scale SI-SNR
+does not see.
 
 Weigh-free passes collapse. With no weigh (`fblab roundtrip` passes
 `weigh=None`) and no relu left to apply, because the pair folds or relu
@@ -179,15 +180,6 @@ def decode(rep: TFRepresentation, dec_bank: Filterbank) -> Waveform:
     return overlap_add(frames, rep.frame_params, dec_bank.sample_rate)
 
 
-def _sign_split_half(taps: np.ndarray) -> int:
-    """h if `taps` is [P; -P] bit for bit with P of h rows, else 0.
-
-    An odd row count fails the shape check of `np.array_equal`.
-    """
-    h = taps.shape[0] // 2
-    return h if h and np.array_equal(taps[h:], -taps[:h]) else 0
-
-
 def _resynthesize(
     signals: Sequence[Waveform],
     enc_bank: Filterbank,
@@ -218,13 +210,13 @@ def _resynthesize(
     overlap-adds directly, and no synthesis buffer. Temporaries of the
     weigh come on top (one (k, N) array for the oracle mask).
 
-    If the encoder is [P; -P] and the decoder [Q; -Q], both checked bit
-    for bit, the weigh gets only the rows of P (N/2 of them), signal 0's
-    block is not rectified, and the coefficients are decoded with Q if
-    `relu`, else with 2*Q (see the module docstring). That is exact for a
-    weigh that is linear in signal 0's block and reads the other signals
-    only through their magnitudes, as the oracle mask and the identity
-    are; other weighs must not be given a sign-split pair.
+    If the encoder is [P; -P] and the decoder [Q; -Q], as their
+    `Filterbank.sign_split_half` says, the weigh gets only the rows of P
+    (N/2 of them), signal 0's block is not rectified, and the coefficients
+    are decoded with Q if `relu`, else with 2*Q (see the module docstring).
+    That is exact for a weigh that is linear in signal 0's block and reads
+    the other signals only through their magnitudes, as the oracle mask and
+    the identity are; other weighs must not be given a sign-split pair.
 
     `weigh=None` means no weigh at all; it takes one signal and
     `n_out == 1`. If the pair folds or `relu` is off, the pass is then
@@ -250,8 +242,8 @@ def _resynthesize(
         raise ValueError(f"signals must have equal lengths, got {[len(x) for x in signals]}")
     framed = [_framed(x.samples, p) for x in signals]
     n_sig, count, frame_len = len(signals), num_frames(n, p), p.frame_len
-    h = _sign_split_half(enc_bank.taps)
-    if h and _sign_split_half(dec_bank.taps):  # the decoder has N rows too
+    h = enc_bank.sign_split_half
+    if h and dec_bank.sign_split_half:  # the decoder has N rows too
         analysis, rectify = analysis_matrix(enc_bank)[:h], False
         synthesis = dec_bank.taps[:h] if relu else 2.0 * dec_bank.taps[:h]
     else:
@@ -292,8 +284,8 @@ def pseudo_inverse(bank: Filterbank) -> Filterbank:
     it transposed, so decoder row n has length L and pairs with
     representation row n in `decode`.
 
-    A sign-split bank [P; -P] (bit for bit) has analysis matrix
-    [1; -1] (x) A for A the analysis matrix of P, and
+    A sign-split bank [P; -P] (`Filterbank.sign_split_half` is nonzero) has
+    analysis matrix [1; -1] (x) A for A the analysis matrix of P, and
 
         pinv([1; -1] (x) A) = pinv([1; -1]) (x) pinv(A) = 1/2 [1, -1] (x) pinv(A),
 
@@ -303,7 +295,7 @@ def pseudo_inverse(bank: Filterbank) -> Filterbank:
     which lets `_resynthesize` fold the pair.
     """
     a = analysis_matrix(bank)
-    h = _sign_split_half(bank.taps)
+    h = bank.sign_split_half
     if h:
         half = 0.5 * np.linalg.pinv(a[:h], rcond=PINV_RCOND).T  # (h, L)
         dec = np.vstack([half, -half])

@@ -54,7 +54,7 @@ class Waveform:
         if samples.ndim != 1:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            energy = np.dot(samples, samples)
+            energy = float(np.dot(samples, samples))
         # A NaN or inf sample makes the sum of squares non-finite, so a finite one
         # proves every sample finite without an n-long temporary; a sum that
         # overflows (|x| >~ 1e154) or meets a NaN takes the exact check.
@@ -64,13 +64,14 @@ class Waveform:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(sample_rate))
+        object.__setattr__(self, "_energy", energy)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
 
     def energy(self) -> float:
-        """Sum of squared samples."""
-        return float(np.dot(self.samples, self.samples))
+        """Sum of squared samples, as computed at construction; inf if it overflows."""
+        return self._energy
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,12 @@ class Filterbank:
     @property
     def filter_len(self) -> int:
         return self.taps.shape[1]
+
+    @cached_property
+    def sign_split_half(self) -> int:
+        """h if the taps are [P; -P] bit for bit with P of h rows, else 0; decided once, as taps are read-only."""
+        h = self.n_filters // 2  # an odd row count fails the shape check of `np.array_equal`
+        return h if h and np.array_equal(self.taps[h:], -self.taps[:h]) else 0
 
 
 def _fmt(v: float) -> str:
@@ -151,7 +158,10 @@ def _parse_rows(rows: list[str], length: int) -> np.ndarray:
         values = line.split()
         if len(values) != length:
             raise ValueError(f"FBANK1 dimension mismatch on row {i}: expected {length} taps, got {len(values)}")
-        taps.append([float(v) for v in values])
+        try:
+            taps.append([float(tap := v) for v in values])  # `tap` names the value float() refuses
+        except ValueError:
+            raise ValueError(f"FBANK1 bad tap on row {i}: {tap!r}") from None
     return np.array(taps)
 
 

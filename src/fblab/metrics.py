@@ -40,11 +40,11 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
     +inf; a zero or orthogonal estimate yields -inf. Raises on a
     zero-energy reference.
 
-    The two dot products behind the projection gain are whole-signal.
-    s_t and e are formed, and their energies summed, one block of
-    `BLOCK_SAMPLES` samples at a time, so no signal-long temporary is
-    allocated. Blocked sums round differently from one whole-signal dot
-    product, by about 1e-15 relative.
+    The projection gain reads ||ref||^2 from `Waveform.energy` and takes
+    one whole-signal dot product. s_t and e are formed, and their energies
+    summed, one block of `BLOCK_SAMPLES` samples at a time, so no
+    signal-long temporary is allocated. Blocked sums round differently
+    from one whole-signal dot product, by about 1e-15 relative.
     """
     if estimate.sample_rate != reference.sample_rate:
         raise ValueError(
@@ -54,7 +54,7 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
         raise ValueError(f"length mismatch: estimate {len(estimate)}, reference {len(reference)}")
     est = estimate.samples
     ref = reference.samples
-    ref_energy = float(np.dot(ref, ref))
+    ref_energy = reference.energy()
     if ref_energy == 0.0:
         raise ValueError("zero-energy reference")
     beta = float(np.dot(est, ref)) / ref_energy

@@ -2,8 +2,8 @@
 
 An experiment's result is a tuple of floats: the SI-SNR in dB of each
 separated source, in source order. `score_separation` and
-`run_separation` return it, and the report writers take it with the id
-of the item it scores.
+`run_separation` return it, and the report writers take it, filed under
+the one item id `ITEM_ID`.
 
 Ideal ratio masks computed from the true sources stand in for a learned
 separator, so encoder/decoder feature families can be compared on their
@@ -40,17 +40,19 @@ from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform, _mixing_gain
 from .filterbank import Filterbank
 from .metrics import si_snr
 
+#: The id of the one item a report scores.
+ITEM_ID = "item-0"
+
 
 @dataclass(frozen=True, eq=False)
 class MixtureItem:
     """One separation problem: a mixture and the scaled sources it sums."""
 
-    item_id: str
     mixture: Waveform
     sources: tuple[Waveform, ...]
 
 
-def make_multi_mixture_item(item_id: str, sources, spec: MixSpec) -> MixtureItem:
+def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     """Mix two or more sources; every tail source sits spec.snr_db below the first.
 
     Sources must share one sample rate and are truncated to the common
@@ -76,7 +78,7 @@ def make_multi_mixture_item(item_id: str, sources, spec: MixSpec) -> MixtureItem
         scaled = tail * _mixing_gain(head, tail, spec)
         targets.append(Waveform._adopt(scaled, fs))
         total += scaled
-    return MixtureItem(item_id, Waveform._adopt(total, fs), tuple(targets))
+    return MixtureItem(Waveform._adopt(total, fs), tuple(targets))
 
 
 def make_sinusoid_mixture_items(n_items: int, seed: int, duration_s: float = 0.5) -> list[MixtureItem]:
@@ -91,14 +93,14 @@ def make_sinusoid_mixture_items(n_items: int, seed: int, duration_s: float = 0.5
     rng = np.random.default_rng(seed)
     t = np.arange(int(round(duration_s * fs))) / fs
     items = []
-    for i in range(n_items):
+    for _ in range(n_items):
         f_lo = rng.uniform(250.0, 1200.0)
         f_hi = rng.uniform(1500.0, 3600.0)
         ph_lo, ph_hi = rng.uniform(0.0, 2.0 * np.pi, size=2)
         snr_db = rng.uniform(*SNR_RANGE_DB)
         s1 = Waveform(0.5 * np.sin(2.0 * np.pi * f_lo * t + ph_lo), fs)
         s2 = Waveform(0.5 * np.sin(2.0 * np.pi * f_hi * t + ph_hi), fs)
-        items.append(make_multi_mixture_item(f"synth-{i:03d}", [s1, s2], MixSpec(snr_db)))
+        items.append(make_multi_mixture_item([s1, s2], MixSpec(snr_db)))
     return items
 
 
@@ -239,19 +241,19 @@ def run_separation(
     return score_separation(separate(mixture, sources, enc_bank, dec_bank, frame_params), sources)
 
 
-def write_report_csv(path, item_id: str, scores: tuple[float, ...]) -> None:
+def write_report_csv(path, scores: tuple[float, ...]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("item_id,source_idx,si_snr_db\n")
         for idx, value in enumerate(scores):
-            fh.write(f"{item_id},{idx},{value!r}\n")
+            fh.write(f"{ITEM_ID},{idx},{value!r}\n")
 
 
-def write_report_json(path, item_id: str, scores: tuple[float, ...], config: dict, bank_info: dict) -> None:
+def write_report_json(path, scores: tuple[float, ...], config: dict, bank_info: dict) -> None:
     payload = {
         "mean_si_snr_db": float(np.mean(scores)),
         "config": config,
         "bank": bank_info,
-        "items": [{"item_id": item_id, "si_snr_db": list(scores)}],
+        "items": [{"item_id": ITEM_ID, "si_snr_db": list(scores)}],
     }
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

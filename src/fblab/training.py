@@ -11,7 +11,6 @@ degrees of freedom a finite-difference step costs four bank rebuilds.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,10 +28,6 @@ from .separation import MixtureItem, run_separation
 PARAM_FLOOR = 1e-6
 
 
-class GradMode(enum.Enum):
-    FINITE_DIFFERENCE = "finite-difference"
-
-
 class TrainingDivergedError(RuntimeError):
     """A step left the region where a loss can be evaluated; carries the trace so far."""
 
@@ -46,7 +41,6 @@ class TrainerConfig:
     learning_rate: float = 0.05
     max_iters: int = 20
     fd_epsilon: float = 1e-3  # relative step for central differences
-    grad_mode: GradMode = GradMode.FINITE_DIFFERENCE
 
     def __post_init__(self):
         # learning_rate = 0 is allowed: it freezes the parameters while

@@ -112,9 +112,7 @@ def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
         audio_format, bits = _PCM, 16
     elif encoding == "float32":
         audio_format, bits = _IEEE_FLOAT, 32
-        with np.errstate(over="ignore"):  # a sum of squares past the float range is inf: checked exactly below
-            in_range = np.dot(samples, samples) < _FLOAT32_OVERFLOW**2  # then every |x| < _FLOAT32_OVERFLOW
-        if not in_range:
+        if not w.energy() < _FLOAT32_OVERFLOW**2:  # a smaller sum of squares bounds every |x|; else check exactly
             peak = max(float(samples.max()), -float(samples.min()))  # no n-long temporary
             if peak >= _FLOAT32_OVERFLOW:
                 raise ValueError(f"sample magnitude {peak!r} is beyond the float32 range ({_FLOAT32_MAX!r})")

@@ -141,6 +141,14 @@ class TestFreqResponse:
         assert run(args) == 1
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("rows,row", [("1 2\n3 x", 1), ("1 x\n-1 -x", 0)], ids=["full-parse", "sign-split-half"])
+    def test_bad_tap_names_its_row(self, tmp_path, source_wavs, capsys, rows, row):
+        # "1 x" / "-1 -x" reads as a [P; -P] file, so only its first row is parsed.
+        bank = tmp_path / "bad.fbank"
+        bank.write_text(f"FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n{rows}\n")
+        assert run(["roundtrip", bank, source_wavs[0], tmp_path / "out.wav"]) == 1
+        assert capsys.readouterr().err == f"error: FBANK1 bad tap on row {row}: 'x'\n"
+
     @pytest.mark.parametrize("c1,reason", [("abc", "could not convert"), ("-3", "invalid ERB parameters")])
     def test_bad_erb_params_are_header_errors(self, tmp_path, capsys, c1, reason):
         bank = tmp_path / "bad.fbank"
@@ -286,7 +294,7 @@ class TestSeparate:
         assert run(["separate", bank, *source_wavs, "--out-dir", out_dir, "--snr-db", "0"]) == 0
         assert len(calls) == 1
 
-        item = make_multi_mixture_item("item-0", [read_wav(p) for p in source_wavs], MixSpec(0.0))
+        item = make_multi_mixture_item([read_wav(p) for p in source_wavs], MixSpec(0.0))
         scores = json.loads((out_dir / "report.json").read_text())["items"][0]["si_snr_db"]
         assert len(scores) == len(item.sources)
         for i, (score, src) in enumerate(zip(scores, item.sources), start=1):
@@ -340,6 +348,18 @@ class TestSeparate:
             assert run(["separate", bank, *wavs, "--out-dir", out_dir, "--snr-db=-5"]) == 1
         err = capsys.readouterr().err
         assert "error: sample magnitude" in err and "beyond the float32 range" in err and "Traceback" not in err
+        assert not (out_dir / "mixture.wav").exists()
+
+    def test_mixture_whose_scores_overflow_is_typed_error_without_warning(self, tmp_path, source_wavs, capsys):
+        # -3080 dB lifts the second source by ~1e154: its squares overflow float64 in SI-SNR's sums.
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--out", bank])
+        out_dir = tmp_path / "sep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["separate", bank, *source_wavs, "--out-dir", out_dir, "--snr-db=-3080"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample magnitude") and "beyond the float32 range" in err
         assert not (out_dir / "mixture.wav").exists()
 
     def test_sources_bank_rate_mismatch_fails_before_writing(self, tmp_path, capsys):

@@ -18,7 +18,7 @@ from fblab import (
     num_frames,
 )
 import fblab.codec as codec
-from fblab.codec import PINV_RCOND, _resynthesize, _sign_split_half, apply_mask
+from fblab.codec import PINV_RCOND, _resynthesize, apply_mask
 from fblab.dsp import _add_frames
 from fblab.separation import _oracle_mask_weigh
 
@@ -170,6 +170,68 @@ def test_folded_roundtrip_matches_whole_signal_reference(
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
+def sign_split_half(taps):
+    """h if `taps` is [P; -P] bit for bit with P of h rows, else 0: the model of `Filterbank.sign_split_half`.
+
+    An odd row count fails the shape check of `np.array_equal`.
+    """
+    h = taps.shape[0] // 2
+    return h if h and np.array_equal(taps[h:], -taps[:h]) else 0
+
+
+@st.composite
+def fold_banks(draw):
+    """Sign-split and plain banks, some one ulp off [P; -P], as built, loaded or pseudo-inverted."""
+    from fblab import ErbParams, StftMode, StftSpec, build_mpgtf, build_stft_bank
+
+    kind = draw(st.sampled_from(["sign_split", "one_ulp_off", "odd", "plain", "mpgtf", "stft", "stft_linear"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    frame_len = draw(st.integers(1, 16))
+    if kind in ("sign_split", "one_ulp_off", "odd"):
+        half = rng.standard_normal((draw(st.integers(1, 12)), frame_len))
+        taps = np.vstack([half, -half])
+        if kind == "one_ulp_off":
+            i, j = draw(st.integers(0, len(taps) - 1)), draw(st.integers(0, frame_len - 1))
+            taps[i, j] = np.nextafter(taps[i, j], draw(st.sampled_from([-np.inf, np.inf])))
+        elif kind == "odd":  # [P; -P] plus one row, or a single row
+            taps = np.vstack([taps, rng.standard_normal((1, frame_len))]) if draw(st.booleans()) else half[:1]
+        bank = Filterbank(taps, FS)
+    elif kind == "plain":
+        bank = random_bank(rng, draw(st.integers(1, 24)), frame_len)
+    elif kind == "mpgtf":
+        bank = build_mpgtf(ErbParams(), draw(st.sampled_from([64, 128, 512])), 16, FS)
+    else:
+        mode = StftMode.SIGN_SPLIT if kind == "stft" else StftMode.LINEAR
+        bank = build_stft_bank(StftSpec(frame_len, draw(st.integers(1, 16)), mode), FS)
+    return bank, draw(st.booleans()), draw(st.booleans())
+
+
+@given(case=fold_banks())
+@settings(max_examples=150, deadline=None)
+def test_sign_split_half_matches_the_model(tmp_path_factory, case):
+    from fblab import load_filterbank, save_filterbank
+
+    bank, through_fbank1, inverted = case
+    if through_fbank1:
+        path = tmp_path_factory.mktemp("fold") / "bank.fbank"
+        save_filterbank(path, bank)
+        bank = load_filterbank(path)
+    if inverted:
+        bank = pseudo_inverse(bank)
+    assert bank.sign_split_half == sign_split_half(bank.taps)
+
+
+def test_sign_split_half_is_decided_once_per_bank():
+    bank = Filterbank(np.vstack([np.eye(4), -np.eye(4)]), FS)
+    with mock.patch.object(np, "array_equal", wraps=np.array_equal) as checks:
+        dec = pseudo_inverse(bank)
+        signals = [Waveform(np.arange(40.0), FS)]
+        for relu in (False, True):
+            _resynthesize(signals, bank, dec, FrameParams(4, 2), lambda enc: enc, 1, relu=relu)
+    assert bank.sign_split_half == dec.sign_split_half == 4
+    assert checks.call_count == 2  # one per bank
+
+
 def model_resynthesize(signals, enc_bank, dec_bank, p, weigh, n_out, *, relu, block_frames):
     """The engine as it ran on one zero-padded (S, (count-1)*D + L) copy of all inputs.
 
@@ -185,8 +247,8 @@ def model_resynthesize(signals, enc_bank, dec_bank, p, weigh, n_out, *, relu, bl
         row[:n] = x.samples
     windows = np.lib.stride_tricks.sliding_window_view(padded, p.frame_len, axis=1)[:, ::p.hop]
     block = min(block_frames, count)
-    h = _sign_split_half(enc_bank.taps)
-    if h and _sign_split_half(dec_bank.taps):
+    h = sign_split_half(enc_bank.taps)
+    if h and sign_split_half(dec_bank.taps):
         analysis, rectify = analysis_matrix(enc_bank)[:h], False
         synthesis = dec_bank.taps[:h] if relu else 2.0 * dec_bank.taps[:h]
     else:
@@ -373,7 +435,7 @@ def test_frame_operator_of_a_full_rank_folded_bank_is_half_the_identity(name):
     bank = build_stft_bank(StftSpec(), FS) if name == "stft_signsplit" else build_mpgtf(ErbParams(), 512, 16, FS)
     dec = pseudo_inverse(bank)
     assert numerical_rank(analysis_matrix(bank)) == 16
-    h = _sign_split_half(bank.taps)
+    h = sign_split_half(bank.taps)
     operator = analysis_matrix(bank)[:h].T @ dec.taps[:h]  # A_P^T * Q, closed form
     assert np.max(np.abs(operator - np.eye(16) / 2)) <= 1e-12
     assert np.array_equal(engine_frame_operator(bank, dec, relu=True), operator)

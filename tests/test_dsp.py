@@ -75,6 +75,21 @@ class TestWaveform:
             w = wave([1e300, -1e300])
         assert w.samples.tolist() == [1e300, -1e300]
 
+    @given(n=st.integers(0, 3000), seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([1e-160, 1.0, 1e155]))
+    @settings(max_examples=100, deadline=None)
+    def test_energy_is_the_dot_product_bitwise(self, n, seed, scale):
+        s = scale * np.random.default_rng(seed).standard_normal(n)
+        with np.errstate(over="ignore"):  # large scales may overflow; the stored sum must be inf too
+            want = float(np.dot(s, s))
+        for w in (Waveform(s, 8000), Waveform._adopt(s.copy(), 8000)):
+            assert type(w.energy()) is float
+            assert np.float64(w.energy()).tobytes() == np.float64(want).tobytes()
+
+    def test_energy_that_overflows_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Waveform(np.array([1e200, 1.0]), 8000).energy() == np.inf
+
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="sample_rate"):
             Waveform(np.zeros(4), 0)
@@ -230,8 +245,8 @@ class TestMixAtSnr:
         s1 = wave(rng.standard_normal(100))
         s2 = wave(rng.standard_normal(100))
         spec = MixSpec(2.5)
-        x1 = make_multi_mixture_item("a", [s1, s2], spec).mixture
-        x2 = make_multi_mixture_item("b", [s1, wave(2.0 * s2.samples)], spec).mixture
+        x1 = make_multi_mixture_item([s1, s2], spec).mixture
+        x2 = make_multi_mixture_item([s1, wave(2.0 * s2.samples)], spec).mixture
         np.testing.assert_array_equal(x1.samples, x2.samples)
 
     def test_silent_source(self):
@@ -240,12 +255,12 @@ class TestMixAtSnr:
 
     def test_rate_mismatch(self):
         with pytest.raises(ValueError, match="sample rates differ"):
-            make_multi_mixture_item("x", [wave([1.0]), Waveform(np.ones(1), 16000)], MixSpec(0.0))
+            make_multi_mixture_item([wave([1.0]), Waveform(np.ones(1), 16000)], MixSpec(0.0))
 
     def test_truncates_to_shorter(self):
         s1 = wave([1.0, 1.0, 1.0, 99.0])
         s2 = wave([1.0, -1.0, 1.0])
-        item = make_multi_mixture_item("x", [s1, s2], MixSpec(0.0))
+        item = make_multi_mixture_item([s1, s2], MixSpec(0.0))
         g = _mixing_gain(s1.samples[:3], s2.samples, MixSpec(0.0))
         assert len(item.mixture) == 3
         np.testing.assert_allclose(item.mixture.samples, s1.samples[:3] + g * s2.samples)
@@ -268,7 +283,7 @@ class TestMixAtSnr:
         s1 = wave([1.0, -2.0, 3.0, 99.0])
         s2 = wave([1.0, -1.0, 1.0])
         s3 = wave([0.5, 2.0, -1.0])
-        item = make_multi_mixture_item("x", [s1, s2, s3], MixSpec(1.0))
+        item = make_multi_mixture_item([s1, s2, s3], MixSpec(1.0))
         outputs = [item.mixture.samples, *(t.samples for t in item.sources)]
         for i, out in enumerate(outputs):
             assert not out.flags.writeable

@@ -277,8 +277,8 @@ class TestSignSplitLoad:
     @pytest.mark.parametrize("rows,expected", [
         ("1\t2\n-1\t2", [[1.0, 2.0], [-1.0, 2.0]]),  # a tab: the text negation misses the second value
         ("1  2\n-1 - -2", "FBANK1 dimension mismatch on row 1: expected 2 taps, got 3"),
-        ("+1 2\n-+1 -2", "could not convert string to float: '-\\+1'"),
-        ("1 +2\n-1 -+2", "could not convert string to float: '-\\+2'"),
+        ("+1 2\n-+1 -2", "^FBANK1 bad tap on row 1: '-\\+1'$"),
+        ("1 +2\n-1 -+2", "^FBANK1 bad tap on row 1: '-\\+2'$"),
         (" 1 2\n- -1 -2", "FBANK1 dimension mismatch on row 1: expected 2 taps, got 3"),
         ("1 2 \n-1 -2 -", "FBANK1 dimension mismatch on row 1: expected 2 taps, got 3"),
     ], ids=["tab", "double-space", "leading-plus-sign", "plus-sign", "leading-space", "trailing-space"])

@@ -107,7 +107,7 @@ class TestRunSeparation:
         assert clip_si_snr(value) == 60.0
 
     def test_disjoint_sinusoids_improve_over_mixture(self, mpgtf_bank, mpgtf_dec):
-        item = make_multi_mixture_item("pair", [tone(300.0), tone(2000.0, phase=1.2)], MixSpec(0.0))
+        item = make_multi_mixture_item([tone(300.0), tone(2000.0, phase=1.2)], MixSpec(0.0))
         scores = run_separation(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
         assert isinstance(scores, tuple) and len(scores) == 2
         for est_db, src in zip(scores, item.sources):
@@ -121,7 +121,7 @@ class TestRunSeparation:
         from fblab import clip_si_snr
 
         s = tone(440.0, n=2048)
-        item = make_multi_mixture_item("same", [s, s], MixSpec(0.0))
+        item = make_multi_mixture_item([s, s], MixSpec(0.0))
         p = FrameParams(16, 16)  # disjoint frames keep the decode proportional
         masks = oracle_irm_masks(item.sources, mpgtf_bank, p)
         assert np.all(masks[0] == 0.5) and np.all(masks[1] == 0.5)
@@ -133,7 +133,7 @@ class TestRunSeparation:
         assert clip_si_snr(mix_db) == 60.0
 
     def test_estimates_sum_to_decoded_mixture(self, mpgtf_bank, mpgtf_dec):
-        item = make_multi_mixture_item("sum", [tone(300.0), tone(2000.0)], MixSpec(-3.0))
+        item = make_multi_mixture_item([tone(300.0), tone(2000.0)], MixSpec(-3.0))
         estimates = separate(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
         rep = encode(item.mixture, mpgtf_bank, FP, apply_relu=True)
         full = decode(rep, mpgtf_dec).samples[: len(item.mixture)]
@@ -324,7 +324,7 @@ class TestSeparateErrors:
 
 class TestMixtureItems:
     def test_mixture_is_sum_of_stored_sources(self):
-        item = make_multi_mixture_item("x", [tone(300.0), tone(2000.0)], MixSpec(4.0))
+        item = make_multi_mixture_item([tone(300.0), tone(2000.0)], MixSpec(4.0))
         np.testing.assert_array_equal(
             item.mixture.samples, item.sources[0].samples + item.sources[1].samples
         )
@@ -334,7 +334,7 @@ class TestMixtureItems:
         rng = np.random.default_rng(len(lengths))
         sources = [Waveform(rng.standard_normal(n), FS) for n in lengths]
         spec = MixSpec(-2.5)
-        item = make_multi_mixture_item("x", sources, spec)
+        item = make_multi_mixture_item(sources, spec)
         n = min(lengths)
         head = sources[0].samples[:n]
         assert item.sources[0].samples.tobytes() == head.tobytes()
@@ -350,7 +350,7 @@ class TestMixtureItems:
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty input"):
-            make_multi_mixture_item("x", [tone(300.0), Waveform(np.zeros(0), FS)], MixSpec(0.0))
+            make_multi_mixture_item([tone(300.0), Waveform(np.zeros(0), FS)], MixSpec(0.0))
 
     def test_synthetic_set_is_deterministic(self):
         a = make_sinusoid_mixture_items(3, seed=5)
@@ -371,14 +371,15 @@ class TestMixtureItems:
 class TestExperimentReport:
     def test_csv_format(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report_csv(path, "a", (1.5, math.inf))
-        assert path.read_text() == "item_id,source_idx,si_snr_db\na,0,1.5\na,1,inf\n"
+        write_report_csv(path, (1.5, math.inf))
+        assert path.read_text() == "item_id,source_idx,si_snr_db\nitem-0,0,1.5\nitem-0,1,inf\n"
 
     def test_json_summary(self, tmp_path, mpgtf_bank):
         path = tmp_path / "report.json"
-        write_report_json(path, "a", (1.5, 2.5), {"snr_db": 0.0}, bank_info(mpgtf_bank))
+        write_report_json(path, (1.5, 2.5), {"snr_db": 0.0}, bank_info(mpgtf_bank))
         data = json.loads(path.read_text())
         assert data["mean_si_snr_db"] == 2.0
+        assert data["items"] == [{"item_id": "item-0", "si_snr_db": [1.5, 2.5]}]
         assert data["bank"]["kind"] == "mpgtf"
         assert data["bank"]["c1"] == 24.7
         assert data["config"]["snr_db"] == 0.0

@@ -6,7 +6,6 @@ import pytest
 from fblab import (
     ErbParams,
     FrameParams,
-    GradMode,
     TrainerConfig,
     TrainingDivergedError,
     fd_gradient,
@@ -29,7 +28,7 @@ def tiny_dev_items():
 class TestTrainerConfig:
     def test_defaults_valid(self):
         cfg = TrainerConfig()
-        assert cfg.grad_mode is GradMode.FINITE_DIFFERENCE
+        assert (cfg.learning_rate, cfg.max_iters, cfg.fd_epsilon) == (0.05, 20, 1e-3)
 
     @pytest.mark.parametrize("kwargs", [
         dict(learning_rate=-0.1),
