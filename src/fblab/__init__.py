@@ -45,14 +45,11 @@ from .gammatone import FILTER_LENGTH_SECONDS, GammatoneSpec, build_mpgtf, build_
 from .metrics import SI_SNR_CLIP_DB, SiSnrResult, clip_si_snr, si_snr
 from .separation import (
     MixtureItem,
-    bank_info,
     make_multi_mixture_item,
     make_sinusoid_mixture_items,
     run_separation,
     score_separation,
     separate,
-    write_report_csv,
-    write_report_json,
 )
 from .stft import StftMode, StftSpec, StftWindow, build_stft_bank, istft_decoder
 from .training import (
@@ -62,7 +59,6 @@ from .training import (
     fd_gradient,
     separation_loss,
     train_parampgtf,
-    write_trace_csv,
 )
 from .wavio import MalformedWavError, MultichannelError, UnsupportedCodecError, WavError, read_wav, write_wav
 

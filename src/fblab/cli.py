@@ -6,6 +6,14 @@ frames, hop 8, 512 filters, c1 = 24.7, c2 = 9.265, gammatone order 2),
 so a flagless run reproduces the standard configuration. Outputs are
 deterministic given --seed; the FBLAB_SEED environment variable overrides
 the default seed of 0.
+
+Every file a subcommand produces is written here except WAVs
+(`wavio.write_wav`) and FBANK1 banks (`filterbank.save_filterbank`). Its
+text outputs go through one line writer, `_write_lines`: the
+freq-response CSV, `separate`'s report.csv and `train`'s trace.csv; and
+one JSON writer, `_write_json`: `separate`'s report.json and `train`'s
+result.json. A failed `separate` or `train` leaves no output directory
+that it created and wrote nothing into.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +33,9 @@ from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
 from .filterbank import FilterbankKind, frequency_response, load_filterbank, save_filterbank
 from .gammatone import build_mpgtf, build_parampgtf
 from .metrics import clip_si_snr, si_snr
-from .separation import (
-    bank_info,
-    make_multi_mixture_item,
-    score_separation,
-    separate,
-    write_report_csv,
-    write_report_json,
-)
+from .separation import make_multi_mixture_item, score_separation, separate
 from .stft import StftMode, StftSpec, StftWindow, build_stft_bank
-from .training import TrainerConfig, TrainingDivergedError, train_parampgtf, write_trace_csv
+from .training import TrainerConfig, TrainingDivergedError, train_parampgtf
 from .wavio import WavError, read_wav, write_wav
 
 SEED_ENV_VAR = "FBLAB_SEED"
@@ -48,6 +50,44 @@ def _resolve_seed(args) -> int:
     if not value.strip().isdecimal():  # also "-1", which numpy refuses without naming the variable
         raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def _write_lines(path, header: str, rows) -> None:
+    """Write `header`, then each string of `rows`, as newline-ended lines."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def _write_json(path, payload: dict) -> None:
+    """Write `payload` as JSON indented by 2 with sorted keys, newline-ended."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_trace(path, trace) -> None:
+    _write_lines(path, "iter,c1,c2,train_loss,dev_loss",
+                 (f"{r.iteration},{r.c1!r},{r.c2!r},{r.train_loss!r},{r.dev_loss!r}" for r in trace))
+
+
+@contextmanager
+def _out_dir(path):
+    """Create the output directory `path` and yield it as a Path.
+
+    If the block raises, the directory is removed again when this call
+    created it and it is still empty; one that existed before is kept.
+    """
+    out_dir = Path(path)
+    created = not out_dir.exists()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out_dir
+    except BaseException:
+        if created and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,11 +182,9 @@ def cmd_build_bank(args) -> int:
 def cmd_freq_response(args) -> int:
     bank = load_filterbank(args.bank)
     bin_hz, mags = frequency_response(bank, args.n_fft)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("filter_index,bin_hz,magnitude\n")
-        for n in range(bank.n_filters):
-            for k in range(args.n_fft):
-                fh.write(f"{n},{float(bin_hz[k])!r},{float(mags[n, k])!r}\n")
+    _write_lines(args.out, "filter_index,bin_hz,magnitude",
+                 (f"{n},{float(bin_hz[k])!r},{float(mags[n, k])!r}"
+                  for n in range(bank.n_filters) for k in range(args.n_fft)))
     print(f"wrote {bank.n_filters * args.n_fft} rows to {args.out}")
     return 0
 
@@ -182,23 +220,39 @@ def cmd_separate(args) -> int:
     dec = pseudo_inverse(bank)
     estimates = separate(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # Written before scoring: the float32 range check refuses any signal whose SI-SNR sums overflow.
-    write_wav(out_dir / "mixture.wav", item.mixture, encoding="float32")
-    for i, est in enumerate(estimates, start=1):
-        write_wav(out_dir / f"est_{i}.wav", est, encoding="float32")
-    scores = score_separation(estimates, item.sources)
-    write_report_csv(out_dir / "report.csv", scores)
-    config = {
-        "snr_db": snr_db,
-        "seed": seed,
-        "hop": args.hop,
-        "relu": not args.no_relu,
-        "sources": [Path(s).name for s in args.sources],
-    }
-    write_report_json(out_dir / "report.json", scores, config, bank_info(bank))
-    print(f"mean_si_snr_db={float(np.mean(scores))!r}")
+    with _out_dir(args.out_dir) as out_dir:
+        # Written before scoring: the float32 range check refuses any signal whose SI-SNR sums overflow.
+        write_wav(out_dir / "mixture.wav", item.mixture, encoding="float32")
+        for i, est in enumerate(estimates, start=1):
+            write_wav(out_dir / f"est_{i}.wav", est, encoding="float32")
+        scores = score_separation(estimates, item.sources)
+        mean = float(np.mean(scores))
+        item_id = "item-0"  # the one item a report scores
+        _write_lines(out_dir / "report.csv", "item_id,source_idx,si_snr_db",
+                     (f"{item_id},{idx},{value!r}" for idx, value in enumerate(scores)))
+        bank_summary = {
+            "kind": bank.kind.value,
+            "n_filters": bank.n_filters,
+            "filter_len": bank.filter_len,
+            "sample_rate": bank.sample_rate,
+        }
+        if bank.erb_params is not None:
+            bank_summary["c1"] = bank.erb_params.c1
+            bank_summary["c2"] = bank.erb_params.c2
+        config = {
+            "snr_db": snr_db,
+            "seed": seed,
+            "hop": args.hop,
+            "relu": not args.no_relu,
+            "sources": [Path(s).name for s in args.sources],
+        }
+        _write_json(out_dir / "report.json", {
+            "mean_si_snr_db": mean,
+            "config": config,
+            "bank": bank_summary,
+            "items": [{"item_id": item_id, "si_snr_db": list(scores)}],
+        })
+    print(f"mean_si_snr_db={mean!r}")
     return 0
 
 
@@ -236,36 +290,32 @@ def cmd_train(args) -> int:
     cfg = TrainerConfig(learning_rate=args.lr, max_iters=args.max_iters, fd_epsilon=args.fd_epsilon)
     init = ErbParams(args.c1_init, args.c2_init)
     frame_params = FrameParams(args.frame_len, args.hop)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        best, trace = train_parampgtf(items["train"], items["dev"], cfg, init,
-                                      n_filters=args.n_filters, frame_params=frame_params)
-    except TrainingDivergedError as exc:
-        write_trace_csv(out_dir / "trace.csv", exc.trace)  # keep the rows before the failure
-        raise
-    write_trace_csv(out_dir / "trace.csv", trace)
-    bank = build_parampgtf(best, args.n_filters, args.frame_len, fs)
-    save_filterbank(out_dir / "parampgtf.fbank", bank)
-    result = {
-        "c1": best.c1,
-        "c2": best.c2,
-        "init": {"c1": init.c1, "c2": init.c2},
-        "iterations": len(trace),
-        "best_dev_loss": min((row.dev_loss for row in trace), default=None),
-        "seed": seed,
-        "config": {
-            "learning_rate": cfg.learning_rate,
-            "max_iters": cfg.max_iters,
-            "fd_epsilon": cfg.fd_epsilon,
-            "n_filters": args.n_filters,
-            "frame_len": args.frame_len,
-            "hop": args.hop,
-        },
-    }
-    with open(out_dir / "result.json", "w", newline="\n") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _out_dir(args.out_dir) as out_dir:
+        try:
+            best, trace = train_parampgtf(items["train"], items["dev"], cfg, init,
+                                          n_filters=args.n_filters, frame_params=frame_params)
+        except TrainingDivergedError as exc:
+            _write_trace(out_dir / "trace.csv", exc.trace)  # keep the rows before the failure
+            raise
+        _write_trace(out_dir / "trace.csv", trace)
+        bank = build_parampgtf(best, args.n_filters, args.frame_len, fs)
+        save_filterbank(out_dir / "parampgtf.fbank", bank)
+        _write_json(out_dir / "result.json", {
+            "c1": best.c1,
+            "c2": best.c2,
+            "init": {"c1": init.c1, "c2": init.c2},
+            "iterations": len(trace),
+            "best_dev_loss": min((row.dev_loss for row in trace), default=None),
+            "seed": seed,
+            "config": {
+                "learning_rate": cfg.learning_rate,
+                "max_iters": cfg.max_iters,
+                "fd_epsilon": cfg.fd_epsilon,
+                "n_filters": args.n_filters,
+                "frame_len": args.frame_len,
+                "hop": args.hop,
+            },
+        })
     print(f"c1={best.c1!r} c2={best.c2!r}")
     return 0
 

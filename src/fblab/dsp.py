@@ -179,15 +179,13 @@ def overlap_add(frames: np.ndarray, p: FrameParams, sample_rate: int) -> Wavefor
     return Waveform(rows.ravel()[:(count - 1) * p.hop + p.frame_len], sample_rate)
 
 
-def _mixing_gain(a: np.ndarray, b: np.ndarray, spec: MixSpec) -> float:
-    """Gain g that puts g * b spec.snr_db below `a`, for equal-length sample arrays.
+def _mixing_gain(e1: float, e2: float, spec: MixSpec) -> float:
+    """Gain g that puts g * b spec.snr_db below a, given their energies e1 and e2.
 
-    g = sqrt((E_a / E_b) * 10^(-snr_db / 10)) makes the energy ratio of a
+    g = sqrt((e1 / e2) * 10^(-snr_db / 10)) makes the energy ratio of a
     to g*b equal snr_db exactly. A silent source, or an snr_db so extreme
     that g overflows or underflows to 0, is a `ValueError`.
     """
-    e1 = float(np.dot(a, a))
-    e2 = float(np.dot(b, b))
     if e1 == 0.0 or e2 == 0.0:
         raise ValueError("silent source")
     try:

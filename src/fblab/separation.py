@@ -1,9 +1,9 @@
-"""Oracle-mask separation experiments and their reports.
+"""Oracle-mask separation experiments.
 
 An experiment's result is a tuple of floats: the SI-SNR in dB of each
 separated source, in source order. `score_separation` and
-`run_separation` return it, and the report writers take it, filed under
-the one item id `ITEM_ID`.
+`run_separation` return it. This module writes no files: `fblab
+separate` writes the scores to report.csv and report.json in `cli`.
 
 Ideal ratio masks computed from the true sources stand in for a learned
 separator, so encoder/decoder feature families can be compared on their
@@ -30,7 +30,6 @@ positive half of each +/- row pair (see `codec`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,6 @@ from .codec import _resynthesize, encode
 from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform, _mixing_gain
 from .filterbank import Filterbank
 from .metrics import si_snr
-
-#: The id of the one item a report scores.
-ITEM_ID = "item-0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +71,7 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     total = head.copy()
     for s in sources[1:]:
         tail = s.samples[:n]
-        scaled = tail * _mixing_gain(head, tail, spec)
+        scaled = tail * _mixing_gain(targets[0].energy(), float(np.dot(tail, tail)), spec)
         targets.append(Waveform._adopt(scaled, fs))
         total += scaled
     return MixtureItem(Waveform._adopt(total, fs), tuple(targets))
@@ -239,36 +235,3 @@ def run_separation(
     The mixture must be the sum of the sources, up to rounding (see `separate`).
     """
     return score_separation(separate(mixture, sources, enc_bank, dec_bank, frame_params), sources)
-
-
-def write_report_csv(path, scores: tuple[float, ...]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("item_id,source_idx,si_snr_db\n")
-        for idx, value in enumerate(scores):
-            fh.write(f"{ITEM_ID},{idx},{value!r}\n")
-
-
-def write_report_json(path, scores: tuple[float, ...], config: dict, bank_info: dict) -> None:
-    payload = {
-        "mean_si_snr_db": float(np.mean(scores)),
-        "config": config,
-        "bank": bank_info,
-        "items": [{"item_id": ITEM_ID, "si_snr_db": list(scores)}],
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def bank_info(bank: Filterbank) -> dict:
-    """Provenance summary of a bank for report JSON."""
-    info = {
-        "kind": bank.kind.value,
-        "n_filters": bank.n_filters,
-        "filter_len": bank.filter_len,
-        "sample_rate": bank.sample_rate,
-    }
-    if bank.erb_params is not None:
-        info["c1"] = bank.erb_params.c1
-        info["c2"] = bank.erb_params.c2
-    return info

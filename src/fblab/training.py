@@ -7,6 +7,8 @@ evaluates mean negative SI-SNR over oracle-mask separations of the
 training items, and steps down a central finite-difference gradient. The
 parameters with the best development loss are returned; with only two
 degrees of freedom a finite-difference step costs four bank rebuilds.
+This module writes no files: `fblab train` writes the trace and result
+in `cli`.
 """
 
 from __future__ import annotations
@@ -162,10 +164,3 @@ def train_parampgtf(
             grad = fd_gradient(lambda t: loss_at(t, train_items), theta, cfg.fd_epsilon)
             theta = np.maximum(theta - cfg.learning_rate * grad, PARAM_FLOOR)
     return best_params, trace
-
-
-def write_trace_csv(path, trace: Sequence[TraceRow]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("iter,c1,c2,train_loss,dev_loss\n")
-        for row in trace:
-            fh.write(f"{row.iteration},{row.c1!r},{row.c2!r},{row.train_loss!r},{row.dev_loss!r}\n")

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import pytest
 import fblab.cli
 import fblab.codec
 import fblab.separation
+import fblab.training
 import fblab.wavio
 from fblab import MixSpec, Waveform, load_filterbank, make_multi_mixture_item, read_wav, si_snr, write_wav
 from fblab.cli import main
@@ -77,6 +79,16 @@ class TestBuildBank:
         assert capsys.readouterr().err == "error: sample_rate must be a positive integer, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--frame-len", "frame_len must be >= 1, got 0"),
+        ("--nfreqs", "n_freqs must be >= 1, got 0"),
+    ])
+    def test_stft_spec_below_one_is_typed_error(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "x.fbank"
+        assert run(["build-bank", "stft", flag, "0", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_invalid_params_fail_before_writing(self, tmp_path, capsys):
         out = tmp_path / "bad.fbank"
         assert run(["build-bank", "mpgtf", "--c1", "-3", "--out", out]) == 1
@@ -129,6 +141,7 @@ class TestFreqResponse:
             ("n=1 len=10000000000000", "error: FBANK1 dimension mismatch on row 0"),
             ("n=1 len=-3", "error: bad FBANK1 header"),
             ("n=0 len=3", "error: bad FBANK1 header"),
+            ("n=1 len=3 junk", "error: bad FBANK1 header token 'junk'\n"),
         ],
     )
     def test_bad_dimensions_are_typed_errors(self, tmp_path, source_wavs, capsys, command, dims, message):
@@ -247,6 +260,18 @@ class TestRoundtrip:
         assert "error: sample rate 4000000000 Hz is too high for a 32-bit WAV" in err and "Traceback" not in err
         assert not out_wav.exists()
 
+    @pytest.mark.parametrize("end,chunk", [(30, "fmt"), (-2, "data")])
+    def test_truncated_wav_is_typed_error(self, tmp_path, source_wavs, capsys, end, chunk):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
+        capsys.readouterr()
+        wav_in = tmp_path / "short.wav"
+        wav_in.write_bytes(source_wavs[0].read_bytes()[:end])
+        out_wav = tmp_path / "out.wav"
+        assert run(["roundtrip", bank, wav_in, out_wav]) == 1
+        assert capsys.readouterr().err == f"error: malformed header: truncated {chunk} chunk\n"
+        assert not out_wav.exists()
+
     def test_rate_mismatch_fails(self, tmp_path, capsys):
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])
@@ -349,6 +374,7 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert "error: sample magnitude" in err and "beyond the float32 range" in err and "Traceback" not in err
         assert not (out_dir / "mixture.wav").exists()
+        assert not out_dir.exists()
 
     def test_mixture_whose_scores_overflow_is_typed_error_without_warning(self, tmp_path, source_wavs, capsys):
         # -3080 dB lifts the second source by ~1e154: its squares overflow float64 in SI-SNR's sums.
@@ -361,6 +387,20 @@ class TestSeparate:
         err = capsys.readouterr().err
         assert err.startswith("error: sample magnitude") and "beyond the float32 range" in err
         assert not (out_dir / "mixture.wav").exists()
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kept", [[], ["notes.txt"]], ids=["empty", "holding-a-file"])
+    def test_failed_run_keeps_an_out_dir_that_existed(self, tmp_path, source_wavs, capsys, kept):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
+        out_dir = tmp_path / "sep"
+        out_dir.mkdir()
+        for name in kept:
+            (out_dir / name).write_text("kept\n")
+        assert run(["separate", bank, *source_wavs, "--out-dir", out_dir, "--snr-db=-3080"]) == 1
+        assert capsys.readouterr().err.startswith("error: sample magnitude")
+        assert sorted(p.name for p in out_dir.iterdir()) == kept
+        assert all((out_dir / name).read_text() == "kept\n" for name in kept)
 
     def test_sources_bank_rate_mismatch_fails_before_writing(self, tmp_path, capsys):
         bank = tmp_path / "bank.fbank"
@@ -405,6 +445,35 @@ class TestSeparate:
         assert run(["separate", bank, *source_wavs, "--out-dir", out_dir, "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not out_dir.exists()
+
+
+class TestExperimentReport:
+    """The report files `fblab separate` writes, for scores the test sets."""
+
+    @staticmethod
+    def _separate_with_scores(tmp_path, source_wavs, monkeypatch, capsys, scores):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
+        capsys.readouterr()
+        monkeypatch.setattr(fblab.cli, "score_separation", lambda estimates, sources: scores)
+        out_dir = tmp_path / "sep"
+        assert run(["separate", bank, *source_wavs, "--out-dir", out_dir, "--snr-db", "0"]) == 0
+        return out_dir, capsys.readouterr().out
+
+    def test_csv_format(self, tmp_path, source_wavs, monkeypatch, capsys):
+        out_dir, printed = self._separate_with_scores(tmp_path, source_wavs, monkeypatch, capsys, (1.5, math.inf))
+        assert (out_dir / "report.csv").read_text() == "item_id,source_idx,si_snr_db\nitem-0,0,1.5\nitem-0,1,inf\n"
+        assert printed == "mean_si_snr_db=inf\n"
+
+    def test_json_summary(self, tmp_path, source_wavs, monkeypatch, capsys):
+        out_dir, printed = self._separate_with_scores(tmp_path, source_wavs, monkeypatch, capsys, (1.5, 2.5))
+        data = json.loads((out_dir / "report.json").read_text())
+        assert data["mean_si_snr_db"] == 2.0
+        assert data["items"] == [{"item_id": "item-0", "si_snr_db": [1.5, 2.5]}]
+        assert data["bank"]["kind"] == "mpgtf"
+        assert data["bank"]["c1"] == 24.7
+        assert data["config"]["snr_db"] == 0.0
+        assert printed == "mean_si_snr_db=2.0\n"
 
 
 class TestTrain:
@@ -464,6 +533,35 @@ class TestTrain:
         assert lines[1].startswith("0,24.7,9.265,")
         assert len(lines) == 2
         assert not (out_dir / "result.json").exists()
+
+    def test_non_finite_loss_writes_empty_trace(self, tmp_path, capsys, monkeypatch):
+        self._write_pairs(tmp_path / "train", 1, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        monkeypatch.setattr(fblab.training, "separation_loss", lambda *args: float("nan"))
+        out_dir = tmp_path / "out"
+        assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir, "--n-filters", "128"]) == 1
+        assert capsys.readouterr().err == "error: non-finite loss at iteration 0: train=nan, dev=nan\n"
+        assert (out_dir / "trace.csv").read_text() == "iter,c1,c2,train_loss,dev_loss\n"
+        assert not (out_dir / "result.json").exists()
+
+    def test_infeasible_initial_point_leaves_no_out_dir(self, tmp_path, capsys):
+        self._write_pairs(tmp_path / "train", 1, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        out_dir = tmp_path / "out"
+        assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir,
+                    "--c1-init", "0.5", "--c2-init", "100", "--n-filters", "128"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not enough filters" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_unpaired_source_is_named(self, tmp_path, capsys):
+        self._write_pairs(tmp_path / "train", 1, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        (tmp_path / "train" / "item0_s2.wav").unlink()
+        out_dir = tmp_path / "out"
+        assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == "error: missing partner file for item0_s1.wav\n"
+        assert not out_dir.exists()
 
     def test_sample_rate_comes_from_the_first_train_pair(self, tmp_path):
         self._write_pairs(tmp_path / "train", 2, 0, fs=16000)

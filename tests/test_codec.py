@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -455,6 +456,11 @@ def test_frame_operator_of_a_rank_deficient_linear_bank_is_a_projector():
     assert np.array_equal(engine_frame_operator(bank, dec, relu=False), operator)
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (0, 3)])
+def test_numerical_rank_of_a_zero_or_empty_matrix_is_zero(shape):
+    assert numerical_rank(np.zeros(shape)) == 0
+
+
 def test_engine_outputs_are_read_only_and_share_memory_with_no_writable_array():
     rng = np.random.default_rng(3)
     p = FrameParams(8, 3)
@@ -501,6 +507,11 @@ class TestDecode:
         rep = TFRepresentation(np.zeros((7, 5)), FrameParams(8, 4))
         with pytest.raises(ValueError, match="filters"):
             decode(rep, bank)
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 8, 5)])
+    def test_representation_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"values must be 2-D, got shape {shape}")):
+            TFRepresentation(np.zeros(shape), FrameParams(8, 4))
 
 
 class TestPseudoInverse:

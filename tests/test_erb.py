@@ -93,6 +93,14 @@ class TestErbScale:
         with pytest.raises(ValueError, match=rf"u={u!r} .*c2=9\.265"):
             erb_scale_inv(u, DEFAULTS)
 
+    @pytest.mark.parametrize("scale,message", [
+        (erb_scale, "frequency must be >= 0, got -1.0"),
+        (erb_scale_inv, "ERB-rate value must be >= 0, got -1.0"),
+    ])
+    def test_negative_input_is_typed_error(self, scale, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scale(-1.0, DEFAULTS)
+
     @pytest.mark.parametrize("f", [100.0, 500.0, 4000.0])
     def test_inverse_identity_spot(self, f):
         assert erb_scale_inv(erb_scale(f, DEFAULTS), DEFAULTS) == pytest.approx(f, rel=1e-9)

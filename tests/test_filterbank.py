@@ -169,6 +169,7 @@ class TestFbank1Format:
             ("n=1 len=10000000000000", "FBANK1 dimension mismatch on row 0"),  # would allocate 72.8 TiB
             ("n=1 len=-3", "bad FBANK1 header"),
             ("n=0 len=3", "bad FBANK1 header"),
+            ("n=1 len=3 junk", "bad FBANK1 header token 'junk'"),
         ],
     )
     def test_rejects_bad_dimensions_before_allocating(self, tmp_path, dims, message):

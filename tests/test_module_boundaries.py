@@ -1,0 +1,47 @@
+"""Only three fblab modules touch files, and only the CLI writes JSON.
+
+`cli` writes every text output of the subcommands, `filterbank` reads and
+writes FBANK1 banks and `wavio` reads and writes WAV files; the other
+modules compute on values in memory. The sources are read with `ast`, so
+a call is found whether or not the code path runs in a test.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fblab"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _calls_open(tree: ast.Module) -> bool:
+    """Whether `tree` calls `open`, bare (the builtin) or as an attribute (`io.open`, `Path.open`, `os.open`)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr == "open"
+            ):
+                return True
+    return False
+
+
+def _imports_json(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "json" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "json":
+            return True
+    return False
+
+
+def test_only_cli_filterbank_and_wavio_open_files():
+    openers = {name for name, tree in _modules().items() if _calls_open(tree)}
+    assert "cli" in openers  # the check sees the calls it is meant to find
+    assert openers <= {"cli", "filterbank", "wavio"}
+
+
+def test_only_cli_imports_json():
+    assert {name for name, tree in _modules().items() if _imports_json(tree)} == {"cli"}

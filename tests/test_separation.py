@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import tracemalloc
@@ -15,7 +14,6 @@ from fblab import (
     FrameParams,
     MixSpec,
     Waveform,
-    bank_info,
     build_mpgtf,
     decode,
     encode,
@@ -26,8 +24,6 @@ from fblab import (
     run_separation,
     separate,
     si_snr,
-    write_report_csv,
-    write_report_json,
 )
 import fblab.codec as codec
 from fblab.codec import _resynthesize, apply_mask
@@ -321,6 +317,16 @@ class TestSeparateErrors:
         with pytest.raises(ValueError, match="at least 2"):
             separate(s, [s], mpgtf_bank, mpgtf_dec, FP)
 
+    @pytest.mark.parametrize("call", ["separate", "oracle_irm_masks"])
+    def test_sources_at_two_rates(self, mpgtf_bank, mpgtf_dec, call):
+        s = tone(440.0, n=800)
+        sources = [s, Waveform(s.samples, 16000)]
+        with pytest.raises(ValueError, match="^sources must share one sample rate$"):
+            if call == "separate":
+                separate(s, sources, mpgtf_bank, mpgtf_dec, FP)
+            else:
+                oracle_irm_masks(sources, mpgtf_bank, FP)
+
 
 class TestMixtureItems:
     def test_mixture_is_sum_of_stored_sources(self):
@@ -352,6 +358,10 @@ class TestMixtureItems:
         with pytest.raises(ValueError, match="empty input"):
             make_multi_mixture_item([tone(300.0), Waveform(np.zeros(0), FS)], MixSpec(0.0))
 
+    def test_single_source(self):
+        with pytest.raises(ValueError, match="^need at least 2 sources, got 1$"):
+            make_multi_mixture_item([tone(300.0)], MixSpec(0.0))
+
     def test_synthetic_set_is_deterministic(self):
         a = make_sinusoid_mixture_items(3, seed=5)
         b = make_sinusoid_mixture_items(3, seed=5)
@@ -366,23 +376,6 @@ class TestMixtureItems:
         for item in items:
             assert len(item.mixture) == 2000
             assert len(item.sources) == 2
-
-
-class TestExperimentReport:
-    def test_csv_format(self, tmp_path):
-        path = tmp_path / "report.csv"
-        write_report_csv(path, (1.5, math.inf))
-        assert path.read_text() == "item_id,source_idx,si_snr_db\nitem-0,0,1.5\nitem-0,1,inf\n"
-
-    def test_json_summary(self, tmp_path, mpgtf_bank):
-        path = tmp_path / "report.json"
-        write_report_json(path, (1.5, 2.5), {"snr_db": 0.0}, bank_info(mpgtf_bank))
-        data = json.loads(path.read_text())
-        assert data["mean_si_snr_db"] == 2.0
-        assert data["items"] == [{"item_id": "item-0", "si_snr_db": [1.5, 2.5]}]
-        assert data["bank"]["kind"] == "mpgtf"
-        assert data["bank"]["c1"] == 24.7
-        assert data["config"]["snr_db"] == 0.0
 
 
 def _sign_split_bank(rng, n_half, frame_len):

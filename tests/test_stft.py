@@ -54,6 +54,14 @@ class TestBuildStftBank:
         steps = np.diff(bank.center_freqs)
         np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("frame_len,n_freqs,message", [
+        (0, 8, "frame_len must be >= 1, got 0"),
+        (16, 0, "n_freqs must be >= 1, got 0"),
+    ])
+    def test_spec_below_one_is_typed_error(self, frame_len, n_freqs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StftSpec(frame_len, n_freqs)
+
     def test_overcomplete_warning(self):
         assert StftSpec(16, 128).overcomplete
         assert not StftSpec(16, 8, StftMode.LINEAR).overcomplete

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fblab.training
 from fblab import (
     ErbParams,
     FrameParams,
@@ -157,6 +158,12 @@ class TestTrainParampgtf:
         trace = excinfo.value.trace
         assert [(row.iteration, row.c1, row.c2) for row in trace] == [(0, 24.7, 9.265)]
         assert math.isfinite(trace[0].train_loss) and math.isfinite(trace[0].dev_loss)
+
+    def test_non_finite_loss_is_divergence(self, tiny_items, tiny_dev_items, monkeypatch):
+        monkeypatch.setattr(fblab.training, "separation_loss", lambda *args: math.nan)
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at iteration 0: train=nan, dev=nan$") as excinfo:
+            train_parampgtf(tiny_items, tiny_dev_items, TrainerConfig(max_iters=2), ErbParams(), n_filters=128)
+        assert excinfo.value.trace == []
 
     def test_infeasible_initial_point_is_plain_value_error(self, tiny_items, tiny_dev_items):
         with pytest.raises(ValueError, match="not enough filters") as excinfo:

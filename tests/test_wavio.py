@@ -111,6 +111,15 @@ def test_missing_data_chunk_is_malformed(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("end,chunk", [(30, "fmt"), (-2, "data")])
+def test_truncated_chunk_is_malformed(tmp_path, end, chunk):
+    # byte 30 ends the file 10 bytes into the 16-byte fmt body; -2 cuts the data body short
+    path = tmp_path / "short.wav"
+    path.write_bytes(whole_signal_wav_bytes(sine(seconds=0.01), "float32")[:end])
+    with pytest.raises(MalformedWavError, match=f"^malformed header: truncated {chunk} chunk$"):
+        read_wav(path)
+
+
 def test_multichannel_rejected(tmp_path):
     path = tmp_path / "stereo.wav"
     payload = struct.pack("<4h", 0, 0, 0, 0)
