@@ -45,6 +45,7 @@ from .gammatone import FILTER_LENGTH_SECONDS, GammatoneSpec, build_mpgtf, build_
 from .metrics import SI_SNR_CLIP_DB, SiSnrResult, clip_si_snr, si_snr
 from .separation import (
     MixtureItem,
+    SilentSourceError,
     make_multi_mixture_item,
     make_sinusoid_mixture_items,
     run_separation,

@@ -33,7 +33,7 @@ from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
 from .filterbank import FilterbankKind, frequency_response, load_filterbank, save_filterbank
 from .gammatone import build_mpgtf, build_parampgtf
 from .metrics import clip_si_snr, si_snr
-from .separation import make_multi_mixture_item, score_separation, separate
+from .separation import SilentSourceError, make_multi_mixture_item, score_separation, separate
 from .stft import StftMode, StftSpec, StftWindow, build_stft_bank
 from .training import TrainerConfig, TrainingDivergedError, train_parampgtf
 from .wavio import WavError, read_wav, write_wav
@@ -70,6 +70,14 @@ def _write_json(path, payload: dict) -> None:
 def _write_trace(path, trace) -> None:
     _write_lines(path, "iter,c1,c2,train_loss,dev_loss",
                  (f"{r.iteration},{r.c1!r},{r.c2!r},{r.train_loss!r},{r.dev_loss!r}" for r in trace))
+
+
+def _mix(paths, sources, spec: MixSpec):
+    """`make_multi_mixture_item` of `sources`, read from `paths`; a silent source is named by its file."""
+    try:
+        return make_multi_mixture_item(sources, spec)
+    except SilentSourceError as exc:
+        raise ValueError(f"{paths[exc.position - 1]}: {exc}") from exc
 
 
 @contextmanager
@@ -149,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dev_dir", help="directory of development pairs")
     p.add_argument("--out-dir", required=True, help="directory for trace, bank, and result JSON")
     p.add_argument("--lr", type=float, default=0.05, help="learning rate")
-    p.add_argument("--max-iters", type=int, default=20, help="gradient iterations")
+    p.add_argument("--max-iters", type=int, default=20,
+                   help="trace rows; a gradient step follows every row but the last")
     p.add_argument("--fd-epsilon", type=float, default=1e-3, help="relative finite-difference step")
     p.add_argument("--c1-init", type=float, default=DEFAULT_C1, help="initial c1")
     p.add_argument("--c2-init", type=float, default=DEFAULT_C2, help="initial c2")
@@ -214,7 +223,7 @@ def cmd_separate(args) -> int:
         snr_db = args.snr_db
     sources = [read_wav(path) for path in args.sources]
     bank = load_filterbank(args.bank)
-    item = make_multi_mixture_item(sources, MixSpec(snr_db))
+    item = _mix(args.sources, sources, MixSpec(snr_db))
     del sources  # the item holds its own targets; this frees the read copies
     p = FrameParams(bank.filter_len, args.hop)
     dec = pseudo_inverse(bank)
@@ -256,8 +265,11 @@ def cmd_separate(args) -> int:
     return 0
 
 
-def _load_pairs(directory: Path, expected_fs: int | None) -> list[tuple[Waveform, Waveform]]:
-    """The <stem>_s1/_s2 pairs in `directory`, all at `expected_fs` (None: the first pair's rate)."""
+def _load_pairs(directory: Path, expected_fs: int | None) -> list[tuple[tuple[Path, Path], list[Waveform]]]:
+    """The <stem>_s1/_s2 pairs in `directory` as (paths, waveforms), all at `expected_fs`.
+
+    `expected_fs` None takes the first pair's rate.
+    """
     pairs = []
     for first in sorted(directory.glob("*_s1.wav")):
         second = first.with_name(first.name[: -len("_s1.wav")] + "_s2.wav")
@@ -268,7 +280,7 @@ def _load_pairs(directory: Path, expected_fs: int | None) -> list[tuple[Waveform
         expected_fs = expected_fs or s1.sample_rate
         if s1.sample_rate != expected_fs or s2.sample_rate != expected_fs:
             raise ValueError(f"sample rate mismatch in {first.stem}: expected {expected_fs} Hz")
-        pairs.append((s1, s2))
+        pairs.append(((first, second), [s1, s2]))
     if not pairs:
         raise ValueError(f"no *_s1.wav/*_s2.wav pairs found in {directory}")
     return pairs
@@ -281,9 +293,9 @@ def cmd_train(args) -> int:
     fs = None  # every pair must match the first train pair's rate
     for split, directory in (("train", Path(args.train_dir)), ("dev", Path(args.dev_dir))):
         split_items = []
-        for s1, s2 in _load_pairs(directory, fs):
+        for paths, pair in _load_pairs(directory, fs):
             snr_db = float(rng.uniform(*SNR_RANGE_DB))
-            split_items.append(make_multi_mixture_item([s1, s2], MixSpec(snr_db)))
+            split_items.append(_mix(paths, pair, MixSpec(snr_db)))
         items[split] = split_items
         fs = split_items[0].mixture.sample_rate
 

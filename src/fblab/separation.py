@@ -40,6 +40,15 @@ from .filterbank import Filterbank
 from .metrics import si_snr
 
 
+class SilentSourceError(ValueError):
+    """A source to mix has zero energy; `position` is its 1-based place in the source list."""
+
+    def __init__(self, position: int, count: int, n_samples: int):
+        super().__init__(f"silent source {position} of {count}: its first {n_samples} samples "
+                         "(the length the sources share) are all zero")
+        self.position = position
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureItem:
     """One separation problem: a mixture and the scaled sources it sums."""
@@ -55,7 +64,9 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     length; source c >= 2 is scaled by its own gain
     g_c = sqrt((E1 / E_c) * 10^(-snr_db / 10)). The targets are the
     addends of the mixture itself (the first source and each g_c * s_c),
-    so a perfect separator would score +inf SI-SNR on each.
+    so a perfect separator would score +inf SI-SNR on each. A source that
+    is all zero over the common length raises `SilentSourceError` naming
+    its position.
     """
     if len(sources) < 2:
         raise ValueError(f"need at least 2 sources, got {len(sources)}")
@@ -68,10 +79,14 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
         raise ValueError("empty input")
     head = sources[0].samples[:n]
     targets = [Waveform(head, fs)]
+    tails = [s.samples[:n] for s in sources[1:]]
+    energies = [targets[0].energy()] + [float(np.dot(tail, tail)) for tail in tails]
+    for position, energy in enumerate(energies, start=1):
+        if energy == 0.0:
+            raise SilentSourceError(position, len(sources), n)
     total = head.copy()
-    for s in sources[1:]:
-        tail = s.samples[:n]
-        scaled = tail * _mixing_gain(targets[0].energy(), float(np.dot(tail, tail)), spec)
+    for tail, energy in zip(tails, energies[1:]):
+        scaled = tail * _mixing_gain(energies[0], energy, spec)
         targets.append(Waveform._adopt(scaled, fs))
         total += scaled
     return MixtureItem(Waveform._adopt(total, fs), tuple(targets))

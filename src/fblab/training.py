@@ -4,9 +4,12 @@ multi-phase gammatone bank.
 Each iteration rebuilds the bank and its pseudo-inverse decoder from the
 current parameters (bandwidths and the center grid both follow (c1, c2)),
 evaluates mean negative SI-SNR over oracle-mask separations of the
-training items, and steps down a central finite-difference gradient. The
-parameters with the best development loss are returned; with only two
-degrees of freedom a finite-difference step costs four bank rebuilds.
+training and development items, and logs one trace row. Every row but
+the last is followed by a step down a central finite-difference gradient
+of the training loss; the last row ends the run, so no gradient is taken
+that nothing would read. The parameters with the best development loss
+are returned; with only two degrees of freedom a finite-difference step
+costs four bank rebuilds.
 This module writes no files: `fblab train` writes the trace and result
 in `cli`.
 """
@@ -121,15 +124,19 @@ def train_parampgtf(
     """Fit (c1, c2) by finite-difference gradient descent on the train loss.
 
     Every iteration logs one trace row (current parameters, train and dev
-    loss) before stepping; the returned parameters are the ones with the
-    lowest dev loss over the trace (the initial point included), so the
-    selection never regresses below the starting dev loss.
+    loss); every row but the last is then followed by a gradient step, so
+    cfg.max_iters rows take cfg.max_iters - 1 steps (none at learning rate
+    0). The returned parameters are the ones with the lowest dev loss over
+    the trace (the initial point included), so the selection never
+    regresses below the starting dev loss.
 
     Raises TrainingDivergedError if any loss evaluation is non-finite, or
     if no bank can be built at a point the optimizer reached after the
-    initial one (a step or a finite-difference probe; e.g. more centers
-    than n_filters/2, or c2 so small that every tap underflows). A bad
-    initial point raises the builder's ValueError as is.
+    initial one (a step, or a finite-difference probe around a row that
+    another row follows; e.g. more centers than n_filters/2, or c2 so
+    small that every tap underflows). The last row takes no probes, so
+    its neighbourhood is never evaluated. A bad initial point raises the
+    builder's ValueError as is.
     """
     if not train_items or not dev_items:
         raise ValueError("train_items and dev_items must be non-empty")
@@ -160,7 +167,7 @@ def train_parampgtf(
         if dev_loss < best_dev:
             best_dev = dev_loss
             best_params = params
-        if cfg.learning_rate > 0:
+        if cfg.learning_rate > 0 and iteration + 1 < cfg.max_iters:  # the last row's step is never read
             grad = fd_gradient(lambda t: loss_at(t, train_items), theta, cfg.fd_epsilon)
             theta = np.maximum(theta - cfg.learning_rate * grad, PARAM_FLOOR)
     return best_params, trace

@@ -361,6 +361,17 @@ class TestSeparate:
         assert "error:" in err and "snr_db" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_silent_source_names_its_wav(self, tmp_path, source_wavs, capsys):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--out", bank])
+        silent = tmp_path / "z.wav"
+        write_wav(silent, Waveform(np.zeros(4000), 8000), encoding="float32")
+        out_dir = tmp_path / "sep"
+        assert run(["separate", bank, source_wavs[0], silent, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == f"error: {silent}: silent source 2 of 2: its first 4000 samples " \
+                                          "(the length the sources share) are all zero\n"
+        assert not out_dir.exists()
+
     def test_mixture_beyond_float32_is_typed_error_without_warning(self, tmp_path, capsys):
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])
@@ -562,6 +573,30 @@ class TestTrain:
         assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir]) == 1
         assert capsys.readouterr().err == "error: missing partner file for item0_s1.wav\n"
         assert not out_dir.exists()
+
+    def test_silent_source_names_its_pair_file(self, tmp_path, capsys):
+        self._write_pairs(tmp_path / "train", 2, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        silent = tmp_path / "dev" / "item0_s1.wav"
+        write_wav(silent, Waveform(np.zeros(1600), 8000), encoding="float32")
+        out_dir = tmp_path / "out"
+        assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {silent}: silent source 1 of 2: ")
+        assert not out_dir.exists()
+
+    def test_last_row_takes_no_probe(self, tmp_path, capsys):
+        # Feasible with M = 32 centres at 64 filters; a probe above this c2 needs M = 33.
+        self._write_pairs(tmp_path / "train", 2, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        out_dir = tmp_path / "out"
+        code = run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir,
+                    "--n-filters", "64", "--c2-init", "14.069398742262345", "--max-iters", "1"])
+        assert code == 0
+        result = json.loads((out_dir / "result.json").read_text())
+        assert (result["c1"], result["c2"], result["iterations"]) == (24.7, 14.069398742262345, 1)
+        assert len((out_dir / "trace.csv").read_text().splitlines()) == 2
+        assert capsys.readouterr().out == "c1=24.7 c2=14.069398742262345\n"
 
     def test_sample_rate_comes_from_the_first_train_pair(self, tmp_path):
         self._write_pairs(tmp_path / "train", 2, 0, fs=16000)

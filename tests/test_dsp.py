@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblab import FrameParams, MixSpec, Waveform, make_multi_mixture_item, num_frames
+from fblab import FrameParams, MixSpec, SilentSourceError, Waveform, make_multi_mixture_item, num_frames
 from fblab.dsp import _mixing_gain, frame_signal, overlap_add
 
 
@@ -256,6 +256,14 @@ class TestMixAtSnr:
     def test_silent_source(self):
         with pytest.raises(ValueError, match="silent source"):
             _mixing_gain(5.0, 0.0, MixSpec(0.0))
+
+    @pytest.mark.parametrize("position", [1, 2, 3])
+    def test_silent_source_is_named_by_position(self, position):
+        sources = [wave([1.0, -2.0, 3.0]), wave([0.5, 0.5, 0.5, 7.0]), wave([-1.0, 2.0, 1.0])]
+        sources[position - 1] = wave([0.0, 0.0, 0.0, 4.0])  # non-zero only past the common length
+        with pytest.raises(SilentSourceError, match=rf"^silent source {position} of 3: its first 3 samples") as excinfo:
+            make_multi_mixture_item(sources, MixSpec(0.0))
+        assert excinfo.value.position == position
 
     def test_rate_mismatch(self):
         with pytest.raises(ValueError, match="sample rates differ"):

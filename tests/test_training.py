@@ -159,6 +159,47 @@ class TestTrainParampgtf:
         assert [(row.iteration, row.c1, row.c2) for row in trace] == [(0, 24.7, 9.265)]
         assert math.isfinite(trace[0].train_loss) and math.isfinite(trace[0].dev_loss)
 
+    def test_last_row_takes_no_probe(self):
+        # Feasible with M = 32 centres at n_filters = 64; the +c2 probe needs M = 33.
+        items = make_sinusoid_mixture_items(4, seed=1, duration_s=0.1)
+        edge = ErbParams(24.7, 14.069398742262345)
+        best, trace = train_parampgtf(items[:2], items[2:], TrainerConfig(max_iters=1), edge, n_filters=64)
+        assert best == edge
+        assert [(row.iteration, row.c1, row.c2) for row in trace] == [(0, edge.c1, edge.c2)]
+        assert math.isfinite(trace[0].train_loss) and math.isfinite(trace[0].dev_loss)
+
+    def test_probe_on_a_followed_row_is_still_fatal(self):
+        items = make_sinusoid_mixture_items(4, seed=1, duration_s=0.1)
+        edge = ErbParams(24.7, 14.069398742262345)
+        with pytest.raises(TrainingDivergedError, match=r"no valid bank at c1=24\.7, c2=.*not enough filters") as excinfo:
+            train_parampgtf(items[:2], items[2:], TrainerConfig(max_iters=2), edge, n_filters=64)
+        assert [(row.iteration, row.c1, row.c2) for row in excinfo.value.trace] == [(0, edge.c1, edge.c2)]
+
+    @pytest.mark.parametrize("learning_rate, rows, gradients, losses", [
+        (0.05, 1, 0, 2),
+        (0.05, 3, 2, 14),
+        (0.0, 1, 0, 2),
+        (0.0, 3, 0, 6),
+    ])
+    def test_work_per_run(self, tiny_items, tiny_dev_items, monkeypatch, learning_rate, rows, gradients, losses):
+        # N rows take N - 1 gradients of 4 losses each on top of 2 losses per row: 6N - 4 in all.
+        calls = {"fd_gradient": 0, "separation_loss": 0}
+
+        def counted(name):
+            original = getattr(fblab.training, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(fblab.training, name, wrapper)
+
+        counted("fd_gradient")
+        counted("separation_loss")
+        cfg = TrainerConfig(learning_rate=learning_rate, max_iters=rows)
+        _, trace = train_parampgtf(tiny_items, tiny_dev_items, cfg, ErbParams(), n_filters=128)
+        assert len(trace) == rows
+        assert calls == {"fd_gradient": gradients, "separation_loss": losses}
+
     def test_non_finite_loss_is_divergence(self, tiny_items, tiny_dev_items, monkeypatch):
         monkeypatch.setattr(fblab.training, "separation_loss", lambda *args: math.nan)
         with pytest.raises(TrainingDivergedError, match=r"^non-finite loss at iteration 0: train=nan, dev=nan$") as excinfo:
