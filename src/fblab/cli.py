@@ -13,7 +13,9 @@ text outputs go through one line writer, `_write_lines`: the
 freq-response CSV, `separate`'s report.csv and `train`'s trace.csv; and
 one JSON writer, `_write_json`: `separate`'s report.json and `train`'s
 result.json. A failed `separate` or `train` leaves no output directory
-that it created and wrote nothing into.
+that it created and wrote nothing into. Both read and mix their source
+WAVs through one helper, `_read_item`, which names the file in every
+error that one file causes.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .codec import _resynthesize, pseudo_inverse
-from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform
+from .dsp import FrameParams, MixSpec, SNR_RANGE_DB
 from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
 from .filterbank import FilterbankKind, frequency_response, load_filterbank, save_filterbank
 from .gammatone import build_mpgtf, build_parampgtf
 from .metrics import clip_si_snr, si_snr
-from .separation import SilentSourceError, make_multi_mixture_item, score_separation, separate
+from .separation import MixtureItem, SilentSourceError, make_multi_mixture_item, score_separation, separate
 from .stft import StftMode, StftSpec, StftWindow, build_stft_bank
 from .training import TrainerConfig, TrainingDivergedError, train_parampgtf
 from .wavio import WavError, read_wav, write_wav
@@ -72,10 +74,28 @@ def _write_trace(path, trace) -> None:
                  (f"{r.iteration},{r.c1!r},{r.c2!r},{r.train_loss!r},{r.dev_loss!r}" for r in trace))
 
 
-def _mix(paths, sources, spec: MixSpec):
-    """`make_multi_mixture_item` of `sources`, read from `paths`; a silent source is named by its file."""
+def _read_item(paths, snr_db: float, fs: int | None = None) -> MixtureItem:
+    """Read the source WAVs at `paths` and mix them, each tail source `snr_db` below the first.
+
+    Every file must be at `fs` Hz, or at the first file's rate when `fs` is
+    None. An error of one file (unreadable, empty, off-rate or silent) is a
+    ValueError that starts with its path. The read waveforms die on return:
+    the item holds its own targets.
+    """
+    sources = []
+    for path in paths:
+        try:
+            source = read_wav(path)
+            if len(source) == 0:
+                raise ValueError("no samples")
+            fs = fs or source.sample_rate
+            if source.sample_rate != fs:
+                raise ValueError(f"sample rate mismatch: {source.sample_rate} Hz, expected {fs} Hz")
+        except (WavError, ValueError) as exc:  # `Waveform` raises ValueError on a non-finite sample
+            raise ValueError(f"{path}: {exc}") from exc
+        sources.append(source)
     try:
-        return make_multi_mixture_item(sources, spec)
+        return make_multi_mixture_item(sources, MixSpec(snr_db))
     except SilentSourceError as exc:
         raise ValueError(f"{paths[exc.position - 1]}: {exc}") from exc
 
@@ -221,10 +241,8 @@ def cmd_separate(args) -> int:
         snr_db = float(np.random.default_rng(seed).uniform(*SNR_RANGE_DB))
     else:
         snr_db = args.snr_db
-    sources = [read_wav(path) for path in args.sources]
+    item = _read_item(args.sources, snr_db)
     bank = load_filterbank(args.bank)
-    item = _mix(args.sources, sources, MixSpec(snr_db))
-    del sources  # the item holds its own targets; this frees the read copies
     p = FrameParams(bank.filter_len, args.hop)
     dec = pseudo_inverse(bank)
     estimates = separate(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)
@@ -265,52 +283,42 @@ def cmd_separate(args) -> int:
     return 0
 
 
-def _load_pairs(directory: Path, expected_fs: int | None) -> list[tuple[tuple[Path, Path], list[Waveform]]]:
-    """The <stem>_s1/_s2 pairs in `directory` as (paths, waveforms), all at `expected_fs`.
+def _load_pairs(directory: Path, rng: np.random.Generator, fs: int | None) -> list[MixtureItem]:
+    """The <stem>_s1/_s2 pairs in `directory`, each mixed at an SNR drawn from `rng`, all at `fs` Hz.
 
-    `expected_fs` None takes the first pair's rate.
+    `fs` None takes the first pair's rate. A file without its partner is an error.
     """
-    pairs = []
-    for first in sorted(directory.glob("*_s1.wav")):
-        second = first.with_name(first.name[: -len("_s1.wav")] + "_s2.wav")
-        if not second.exists():
-            raise ValueError(f"missing partner file for {first.name}")
-        s1 = read_wav(first)
-        s2 = read_wav(second)
-        expected_fs = expected_fs or s1.sample_rate
-        if s1.sample_rate != expected_fs or s2.sample_rate != expected_fs:
-            raise ValueError(f"sample rate mismatch in {first.stem}: expected {expected_fs} Hz")
-        pairs.append(((first, second), [s1, s2]))
-    if not pairs:
+    items = []
+    for path in sorted(directory.glob("*_s[12].wav")):
+        pair = [path.with_name(f"{path.name[: -len('1.wav')]}{k}.wav") for k in "12"]
+        if not all(p.exists() for p in pair):
+            raise ValueError(f"missing partner file for {path.name}")
+        if path == pair[0]:
+            items.append(_read_item(pair, float(rng.uniform(*SNR_RANGE_DB)), fs))
+            fs = items[0].mixture.sample_rate
+    if not items:
         raise ValueError(f"no *_s1.wav/*_s2.wav pairs found in {directory}")
-    return pairs
+    return items
 
 
 def cmd_train(args) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
-    items = {}
-    fs = None  # every pair must match the first train pair's rate
-    for split, directory in (("train", Path(args.train_dir)), ("dev", Path(args.dev_dir))):
-        split_items = []
-        for paths, pair in _load_pairs(directory, fs):
-            snr_db = float(rng.uniform(*SNR_RANGE_DB))
-            split_items.append(_mix(paths, pair, MixSpec(snr_db)))
-        items[split] = split_items
-        fs = split_items[0].mixture.sample_rate
+    train = _load_pairs(Path(args.train_dir), rng, None)
+    dev = _load_pairs(Path(args.dev_dir), rng, train[0].mixture.sample_rate)  # at the first train pair's rate
 
     cfg = TrainerConfig(learning_rate=args.lr, max_iters=args.max_iters, fd_epsilon=args.fd_epsilon)
     init = ErbParams(args.c1_init, args.c2_init)
     frame_params = FrameParams(args.frame_len, args.hop)
     with _out_dir(args.out_dir) as out_dir:
         try:
-            best, trace = train_parampgtf(items["train"], items["dev"], cfg, init,
+            best, trace = train_parampgtf(train, dev, cfg, init,
                                           n_filters=args.n_filters, frame_params=frame_params)
         except TrainingDivergedError as exc:
             _write_trace(out_dir / "trace.csv", exc.trace)  # keep the rows before the failure
             raise
         _write_trace(out_dir / "trace.csv", trace)
-        bank = build_parampgtf(best, args.n_filters, args.frame_len, fs)
+        bank = build_parampgtf(best, args.n_filters, args.frame_len, train[0].mixture.sample_rate)
         save_filterbank(out_dir / "parampgtf.fbank", bank)
         _write_json(out_dir / "result.json", {
             "c1": best.c1,

@@ -183,11 +183,10 @@ def _mixing_gain(e1: float, e2: float, spec: MixSpec) -> float:
     """Gain g that puts g * b spec.snr_db below a, given their energies e1 and e2.
 
     g = sqrt((e1 / e2) * 10^(-snr_db / 10)) makes the energy ratio of a
-    to g*b equal snr_db exactly. A silent source, or an snr_db so extreme
-    that g overflows or underflows to 0, is a `ValueError`.
+    to g*b equal snr_db exactly. Both energies must be non-zero: its caller
+    `make_multi_mixture_item` refuses a silent source first. An snr_db so
+    extreme that g overflows or underflows to 0 is a `ValueError`.
     """
-    if e1 == 0.0 or e2 == 0.0:
-        raise ValueError("silent source")
     try:
         g = math.sqrt((e1 / e2) * 10.0 ** (-spec.snr_db / 10.0))
     except OverflowError:

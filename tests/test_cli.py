@@ -34,6 +34,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _float32_wav_bytes(samples, fs=8000):
+    """A mono float32 WAV file of `samples`, written without `write_wav`'s range check."""
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    body = b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, fs, 4 * fs, 4, 32)
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
 class TestBuildBank:
     def test_mpgtf_default(self, tmp_path, capsys):
         out = tmp_path / "bank.fbank"
@@ -372,6 +380,30 @@ class TestSeparate:
                                           "(the length the sources share) are all zero\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "write, reason",
+        [
+            (lambda path: path.write_bytes(b"not a wav"),
+             "malformed header: not a RIFF/WAVE file"),
+            (lambda path: write_wav(path, Waveform(np.zeros(0), 8000)),
+             "no samples"),
+            (lambda path: path.write_bytes(_float32_wav_bytes([0.5, math.inf])),
+             "waveform contains non-finite samples"),
+            (lambda path: write_wav(path, tone(2000.0, fs=16000)),
+             "sample rate mismatch: 16000 Hz, expected 8000 Hz"),
+        ],
+        ids=["malformed", "empty", "non-finite", "off-rate"],
+    )
+    def test_bad_source_names_its_wav(self, tmp_path, source_wavs, capsys, write, reason):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--out", bank])
+        bad = tmp_path / "bad.wav"
+        write(bad)
+        out_dir = tmp_path / "sep"
+        assert run(["separate", bank, source_wavs[0], bad, "--out-dir", out_dir, "--snr-db", "0"]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+        assert not out_dir.exists()
+
     def test_mixture_beyond_float32_is_typed_error_without_warning(self, tmp_path, capsys):
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])
@@ -574,6 +606,35 @@ class TestTrain:
         assert capsys.readouterr().err == "error: missing partner file for item0_s1.wav\n"
         assert not out_dir.exists()
 
+    def test_unpaired_second_source_is_named(self, tmp_path, capsys):
+        self._write_pairs(tmp_path / "train", 1, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        write_wav(tmp_path / "train" / "orphan_s2.wav", tone(2000.0, n=1600), encoding="float32")
+        out_dir = tmp_path / "out"
+        assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == "error: missing partner file for orphan_s2.wav\n"
+        assert not out_dir.exists()
+
+    def test_off_rate_second_source_is_named(self, tmp_path, capsys):
+        self._write_pairs(tmp_path / "train", 2, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        off_rate = tmp_path / "train" / "item1_s2.wav"
+        write_wav(off_rate, tone(2000.0, n=1600, fs=16000), encoding="float32")
+        out_dir = tmp_path / "out"
+        assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == f"error: {off_rate}: sample rate mismatch: 16000 Hz, expected 8000 Hz\n"
+        assert not out_dir.exists()
+
+    def test_malformed_pair_file_is_named(self, tmp_path, capsys):
+        self._write_pairs(tmp_path / "train", 1, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        malformed = tmp_path / "dev" / "item0_s2.wav"
+        malformed.write_bytes(b"RIFF\x00\x00\x00\x00WAVE")
+        out_dir = tmp_path / "out"
+        assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == f"error: {malformed}: malformed header: missing fmt or data chunk\n"
+        assert not out_dir.exists()
+
     def test_silent_source_names_its_pair_file(self, tmp_path, capsys):
         self._write_pairs(tmp_path / "train", 2, 0)
         self._write_pairs(tmp_path / "dev", 1, 1)
@@ -614,7 +675,8 @@ class TestTrain:
         code = run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir, "--n-filters", "128"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "error: sample rate mismatch in item0_s1: expected 16000 Hz\n"
+        off_rate = tmp_path / "dev" / "item0_s1.wav"
+        assert err == f"error: {off_rate}: sample rate mismatch: 8000 Hz, expected 16000 Hz\n"
         assert not out_dir.exists()  # rejected before training
 
     def test_help_has_no_rate_flag(self, capsys):

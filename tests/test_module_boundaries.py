@@ -2,8 +2,10 @@
 
 `cli` writes every text output of the subcommands, `filterbank` reads and
 writes FBANK1 banks and `wavio` reads and writes WAV files; the other
-modules compute on values in memory. The sources are read with `ast`, so
-a call is found whether or not the code path runs in a test.
+modules compute on values in memory. Within `cli`, WAVs are read only by
+the helper that reads and mixes source WAVs, and by `roundtrip`. The
+sources are read with `ast`, so a call is found whether or not the code
+path runs in a test.
 """
 
 import ast
@@ -16,16 +18,21 @@ def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _calls_open(tree: ast.Module) -> bool:
-    """Whether `tree` calls `open`, bare (the builtin) or as an attribute (`io.open`, `Path.open`, `os.open`)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Name) and func.id == "open") or (
-                isinstance(func, ast.Attribute) and func.attr == "open"
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether `node` calls `name`, bare (`open`) or as an attribute (`io.open`, `Path.open`, `os.open`)."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if (isinstance(func, ast.Name) and func.id == name) or (
+                isinstance(func, ast.Attribute) and func.attr == name
             ):
                 return True
     return False
+
+
+def _callers(tree: ast.Module, name: str) -> set[str]:
+    """The top-level definitions of `tree` that call `name`; "<module>" for a call outside any."""
+    return {getattr(top, "name", "<module>") for top in tree.body if _calls(top, name)}
 
 
 def _imports_json(tree: ast.Module) -> bool:
@@ -38,10 +45,14 @@ def _imports_json(tree: ast.Module) -> bool:
 
 
 def test_only_cli_filterbank_and_wavio_open_files():
-    openers = {name for name, tree in _modules().items() if _calls_open(tree)}
+    openers = {name for name, tree in _modules().items() if _calls(tree, "open")}
     assert "cli" in openers  # the check sees the calls it is meant to find
     assert openers <= {"cli", "filterbank", "wavio"}
 
 
 def test_only_cli_imports_json():
     assert {name for name, tree in _modules().items() if _imports_json(tree)} == {"cli"}
+
+
+def test_cli_reads_wavs_only_in_the_source_reader_and_roundtrip():
+    assert _callers(_modules()["cli"], "read_wav") == {"_read_item", "cmd_roundtrip"}
