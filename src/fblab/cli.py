@@ -13,9 +13,14 @@ text outputs go through one line writer, `_write_lines`: the
 freq-response CSV, `separate`'s report.csv and `train`'s trace.csv; and
 one JSON writer, `_write_json`: `separate`'s report.json and `train`'s
 result.json. A failed `separate` or `train` leaves no output directory
-that it created and wrote nothing into. Both read and mix their source
-WAVs through one helper, `_read_item`, which names the file in every
-error that one file causes.
+that it created and wrote nothing into.
+
+Every file a subcommand reads goes through one reader per format, which
+names the file in every error that file causes, as `error: <path>:
+<reason>`: `_read_source` reads each WAV (`roundtrip`'s input, and the
+sources that `_read_item` mixes for `separate` and `train`) and
+`_load_bank` each FBANK1 bank (`freq-response`, `roundtrip` and
+`separate`).
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .codec import _resynthesize, pseudo_inverse
-from .dsp import FrameParams, MixSpec, SNR_RANGE_DB
+from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform
 from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
-from .filterbank import FilterbankKind, frequency_response, load_filterbank, save_filterbank
+from .filterbank import Filterbank, FilterbankKind, frequency_response, load_filterbank, save_filterbank
 from .gammatone import build_mpgtf, build_parampgtf
 from .metrics import clip_si_snr, si_snr
 from .separation import MixtureItem, SilentSourceError, make_multi_mixture_item, score_separation, separate
@@ -74,26 +79,42 @@ def _write_trace(path, trace) -> None:
                  (f"{r.iteration},{r.c1!r},{r.c2!r},{r.train_loss!r},{r.dev_loss!r}" for r in trace))
 
 
-def _read_item(paths, snr_db: float, fs: int | None = None) -> MixtureItem:
+def _read_source(path, fs: int | None) -> Waveform:
+    """Read the WAV at `path`, refusing one with no samples, or one not at `fs` Hz unless `fs` is None.
+
+    Every `WavError` or `ValueError` of the file (malformed, non-finite,
+    empty or off-rate) becomes a ValueError that starts with its path; an
+    OSError names the file already.
+    """
+    try:
+        source = read_wav(path)
+        if len(source) == 0:
+            raise ValueError("no samples")
+        if fs is not None and source.sample_rate != fs:
+            raise ValueError(f"sample rate mismatch: {source.sample_rate} Hz, expected {fs} Hz")
+    except (WavError, ValueError) as exc:  # `Waveform` raises ValueError on a non-finite sample
+        raise ValueError(f"{path}: {exc}") from exc
+    return source
+
+
+def _load_bank(path) -> Filterbank:
+    """`load_filterbank(path)`, with the path put before every ValueError; an OSError names the file already."""
+    try:
+        return load_filterbank(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_item(paths, snr_db: float, fs: int | None) -> MixtureItem:
     """Read the source WAVs at `paths` and mix them, each tail source `snr_db` below the first.
 
     Every file must be at `fs` Hz, or at the first file's rate when `fs` is
-    None. An error of one file (unreadable, empty, off-rate or silent) is a
+    None. An error of one file (see `_read_source`, or a silent source) is a
     ValueError that starts with its path. The read waveforms die on return:
     the item holds its own targets.
     """
-    sources = []
-    for path in paths:
-        try:
-            source = read_wav(path)
-            if len(source) == 0:
-                raise ValueError("no samples")
-            fs = fs or source.sample_rate
-            if source.sample_rate != fs:
-                raise ValueError(f"sample rate mismatch: {source.sample_rate} Hz, expected {fs} Hz")
-        except (WavError, ValueError) as exc:  # `Waveform` raises ValueError on a non-finite sample
-            raise ValueError(f"{path}: {exc}") from exc
-        sources.append(source)
+    sources = [_read_source(paths[0], fs)]
+    sources += [_read_source(path, sources[0].sample_rate) for path in paths[1:]]
     try:
         return make_multi_mixture_item(sources, MixSpec(snr_db))
     except SilentSourceError as exc:
@@ -209,7 +230,7 @@ def cmd_build_bank(args) -> int:
 
 
 def cmd_freq_response(args) -> int:
-    bank = load_filterbank(args.bank)
+    bank = _load_bank(args.bank)
     bin_hz, mags = frequency_response(bank, args.n_fft)
     _write_lines(args.out, "filter_index,bin_hz,magnitude",
                  (f"{n},{float(bin_hz[k])!r},{float(mags[n, k])!r}"
@@ -219,8 +240,8 @@ def cmd_freq_response(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    bank = load_filterbank(args.bank)
-    x = read_wav(args.wav_in)
+    bank = _load_bank(args.bank)
+    x = _read_source(args.wav_in, bank.sample_rate)
     hop = args.hop if args.hop is not None else bank.filter_len
     p = FrameParams(bank.filter_len, hop)
     (out,) = _resynthesize([x], bank, pseudo_inverse(bank), p, None, 1, relu=args.relu)
@@ -241,8 +262,8 @@ def cmd_separate(args) -> int:
         snr_db = float(np.random.default_rng(seed).uniform(*SNR_RANGE_DB))
     else:
         snr_db = args.snr_db
-    item = _read_item(args.sources, snr_db)
-    bank = load_filterbank(args.bank)
+    bank = _load_bank(args.bank)
+    item = _read_item(args.sources, snr_db, bank.sample_rate)
     p = FrameParams(bank.filter_len, args.hop)
     dec = pseudo_inverse(bank)
     estimates = separate(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)

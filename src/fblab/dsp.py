@@ -10,15 +10,18 @@ and the block engine `codec._resynthesize`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 
 def _check_sample_rate(sample_rate) -> None:
-    """Raise ValueError unless `sample_rate` is a positive integer (Hz)."""
+    """Raise ValueError unless `sample_rate` is a positive integer (Hz) that a float can hold."""
     if not (isinstance(sample_rate, (int, np.integer)) and sample_rate > 0):
         raise ValueError(f"sample_rate must be a positive integer, got {sample_rate!r}")
+    if sample_rate > sys.float_info.max:  # beyond it, `float(sample_rate)` and `sample_rate / n` overflow
+        raise ValueError(f"sample_rate must not exceed the float range ({sys.float_info.max!r} Hz)")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

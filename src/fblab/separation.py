@@ -115,16 +115,6 @@ def make_sinusoid_mixture_items(n_items: int, seed: int, duration_s: float = 0.5
     return items
 
 
-def _check_sources(sources) -> None:
-    if len(sources) < 2:
-        raise ValueError(f"need at least 2 sources, got {len(sources)}")
-    n = len(sources[0])
-    if any(len(s) != n for s in sources):
-        raise ValueError("sources must have equal lengths")
-    if any(s.sample_rate != sources[0].sample_rate for s in sources):
-        raise ValueError("sources must share one sample rate")
-
-
 def _ratio_masks(mags: np.ndarray) -> None:
     """Turn C stacked magnitudes (C, ...) into ideal ratio masks, in place.
 
@@ -166,7 +156,13 @@ def oracle_irm_masks(
     `apply_mask` -> `decode` is the whole-signal reference chain that the
     blocked engine of `separate` is tested against.
     """
-    _check_sources(sources)
+    if len(sources) < 2:
+        raise ValueError(f"need at least 2 sources, got {len(sources)}")
+    n = len(sources[0])
+    if any(len(s) != n for s in sources):
+        raise ValueError("sources must have equal lengths")
+    if any(s.sample_rate != sources[0].sample_rate for s in sources):
+        raise ValueError("sources must share one sample rate")
     mags = np.stack([np.abs(encode(s, bank, frame_params, apply_relu=False).values) for s in sources])
     _ratio_masks(mags)
     return mags
@@ -216,7 +212,7 @@ def separate(
 ) -> list[Waveform]:
     """Oracle-masked estimates of every source, trimmed to the mixture length.
 
-    The mixture and the sources must have one length and one sample rate,
+    The mixture and the sources must have one length and `enc_bank`'s rate,
     and the mixture must be the sum of the sources, up to rounding: the
     weigh scales each source's magnitude by mixture / (sum of the sources'
     magnitudes) per cell, which is finite while the mixture's encoding
@@ -225,7 +221,8 @@ def separate(
     `Waveform`. Runs the blocked engine `_resynthesize`; every argument is
     checked before any work.
     """
-    _check_sources(sources)
+    if len(sources) < 2:  # `_resynthesize` checks the lengths and rates
+        raise ValueError(f"need at least 2 sources, got {len(sources)}")
     return _resynthesize([mixture, *sources], enc_bank, dec_bank, frame_params,
                          _oracle_mask_weigh, len(sources), relu=apply_relu)
 

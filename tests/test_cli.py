@@ -1,18 +1,34 @@
+import contextlib
+import io
 import json
 import math
+import re
 import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fblab.cli
 import fblab.codec
 import fblab.separation
 import fblab.training
 import fblab.wavio
-from fblab import MixSpec, Waveform, load_filterbank, make_multi_mixture_item, read_wav, si_snr, write_wav
+from fblab import (
+    MixSpec,
+    StftSpec,
+    Waveform,
+    build_stft_bank,
+    load_filterbank,
+    make_multi_mixture_item,
+    read_wav,
+    save_filterbank,
+    si_snr,
+    write_wav,
+)
 from fblab.cli import main
 
 
@@ -140,7 +156,7 @@ class TestFreqResponse:
         else:  # WAV and bank arguments swapped
             args = ["roundtrip", wav, bank, tmp_path / "out.wav"]
         assert run(args) == 1
-        assert capsys.readouterr().err.startswith("error: not an FBANK1 file")
+        assert capsys.readouterr().err.startswith(f"error: {wav}: not an FBANK1 file")
 
     @pytest.mark.parametrize("command", ["freq-response", "roundtrip"])
     @pytest.mark.parametrize(
@@ -150,17 +166,23 @@ class TestFreqResponse:
             ("n=1 len=-3", "error: bad FBANK1 header"),
             ("n=0 len=3", "error: bad FBANK1 header"),
             ("n=1 len=3 junk", "error: bad FBANK1 header token 'junk'\n"),
+            # refused by `Filterbank`, not by the parser
+            ("n=1 len=3 fs=0", "error: sample_rate must be a positive integer, got 0\n"),
+            ("n=1 len=3\n1 nan 3", "error: taps contain non-finite values\n"),
         ],
     )
     def test_bad_dimensions_are_typed_errors(self, tmp_path, source_wavs, capsys, command, dims, message):
+        # `dims` holds header fields, which override the defaults before them,
+        # and may go on with its own tap rows after a newline.
+        fields, _, rows = dims.partition("\n")
         bank = tmp_path / "bad.fbank"
-        bank.write_text(f"FBANK1 kind=custom {dims} fs=8000 c1=- c2=- centers=-\n1 2 3\n")
+        bank.write_text(f"FBANK1 kind=custom fs=8000 {fields} c1=- c2=- centers=-\n{rows or '1 2 3'}\n")
         if command == "freq-response":
             args = ["freq-response", bank, "--out", tmp_path / "x.csv"]
         else:
             args = ["roundtrip", bank, source_wavs[0], tmp_path / "out.wav"]
         assert run(args) == 1
-        assert capsys.readouterr().err.startswith(message)
+        assert capsys.readouterr().err.startswith(message.replace("error: ", f"error: {bank}: ", 1))
 
     @pytest.mark.parametrize("rows,row", [("1 2\n3 x", 1), ("1 x\n-1 -x", 0)], ids=["full-parse", "sign-split-half"])
     def test_bad_tap_names_its_row(self, tmp_path, source_wavs, capsys, rows, row):
@@ -168,7 +190,7 @@ class TestFreqResponse:
         bank = tmp_path / "bad.fbank"
         bank.write_text(f"FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n{rows}\n")
         assert run(["roundtrip", bank, source_wavs[0], tmp_path / "out.wav"]) == 1
-        assert capsys.readouterr().err == f"error: FBANK1 bad tap on row {row}: 'x'\n"
+        assert capsys.readouterr().err == f"error: {bank}: FBANK1 bad tap on row {row}: 'x'\n"
 
     @pytest.mark.parametrize("c1,reason", [("abc", "could not convert"), ("-3", "invalid ERB parameters")])
     def test_bad_erb_params_are_header_errors(self, tmp_path, capsys, c1, reason):
@@ -176,7 +198,7 @@ class TestFreqResponse:
         bank.write_text(f"FBANK1 kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265 centers=-\n1\n")
         assert run(["freq-response", bank, "--out", tmp_path / "x.csv"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: bad FBANK1 header: ") and reason in err
+        assert err.startswith(f"error: {bank}: bad FBANK1 header: ") and reason in err
 
     def test_unallocatable_n_fft_is_typed_error(self, tmp_path, capsys):
         # 146 TiB of spectrum exceeds the 128 TiB user address space of
@@ -277,7 +299,7 @@ class TestRoundtrip:
         wav_in.write_bytes(source_wavs[0].read_bytes()[:end])
         out_wav = tmp_path / "out.wav"
         assert run(["roundtrip", bank, wav_in, out_wav]) == 1
-        assert capsys.readouterr().err == f"error: malformed header: truncated {chunk} chunk\n"
+        assert capsys.readouterr().err == f"error: {wav_in}: malformed header: truncated {chunk} chunk\n"
         assert not out_wav.exists()
 
     def test_rate_mismatch_fails(self, tmp_path, capsys):
@@ -286,7 +308,17 @@ class TestRoundtrip:
         wav16k = tmp_path / "x.wav"
         write_wav(wav16k, Waveform(np.ones(100), 16000), encoding="float32")
         assert run(["roundtrip", bank, wav16k, tmp_path / "y.wav"]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {wav16k}: sample rate mismatch: 16000 Hz, expected 8000 Hz\n"
+
+    def test_empty_wav_is_named(self, tmp_path, capsys):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
+        empty = tmp_path / "empty.wav"
+        write_wav(empty, Waveform(np.zeros(0), 8000), encoding="float32")
+        out_wav = tmp_path / "out.wav"
+        assert run(["roundtrip", bank, empty, out_wav]) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no samples\n"
+        assert not out_wav.exists()
 
 
 class TestSeparate:
@@ -453,8 +485,7 @@ class TestSeparate:
         write_wav(wavs[1], tone(2000.0, fs=16000), encoding="float32")
         out_dir = tmp_path / "sep"
         assert run(["separate", bank, *wavs, "--out-dir", out_dir, "--snr-db", "0"]) == 1
-        err = capsys.readouterr().err
-        assert "error: sample rate mismatch: bank 8000 Hz, signal 16000 Hz" in err
+        assert capsys.readouterr().err == f"error: {wavs[0]}: sample rate mismatch: 16000 Hz, expected 8000 Hz\n"
         assert not out_dir.exists()
 
     def test_seed_env_var_used_as_default(self, tmp_path, source_wavs, monkeypatch):
@@ -690,6 +721,80 @@ class TestTrain:
         (tmp_path / "dev").mkdir()
         assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", tmp_path / "out"]) == 1
         assert "no *_s1.wav" in capsys.readouterr().err
+
+
+def _assert_clean_exit(argv) -> None:
+    """Run the CLI on `argv`: exit 0 with nothing on stderr, or exit 1 with one `error: ` line; no warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(argv)
+    assert (code, err.getvalue()) == (0, "") or (code == 1 and re.fullmatch(r"error: [^\n]*\n", err.getvalue()))
+
+
+#: Values for a mutated FBANK1 header field: small sizes, integers far beyond
+#: float range, special and near-valid tokens, short text without whitespace,
+#: and None, which drops the field. No field sizes an allocation (the parser
+#: grows the taps it reads), so the values need no cap to stay small.
+_FIELD_VALUES = st.one_of(
+    st.integers(-2, 10).map(str),
+    st.integers(-10**400, 10**400).map(str),
+    st.sampled_from(["-", "", "nan", "inf", "-1e400", "1e308", "0x10", "1_0",
+                     "custom", "mpgtf", "parampgtf", "stft", "1,2", "2,1", "500,1500,", "24.7"]),
+    st.text(st.characters(blacklist_categories=("Z", "C")), max_size=6),
+    st.none(),
+)
+
+
+class TestMutatedInputs:
+    """A regression net over malformed inputs: header mutations of a small
+    WAV and of a small FBANK1 bank end in exit 0, or in exit 1 with one
+    `error: ` line; never in an exception or a warning."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        save_filterbank(d / "bank.fbank", build_stft_bank(StftSpec(frame_len=4, n_freqs=2), 8000))
+        write_wav(d / "a.wav", tone(300.0, n=64), encoding="float32")
+        write_wav(d / "b.wav", tone(2000.0, n=64, phase=1.0), encoding="float32")
+        return d
+
+    @given(st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)), min_size=1, max_size=4),
+           st.sampled_from(["roundtrip", "separate"]))
+    @settings(max_examples=30, deadline=None)
+    def test_mutated_wav_header(self, inputs, edits, command):
+        data = bytearray((inputs / "a.wav").read_bytes())  # a 44-byte header, then 64 float32 samples
+        for offset, value in edits:
+            data[offset] = value
+        wav = inputs / "mutated.wav"
+        wav.write_bytes(data)
+        if command == "roundtrip":
+            argv = ["roundtrip", inputs / "bank.fbank", wav, inputs / "out.wav"]
+        else:
+            argv = ["separate", inputs / "bank.fbank", wav, inputs / "b.wav",
+                    "--out-dir", inputs / "sep", "--snr-db", "0", "--hop", "2"]
+        _assert_clean_exit(argv)
+
+    @given(st.dictionaries(st.sampled_from(["kind", "n", "len", "fs", "c1", "c2", "centers"]), _FIELD_VALUES,
+                           min_size=1, max_size=3),
+           st.sampled_from(["roundtrip", "freq-response"]))
+    @example({"fs": str(10**400)}, "freq-response")  # a rate beyond float range overflowed the bin frequencies
+    @settings(max_examples=30, deadline=None)
+    def test_mutated_bank_header(self, inputs, edits, command):
+        head, *rows = (inputs / "bank.fbank").read_text().splitlines()
+        fields = dict(token.split("=", 1) for token in head.split()[1:])
+        for key, value in edits.items():
+            if value is None:
+                fields.pop(key, None)
+            else:
+                fields[key] = value
+        bank = inputs / "mutated.fbank"
+        bank.write_text("\n".join([" ".join(["FBANK1", *(f"{k}={v}" for k, v in fields.items())]), *rows]) + "\n")
+        if command == "roundtrip":
+            argv = ["roundtrip", bank, inputs / "a.wav", inputs / "out.wav"]
+        else:
+            argv = ["freq-response", bank, "--out", inputs / "response.csv", "--n-fft", "8"]
+        _assert_clean_exit(argv)
 
 
 def test_help_lists_defaults(capsys):

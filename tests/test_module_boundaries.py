@@ -2,10 +2,11 @@
 
 `cli` writes every text output of the subcommands, `filterbank` reads and
 writes FBANK1 banks and `wavio` reads and writes WAV files; the other
-modules compute on values in memory. Within `cli`, WAVs are read only by
-the helper that reads and mixes source WAVs, and by `roundtrip`. The
-sources are read with `ast`, so a call is found whether or not the code
-path runs in a test.
+modules compute on values in memory. Within `cli`, each input format has
+one reader, which names the file in its errors: WAVs are read only by
+`_read_source` and FBANK1 banks only by `_load_bank`. The sources are read
+with `ast`, so a call is found whether or not the code path runs in a
+test.
 """
 
 import ast
@@ -54,5 +55,7 @@ def test_only_cli_imports_json():
     assert {name for name, tree in _modules().items() if _imports_json(tree)} == {"cli"}
 
 
-def test_cli_reads_wavs_only_in_the_source_reader_and_roundtrip():
-    assert _callers(_modules()["cli"], "read_wav") == {"_read_item", "cmd_roundtrip"}
+def test_cli_reads_wavs_only_in_read_source_and_banks_only_in_load_bank():
+    cli = _modules()["cli"]
+    assert _callers(cli, "read_wav") == {"_read_source"}
+    assert _callers(cli, "load_filterbank") == {"_load_bank"}
