@@ -29,12 +29,12 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
-from .codec import _resynthesize, pseudo_inverse
+from .codec import _resynthesize
 from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform
 from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
 from .filterbank import Filterbank, FilterbankKind, frequency_response, load_filterbank, save_filterbank
@@ -54,9 +54,10 @@ def _resolve_seed(args) -> int:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     value = os.environ.get(SEED_ENV_VAR, "0")
-    if not value.strip().isdecimal():  # also "-1", which numpy refuses without naming the variable
-        raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {value!r}")
-    return int(value)
+    if value.strip().isdecimal():  # not "-1", which numpy refuses without naming the variable
+        with suppress(ValueError):  # int() refuses more than 4300 digits without naming it either
+            return int(value)
+    raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {value!r}")
 
 
 def _write_lines(path, header: str, rows) -> None:
@@ -244,7 +245,7 @@ def cmd_roundtrip(args) -> int:
     x = _read_source(args.wav_in, bank.sample_rate)
     hop = args.hop if args.hop is not None else bank.filter_len
     p = FrameParams(bank.filter_len, hop)
-    (out,) = _resynthesize([x], bank, pseudo_inverse(bank), p, None, 1, relu=args.relu)
+    (out,) = _resynthesize([x], bank, p, None, 1, relu=args.relu)
     write_wav(args.wav_out, out, encoding="float32")
     if x.energy() == 0.0:
         print("si_snr_db=n/a")
@@ -265,8 +266,7 @@ def cmd_separate(args) -> int:
     bank = _load_bank(args.bank)
     item = _read_item(args.sources, snr_db, bank.sample_rate)
     p = FrameParams(bank.filter_len, args.hop)
-    dec = pseudo_inverse(bank)
-    estimates = separate(item.mixture, item.sources, bank, dec, p, apply_relu=not args.no_relu)
+    estimates = separate(item.mixture, item.sources, bank, p, apply_relu=not args.no_relu)
 
     with _out_dir(args.out_dir) as out_dir:
         # Written before scoring: the float32 range check refuses any signal whose SI-SNR sums overflow.

@@ -9,7 +9,9 @@ convolution), optionally rectified so the representation is nonnegative:
 The decoder synthesizes one frame per column as a tap-weighted sum of
 decoder rows and overlap-adds them at hop D. A decoder built from the
 Moore-Penrose pseudo-inverse of the analysis matrix makes
-decode(encode(x)) the identity for full-rank banks when D = L.
+decode(encode(x)) the identity for full-rank banks when D = L. The
+pipeline decodes with that decoder only: the engine takes its rows from
+the bank, `Filterbank.pinv_rows`, computed once per bank.
 
 There are two encoders: the frame-blocked engine that does the work, and
 the bitwise whole-signal `encode` that pins its arithmetic.
@@ -40,26 +42,27 @@ columns it has, so the engine agrees with the whole-signal path to about
 size its output is deterministic.
 
 Sign-split banks fold. Every multi-phase gammatone bank and every
-sign-split STFT bank is `[P; -P]` bit for bit, and `pseudo_inverse` gives
-such a bank a decoder `[Q; -Q]`, again bit for bit. A negated row has the
-same magnitude, so it gets the same ratio mask, and with a weigh that is
-linear in the mixture's block
+sign-split STFT bank is `[P; -P]` bit for bit; when the bank has that
+form, its pseudo-inverse does too: `[Q; -Q]`, again bit for bit, with Q
+the bank's `pinv_rows`. A negated row has the same magnitude, so it gets
+the same ratio mask, and with a weigh that is linear in the mixture's
+block
 
     relu(e) * Q + relu(-e) * (-Q) = e * Q,    e * Q + (-e) * (-Q) = 2 * e * Q.
 
-So when both banks have that form, which `Filterbank.sign_split_half`
+So when the bank has that form, which `Filterbank.sign_split_half`
 decides once per bank, the engine encodes, weighs and decodes only the
 rows of P, skips the relu and decodes with Q (rectified) or 2*Q (linear).
-That halves its work; any other pair of banks runs every row. Since Q is
-half the pseudo-inverse decoder of P alone, a rectified encoding through
-such a bank decodes to half of what the linear one does, a scale SI-SNR
-does not see.
+That halves its work; any other bank runs every row. Since Q is half the
+pseudo-inverse decoder of P alone, a rectified encoding through such a
+bank decodes to half of what the linear one does, a scale SI-SNR does not
+see.
 
 Weigh-free passes collapse. With no weigh (`fblab roundtrip` passes
-`weigh=None`) and no relu left to apply, because the pair folds or relu
+`weigh=None`) and no relu left to apply, because the bank folds or relu
 is off, every frame maps linearly. For A the analysis rows the engine runs
 (P when it folds, every row otherwise) and S its synthesis (Q, 2*Q or the
-whole decoder),
+whole pseudo-inverse decoder),
 
     frame -> (frame * A^T) * S = frame * (A^T * S) = frame * M,
 
@@ -67,13 +70,13 @@ so the engine computes the L x L frame operator M once per call, takes it
 for the analysis matrix and skips the decode product: one (k, L) x (L, L)
 product per block of `OPERATOR_BLOCK_FRAMES` frames, L^2 multiply-adds
 per frame in place of 2 * N' * L, 32x fewer on the default 512 x 16
-banks. For a pseudo-inverse decoder M is the projector onto the bank's
-row space (halved for a rectified fold), so I or I/2 at full rank. A
-relu pass through a bank that is not sign-split rectifies each encoding,
-is not linear in the frame and runs the full engine. Both forms sum the
-same products, grouped differently: the engine rounds the N' encodings
-of a frame, the operator rounds the entries of M. So they agree to about
-1e-15 relative (tests bound it at 1e-12), not bitwise.
+banks. M is the projector onto the bank's row space (halved for a
+rectified fold), so I or I/2 at full rank. A relu pass through a bank
+that is not sign-split rectifies each encoding, is not linear in the
+frame and runs the full engine. Both forms sum the same products,
+grouped differently: the engine rounds the N' encodings of a frame, the
+operator rounds the entries of M. So they agree to about 1e-15 relative
+(tests bound it at 1e-12), not bitwise.
 
 The whole-signal functions are the reference the tests compare against,
 and the public API for inspecting a representation:
@@ -93,7 +96,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dsp import FrameParams, Waveform, _add_frames, _framed, _frozen, frame_signal, num_frames, overlap_add
-from .filterbank import PINV_RCOND, Filterbank
+from .filterbank import Filterbank
 
 #: Frames per block of `_resynthesize`. Measured on 512-filter banks, L = 16,
 #: hop 8: 64 was fastest on both 0.5 s and 10 s items, and every size from
@@ -166,24 +169,19 @@ def encode(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = Tru
     return TFRepresentation(values, p)
 
 
-def _check_decode_args(dec_bank: Filterbank, n_rows: int, frame_len: int) -> None:
-    if dec_bank.n_filters != n_rows:
-        raise ValueError(f"decoder has {dec_bank.n_filters} filters but representation has {n_rows} rows")
-    if dec_bank.filter_len != frame_len:
-        raise ValueError(f"decoder filter length {dec_bank.filter_len} != frame length {frame_len}")
-
-
 def decode(rep: TFRepresentation, dec_bank: Filterbank) -> Waveform:
     """Synthesize a waveform: frame i = sum_n rep[n, i] * dec_taps[n], then OLA."""
-    _check_decode_args(dec_bank, rep.n_filters, rep.frame_params.frame_len)
+    if dec_bank.n_filters != rep.n_filters:
+        raise ValueError(f"decoder has {dec_bank.n_filters} filters but representation has {rep.n_filters} rows")
+    if dec_bank.filter_len != rep.frame_params.frame_len:
+        raise ValueError(f"decoder filter length {dec_bank.filter_len} != frame length {rep.frame_params.frame_len}")
     frames = (dec_bank.taps.T @ rep.values).T  # (I, L)
     return overlap_add(frames, rep.frame_params, dec_bank.sample_rate)
 
 
 def _resynthesize(
     signals: Sequence[Waveform],
-    enc_bank: Filterbank,
-    dec_bank: Filterbank,
+    bank: Filterbank,
     p: FrameParams,
     weigh: Callable[[np.ndarray], np.ndarray] | None,
     n_out: int,
@@ -193,12 +191,13 @@ def _resynthesize(
     """Encode S equal-length signals, weigh, decode and overlap-add, block by block.
 
     For each block of k <= `BLOCK_FRAMES` frames, the frame-major
-    (S, k, N) array of linear encodings of all `signals` goes to `weigh`,
-    with signal 0's block rectified first if `relu`. The weigh overwrites
-    the array in place and returns an (n_out, k, N) view of it holding
-    synthesis coefficients. Those are decoded and overlap-added in
-    increasing frame order into `n_out` outputs, each trimmed to the input
-    length.
+    (S, k, N) array of linear encodings of all `signals` through `bank`
+    goes to `weigh`, with signal 0's block rectified first if `relu`. The
+    weigh overwrites the array in place and returns an (n_out, k, N) view
+    of it holding synthesis coefficients. Those are decoded through the
+    bank's pseudo-inverse, whose rows `bank.pinv_rows` gives, and
+    overlap-added in increasing frame order into `n_out` outputs, each
+    trimmed to the input length.
 
     Nothing signal-long is copied: `dsp._framed` gives the frames, and the
     overlap-add rows are frozen and handed out as the outputs. Besides its
@@ -210,31 +209,29 @@ def _resynthesize(
     overlap-adds directly, and no synthesis buffer. Temporaries of the
     weigh come on top (one (k, N) array for the oracle mask).
 
-    If the encoder is [P; -P] and the decoder [Q; -Q], as their
-    `Filterbank.sign_split_half` says, the weigh gets only the rows of P
-    (N/2 of them), signal 0's block is not rectified, and the coefficients
-    are decoded with Q if `relu`, else with 2*Q (see the module docstring).
-    That is exact for a weigh that is linear in signal 0's block and reads
-    the other signals only through their magnitudes, as the oracle mask and
-    the identity are; other weighs must not be given a sign-split pair.
+    If the bank is [P; -P], as its `Filterbank.sign_split_half` says, the
+    weigh gets only the rows of P (N/2 of them), signal 0's block is not
+    rectified, and the coefficients are decoded with Q = `bank.pinv_rows`
+    if `relu`, else with 2*Q (see the module docstring). That is exact for
+    a weigh that is linear in signal 0's block and reads the other signals
+    only through their magnitudes, as the oracle mask and the identity
+    are; other weighs must not be given a sign-split bank.
 
     `weigh=None` means no weigh at all; it takes one signal and
-    `n_out == 1`. If the pair folds or `relu` is off, the pass is then
+    `n_out == 1`. If the bank folds or `relu` is off, the pass is then
     linear per frame: the same loop encodes with the L x L frame operator,
     in blocks of `OPERATOR_BLOCK_FRAMES` frames, and decodes nothing (see
     the module docstring); otherwise it is the full engine with the
     identity weigh.
 
-    Raises the `ValueError`s of `encode` and `decode` for a bank,
-    decoder or signal that does not fit, one for signals of unequal
-    lengths and one for `weigh=None` with more than one signal or output,
-    before any work.
+    Raises the `ValueError`s of `encode` for a bank or signal that does
+    not fit, one for signals of unequal lengths and one for `weigh=None`
+    with more than one signal or output, before any work.
     """
     if weigh is None and (len(signals) != 1 or n_out != 1):
         raise ValueError(f"weigh=None takes one signal and n_out=1, got {len(signals)} signals and n_out={n_out}")
     for x in signals:
-        _check_encode_args(x, enc_bank, p)
-    _check_decode_args(dec_bank, enc_bank.n_filters, p.frame_len)
+        _check_encode_args(x, bank, p)
     n = len(signals[0])
     if n == 0:
         raise ValueError("empty input")
@@ -242,12 +239,11 @@ def _resynthesize(
         raise ValueError(f"signals must have equal lengths, got {[len(x) for x in signals]}")
     framed = [_framed(x.samples, p) for x in signals]
     n_sig, count, frame_len = len(signals), num_frames(n, p), p.frame_len
-    h = enc_bank.sign_split_half
-    if h and dec_bank.sign_split_half:  # the decoder has N rows too
-        analysis, rectify = analysis_matrix(enc_bank)[:h], False
-        synthesis = dec_bank.taps[:h] if relu else 2.0 * dec_bank.taps[:h]
-    else:
-        analysis, synthesis, rectify = analysis_matrix(enc_bank), dec_bank.taps, relu
+    analysis, synthesis, rectify = analysis_matrix(bank), bank.pinv_rows, relu
+    if h := bank.sign_split_half:  # the rows of P, and Q for relu, 2*Q without
+        analysis, rectify = analysis[:h], False
+        if not relu:
+            synthesis = 2.0 * synthesis
     rows = np.zeros((n_out, count - 1 + -(-frame_len // p.hop), p.hop))
     if weigh is None and not rectify:  # every frame maps linearly: one L x L operator
         analysis_t, synthesis, block = analysis.T @ synthesis, None, OPERATOR_BLOCK_FRAMES
@@ -273,36 +269,33 @@ def _resynthesize(
             np.matmul(coeffs, synthesis, out=synth[:, :k])
         _add_frames(rows, synth[:, :k], p.hop, first)
     rows.setflags(write=False)
-    return [Waveform._adopt(out.ravel()[:n], dec_bank.sample_rate) for out in rows]
+    return [Waveform._adopt(out.ravel()[:n], bank.sample_rate) for out in rows]
 
 
 def pseudo_inverse(bank: Filterbank) -> Filterbank:
     """Decoder bank inverting the analysis transform in the least-squares sense.
 
-    Computes the Moore-Penrose pseudo-inverse of the N x L analysis
-    matrix (singular values below PINV_RCOND * sigma_max truncated) and stores
-    it transposed, so decoder row n has length L and pairs with
-    representation row n in `decode`.
+    The Moore-Penrose pseudo-inverse of the N x L analysis matrix
+    (singular values below PINV_RCOND * sigma_max truncated), stored
+    transposed, so decoder row n has length L and pairs with
+    representation row n in `decode`. Its rows come from
+    `Filterbank.pinv_rows`, which the bank computes once; the pipeline
+    engine reads them there and builds no decoder bank. This bank is for
+    `decode` and for inspecting the decoder.
 
     A sign-split bank [P; -P] (`Filterbank.sign_split_half` is nonzero) has
     analysis matrix [1; -1] (x) A for A the analysis matrix of P, and
 
         pinv([1; -1] (x) A) = pinv([1; -1]) (x) pinv(A) = 1/2 [1, -1] (x) pinv(A),
 
-    so its decoder is 1/2 [pinv(A)^T; -pinv(A)^T], computed from P alone.
-    Its singular values are sqrt(2) times those of A, so the relative
-    cutoff keeps the same rank, and its rows are exactly antisymmetric,
-    which lets `_resynthesize` fold the pair.
+    so its decoder is [Q; -Q] with Q = 1/2 pinv(A)^T, computed from P
+    alone. Its singular values are sqrt(2) times those of A, so the
+    relative cutoff keeps the same rank, and its rows are exactly
+    antisymmetric, which lets `_resynthesize` decode with Q alone.
     """
-    a = analysis_matrix(bank)
-    h = bank.sign_split_half
-    if h:
-        half = 0.5 * np.linalg.pinv(a[:h], rcond=PINV_RCOND).T  # (h, L)
-        dec = np.vstack([half, -half])
-    else:
-        dec = np.linalg.pinv(a, rcond=PINV_RCOND).T  # (N, L)
+    rows = bank.pinv_rows
     return Filterbank(
-        dec,
+        np.vstack([rows, -rows]) if bank.sign_split_half else rows,
         bank.sample_rate,
         kind=bank.kind,
         center_freqs=bank.center_freqs,

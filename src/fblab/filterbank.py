@@ -85,6 +85,20 @@ class Filterbank:
         h = self.n_filters // 2  # an odd row count fails the shape check of `np.array_equal`
         return h if h and np.array_equal(self.taps[h:], -self.taps[:h]) else 0
 
+    @cached_property
+    def pinv_rows(self) -> np.ndarray:
+        """The rows of the bank's pseudo-inverse decoder that the engine runs; computed once, read-only, C-ordered.
+
+        For A = taps[:, ::-1], the analysis matrix, they are pinv(A)^T, one
+        row per filter. For a sign-split bank [P; -P] they are Q =
+        1/2 pinv(A_P)^T, h rows from P alone, and the whole decoder is
+        [Q; -Q] (see `codec.pseudo_inverse`). C order matters: BLAS rounds a
+        product with an F-ordered operand differently.
+        """
+        a, h = self.taps[:, ::-1], self.sign_split_half
+        rows = 0.5 * np.linalg.pinv(a[:h], rcond=PINV_RCOND).T if h else np.linalg.pinv(a, rcond=PINV_RCOND).T
+        return _frozen(rows)
+
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"

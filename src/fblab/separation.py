@@ -8,8 +8,10 @@ separate` writes the scores to report.csv and report.json in `cli`.
 Ideal ratio masks computed from the true sources stand in for a learned
 separator, so encoder/decoder feature families can be compared on their
 own merits at desk scale: encode the mixture, weight it by each source's
-share of the magnitude in every time-frequency cell, decode, and score
-SI-SNR against the scaled sources that actually sum to the mixture.
+share of the magnitude in every time-frequency cell, decode through the
+bank's pseudo-inverse, and score SI-SNR against the scaled sources that
+actually sum to the mixture. The decoder is always that pseudo-inverse,
+so every function here takes the encoder bank alone.
 
 `separate` (and with it `run_separation`, `training.separation_loss` and
 the CLI) runs the frame-blocked engine `codec._resynthesize`: the mixture
@@ -20,12 +22,13 @@ its inputs it holds the C estimates of n samples each, the engine's
 (C + 1) * N * BLOCK_FRAMES encodings with its smaller frame buffers
 (see `codec._resynthesize`), and the one N * BLOCK_FRAMES temporary of
 the mask weigh. Its estimates agree with the whole-signal path `encode`
--> `oracle_irm_masks` -> `apply_mask` -> `decode` to about 1e-15
-relative (tests bound it at 1e-12). That path is the reference: it
-builds the masks with `_ratio_masks`, where the engine's weigh
-`_oracle_mask_weigh` scales each source's magnitude by mixture / sum
-in one divide per cell. On sign-split banks the engine runs only the
-positive half of each +/- row pair (see `codec`).
+-> `oracle_irm_masks` -> `apply_mask` -> `decode` through
+`codec.pseudo_inverse(bank)` to about 1e-15 relative (tests bound it at
+1e-12). That path is the reference: it builds the masks with
+`_ratio_masks`, where the engine's weigh `_oracle_mask_weigh` scales
+each source's magnitude by mixture / sum in one divide per cell. On
+sign-split banks the engine runs only the positive half of each +/- row
+pair (see `codec`).
 """
 
 from __future__ import annotations
@@ -205,26 +208,27 @@ def _oracle_mask_weigh(enc: np.ndarray) -> np.ndarray:
 def separate(
     mixture: Waveform,
     sources: tuple[Waveform, ...] | list[Waveform],
-    enc_bank: Filterbank,
-    dec_bank: Filterbank,
+    bank: Filterbank,
     frame_params: FrameParams,
     apply_relu: bool = True,
 ) -> list[Waveform]:
     """Oracle-masked estimates of every source, trimmed to the mixture length.
 
-    The mixture and the sources must have one length and `enc_bank`'s rate,
-    and the mixture must be the sum of the sources, up to rounding: the
-    weigh scales each source's magnitude by mixture / (sum of the sources'
-    magnitudes) per cell, which is finite while the mixture's encoding
-    stays below ~1e308 times that sum. A mixture that outgrows its sources
-    by more gives non-finite estimates, refused with the `ValueError` of
-    `Waveform`. Runs the blocked engine `_resynthesize`; every argument is
-    checked before any work.
+    Encodes through `bank` and decodes through its pseudo-inverse, whose
+    rows the bank computes once (`Filterbank.pinv_rows`) for every call
+    that shares it. The mixture and the sources must have one length and
+    `bank`'s rate, and the mixture must be the sum of the sources, up to
+    rounding: the weigh scales each source's magnitude by mixture / (sum
+    of the sources' magnitudes) per cell, which is finite while the
+    mixture's encoding stays below ~1e308 times that sum. A mixture that
+    outgrows its sources by more gives non-finite estimates, refused with
+    the `ValueError` of `Waveform`. Runs the blocked engine
+    `_resynthesize`; every argument is checked before any work.
     """
     if len(sources) < 2:  # `_resynthesize` checks the lengths and rates
         raise ValueError(f"need at least 2 sources, got {len(sources)}")
-    return _resynthesize([mixture, *sources], enc_bank, dec_bank, frame_params,
-                         _oracle_mask_weigh, len(sources), relu=apply_relu)
+    return _resynthesize([mixture, *sources], bank, frame_params, _oracle_mask_weigh, len(sources),
+                         relu=apply_relu)
 
 
 def score_separation(
@@ -238,12 +242,12 @@ def score_separation(
 def run_separation(
     mixture: Waveform,
     sources: tuple[Waveform, ...] | list[Waveform],
-    enc_bank: Filterbank,
-    dec_bank: Filterbank,
+    bank: Filterbank,
     frame_params: FrameParams,
 ) -> tuple[float, ...]:
-    """Encode (rectified), oracle-mask, decode, and score one mixture: the per-source SI-SNR tuple.
+    """Encode (rectified), oracle-mask, decode through the pseudo-inverse, and score one mixture.
 
-    The mixture must be the sum of the sources, up to rounding (see `separate`).
+    Returns the per-source SI-SNR tuple. The mixture must be the sum of the
+    sources, up to rounding (see `separate`).
     """
-    return score_separation(separate(mixture, sources, enc_bank, dec_bank, frame_params), sources)
+    return score_separation(separate(mixture, sources, bank, frame_params), sources)

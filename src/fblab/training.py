@@ -1,10 +1,11 @@
 """Gradient fitting of the ERB parameters (c1, c2) behind the parameterized
 multi-phase gammatone bank.
 
-Each iteration rebuilds the bank and its pseudo-inverse decoder from the
-current parameters (bandwidths and the center grid both follow (c1, c2)),
-evaluates mean negative SI-SNR over oracle-mask separations of the
-training and development items, and logs one trace row. Every row but
+Each iteration rebuilds the bank from the current parameters (bandwidths
+and the center grid both follow (c1, c2)), and with it the pseudo-inverse
+decoder that the bank derives once, evaluates mean negative SI-SNR over
+oracle-mask separations of the training and development items, and logs
+one trace row. Every row but
 the last is followed by a step down a central finite-difference gradient
 of the training loss; the last row ends the run, so no gradient is taken
 that nothing would read. The parameters with the best development loss
@@ -22,7 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codec import pseudo_inverse
 from .dsp import FrameParams
 from .erb import ErbParams
 from .gammatone import build_parampgtf
@@ -95,8 +95,9 @@ def separation_loss(
 ) -> float:
     """Negative mean SI-SNR (clipped at 60 dB) of oracle-mask separation.
 
-    The bank and its pseudo-inverse decoder are rebuilt from `params`;
-    scores accumulate in item order so the reduction is deterministic.
+    The bank is rebuilt from `params`, and its pseudo-inverse decoder rows
+    are computed once for all items (`Filterbank.pinv_rows`); scores
+    accumulate in item order so the reduction is deterministic.
     Each item runs through `run_separation`, which returns its tuple of
     per-source scores, so every encode happens in the blocked engine
     `codec._resynthesize`.
@@ -105,10 +106,9 @@ def separation_loss(
         raise ValueError("need at least one item")
     sample_rate = items[0].mixture.sample_rate
     bank = build_parampgtf(params, n_filters, frame_params.frame_len, sample_rate)
-    dec = pseudo_inverse(bank)
     values = []
     for item in items:
-        scores = run_separation(item.mixture, item.sources, bank, dec, frame_params)
+        scores = run_separation(item.mixture, item.sources, bank, frame_params)
         values.extend(clip_si_snr(v) for v in scores)
     return -float(np.mean(values))
 

@@ -500,7 +500,8 @@ class TestSeparate:
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
         assert (d1 / "report.json").read_bytes() != (d3 / "report.json").read_bytes()
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
+    # Python's int() refuses a string of more than 4300 digits, which isdecimal() accepts.
+    @pytest.mark.parametrize("value", ["abc", "-1", "1" * 4301], ids=["abc", "-1", "4301_digits"])
     def test_bad_seed_env_var_is_named(self, tmp_path, source_wavs, monkeypatch, capsys, value):
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])

@@ -19,8 +19,9 @@ from fblab import (
     num_frames,
 )
 import fblab.codec as codec
-from fblab.codec import PINV_RCOND, _resynthesize, apply_mask
+from fblab.codec import _resynthesize, apply_mask
 from fblab.dsp import _add_frames
+from fblab.filterbank import PINV_RCOND
 from fblab.separation import _oracle_mask_weigh
 
 FS = 8000
@@ -124,12 +125,11 @@ def test_blocked_roundtrip_matches_whole_signal_reference(
     hop = 1 + int(hop_frac * (frame_len - 1))
     p = FrameParams(frame_len, hop)
     bank = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
-    dec = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
     x = Waveform(rng.standard_normal(sig_len), FS)
     block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
-    ref = decode(encode(x, bank, p, apply_relu=apply_relu), dec).samples[:sig_len]
+    ref = decode(encode(x, bank, p, apply_relu=apply_relu), pseudo_inverse(bank)).samples[:sig_len]
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
-        (out,) = _resynthesize([x], bank, dec, p, lambda enc: enc, 1, relu=apply_relu)
+        (out,) = _resynthesize([x], bank, p, lambda enc: enc, 1, relu=apply_relu)
     assert out.sample_rate == FS and len(out) == sig_len
     assert not out.samples.flags.writeable
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
@@ -148,7 +148,7 @@ def test_blocked_roundtrip_matches_whole_signal_reference(
 def test_folded_roundtrip_matches_whole_signal_reference(
     seed, n_half, frame_len, hop_frac, sig_len, block_frac, apply_relu
 ):
-    # A [P; -P] bank with its pseudo-inverse decoder runs only the rows of P.
+    # A [P; -P] bank runs only the rows of P, and of its pseudo-inverse decoder only Q.
     rng = np.random.default_rng(seed)
     hop = 1 + int(hop_frac * (frame_len - 1))
     p = FrameParams(frame_len, hop)
@@ -165,7 +165,7 @@ def test_folded_roundtrip_matches_whole_signal_reference(
         return enc
 
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
-        (out,) = _resynthesize([x], bank, dec, p, identity, 1, relu=apply_relu)
+        (out,) = _resynthesize([x], bank, p, identity, 1, relu=apply_relu)
     assert seen == {n_half}
     assert out.sample_rate == FS and len(out) == sig_len
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
@@ -225,21 +225,22 @@ def test_sign_split_half_matches_the_model(tmp_path_factory, case):
 def test_sign_split_half_is_decided_once_per_bank():
     bank = Filterbank(np.vstack([np.eye(4), -np.eye(4)]), FS)
     with mock.patch.object(np, "array_equal", wraps=np.array_equal) as checks:
-        dec = pseudo_inverse(bank)
         signals = [Waveform(np.arange(40.0), FS)]
         for relu in (False, True):
-            _resynthesize(signals, bank, dec, FrameParams(4, 2), lambda enc: enc, 1, relu=relu)
-    assert bank.sign_split_half == dec.sign_split_half == 4
-    assert checks.call_count == 2  # one per bank
+            _resynthesize(signals, bank, FrameParams(4, 2), lambda enc: enc, 1, relu=relu)
+        assert bank.sign_split_half == pseudo_inverse(bank).sign_split_half == 4
+    assert checks.call_count == 2  # one per bank: the encoder, then its decoder
 
 
-def model_resynthesize(signals, enc_bank, dec_bank, p, weigh, n_out, *, relu, block_frames):
+def model_resynthesize(signals, bank, p, weigh, n_out, *, relu, block_frames):
     """The engine as it ran on one zero-padded (S, (count-1)*D + L) copy of all inputs.
 
     Kept as the model that `_resynthesize`, which reads whole frames in
-    place and pads only the tail, must match bit for bit. A weigh-free
-    pass with no relu left to apply multiplies each block of frames by the
-    L x L operator A^T * S and decodes nothing.
+    place and pads only the tail, must match bit for bit. It decodes with
+    the taps of the public `pseudo_inverse(bank)`, which are C-ordered, so
+    an engine whose decoder rows BLAS reads in another order fails it. A
+    weigh-free pass with no relu left to apply multiplies each block of
+    frames by the L x L operator A^T * S and decodes nothing.
     """
     n = len(signals[0])
     count = num_frames(n, p)
@@ -248,12 +249,13 @@ def model_resynthesize(signals, enc_bank, dec_bank, p, weigh, n_out, *, relu, bl
         row[:n] = x.samples
     windows = np.lib.stride_tricks.sliding_window_view(padded, p.frame_len, axis=1)[:, ::p.hop]
     block = min(block_frames, count)
-    h = sign_split_half(enc_bank.taps)
-    if h and sign_split_half(dec_bank.taps):
-        analysis, rectify = analysis_matrix(enc_bank)[:h], False
-        synthesis = dec_bank.taps[:h] if relu else 2.0 * dec_bank.taps[:h]
+    dec = pseudo_inverse(bank).taps
+    h = sign_split_half(bank.taps)
+    if h:
+        analysis, rectify = analysis_matrix(bank)[:h], False
+        synthesis = dec[:h] if relu else 2.0 * dec[:h]
     else:
-        analysis, synthesis, rectify = analysis_matrix(enc_bank), dec_bank.taps, relu
+        analysis, synthesis, rectify = analysis_matrix(bank), dec, relu
     operator = weigh is None and not rectify
     analysis_t = analysis.T @ synthesis if operator else np.ascontiguousarray(analysis.T)
     frames = np.empty((len(signals), block, p.frame_len))
@@ -279,10 +281,8 @@ def assert_engine_matches_model(seed, frame_len, hop, sig_len, block_frames, n_s
     if folded:
         half = rng.standard_normal((1 + seed % 8, frame_len))
         bank = Filterbank(np.vstack([half, -half]), FS)
-        dec = pseudo_inverse(bank)
     else:
         bank = random_bank(rng, n=1 + seed % 16, length=frame_len)
-        dec = random_bank(rng, n=bank.n_filters, length=frame_len)
     if weigh == "oracle":
         weigh, n_sig, n_out = _oracle_mask_weigh, 3, 2  # the mixture and two sources
     elif weigh == "none":
@@ -292,8 +292,8 @@ def assert_engine_matches_model(seed, frame_len, hop, sig_len, block_frames, n_s
     signals = [Waveform(x, FS) for x in rng.standard_normal((n_sig, sig_len))]
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames), \
             mock.patch.object(codec, "OPERATOR_BLOCK_FRAMES", block_frames):
-        outs = _resynthesize(signals, bank, dec, p, weigh, n_out, relu=relu)
-    refs = model_resynthesize(signals, bank, dec, p, weigh, n_out, relu=relu, block_frames=block_frames)
+        outs = _resynthesize(signals, bank, p, weigh, n_out, relu=relu)
+    refs = model_resynthesize(signals, bank, p, weigh, n_out, relu=relu, block_frames=block_frames)
     assert len(outs) == n_out
     for out, ref in zip(outs, refs):
         assert np.array_equal(out.samples, ref)
@@ -366,26 +366,24 @@ def test_engine_framing_edges_match_padded_copy_model_bitwise(frame_len, hop, si
 )
 @settings(max_examples=150, deadline=None)
 def test_weigh_free_pass_matches_whole_signal_reference(case, seed, folded, relu):
-    # One L x L frame operator per block: a [P; -P] bank with its
-    # pseudo-inverse, rectified or not, or any pair of banks without relu.
+    # One L x L frame operator per block: a [P; -P] bank, rectified or
+    # not, or any other bank without relu.
     frame_len, hop, sig_len, block = case
     rng = np.random.default_rng(seed)
     p = FrameParams(frame_len, hop)
     if folded:
         half = rng.standard_normal((1 + seed % 32, frame_len))
         bank = Filterbank(np.vstack([half, -half]), FS)
-        dec = pseudo_inverse(bank)
     else:
         bank = random_bank(rng, n=1 + seed % 64, length=frame_len)
-        dec = random_bank(rng, n=bank.n_filters, length=frame_len)
         relu = False
     x = Waveform(rng.standard_normal(sig_len), FS)
-    ref = decode(encode(x, bank, p, apply_relu=relu), dec).samples[:sig_len]
+    ref = decode(encode(x, bank, p, apply_relu=relu), pseudo_inverse(bank)).samples[:sig_len]
     count = num_frames(sig_len, p)
     with mock.patch.object(codec, "OPERATOR_BLOCK_FRAMES", block), \
             mock.patch.object(codec, "BLOCK_FRAMES", count + 1), \
             mock.patch.object(codec, "_add_frames", wraps=_add_frames) as add:
-        (out,) = _resynthesize([x], bank, dec, p, None, 1, relu=relu)
+        (out,) = _resynthesize([x], bank, p, None, 1, relu=relu)
     assert add.call_count == -(-count // block)  # its blocks, not the engine's one
     assert out.sample_rate == FS and len(out) == sig_len
     assert not out.samples.flags.writeable
@@ -400,24 +398,23 @@ def test_weigh_free_relu_through_a_plain_bank_stays_on_the_engine(case, seed):
     rng = np.random.default_rng(seed)
     p = FrameParams(frame_len, hop)
     bank = random_bank(rng, n=1 + seed % 16, length=frame_len)
-    dec = random_bank(rng, n=bank.n_filters, length=frame_len)
     x = Waveform(rng.standard_normal(sig_len), FS)
     with mock.patch.object(codec, "BLOCK_FRAMES", block):
-        (free,) = _resynthesize([x], bank, dec, p, None, 1, relu=True)
-        (weighed,) = _resynthesize([x], bank, dec, p, lambda enc: enc, 1, relu=True)
+        (free,) = _resynthesize([x], bank, p, None, 1, relu=True)
+        (weighed,) = _resynthesize([x], bank, p, lambda enc: enc, 1, relu=True)
     assert np.array_equal(free.samples, weighed.samples)
 
 
 @pytest.mark.parametrize("n_sig,n_out", [(2, 1), (1, 2)])
 def test_weigh_free_pass_takes_one_signal_and_one_output(n_sig, n_out):
     rng = np.random.default_rng(15)
-    bank, dec = random_bank(rng), random_bank(rng)
+    bank = random_bank(rng)
     signals = [Waveform(x, FS) for x in rng.standard_normal((n_sig, 40))]
     with pytest.raises(ValueError, match="weigh=None takes one signal and n_out=1"):
-        _resynthesize(signals, bank, dec, FrameParams(8, 4), None, n_out, relu=False)
+        _resynthesize(signals, bank, FrameParams(8, 4), None, n_out, relu=False)
 
 
-def engine_frame_operator(bank, dec, relu):
+def engine_frame_operator(bank, relu):
     """The L x L operator a weigh-free pass applies, read back from the engine.
 
     At hop D = L, frame i of the flattened identity is e_i, so output frame
@@ -425,7 +422,7 @@ def engine_frame_operator(bank, dec, relu):
     """
     frame_len = bank.filter_len
     x = Waveform(np.eye(frame_len).ravel(), bank.sample_rate)
-    (out,) = _resynthesize([x], bank, dec, FrameParams(frame_len, frame_len), None, 1, relu=relu)
+    (out,) = _resynthesize([x], bank, FrameParams(frame_len, frame_len), None, 1, relu=relu)
     return out.samples.reshape(frame_len, frame_len)
 
 
@@ -439,8 +436,8 @@ def test_frame_operator_of_a_full_rank_folded_bank_is_half_the_identity(name):
     h = sign_split_half(bank.taps)
     operator = analysis_matrix(bank)[:h].T @ dec.taps[:h]  # A_P^T * Q, closed form
     assert np.max(np.abs(operator - np.eye(16) / 2)) <= 1e-12
-    assert np.array_equal(engine_frame_operator(bank, dec, relu=True), operator)
-    assert np.array_equal(engine_frame_operator(bank, dec, relu=False), 2.0 * operator)
+    assert np.array_equal(engine_frame_operator(bank, relu=True), operator)
+    assert np.array_equal(engine_frame_operator(bank, relu=False), 2.0 * operator)
 
 
 def test_frame_operator_of_a_rank_deficient_linear_bank_is_a_projector():
@@ -453,7 +450,7 @@ def test_frame_operator_of_a_rank_deficient_linear_bank_is_a_projector():
     assert np.max(np.abs(operator - operator.T)) <= 1e-12
     assert np.max(np.abs(operator @ operator - operator)) <= 1e-12
     assert abs(np.trace(operator) - 4.0) <= 1e-12
-    assert np.array_equal(engine_frame_operator(bank, dec, relu=False), operator)
+    assert np.array_equal(engine_frame_operator(bank, relu=False), operator)
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (0, 3)])
@@ -464,7 +461,7 @@ def test_numerical_rank_of_a_zero_or_empty_matrix_is_zero(shape):
 def test_engine_outputs_are_read_only_and_share_memory_with_no_writable_array():
     rng = np.random.default_rng(3)
     p = FrameParams(8, 3)
-    bank, dec = random_bank(rng), random_bank(rng)
+    bank = random_bank(rng)
     signals = [Waveform(x, FS) for x in rng.standard_normal((3, 100))]
     seen = []
 
@@ -473,7 +470,7 @@ def test_engine_outputs_are_read_only_and_share_memory_with_no_writable_array():
         return enc
 
     with mock.patch.object(codec, "BLOCK_FRAMES", 4):
-        outs = _resynthesize(signals, bank, dec, p, identity, 3, relu=True)
+        outs = _resynthesize(signals, bank, p, identity, 3, relu=True)
     assert max(enc.shape[1] for enc in seen) == 4  # the engine reads BLOCK_FRAMES at call time
     for i, out in enumerate(outs):
         base = out.samples
@@ -552,7 +549,7 @@ class TestPseudoInverse:
 
     @pytest.fixture
     def bank(self, request):
-        from fblab import ErbParams, StftSpec, build_mpgtf, build_parampgtf, build_stft_bank
+        from fblab import ErbParams, StftMode, StftSpec, build_mpgtf, build_parampgtf, build_stft_bank
 
         if request.param == "mpgtf":
             return build_mpgtf(ErbParams(), 512, 16, FS)
@@ -562,6 +559,10 @@ class TestPseudoInverse:
             return build_stft_bank(StftSpec(), FS)
         if request.param == "stft_complete":
             return build_stft_bank(StftSpec(frame_len=16, n_freqs=8), FS)
+        if request.param == "stft_linear":  # rank 4 < L, and not sign-split
+            return build_stft_bank(StftSpec(frame_len=16, n_freqs=2, mode=StftMode.LINEAR), FS)
+        if request.param == "plain":
+            return Filterbank(np.random.default_rng(15).standard_normal((24, 16)), FS)
         half = np.random.default_rng(14).standard_normal((6, 16))  # rank 6 < L
         rows = np.vstack([half, half])
         return Filterbank(np.vstack([rows, -rows]), FS)
@@ -581,6 +582,24 @@ class TestPseudoInverse:
         assert np.max(np.abs((a @ p).T - a @ p)) < 1e-8
         assert np.max(np.abs((p @ a).T - p @ a)) < 1e-8
         assert numerical_rank(dec) == numerical_rank(a) == numerical_rank(full)
+
+    @pytest.mark.parametrize("bank", ["mpgtf", "stft_signsplit", "stft_linear", "duplicated_rows", "plain"],
+                             indirect=True)
+    def test_pinv_rows_are_the_decoder_rows_read_only_and_c_ordered(self, bank):
+        # The engine decodes with these rows; BLAS rounds a product with an
+        # F-ordered operand differently, so C order keeps its output bitwise.
+        rows = bank.pinv_rows
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert bank.pinv_rows is rows  # computed once per bank
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        a, h = analysis_matrix(bank), bank.sign_split_half
+        if h:  # Q = 1/2 pinv(A_P)^T, and the decoder is [Q; -Q]
+            assert rows.tobytes() == np.ascontiguousarray(0.5 * np.linalg.pinv(a[:h], rcond=PINV_RCOND).T).tobytes()
+            assert pseudo_inverse(bank).taps.tobytes() == np.vstack([rows, -rows]).tobytes()
+        else:
+            assert rows.tobytes() == np.ascontiguousarray(np.linalg.pinv(a, rcond=PINV_RCOND).T).tobytes()
+            assert pseudo_inverse(bank).taps.tobytes() == rows.tobytes()
 
     def test_metadata_carried_over(self):
         from fblab import ErbParams, build_mpgtf

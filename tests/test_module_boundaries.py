@@ -4,9 +4,11 @@
 writes FBANK1 banks and `wavio` reads and writes WAV files; the other
 modules compute on values in memory. Within `cli`, each input format has
 one reader, which names the file in its errors: WAVs are read only by
-`_read_source` and FBANK1 banks only by `_load_bank`. The sources are read
-with `ast`, so a call is found whether or not the code path runs in a
-test.
+`_read_source` and FBANK1 banks only by `_load_bank`. No pipeline module
+builds a decoder bank: the engine decodes with the bank's own
+`pinv_rows`, and `codec.pseudo_inverse` is called only by
+`stft.istft_decoder`. The sources are read with `ast`, so a call is found
+whether or not the code path runs in a test.
 """
 
 import ast
@@ -59,3 +61,16 @@ def test_cli_reads_wavs_only_in_read_source_and_banks_only_in_load_bank():
     cli = _modules()["cli"]
     assert _callers(cli, "read_wav") == {"_read_source"}
     assert _callers(cli, "load_filterbank") == {"_load_bank"}
+
+
+def _imports(tree: ast.Module, name: str) -> bool:
+    """Whether `tree` imports `name` from any module, under any alias."""
+    return any(isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)
+               for node in ast.walk(tree))
+
+
+def test_only_istft_decoder_calls_pseudo_inverse():
+    modules = _modules()
+    callers = {(name, caller) for name, tree in modules.items() for caller in _callers(tree, "pseudo_inverse")}
+    assert callers == {("stft", "istft_decoder")}
+    assert {name for name, tree in modules.items() if _imports(tree, "pseudo_inverse")} == {"__init__", "stft"}

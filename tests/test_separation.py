@@ -38,11 +38,6 @@ def mpgtf_bank():
     return build_mpgtf(ErbParams(), 512, 16, FS)
 
 
-@pytest.fixture(scope="module")
-def mpgtf_dec(mpgtf_bank):
-    return pseudo_inverse(mpgtf_bank)
-
-
 def tone(freq, n=4000, amp=0.5, phase=0.0):
     t = np.arange(n) / FS
     return Waveform(amp * np.sin(2 * np.pi * freq * t + phase), FS)
@@ -89,7 +84,7 @@ class TestOracleIrmMasks:
 
 
 class TestRunSeparation:
-    def test_single_source_mixture_reconstructs_perfectly(self, mpgtf_bank, mpgtf_dec):
+    def test_single_source_mixture_reconstructs_perfectly(self, mpgtf_bank):
         # mixture equal to one source with the other silent: its oracle mask
         # is 1 on every live cell, so the linear pinv decode returns the
         # source up to float residuals and the SI-SNR hits the 60 dB clip
@@ -97,20 +92,20 @@ class TestRunSeparation:
 
         s = tone(300.0, n=2048)
         silent = Waveform(np.zeros(2048), FS)
-        estimates = separate(s, [s, silent], mpgtf_bank, mpgtf_dec, FrameParams(16, 16), apply_relu=False)
+        estimates = separate(s, [s, silent], mpgtf_bank, FrameParams(16, 16), apply_relu=False)
         value = si_snr(estimates[0], s).value_db
         assert value > 250.0
         assert clip_si_snr(value) == 60.0
 
-    def test_disjoint_sinusoids_improve_over_mixture(self, mpgtf_bank, mpgtf_dec):
+    def test_disjoint_sinusoids_improve_over_mixture(self, mpgtf_bank):
         item = make_multi_mixture_item([tone(300.0), tone(2000.0, phase=1.2)], MixSpec(0.0))
-        scores = run_separation(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
+        scores = run_separation(item.mixture, item.sources, mpgtf_bank, FP)
         assert isinstance(scores, tuple) and len(scores) == 2
         for est_db, src in zip(scores, item.sources):
             mixture_db = si_snr(item.mixture, src).value_db
             assert est_db > mixture_db
 
-    def test_uniform_half_mask_scales_like_mixture(self, mpgtf_bank, mpgtf_dec):
+    def test_uniform_half_mask_scales_like_mixture(self, mpgtf_bank):
         # identical sources force both masks to 0.5: the two estimates are
         # bitwise equal scaled copies of the decoded mixture, so their SI-SNR
         # sits at the clip exactly like the mixture's own
@@ -121,18 +116,18 @@ class TestRunSeparation:
         p = FrameParams(16, 16)  # disjoint frames keep the decode proportional
         masks = oracle_irm_masks(item.sources, mpgtf_bank, p)
         assert np.all(masks[0] == 0.5) and np.all(masks[1] == 0.5)
-        estimates = separate(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, p)
+        estimates = separate(item.mixture, item.sources, mpgtf_bank, p)
         np.testing.assert_array_equal(estimates[0].samples, estimates[1].samples)
         est_db = si_snr(estimates[0], item.sources[0]).value_db
         mix_db = si_snr(item.mixture, item.sources[0]).value_db
         assert clip_si_snr(est_db) == 60.0
         assert clip_si_snr(mix_db) == 60.0
 
-    def test_estimates_sum_to_decoded_mixture(self, mpgtf_bank, mpgtf_dec):
+    def test_estimates_sum_to_decoded_mixture(self, mpgtf_bank):
         item = make_multi_mixture_item([tone(300.0), tone(2000.0)], MixSpec(-3.0))
-        estimates = separate(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
+        estimates = separate(item.mixture, item.sources, mpgtf_bank, FP)
         rep = encode(item.mixture, mpgtf_bank, FP, apply_relu=True)
-        full = decode(rep, mpgtf_dec).samples[: len(item.mixture)]
+        full = decode(rep, pseudo_inverse(mpgtf_bank)).samples[: len(item.mixture)]
         total = estimates[0].samples + estimates[1].samples
         np.testing.assert_allclose(total, full, rtol=0, atol=1e-9 * np.max(np.abs(full)))
 
@@ -156,7 +151,6 @@ def test_blocked_separation_matches_whole_signal_reference(
     hop = 1 + int(hop_frac * (frame_len - 1))
     p = FrameParams(frame_len, hop)
     bank = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
-    dec = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
     samples = rng.standard_normal((n_sources, sig_len))
     if silent_span:  # all-zero cells take the 1/C mask
         samples[:, sig_len // 4:sig_len // 2] = 0.0
@@ -164,18 +158,16 @@ def test_blocked_separation_matches_whole_signal_reference(
     mixture = Waveform(samples.sum(axis=0), FS)
     block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
 
-    rep = encode(mixture, bank, p, apply_relu=apply_relu)
-    masks = oracle_irm_masks(sources, bank, p)
-    refs = [decode(apply_mask(rep, mask), dec).samples[:sig_len] for mask in masks]
+    refs = _reference_estimates(mixture, sources, bank, p, apply_relu)
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
-        outs = _resynthesize([mixture, *sources], bank, dec, p, _oracle_mask_weigh, n_sources, relu=apply_relu)
+        outs = _resynthesize([mixture, *sources], bank, p, _oracle_mask_weigh, n_sources, relu=apply_relu)
     assert len(outs) == n_sources
     for out, ref in zip(outs, refs):
         assert out.sample_rate == FS and len(out) == sig_len
         assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
-def test_separate_memory_is_flat_in_signal_length(mpgtf_bank, mpgtf_dec):
+def test_separate_memory_is_flat_in_signal_length(mpgtf_bank):
     # The whole-signal path holds several N x I arrays at once (~266 MB
     # at 8 s); the blocked engine holds O(N * BLOCK_FRAMES) plus a few
     # signal-length buffers.
@@ -184,7 +176,7 @@ def test_separate_memory_is_flat_in_signal_length(mpgtf_bank, mpgtf_dec):
         item = make_sinusoid_mixture_items(1, seed=4, duration_s=seconds)[0]
         tracemalloc.start()
         try:
-            separate(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
+            separate(item.mixture, item.sources, mpgtf_bank, FP)
             peaks[seconds] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -193,7 +185,7 @@ def test_separate_memory_is_flat_in_signal_length(mpgtf_bank, mpgtf_dec):
     assert peaks[8.0] < rep_bytes / 2
 
 
-def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank, mpgtf_dec):
+def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank):
     # Frames are read from the inputs in place and the overlap-add rows are
     # handed out as the estimates: two output lengths plus O(N * BLOCK_FRAMES).
     # At 2 s the peak is also held to the budget `codec._resynthesize` and
@@ -209,7 +201,7 @@ def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank, mpgtf_de
         item = make_sinusoid_mixture_items(1, seed=4, duration_s=seconds)[0]
         tracemalloc.start()
         try:
-            separate(item.mixture, item.sources, mpgtf_bank, mpgtf_dec, FP)
+            separate(item.mixture, item.sources, mpgtf_bank, FP)
             peaks[seconds] = tracemalloc.get_traced_memory()[1], len(item.mixture)
         finally:
             tracemalloc.stop()
@@ -224,7 +216,7 @@ def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank, mpgtf_de
     assert peak <= budget + 32 * 1024  # interpreter objects and the padded tails
 
 
-def test_separate_holds_while_the_mixture_outgrows_its_sources_by_up_to_1e300(mpgtf_bank, mpgtf_dec):
+def test_separate_holds_while_the_mixture_outgrows_its_sources_by_up_to_1e300(mpgtf_bank):
     # The weigh scales each magnitude by mixture / (sum of magnitudes). At a
     # ratio of ~1e300 it still gives the reference's estimates; past the
     # float range the ratio overflows and the non-finite estimates are
@@ -235,13 +227,13 @@ def test_separate_holds_while_the_mixture_outgrows_its_sources_by_up_to_1e300(mp
         return Waveform(x * mix_scale, FS), [Waveform(x * source_scale, FS)] * 2
 
     mixture, sources = pair(1e10, 1e-290)
-    outs = separate(mixture, sources, mpgtf_bank, mpgtf_dec, FP)
-    refs = _reference_estimates(mixture, sources, mpgtf_bank, mpgtf_dec, FP, True)
+    outs = separate(mixture, sources, mpgtf_bank, FP)
+    refs = _reference_estimates(mixture, sources, mpgtf_bank, FP, True)
     for out, ref in zip(outs, refs):
         assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
     mixture, sources = pair(1e10, 1e-300)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite samples"):
-        separate(mixture, sources, mpgtf_bank, mpgtf_dec, FP)
+        separate(mixture, sources, mpgtf_bank, FP)
 
 
 @given(
@@ -278,55 +270,43 @@ class TestSeparateErrors:
     """Every bad argument is rejected before any work, with the message of the
     whole-signal functions that used to raise it."""
 
-    def test_decoder_row_count(self, mpgtf_bank):
-        s = tone(440.0, n=800)
-        dec = Filterbank(np.ones((511, 16)), FS)
-        with pytest.raises(ValueError, match=re.escape("decoder has 511 filters but representation has 512 rows")):
-            separate(s, [s, s], mpgtf_bank, dec, FP)
-
-    def test_decoder_length(self, mpgtf_bank):
-        s = tone(440.0, n=800)
-        dec = Filterbank(np.ones((512, 12)), FS)
-        with pytest.raises(ValueError, match=re.escape("decoder filter length 12 != frame length 16")):
-            separate(s, [s, s], mpgtf_bank, dec, FP)
-
-    def test_encoder_frame_length(self, mpgtf_bank, mpgtf_dec):
+    def test_encoder_frame_length(self, mpgtf_bank):
         s = tone(440.0, n=800)
         with pytest.raises(ValueError, match=re.escape("bank filter length 16 != frame length 8")):
-            separate(s, [s, s], mpgtf_bank, mpgtf_dec, FrameParams(8, 4))
+            separate(s, [s, s], mpgtf_bank, FrameParams(8, 4))
 
-    def test_bank_signal_rate_mismatch(self, mpgtf_bank, mpgtf_dec):
+    def test_bank_signal_rate_mismatch(self, mpgtf_bank):
         s = Waveform(np.ones(800), 16000)
         with pytest.raises(ValueError, match=re.escape("sample rate mismatch: bank 8000 Hz, signal 16000 Hz")):
-            separate(s, [s, s], mpgtf_bank, mpgtf_dec, FP)
+            separate(s, [s, s], mpgtf_bank, FP)
 
     @pytest.mark.parametrize("source_len", [0, 800])
-    def test_empty_mixture(self, mpgtf_bank, mpgtf_dec, source_len):
+    def test_empty_mixture(self, mpgtf_bank, source_len):
         empty = Waveform(np.zeros(0), FS)
         s = tone(440.0, n=source_len)
         with pytest.raises(ValueError, match=re.escape("empty input")):
-            separate(empty, [s, s], mpgtf_bank, mpgtf_dec, FP)
+            separate(empty, [s, s], mpgtf_bank, FP)
 
-    def test_mixture_length_differs_from_sources(self, mpgtf_bank, mpgtf_dec):
+    def test_mixture_length_differs_from_sources(self, mpgtf_bank):
         s = tone(440.0, n=800)
         with pytest.raises(ValueError, match="equal lengths"):
-            separate(tone(440.0, n=801), [s, s], mpgtf_bank, mpgtf_dec, FP)
+            separate(tone(440.0, n=801), [s, s], mpgtf_bank, FP)
 
-    def test_single_source(self, mpgtf_bank, mpgtf_dec):
+    def test_single_source(self, mpgtf_bank):
         s = tone(440.0)
         with pytest.raises(ValueError, match="at least 2"):
-            separate(s, [s], mpgtf_bank, mpgtf_dec, FP)
+            separate(s, [s], mpgtf_bank, FP)
 
     @pytest.mark.parametrize("call,message", [
         ("separate", "sample rate mismatch: bank 8000 Hz, signal 16000 Hz"),  # the engine's per-signal check
         ("oracle_irm_masks", "sources must share one sample rate"),
     ], ids=["separate", "oracle_irm_masks"])
-    def test_sources_at_two_rates(self, mpgtf_bank, mpgtf_dec, call, message):
+    def test_sources_at_two_rates(self, mpgtf_bank, call, message):
         s = tone(440.0, n=800)
         sources = [s, Waveform(s.samples, 16000)]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             if call == "separate":
-                separate(s, sources, mpgtf_bank, mpgtf_dec, FP)
+                separate(s, sources, mpgtf_bank, FP)
             else:
                 oracle_irm_masks(sources, mpgtf_bank, FP)
 
@@ -396,9 +376,11 @@ def _recording_rows(weigh, seen):
     return wrapped
 
 
-def _reference_estimates(mixture, sources, bank, dec, p, apply_relu):
+def _reference_estimates(mixture, sources, bank, p, apply_relu):
+    """The whole-signal path: encode, oracle masks, decode through `pseudo_inverse(bank)`."""
     rep = encode(mixture, bank, p, apply_relu=apply_relu)
     masks = oracle_irm_masks(sources, bank, p)
+    dec = pseudo_inverse(bank)
     return [decode(apply_mask(rep, mask), dec).samples[:len(mixture)] for mask in masks]
 
 
@@ -417,12 +399,11 @@ def _reference_estimates(mixture, sources, bank, dec, p, apply_relu):
 def test_folded_separation_matches_whole_signal_reference(
     seed, n_half, frame_len, hop_frac, sig_len, block_frac, n_sources, apply_relu, silent_span
 ):
-    # A [P; -P] bank with its pseudo-inverse decoder runs only the rows of P.
+    # A [P; -P] bank runs only the rows of P, and of its pseudo-inverse decoder only Q.
     rng = np.random.default_rng(seed)
     hop = 1 + int(hop_frac * (frame_len - 1))
     p = FrameParams(frame_len, hop)
     bank = _sign_split_bank(rng, n_half, frame_len)
-    dec = pseudo_inverse(bank)
     samples = rng.standard_normal((n_sources, sig_len))
     if silent_span:  # all-zero cells take the 1/C mask
         samples[:, sig_len // 4:sig_len // 2] = 0.0
@@ -430,10 +411,10 @@ def test_folded_separation_matches_whole_signal_reference(
     mixture = Waveform(samples.sum(axis=0), FS)
     block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
 
-    refs = _reference_estimates(mixture, sources, bank, dec, p, apply_relu)
+    refs = _reference_estimates(mixture, sources, bank, p, apply_relu)
     seen = set()
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
-        outs = _resynthesize([mixture, *sources], bank, dec, p, _recording_rows(_oracle_mask_weigh, seen), n_sources,
+        outs = _resynthesize([mixture, *sources], bank, p, _recording_rows(_oracle_mask_weigh, seen), n_sources,
                              relu=apply_relu)
     assert seen == {n_half}
     assert len(outs) == n_sources
@@ -448,39 +429,31 @@ def _one_ulp_up(taps, row, col):
     return taps
 
 
-def _unfoldable_pair(case, rng):
-    """(encoder, decoder) pairs that miss the fold's precondition, some by one bit."""
+def _unfoldable_bank(case, rng):
+    """Banks that miss the fold's precondition, one of them by one bit."""
     split = _sign_split_bank(rng, 6, 8)
-    if case == "decoder_one_ulp":
-        return split, Filterbank(_one_ulp_up(pseudo_inverse(split).taps, 8, 3), FS)
     if case == "encoder_one_ulp":
-        bank = Filterbank(_one_ulp_up(split.taps, 8, 3), FS)
-        return bank, pseudo_inverse(bank)
+        return Filterbank(_one_ulp_up(split.taps, 8, 3), FS)
     if case == "odd_row_count":
-        bank = Filterbank(np.vstack([split.taps, rng.standard_normal((1, 8))]), FS)
-        return bank, pseudo_inverse(bank)
-    if case == "foreign_decoder":
-        return split, Filterbank(rng.standard_normal((12, 8)), FS)
-    return Filterbank(rng.standard_normal((12, 8)), FS), Filterbank(rng.standard_normal((12, 8)), FS)
+        return Filterbank(np.vstack([split.taps, rng.standard_normal((1, 8))]), FS)
+    return Filterbank(rng.standard_normal((12, 8)), FS)
 
 
 @pytest.mark.parametrize("apply_relu", [True, False])
-@pytest.mark.parametrize(
-    "case", ["decoder_one_ulp", "encoder_one_ulp", "odd_row_count", "foreign_decoder", "not_split"]
-)
+@pytest.mark.parametrize("case", ["encoder_one_ulp", "odd_row_count", "not_split"])
 def test_unfoldable_banks_run_every_row(case, apply_relu):
     rng = np.random.default_rng(21)
-    bank, dec = _unfoldable_pair(case, rng)
+    bank = _unfoldable_bank(case, rng)
     p = FrameParams(8, 3)
     samples = rng.standard_normal((2, 301))
     sources = [Waveform(x, FS) for x in samples]
     mixture = Waveform(samples.sum(axis=0), FS)
     seen = set()
     with mock.patch.object(codec, "BLOCK_FRAMES", 16):
-        outs = _resynthesize([mixture, *sources], bank, dec, p, _recording_rows(_oracle_mask_weigh, seen), 2,
+        outs = _resynthesize([mixture, *sources], bank, p, _recording_rows(_oracle_mask_weigh, seen), 2,
                              relu=apply_relu)
     assert seen == {bank.n_filters}
-    refs = _reference_estimates(mixture, sources, bank, dec, p, apply_relu)
+    refs = _reference_estimates(mixture, sources, bank, p, apply_relu)
     for out, ref in zip(outs, refs):
         assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
@@ -491,6 +464,6 @@ def test_unfoldable_banks_run_every_row(case, apply_relu):
         return _oracle_mask_weigh(enc)
 
     with mock.patch.object(codec, "BLOCK_FRAMES", 16):
-        before = _resynthesize([mixture, *sources], bank, dec, p, rectify_then_mask, 2, relu=False)
+        before = _resynthesize([mixture, *sources], bank, p, rectify_then_mask, 2, relu=False)
     for out, old in zip(outs, before):
         assert out.samples.tobytes() == old.samples.tobytes()

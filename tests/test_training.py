@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from fblab import (
     build_stft_bank,
     fd_gradient,
     make_sinusoid_mixture_items,
-    pseudo_inverse,
     run_separation,
     separation_loss,
     train_parampgtf,
@@ -79,7 +79,7 @@ class TestFdRatioOnPipeline:
         # median ratio across random points is a stable 4.
         import numpy as np
 
-        from fblab import build_parampgtf, clip_si_snr, pseudo_inverse, si_snr
+        from fblab import build_parampgtf, clip_si_snr, si_snr
         from fblab.codec import _resynthesize
 
         items = make_sinusoid_mixture_items(4, seed=42, duration_s=0.2)
@@ -96,11 +96,9 @@ class TestFdRatioOnPipeline:
         def smooth_loss(theta):
             p = ErbParams(float(theta[0]), float(theta[1]))
             bank = build_parampgtf(p, 512, 16, 8000)
-            dec = pseudo_inverse(bank)
             vals = []
             for item in items:
-                estimates = _resynthesize([item.mixture, *item.sources], bank, dec, fp, power_weigh, 2,
-                                             relu=False)
+                estimates = _resynthesize([item.mixture, *item.sources], bank, fp, power_weigh, 2, relu=False)
                 for est, src in zip(estimates, item.sources):
                     vals.append(clip_si_snr(si_snr(est, src).value_db))
             return -float(np.mean(vals))
@@ -124,6 +122,14 @@ class TestSeparationLoss:
     def test_loss_rejects_empty_items(self):
         with pytest.raises(ValueError, match="at least one item"):
             separation_loss(ErbParams(), [])
+
+    def test_pseudo_inverse_is_computed_once_per_bank(self, tiny_items):
+        # Every item decodes through the one bank's `pinv_rows`; recomputing
+        # them per item would add one SVD per item to every trainer loss.
+        assert len(tiny_items) >= 2
+        with mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv:
+            separation_loss(ErbParams(), tiny_items, n_filters=64)
+        assert pinv.call_count == 1
 
 
 class TestTrainParampgtf:
@@ -235,8 +241,7 @@ def test_one_trained_step_beats_mpgtf_and_stft():
     stft = build_stft_bank(StftSpec(), 8000)
 
     def mean_score(bank, items):
-        dec = pseudo_inverse(bank)
-        return float(np.mean([run_separation(it.mixture, it.sources, bank, dec, frame_params) for it in items]))
+        return float(np.mean([run_separation(it.mixture, it.sources, bank, frame_params) for it in items]))
 
     over_mpgtf, over_stft = [], []
     for seed in range(1, 9):
