@@ -38,7 +38,6 @@ from .filterbank import (
     frequency_response,
     load_filterbank,
     numerical_rank,
-    peak_response_hz,
     save_filterbank,
 )
 from .gammatone import FILTER_LENGTH_SECONDS, GammatoneSpec, build_mpgtf, build_parampgtf, gammatone_ir

@@ -338,8 +338,9 @@ def cmd_train(args) -> int:
         except TrainingDivergedError as exc:
             _write_trace(out_dir / "trace.csv", exc.trace)  # keep the rows before the failure
             raise
-        _write_trace(out_dir / "trace.csv", trace)
+        # Built before the first write, so a best point no bank can hold leaves no file behind.
         bank = build_parampgtf(best, args.n_filters, args.frame_len, train[0].mixture.sample_rate)
+        _write_trace(out_dir / "trace.csv", trace)
         save_filterbank(out_dir / "parampgtf.fbank", bank)
         _write_json(out_dir / "result.json", {
             "c1": best.c1,

@@ -11,9 +11,13 @@ where one unit equals one auditory filter bandwidth:
     scale(f)   = c2 * ln(1 + f / (c1 * c2))
     scale^-1(u) = c1 * c2 * (exp(u / c2) - 1)
 
-Center frequencies placed one unit apart on this scale follow the
-recursion f_j = scale^-1(scale(f_{j-1}) + 1). Both (c1, c2) are kept as
-an explicit value object so they can be treated as trainable parameters.
+Center frequencies placed one unit apart on this scale from f_0 have the
+closed form
+
+    f_j = scale^-1(scale(f_0) + j) = (f_0 + c1*c2) * exp(j / c2) - c1*c2.
+
+Both (c1, c2) are kept as an explicit value object so they can be
+treated as trainable parameters.
 """
 
 from __future__ import annotations
@@ -100,40 +104,33 @@ def erb_scale_inv(u: float, p: ErbParams = ErbParams()) -> float:
     return f_hz
 
 
-def center_count(p: ErbParams) -> float:
-    """Centres `center_frequency_grid(p)` places from FC_MIN_HZ to FC_MAX_HZ, in closed form.
+def center_count(p: ErbParams, f_start: float = FC_MIN_HZ, f_max: float = FC_MAX_HZ) -> float:
+    """Centres `center_frequency_grid(p, f_start, f_max)` holds: floor(span) + 1, for the span
 
-    The grid steps one ERB-rate unit at a time from scale(FC_MIN_HZ), so it
-    holds floor(span) + 1 centres for the span
-
-        scale(FC_MAX_HZ) - scale(FC_MIN_HZ) = c2 * ln((c1*c2 + FC_MAX_HZ) / (c1*c2 + FC_MIN_HZ)),
+        scale(f_max) - scale(f_start) = c2 * ln((c1*c2 + f_max) / (c1*c2 + f_start))
 
     computed as one `log1p` that neither divides by c1*c2 nor cancels.
-    Where the span lies within rounding of an integer, the recursion can
-    land one centre to either side. Returned as a float, so a span too
-    large for one reads inf.
+    Returned as a float, so a span too large for one reads inf.
     """
-    span = p.c2 * math.log1p((FC_MAX_HZ - FC_MIN_HZ) / (p.c1 * p.c2 + FC_MIN_HZ))
+    span = p.c2 * math.log1p((f_max - f_start) / (p.c1 * p.c2 + f_start))
     return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
 
 
 def center_frequency_grid(p: ErbParams, f_start: float = FC_MIN_HZ, f_max: float = FC_MAX_HZ) -> np.ndarray:
-    """Center frequencies spaced one ERB-rate unit apart, starting at f_start.
+    """Center frequencies spaced one ERB-rate unit apart from f_start up to f_max.
 
-    The first element is f_start exactly; generation stops before the
-    recursion f_j = scale^-1(scale(f_{j-1}) + 1) would exceed f_max. A
-    step whose inverse overflows a float (tiny c2, where one ERB-rate unit
-    spans the whole band) counts as exceeding f_max.
+    Centre j is f_start + (f_start + c1*c2) * expm1(j / c2) for j = 0 ..
+    `center_count(p, f_start, f_max)` - 1; j / c2 never exceeds the span's
+    log, so expm1 cannot overflow. The first element is f_start exactly,
+    and a last centre that rounding puts past f_max is clipped to it.
+    Raises ValueError when the span is too large for a float.
     """
     if not 0 < f_start < f_max:
         raise ValueError(f"need 0 < f_start < f_max, got f_start={f_start}, f_max={f_max}")
-    centers = [float(f_start)]
-    while True:
-        try:
-            nxt = erb_scale_inv(erb_scale(centers[-1], p) + 1.0, p)
-        except ValueError:  # the step overflows a float; its arguments are in range
-            break
-        if nxt > f_max:
-            break
-        centers.append(nxt)
-    return np.array(centers, dtype=np.float64)
+    count = center_count(p, f_start, f_max)
+    if math.isinf(count):
+        raise ValueError(f"the ERB-rate span from {f_start} to {f_max} Hz overflows a float "
+                         f"at c1={p.c1!r}, c2={p.c2!r}")
+    # Centre 0 is placed apart: where c1*c2 overflows (one centre), its term would be inf * 0.
+    steps = (f_start + p.c1 * p.c2) * np.expm1(np.arange(1.0, count) / p.c2)
+    return np.concatenate(([f_start], np.minimum(f_start + steps, f_max)))

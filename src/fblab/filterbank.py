@@ -94,9 +94,16 @@ class Filterbank:
         1/2 pinv(A_P)^T, h rows from P alone, and the whole decoder is
         [Q; -Q] (see `codec.pseudo_inverse`). C order matters: BLAS rounds a
         product with an F-ordered operand differently.
+
+        Raises ValueError for taps whose pseudo-inverse float64 cannot hold:
+        rows that are not finite (taps near the smallest float), or all zero
+        while the taps are not (the largest singular value overflows).
         """
         a, h = self.taps[:, ::-1], self.sign_split_half
-        rows = 0.5 * np.linalg.pinv(a[:h], rcond=PINV_RCOND).T if h else np.linalg.pinv(a, rcond=PINV_RCOND).T
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rows = 0.5 * np.linalg.pinv(a[:h], rcond=PINV_RCOND).T if h else np.linalg.pinv(a, rcond=PINV_RCOND).T
+        if not np.all(np.isfinite(rows)) or (not np.any(rows) and np.any(self.taps)):
+            raise ValueError("the bank's taps are too small or too large for a float64 pseudo-inverse decoder")
         return _frozen(rows)
 
 
@@ -209,14 +216,6 @@ def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, 
     mags = np.abs(np.fft.fft(bank.taps, n=n_fft, axis=1))
     bin_hz = np.arange(n_fft) * (bank.sample_rate / n_fft)
     return bin_hz, mags
-
-
-def peak_response_hz(bank: Filterbank, n_fft: int = 512) -> np.ndarray:
-    """Frequency of the FFT magnitude argmax per filter, folded to [0, fs/2]."""
-    bin_hz, mags = frequency_response(bank, n_fft)
-    half = n_fft // 2 + 1
-    peaks = np.argmax(mags[:, :half], axis=1)
-    return bin_hz[peaks]
 
 
 def numerical_rank(matrix: np.ndarray) -> int:

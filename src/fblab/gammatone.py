@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import _check_sample_rate
-from .erb import FC_MAX_HZ, FC_MIN_HZ, ErbParams, bandwidth_b, center_count, center_frequency_grid, erb
+from .erb import ErbParams, bandwidth_b, center_count, center_frequency_grid, erb
 from .filterbank import Filterbank, FilterbankKind
 
 #: Canonical prototype length: 2 ms of signal.
@@ -90,10 +90,6 @@ def gammatone_ir(spec: GammatoneSpec) -> np.ndarray:
     return ir / peak
 
 
-def _too_few_filters(n_filters: int, m: float) -> ValueError:
-    return ValueError(f"not enough filters for one phase per center: n_filters={n_filters} < 2*M={2 * m:.0f}")
-
-
 def build_mpgtf(
     p: ErbParams,
     n_filters: int = 512,
@@ -124,21 +120,16 @@ def build_mpgtf(
     if n_filters < 2 or n_filters % 2 != 0:
         raise ValueError(f"n_filters must be a positive even number, got {n_filters}")
     n_half = n_filters // 2
-    # Refuse a grid too large for the bank before building it (c1=1e-3,
-    # c2=1e6 spans 1 514 128 centres). The closed form is at most one centre
-    # off the grid, so a refusal here always has M > n_half, and up to
-    # n_half + 2 centres the grid is built and M read from it.
+    # The grid holds exactly `center_count` centres, so a grid too large for
+    # the bank is refused before it is built (c1=1e-3, c2=1e6 spans 1 514 128).
     m = center_count(p)
-    if m > n_half + 2:
-        raise _too_few_filters(n_filters, m)
-    centers = center_frequency_grid(p, FC_MIN_HZ, FC_MAX_HZ)
-    m = len(centers)
-    per_center = n_half // m
-    if per_center == 0:
-        raise _too_few_filters(n_filters, m)
+    if m > n_half:
+        raise ValueError(f"not enough filters for one phase per center: n_filters={n_filters} < 2*M={2 * m:.0f}")
+    centers = center_frequency_grid(p)
     # Surplus phase variants go to the lowest centers, where speech energy sits.
-    counts = np.full(m, per_center, dtype=int)
-    counts[: n_half - per_center * m] += 1
+    per_center, surplus = divmod(n_half, len(centers))
+    counts = np.full(len(centers), per_center, dtype=int)
+    counts[:surplus] += 1
 
     # Every centre is checked before any row is sampled. The per-row loop
     # raised in the same order: a degenerate row needs a decay above

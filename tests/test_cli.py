@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,9 +19,11 @@ import fblab.separation
 import fblab.training
 import fblab.wavio
 from fblab import (
+    ErbParams,
     MixSpec,
     StftSpec,
     Waveform,
+    build_mpgtf,
     build_stft_bank,
     load_filterbank,
     make_multi_mixture_item,
@@ -321,6 +324,25 @@ class TestRoundtrip:
         assert not out_wav.exists()
 
 
+class TestUninvertibleBank:
+    # Taps near the smallest float give a decoder beyond float64; near the
+    # largest, the SVD's largest singular value overflows and the decoder reads 0.
+    @pytest.mark.parametrize("scale", [1e-310, 1.7e308])
+    @pytest.mark.parametrize("command", [["separate"], ["roundtrip"], ["roundtrip", "--relu"]], ids="-".join)
+    def test_is_typed_error_without_output(self, tmp_path, source_wavs, capsys, scale, command):
+        mpgtf = build_mpgtf(ErbParams(), 64)
+        bank = tmp_path / "bank.fbank"
+        save_filterbank(bank, dataclasses.replace(mpgtf, taps=scale * mpgtf.taps))
+        out = tmp_path / "out"
+        name, *flags = command
+        inputs = source_wavs if name == "separate" else source_wavs[:1]
+        target = ["--out-dir", out] if name == "separate" else [out]
+        assert run([name, bank, *inputs, *target, *flags]) == 1
+        message = "the bank's taps are too small or too large for a float64 pseudo-inverse decoder"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
 class TestSeparate:
     def test_writes_all_outputs(self, tmp_path, source_wavs):
         bank = tmp_path / "bank.fbank"
@@ -619,12 +641,13 @@ class TestTrain:
         assert (out_dir / "trace.csv").read_text() == "iter,c1,c2,train_loss,dev_loss\n"
         assert not (out_dir / "result.json").exists()
 
-    def test_infeasible_initial_point_leaves_no_out_dir(self, tmp_path, capsys):
+    @pytest.mark.parametrize("iters", [["--max-iters", "0"], []], ids=["zero-iters", "default-iters"])
+    def test_infeasible_initial_point_leaves_no_out_dir(self, tmp_path, capsys, iters):
         self._write_pairs(tmp_path / "train", 1, 0)
         self._write_pairs(tmp_path / "dev", 1, 1)
         out_dir = tmp_path / "out"
         assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir,
-                    "--c1-init", "0.5", "--c2-init", "100", "--n-filters", "128"]) == 1
+                    "--c1-init", "0.5", "--c2-init", "100", "--n-filters", "128", *iters]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not enough filters" in err and "Traceback" not in err
         assert not out_dir.exists()

@@ -505,6 +505,12 @@ class TestDecode:
         with pytest.raises(ValueError, match="filters"):
             decode(rep, bank)
 
+    def test_filter_length_mismatch(self):
+        bank = random_bank(np.random.default_rng(8), length=6)
+        rep = TFRepresentation(np.zeros((8, 5)), FrameParams(8, 4))
+        with pytest.raises(ValueError, match="^decoder filter length 6 != frame length 8$"):
+            decode(rep, bank)
+
     @pytest.mark.parametrize("shape", [(8,), (1, 8, 5)])
     def test_representation_must_be_2d(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"values must be 2-D, got shape {shape}")):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,12 +123,10 @@ class TestCenterCount:
         p = ErbParams(c1, c2)
         count = center_count(p)
         assert count <= 20000  # the range keeps the grid small
-        grid_count = len(center_frequency_grid(p))
-        span = count - 1.0  # floor of the span
-        exact = c2 * math.log1p((FC_MAX_HZ - FC_MIN_HZ) / (c1 * c2 + FC_MIN_HZ))
-        if exact - span > 1e-9 and span + 1.0 - exact > 1e-9:  # not within rounding of an integer
-            assert grid_count == count
-        assert abs(grid_count - count) <= 1
+        assert len(center_frequency_grid(p)) == count
+        span = erb_scale(FC_MAX_HZ, p) - erb_scale(FC_MIN_HZ, p)
+        if abs(span - round(span)) > 1e-9:  # not within rounding of an integer
+            assert count == math.floor(span) + 1
 
     @pytest.mark.parametrize("c1,c2,expected", [(1e-3, 1e6, 1514128.0), (1e-320, 1e308, math.inf), (1e200, 1e200, 1.0)])
     def test_extreme_spans_need_no_grid(self, c1, c2, expected):
@@ -171,10 +170,33 @@ class TestCenterFrequencyGrid:
         with pytest.raises(ValueError):
             center_frequency_grid(DEFAULTS, 4000.0, 100.0)
 
-    def test_overflowing_step_ends_the_grid(self):
-        # At c2 = 1e-3 one ERB-rate step from 100 Hz overflows exp(); the
-        # next center lies past any f_max.
-        assert center_frequency_grid(ErbParams(24.7, 1e-3)).tolist() == [100.0]
+    # At c2 = 1e-3 one ERB-rate unit multiplies f + c1*c2 by e^1000, past any
+    # float; where c1*c2 overflows to inf, the span is 0 and centre 0 must not
+    # read inf * 0. Either band holds only its first centre.
+    @pytest.mark.parametrize("c1,c2", [(24.7, 1e-3), (1e200, 1e200)])
+    def test_overflowing_step_ends_the_grid(self, c1, c2):
+        assert center_frequency_grid(ErbParams(c1, c2)).tolist() == [100.0]
+
+    def test_span_beyond_a_float_is_typed_error(self):
+        message = "span from 100.0 to 4000.0 Hz overflows a float at c1=1e-320, c2=1e+308"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            center_frequency_grid(ErbParams(1e-320, 1e308))
+
+    @given(valid_params, st.floats(1.0, 4000.0), st.floats(1e-3, 8000.0))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bands(self, params, f_start, width):
+        f_max = f_start + width
+        grid = center_frequency_grid(params, f_start, f_max)
+        assert len(grid) == center_count(params, f_start, f_max)
+        assert grid[0] == f_start
+        assert np.all(grid <= f_max)
+        scale = np.array([erb_scale(f, params) for f in grid])
+        np.testing.assert_allclose(np.diff(scale), 1.0, atol=1e-9)
+        cc = params.c1 * params.c2
+        next_step = f_start + (f_start + cc) * math.expm1(len(grid) / params.c2)
+        span = erb_scale(f_max, params) - erb_scale(f_start, params)
+        if abs(span - round(span)) > 1e-9:  # not within rounding of an integer
+            assert next_step > f_max
 
     @given(valid_params)
     @settings(max_examples=50, deadline=None)

@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import math
 import re
 from unittest import mock
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fblab.gammatone as gammatone_module
 from fblab import (
     FC_MAX_HZ,
     FC_MIN_HZ,
@@ -23,8 +23,6 @@ from fblab import (
     erb,
     gammatone_ir,
 )
-
-erb_module = importlib.import_module("fblab.erb")  # the package's `erb` names the function
 
 DEFAULTS = ErbParams()
 
@@ -59,21 +57,15 @@ def per_row_reference(p, n_filters=512, frame_len=None, sample_rate=8000, order=
 
 
 @contextlib.contextmanager
-def bounded_grid_steps(limit):
-    """Count the grid's `erb_scale_inv` steps, and stop the build at step limit + 1.
+def no_grid():
+    """Stand in for the builder's centre grid, failing at once if it is asked for; yield the stand-in.
 
-    An unbounded grid (billions of centres) fails the test at once instead
-    of filling the memory.
+    An unbounded grid (billions of centres) then fails the test instead of
+    filling the memory.
     """
-    real = erb_module.erb_scale_inv
-
-    def step(*args):
-        if inv.call_count > limit:
-            raise AssertionError(f"the centre grid took more than {limit} steps")
-        return real(*args)
-
-    with mock.patch.object(erb_module, "erb_scale_inv", side_effect=step) as inv:
-        yield inv
+    with mock.patch.object(gammatone_module, "center_frequency_grid",
+                           side_effect=AssertionError("the centre grid was built")) as grid:
+        yield grid
 
 
 def value_error(fn, *args, **kwargs):
@@ -185,15 +177,16 @@ class TestBuildMpgtf:
         (1e-320, 1e308, "n_filters=512 < 2*M=inf"),  # a span beyond a float
     ])
     def test_oversized_grid_is_refused_before_it_is_built(self, c1, c2, message):
-        with bounded_grid_steps(512 // 2 + 2):
+        with no_grid() as grid:
             with pytest.raises(ValueError, match=re.escape(f"not enough filters for one phase per center: {message}")):
                 build_mpgtf(ErbParams(c1, c2), 512, 16, 8000)
+        assert grid.call_count == 0
 
-    @pytest.mark.parametrize("n_filters,steps", [(44, 24), (42, 0)])  # M = 24 = n_half + 2, n_half + 3
-    def test_grid_is_built_up_to_two_centres_past_the_bank(self, n_filters, steps):
-        with bounded_grid_steps(n_filters // 2 + 2) as inv:
+    @pytest.mark.parametrize("n_filters", [46, 44, 42])  # M = 24 = n_half + 1, + 2, + 3
+    def test_bank_short_of_the_grid_is_refused_before_it_is_built(self, n_filters):
+        with no_grid() as grid:
             message = value_error(build_mpgtf, DEFAULTS, n_filters, 16, 8000)
-        assert inv.call_count == steps
+        assert grid.call_count == 0
         assert message == value_error(per_row_reference, DEFAULTS, n_filters, 16, 8000)
         assert message.endswith(f"n_filters={n_filters} < 2*M=48")
 

@@ -1,4 +1,4 @@
-"""Only three fblab modules touch files, and only the CLI writes JSON.
+"""Only three fblab modules touch files, and only the CLI writes JSON or prints.
 
 `cli` writes every text output of the subcommands, `filterbank` reads and
 writes FBANK1 banks and `wavio` reads and writes WAV files; the other
@@ -7,7 +7,8 @@ one reader, which names the file in its errors: WAVs are read only by
 `_read_source` and FBANK1 banks only by `_load_bank`. No pipeline module
 builds a decoder bank: the engine decodes with the bank's own
 `pinv_rows`, and `codec.pseudo_inverse` is called only by
-`stft.istft_decoder`. The sources are read with `ast`, so a call is found
+`stft.istft_decoder`. Library diagnostics go through `logging`, so only
+`cli` calls `print`. The sources are read with `ast`, so a call is found
 whether or not the code path runs in a test.
 """
 
@@ -55,6 +56,10 @@ def test_only_cli_filterbank_and_wavio_open_files():
 
 def test_only_cli_imports_json():
     assert {name for name, tree in _modules().items() if _imports_json(tree)} == {"cli"}
+
+
+def test_only_cli_prints():
+    assert {name for name, tree in _modules().items() if _calls(tree, "print")} == {"cli"}
 
 
 def test_cli_reads_wavs_only_in_read_source_and_banks_only_in_load_bank():
