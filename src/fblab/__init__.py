@@ -13,13 +13,7 @@ from .codec import (
     encode,
     pseudo_inverse,
 )
-from .dsp import (
-    FrameParams,
-    MixSpec,
-    SNR_RANGE_DB,
-    Waveform,
-    num_frames,
-)
+from .dsp import FrameParams, Waveform, num_frames
 from .erb import (
     DEFAULT_C1,
     DEFAULT_C2,
@@ -43,6 +37,8 @@ from .filterbank import (
 from .gammatone import FILTER_LENGTH_SECONDS, GammatoneSpec, build_mpgtf, build_parampgtf, gammatone_ir
 from .metrics import SI_SNR_CLIP_DB, SiSnrResult, clip_si_snr, si_snr
 from .separation import (
+    SNR_RANGE_DB,
+    MixSpec,
     MixtureItem,
     SilentSourceError,
     make_multi_mixture_item,

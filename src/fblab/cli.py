@@ -3,7 +3,8 @@
 Subcommands: build-bank, freq-response, roundtrip, separate, train. All
 numeric defaults mirror the canonical operating point (8 kHz, 16-tap
 frames, hop 8, 512 filters, c1 = 24.7, c2 = 9.265, gammatone order 2),
-so a flagless run reproduces the standard configuration. Outputs are
+so a flagless run reproduces the standard configuration; `roundtrip`'s
+--hop alone defaults to the bank's frame length instead. Outputs are
 deterministic given --seed; the FBLAB_SEED environment variable overrides
 the default seed of 0.
 
@@ -35,12 +36,13 @@ from pathlib import Path
 import numpy as np
 
 from .codec import _resynthesize
-from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform
+from .dsp import FrameParams, Waveform
 from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
 from .filterbank import Filterbank, FilterbankKind, frequency_response, load_filterbank, save_filterbank
 from .gammatone import build_mpgtf, build_parampgtf
 from .metrics import clip_si_snr, si_snr
-from .separation import MixtureItem, SilentSourceError, make_multi_mixture_item, score_separation, separate
+from .separation import (SNR_RANGE_DB, MixSpec, MixtureItem, SilentSourceError, make_multi_mixture_item,
+                         score_separation, separate)
 from .stft import StftMode, StftSpec, StftWindow, build_stft_bank
 from .training import TrainerConfig, TrainingDivergedError, train_parampgtf
 from .wavio import WavError, read_wav, write_wav

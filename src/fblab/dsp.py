@@ -1,4 +1,4 @@
-"""Time-domain signal primitives: waveforms, framing, overlap-add, mixing gains.
+"""Time-domain signal primitives: waveforms, framing and overlap-add.
 
 Everything operates on immutable float64 values. Framing follows strided
 1-D convolution semantics: the trailing partial frame is zero-padded, and
@@ -91,26 +91,6 @@ class FrameParams:
             raise ValueError(f"hop must satisfy 1 <= hop <= frame_len, got hop={self.hop}, frame_len={self.frame_len}")
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    """Target SNR in dB of a mixture's first source over each other source.
-
-    Mixing is deterministic; experiments that draw `snr_db` at random own
-    their RNG. The conventional sampling range is [-5, +5] dB
-    (`SNR_RANGE_DB`); `snr_db` itself may be any finite value.
-    """
-
-    snr_db: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
-
-
-#: Default range experiments draw mixture SNRs from, in dB.
-SNR_RANGE_DB = (-5.0, 5.0)
-
-
 def num_frames(n_samples: int, p: FrameParams) -> int:
     """Frame count for a signal of `n_samples`: ceil(max(n - L, 0) / D) + 1."""
     overflow = max(n_samples - p.frame_len, 0)
@@ -181,19 +161,3 @@ def overlap_add(frames: np.ndarray, p: FrameParams, sample_rate: int) -> Wavefor
     _add_frames(rows, frames, p.hop, 0)
     return Waveform(rows.ravel()[:(count - 1) * p.hop + p.frame_len], sample_rate)
 
-
-def _mixing_gain(e1: float, e2: float, spec: MixSpec) -> float:
-    """Gain g that puts g * b spec.snr_db below a, given their energies e1 and e2.
-
-    g = sqrt((e1 / e2) * 10^(-snr_db / 10)) makes the energy ratio of a
-    to g*b equal snr_db exactly. Both energies must be non-zero: its caller
-    `make_multi_mixture_item` refuses a silent source first. An snr_db so
-    extreme that g overflows or underflows to 0 is a `ValueError`.
-    """
-    try:
-        g = math.sqrt((e1 / e2) * 10.0 ** (-spec.snr_db / 10.0))
-    except OverflowError:
-        g = math.inf
-    if not 0.0 < g < math.inf:
-        raise ValueError(f"snr_db={spec.snr_db!r} gives a mixing gain {g!r} outside (0, inf)")
-    return g

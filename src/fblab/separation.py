@@ -1,9 +1,15 @@
-"""Oracle-mask separation experiments.
+"""Mixtures and oracle-mask separation experiments.
 
 An experiment's result is a tuple of floats: the SI-SNR in dB of each
 separated source, in source order. `score_separation` and
 `run_separation` return it. This module writes no files: `fblab
 separate` writes the scores to report.csv and report.json in `cli`.
+
+There is one mixer, `make_multi_mixture_item`, and `MixSpec` and
+`SNR_RANGE_DB` are its rule: every source after the first sits `snr_db`
+below the first, and experiments draw `snr_db` from `SNR_RANGE_DB`. The
+targets are the mixture's addends, so the mixture is their sum, as
+`separate` requires.
 
 Ideal ratio masks computed from the true sources stand in for a learned
 separator, so encoder/decoder feature families can be compared on their
@@ -14,31 +20,27 @@ actually sum to the mixture. The decoder is always that pseudo-inverse,
 so every function here takes the encoder bank alone.
 
 `separate` (and with it `run_separation`, `training.separation_loss` and
-the CLI) runs the frame-blocked engine `codec._resynthesize`: the mixture
-and the sources are encoded together one block of `codec.BLOCK_FRAMES`
-frames at a time, masked and decoded, so no N x I array is ever built.
-It reads frames in place and hands out its overlap-add rows, so besides
-its inputs it holds the C estimates of n samples each, the engine's
-(C + 1) * N * BLOCK_FRAMES encodings with its smaller frame buffers
-(see `codec._resynthesize`), and the one N * BLOCK_FRAMES temporary of
-the mask weigh. Its estimates agree with the whole-signal path `encode`
--> `oracle_irm_masks` -> `apply_mask` -> `decode` through
-`codec.pseudo_inverse(bank)` to about 1e-15 relative (tests bound it at
-1e-12). That path is the reference: it builds the masks with
-`_ratio_masks`, where the engine's weigh `_oracle_mask_weigh` scales
-each source's magnitude by mixture / sum in one divide per cell. On
-sign-split banks the engine runs only the positive half of each +/- row
-pair (see `codec`).
+the CLI) runs the frame-blocked engine `codec._resynthesize`, which
+encodes the mixture and the sources together one block of frames at a
+time, masks and decodes them; it states what the engine holds and how
+closely it agrees with the whole-signal path `encode` ->
+`oracle_irm_masks` -> `apply_mask` -> `decode` through
+`codec.pseudo_inverse(bank)`. That path is the reference: it builds the
+masks with `_ratio_masks`, where the engine's weigh `_oracle_mask_weigh`
+scales each source's magnitude by mixture / sum in one divide per cell.
+On sign-split banks the engine runs only the positive half of each +/-
+row pair (see `codec`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import _resynthesize, encode
-from .dsp import FrameParams, MixSpec, SNR_RANGE_DB, Waveform, _mixing_gain
+from .dsp import FrameParams, Waveform
 from .filterbank import Filterbank
 from .metrics import si_snr
 
@@ -60,6 +62,26 @@ class MixtureItem:
     sources: tuple[Waveform, ...]
 
 
+@dataclass(frozen=True)
+class MixSpec:
+    """Target SNR in dB of a mixture's first source over each other source.
+
+    Mixing is deterministic; experiments that draw `snr_db` at random own
+    their RNG. The conventional sampling range is [-5, +5] dB
+    (`SNR_RANGE_DB`); `snr_db` itself may be any finite value.
+    """
+
+    snr_db: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
+
+
+#: Default range experiments draw mixture SNRs from, in dB.
+SNR_RANGE_DB = (-5.0, 5.0)
+
+
 def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     """Mix two or more sources; every tail source sits spec.snr_db below the first.
 
@@ -69,7 +91,8 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     addends of the mixture itself (the first source and each g_c * s_c),
     so a perfect separator would score +inf SI-SNR on each. A source that
     is all zero over the common length raises `SilentSourceError` naming
-    its position.
+    its position; an snr_db so extreme that a gain overflows or
+    underflows to 0 is a `ValueError`.
     """
     if len(sources) < 2:
         raise ValueError(f"need at least 2 sources, got {len(sources)}")
@@ -89,7 +112,13 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
             raise SilentSourceError(position, len(sources), n)
     total = head.copy()
     for tail, energy in zip(tails, energies[1:]):
-        scaled = tail * _mixing_gain(energies[0], energy, spec)
+        try:  # energy != 0: the check above refused a silent source
+            g = math.sqrt((energies[0] / energy) * 10.0 ** (-spec.snr_db / 10.0))
+        except OverflowError:
+            g = math.inf
+        if not 0.0 < g < math.inf:
+            raise ValueError(f"snr_db={spec.snr_db!r} gives a mixing gain {g!r} outside (0, inf)")
+        scaled = tail * g
         targets.append(Waveform._adopt(scaled, fs))
         total += scaled
     return MixtureItem(Waveform._adopt(total, fs), tuple(targets))
@@ -214,16 +243,15 @@ def separate(
 ) -> list[Waveform]:
     """Oracle-masked estimates of every source, trimmed to the mixture length.
 
-    Encodes through `bank` and decodes through its pseudo-inverse, whose
-    rows the bank computes once (`Filterbank.pinv_rows`) for every call
-    that shares it. The mixture and the sources must have one length and
-    `bank`'s rate, and the mixture must be the sum of the sources, up to
-    rounding: the weigh scales each source's magnitude by mixture / (sum
-    of the sources' magnitudes) per cell, which is finite while the
-    mixture's encoding stays below ~1e308 times that sum. A mixture that
-    outgrows its sources by more gives non-finite estimates, refused with
-    the `ValueError` of `Waveform`. Runs the blocked engine
-    `_resynthesize`; every argument is checked before any work.
+    Encodes through `bank` and decodes through its pseudo-inverse. The
+    mixture and the sources must have one length and `bank`'s rate, and
+    the mixture must be the sum of the sources, up to rounding, as
+    `make_multi_mixture_item` makes it: the weigh scales each source's
+    magnitude by mixture / (sum of the sources' magnitudes) per cell, and
+    a mixture that outgrows its sources far beyond that (see
+    `_oracle_mask_weigh`) gives non-finite estimates, refused with the
+    `ValueError` of `Waveform`. Runs the blocked engine `_resynthesize`;
+    every argument is checked before any work.
     """
     if len(sources) < 2:  # `_resynthesize` checks the lengths and rates
         raise ValueError(f"need at least 2 sources, got {len(sources)}")

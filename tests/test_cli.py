@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -19,17 +20,23 @@ import fblab.separation
 import fblab.training
 import fblab.wavio
 from fblab import (
+    FILTER_LENGTH_SECONDS,
     ErbParams,
+    FrameParams,
     MixSpec,
     StftSpec,
+    TrainerConfig,
     Waveform,
     build_mpgtf,
     build_stft_bank,
+    frequency_response,
     load_filterbank,
     make_multi_mixture_item,
     read_wav,
     save_filterbank,
+    separation_loss,
     si_snr,
+    train_parampgtf,
     write_wav,
 )
 from fblab.cli import main
@@ -827,3 +834,42 @@ def test_help_lists_defaults(capsys):
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
     assert "24.7" in out and "9.265" in out and "512" in out
+
+
+def _defaults(*argv):
+    """The namespace `fblab` parses from `argv`: every option left out takes its CLI default."""
+    return fblab.cli._build_parser().parse_args([str(a) for a in argv])
+
+
+def _parameter_defaults(func):
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+
+def test_cli_defaults_equal_the_library_defaults():
+    build = _defaults("build-bank", "mpgtf", "--out", "bank.fbank")
+    mpgtf = _parameter_defaults(build_mpgtf)
+    assert (build.fs, build.n_filters, build.order) == (mpgtf["sample_rate"], mpgtf["n_filters"], mpgtf["order"])
+    # build_mpgtf's default frame is 2 ms, which is --frame-len 16 only at the default 8 kHz
+    assert mpgtf["frame_len"] is None and round(FILTER_LENGTH_SECONDS * 8000) == 16
+    stft = StftSpec()
+    assert (build.frame_len, build.nfreqs, build.mode, build.window) == (
+        stft.frame_len, stft.n_freqs, stft.mode.value, stft.window.value)
+    assert (build.c1, build.c2) == (ErbParams().c1, ErbParams().c2)
+
+    assert _defaults("freq-response", "bank.fbank", "--out", "r.csv").n_fft == (
+        _parameter_defaults(frequency_response)["n_fft"])
+
+    separate = _defaults("separate", "bank.fbank", "a.wav", "b.wav", "--out-dir", "sep")
+    train = _defaults("train", "train", "dev", "--out-dir", "out")
+    for func in (train_parampgtf, separation_loss):
+        library = _parameter_defaults(func)
+        assert library["frame_params"] == FrameParams(16, 8) and library["n_filters"] == 512
+        assert separate.hop == train.hop == library["frame_params"].hop
+        assert train.frame_len == library["frame_params"].frame_len
+        assert train.n_filters == library["n_filters"]
+    cfg = TrainerConfig()
+    assert (train.lr, train.max_iters, train.fd_epsilon) == (cfg.learning_rate, cfg.max_iters, cfg.fd_epsilon)
+    assert (train.c1_init, train.c2_init) == (ErbParams().c1, ErbParams().c2)
+
+    # the one deliberate exception: roundtrip's hop defaults to the bank's frame length
+    assert _defaults("roundtrip", "bank.fbank", "in.wav", "out.wav").hop is None

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fblab import FrameParams, MixSpec, SilentSourceError, Waveform, make_multi_mixture_item, num_frames
-from fblab.dsp import _mixing_gain, frame_signal, overlap_add
+from fblab import FrameParams, Waveform, num_frames
+from fblab.dsp import frame_signal, overlap_add
 
 
 def wave(values, fs=8000):
@@ -233,74 +233,3 @@ class TestOverlapAdd:
         np.testing.assert_array_equal(out.samples, expected)
         assert out.samples.tobytes() == expected.tobytes()
 
-
-class TestMixAtSnr:
-    """The mixing gain, and the checks on a two-source `make_multi_mixture_item`."""
-
-    def test_equal_energy_zero_db(self):
-        assert _mixing_gain(4.0, 4.0, MixSpec(0.0)) == 1.0
-
-    def test_equal_energy_plus_five_db(self):
-        g = _mixing_gain(1.0, 1.0, MixSpec(5.0))
-        assert g == pytest.approx(10.0 ** -0.25, rel=1e-12)
-
-    def test_gain_compensates_source_scale(self):
-        rng = np.random.default_rng(3)
-        s1 = wave(rng.standard_normal(100))
-        s2 = wave(rng.standard_normal(100))
-        spec = MixSpec(2.5)
-        x1 = make_multi_mixture_item([s1, s2], spec).mixture
-        x2 = make_multi_mixture_item([s1, wave(2.0 * s2.samples)], spec).mixture
-        np.testing.assert_array_equal(x1.samples, x2.samples)
-
-    @pytest.mark.parametrize("position", [1, 2, 3])
-    def test_silent_source_is_named_by_position(self, position):
-        sources = [wave([1.0, -2.0, 3.0]), wave([0.5, 0.5, 0.5, 7.0]), wave([-1.0, 2.0, 1.0])]
-        sources[position - 1] = wave([0.0, 0.0, 0.0, 4.0])  # non-zero only past the common length
-        with pytest.raises(SilentSourceError, match=rf"^silent source {position} of 3: its first 3 samples") as excinfo:
-            make_multi_mixture_item(sources, MixSpec(0.0))
-        assert excinfo.value.position == position
-
-    def test_rate_mismatch(self):
-        with pytest.raises(ValueError, match="sample rates differ"):
-            make_multi_mixture_item([wave([1.0]), Waveform(np.ones(1), 16000)], MixSpec(0.0))
-
-    def test_truncates_to_shorter(self):
-        s1 = wave([1.0, 1.0, 1.0, 99.0])
-        s2 = wave([1.0, -1.0, 1.0])
-        item = make_multi_mixture_item([s1, s2], MixSpec(0.0))
-        g = _mixing_gain(3.0, s2.energy(), MixSpec(0.0))
-        assert len(item.mixture) == 3
-        np.testing.assert_allclose(item.mixture.samples, s1.samples[:3] + g * s2.samples)
-
-    @given(st.integers(0, 2**32 - 1), st.floats(-5, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_requested_snr_is_achieved(self, seed, snr_db):
-        rng = np.random.default_rng(seed)
-        s1 = rng.standard_normal(64)
-        s2 = rng.standard_normal(64)
-        g = _mixing_gain(float(np.dot(s1, s1)), float(np.dot(s2, s2)), MixSpec(snr_db))
-        measured = 10.0 * np.log10(np.dot(s1, s1) / (g * g * np.dot(s2, s2)))
-        assert measured == pytest.approx(snr_db, abs=1e-9)
-
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError, match="finite"):
-            MixSpec(float("nan"))
-
-    def test_targets_and_mixture_are_read_only_and_share_no_memory(self):
-        s1 = wave([1.0, -2.0, 3.0, 99.0])
-        s2 = wave([1.0, -1.0, 1.0])
-        s3 = wave([0.5, 2.0, -1.0])
-        item = make_multi_mixture_item([s1, s2, s3], MixSpec(1.0))
-        outputs = [item.mixture.samples, *(t.samples for t in item.sources)]
-        for i, out in enumerate(outputs):
-            assert not out.flags.writeable
-            assert out.base is None or not out.base.flags.writeable
-            for other in [*outputs[:i], s1.samples, s2.samples, s3.samples]:
-                assert not np.shares_memory(out, other)
-
-    @pytest.mark.parametrize("snr_db", [-1e4, 1e4])
-    def test_extreme_snr_is_typed_error(self, snr_db):
-        # 10 ** 1000 overflows and 10 ** -1000 underflows the gain to 0
-        with pytest.raises(ValueError, match="snr_db"):
-            _mixing_gain(5.0, 5.0, MixSpec(snr_db))

@@ -7,9 +7,9 @@ one reader, which names the file in its errors: WAVs are read only by
 `_read_source` and FBANK1 banks only by `_load_bank`. No pipeline module
 builds a decoder bank: the engine decodes with the bank's own
 `pinv_rows`, and `codec.pseudo_inverse` is called only by
-`stft.istft_decoder`. Library diagnostics go through `logging`, so only
-`cli` calls `print`. The sources are read with `ast`, so a call is found
-whether or not the code path runs in a test.
+`stft.istft_decoder`. Only `cli` calls `print`; the other modules
+report through return values and exceptions. The sources are read with
+`ast`, so a call is found whether or not the code path runs in a test.
 """
 
 import ast

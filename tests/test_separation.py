@@ -13,6 +13,7 @@ from fblab import (
     Filterbank,
     FrameParams,
     MixSpec,
+    SilentSourceError,
     Waveform,
     build_mpgtf,
     decode,
@@ -36,6 +37,10 @@ FP = FrameParams(16, 8)
 @pytest.fixture(scope="module")
 def mpgtf_bank():
     return build_mpgtf(ErbParams(), 512, 16, FS)
+
+
+def wave(values, fs=FS):
+    return Waveform(np.asarray(values, dtype=np.float64), fs)
 
 
 def tone(freq, n=4000, amp=0.5, phase=0.0):
@@ -311,7 +316,121 @@ class TestSeparateErrors:
                 oracle_irm_masks(sources, mpgtf_bank, FP)
 
 
+def _model_mixture(sources, snr_db):
+    """The mixer's arithmetic written out: (mixture, targets) as arrays.
+
+    With head and tails cut to the common length, E1 = head . head and
+    E_c = tail_c . tail_c; tail c is scaled by
+    g_c = sqrt((E1 / E_c) * 10^(-snr_db / 10)), and the mixture adds the
+    scaled tails to a copy of the head in source order.
+    """
+    n = min(len(s) for s in sources)
+    head = sources[0].samples[:n]
+    e1 = float(np.dot(head, head))
+    targets = [head]
+    total = head.copy()
+    for s in sources[1:]:
+        tail = s.samples[:n]
+        g = math.sqrt((e1 / float(np.dot(tail, tail))) * 10.0 ** (-snr_db / 10.0))
+        targets.append(tail * g)
+        total += targets[-1]
+    return total, targets
+
+
 class TestMixtureItems:
+    """`make_multi_mixture_item`: its gains, targets, mixture and refusals."""
+
+    def test_equal_energy_zero_db(self):
+        s1, s2 = wave([2.0, 0.0, 0.0, 0.0]), wave([1.0, -1.0, 1.0, -1.0])  # both of energy 4
+        item = make_multi_mixture_item([s1, s2], MixSpec(0.0))
+        assert item.sources[1].samples.tobytes() == s2.samples.tobytes()  # a gain of exactly 1
+        np.testing.assert_array_equal(item.mixture.samples, [3.0, -1.0, 1.0, -1.0])
+
+    def test_equal_energy_plus_five_db(self):
+        s1, s2 = wave([1.0, 0.0]), wave([0.0, -1.0])
+        item = make_multi_mixture_item([s1, s2], MixSpec(5.0))
+        np.testing.assert_allclose(item.sources[1].samples, 10.0 ** -0.25 * s2.samples, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(item.mixture.samples, [1.0, -(10.0 ** -0.25)], rtol=1e-12, atol=0)
+
+    def test_gain_compensates_source_scale(self):
+        rng = np.random.default_rng(3)
+        s1 = wave(rng.standard_normal(100))
+        s2 = wave(rng.standard_normal(100))
+        spec = MixSpec(2.5)
+        x1 = make_multi_mixture_item([s1, s2], spec).mixture
+        x2 = make_multi_mixture_item([s1, wave(2.0 * s2.samples)], spec).mixture
+        np.testing.assert_array_equal(x1.samples, x2.samples)
+
+    @pytest.mark.parametrize("position", [1, 2, 3])
+    def test_silent_source_is_named_by_position(self, position):
+        sources = [wave([1.0, -2.0, 3.0]), wave([0.5, 0.5, 0.5, 7.0]), wave([-1.0, 2.0, 1.0])]
+        sources[position - 1] = wave([0.0, 0.0, 0.0, 4.0])  # non-zero only past the common length
+        message = f"silent source {position} of 3: its first 3 samples (the length the sources share) are all zero"
+        with pytest.raises(SilentSourceError, match=f"^{re.escape(message)}$") as excinfo:
+            make_multi_mixture_item(sources, MixSpec(0.0))
+        assert excinfo.value.position == position
+
+    def test_rate_mismatch(self):
+        with pytest.raises(ValueError, match="^sample rates differ: 8000 vs 16000$"):
+            make_multi_mixture_item([wave([1.0]), Waveform(np.ones(1), 16000)], MixSpec(0.0))
+
+    def test_truncates_to_shorter(self):
+        s1 = wave([1.0, 1.0, 1.0, 99.0])
+        s2 = wave([1.0, -1.0, 1.0])  # the energy of s1's first 3 samples: a gain of exactly 1
+        item = make_multi_mixture_item([s1, s2], MixSpec(0.0))
+        assert len(item.mixture) == 3
+        assert item.sources[0].samples.tobytes() == s1.samples[:3].tobytes()
+        assert item.sources[1].samples.tobytes() == s2.samples.tobytes()
+        np.testing.assert_array_equal(item.mixture.samples, [2.0, 0.0, 2.0])
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-5, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_requested_snr_is_achieved(self, seed, snr_db):
+        rng = np.random.default_rng(seed)
+        s1 = wave(rng.standard_normal(64))
+        s2 = wave(rng.standard_normal(64))
+        item = make_multi_mixture_item([s1, s2], MixSpec(snr_db))
+        measured = 10.0 * np.log10(item.sources[0].energy() / item.sources[1].energy())
+        assert measured == pytest.approx(snr_db, abs=1e-9)
+
+    def test_invalid_spec(self):
+        with pytest.raises(ValueError, match="finite"):
+            MixSpec(float("nan"))
+
+    def test_targets_and_mixture_are_read_only_and_share_no_memory(self):
+        s1 = wave([1.0, -2.0, 3.0, 99.0])
+        s2 = wave([1.0, -1.0, 1.0])
+        s3 = wave([0.5, 2.0, -1.0])
+        item = make_multi_mixture_item([s1, s2, s3], MixSpec(1.0))
+        outputs = [item.mixture.samples, *(t.samples for t in item.sources)]
+        for i, out in enumerate(outputs):
+            assert not out.flags.writeable
+            assert out.base is None or not out.base.flags.writeable
+            for other in [*outputs[:i], s1.samples, s2.samples, s3.samples]:
+                assert not np.shares_memory(out, other)
+
+    @pytest.mark.parametrize("snr_db", [-1e4, 1e4])
+    def test_extreme_snr_is_typed_error(self, snr_db):
+        # 10 ** 1000 overflows the gain to inf, and 10 ** -1000 underflows it to 0
+        message = f"snr_db={snr_db!r} gives a mixing gain {math.inf if snr_db < 0 else 0.0!r} outside (0, inf)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_multi_mixture_item([wave([1.0, 2.0]), wave([2.0, -1.0])], MixSpec(snr_db))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 300), min_size=2, max_size=4, unique=True),
+        snr_db=st.one_of(st.floats(-5, 5), st.sampled_from([-300.0, 300.0])),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_written_out_arithmetic_bitwise(self, seed, lengths, snr_db):
+        rng = np.random.default_rng(seed)
+        sources = [wave(rng.standard_normal(n)) for n in lengths]
+        item = make_multi_mixture_item(sources, MixSpec(snr_db))
+        total, targets = _model_mixture(sources, snr_db)
+        assert item.mixture.samples.tobytes() == total.tobytes()
+        for got, want in zip(item.sources, targets, strict=True):
+            assert got.samples.tobytes() == want.tobytes()
+
     def test_mixture_is_sum_of_stored_sources(self):
         item = make_multi_mixture_item([tone(300.0), tone(2000.0)], MixSpec(4.0))
         np.testing.assert_array_equal(
@@ -324,21 +443,16 @@ class TestMixtureItems:
         sources = [Waveform(rng.standard_normal(n), FS) for n in lengths]
         spec = MixSpec(-2.5)
         item = make_multi_mixture_item(sources, spec)
-        n = min(lengths)
-        head = sources[0].samples[:n]
-        assert item.sources[0].samples.tobytes() == head.tobytes()
-        expected = head.copy()
-        for s, target in zip(sources[1:], item.sources[1:]):
-            tail = s.samples[:n]
-            g = math.sqrt((float(np.dot(head, head)) / float(np.dot(tail, tail))) * 10.0 ** (-spec.snr_db / 10.0))
-            assert target.samples.tobytes() == (tail * g).tobytes()
-            measured = 10.0 * np.log10(np.dot(head, head) / target.energy())
+        total, targets = _model_mixture(sources, spec.snr_db)
+        assert item.mixture.samples.tobytes() == total.tobytes()
+        for target, expected in zip(item.sources, targets, strict=True):
+            assert target.samples.tobytes() == expected.tobytes()
+        for target in item.sources[1:]:
+            measured = 10.0 * np.log10(item.sources[0].energy() / target.energy())
             assert measured == pytest.approx(spec.snr_db, abs=1e-9)
-            expected += target.samples
-        assert item.mixture.samples.tobytes() == expected.tobytes()
 
     def test_empty_input(self):
-        with pytest.raises(ValueError, match="empty input"):
+        with pytest.raises(ValueError, match="^empty input$"):
             make_multi_mixture_item([tone(300.0), Waveform(np.zeros(0), FS)], MixSpec(0.0))
 
     def test_single_source(self):
