@@ -16,22 +16,21 @@ parameterized one (ParaMPGTF): the construction is a deterministic
 function of (c1, c2), so those constants can be fitted numerically, and
 `kind` only labels the result. `build_parampgtf` is that builder with
 kind=PARAMPGTF. The first center stays pinned at 100 Hz regardless of the
-parameters. Peak normalization cancels the amplitude alpha, so neither
-the builders nor `GammatoneSpec` take one: every filter is sampled at
-alpha = 1.
+parameters. Peak normalization cancels the amplitude alpha, so the
+builders take none: every filter is sampled at alpha = 1.
 
-The builder evaluates all its rows in one broadcast over per-row
-(fc, b, phi) and a shared time grid. `GammatoneSpec` and `gammatone_ir`
-are the single-filter reference: the tests build the bank one
-`gammatone_ir` call per row and require the builder's taps to equal it
-bitwise, and its errors to match.
+The builder is the library's only gammatone sampler: it evaluates all its
+rows in one broadcast over per-row (fc, b, phi) and a shared time grid.
+The single-filter reference lives with the tests, in
+`tests/gammatone_model.py`: they build the bank one `gammatone_ir` call
+per row there and require the builder's taps to equal it bitwise, and its
+errors to match.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,51 +42,18 @@ from .filterbank import Filterbank, FilterbankKind
 FILTER_LENGTH_SECONDS = 0.002
 
 
-@dataclass(frozen=True)
-class GammatoneSpec:
-    """Parameters of a single FIR-truncated gammatone filter."""
+def _check_filter(center_fc: float, length: int, sample_rate: int) -> None:
+    """Raise ValueError for a gammatone filter that cannot be sampled.
 
-    order_n: int
-    phase_phi: float
-    center_fc: float
-    bandwidth_b: float
-    length: int
-    sample_rate: int
-
-    def __post_init__(self):
-        _check_filter(self.order_n, self.center_fc, self.bandwidth_b, self.length, self.sample_rate)
-
-
-def _check_filter(order_n: int, center_fc: float, bandwidth_b: float, length: int, sample_rate: int) -> None:
-    """Raise ValueError for a gammatone filter that cannot be sampled."""
-    _check_sample_rate(sample_rate)  # before fs/2 bounds the centre
-    if order_n < 1:
-        raise ValueError(f"order_n must be >= 1, got {order_n}")
-    if bandwidth_b <= 0:
-        raise ValueError(f"bandwidth_b must be > 0, got {bandwidth_b}")
+    `build_mpgtf` has checked the rate on entry, and `bandwidth_b` the
+    order. The decay needs no check: every centre is >= 100 Hz, so its ERB
+    is >= 100 / c2 > 5e-307, and `bandwidth_b` scales that by at least
+    7.5e-12 (order 12), which leaves b > 4e-318.
+    """
     if not 0 < center_fc < sample_rate / 2:
         raise ValueError(f"center_fc must lie in (0, fs/2) = (0, {sample_rate / 2}), got {center_fc}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-
-
-def gammatone_ir(spec: GammatoneSpec) -> np.ndarray:
-    """Sampled gammatone impulse response, peak-normalized to max |tap| = 1.
-
-    Tap k is g((k+1)/fs): the time grid starts one sample period after
-    zero because the envelope t^(n-1) makes g(0) an uninformative tap
-    for n >= 2.
-    """
-    t = (np.arange(spec.length) + 1.0) / spec.sample_rate
-    ir = (
-        t ** (spec.order_n - 1)
-        * np.exp(-2.0 * math.pi * spec.bandwidth_b * t)
-        * np.cos(2.0 * math.pi * spec.center_fc * t + spec.phase_phi)
-    )
-    peak = np.max(np.abs(ir))
-    if peak == 0.0:
-        raise ValueError("degenerate gammatone filter: all taps are zero")
-    return ir / peak
 
 
 def build_mpgtf(
@@ -107,10 +73,11 @@ def build_mpgtf(
     `kind` (MPGTF or PARAMPGTF) only labels the bank; the taps depend on
     `p` alone.
 
-    All n_filters/2 positive-phase rows come from one broadcast expression
-    in `gammatone_ir`'s factor order, so each row is bitwise the
-    `gammatone_ir` filter of its (fc, b, phi), and a bad input raises the
-    same ValueError as that per-row construction.
+    All n_filters/2 positive-phase rows come from one broadcast expression.
+    The tests hold it to the per-row reference in `tests/gammatone_model.py`:
+    each row is bitwise that model's `gammatone_ir` filter of its
+    (fc, b, phi), and a bad input raises the same ValueError as the bank
+    built one model filter per row.
     """
     _check_sample_rate(sample_rate)  # before it sizes the frame and bounds the centres
     if kind not in (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF):
@@ -131,14 +98,14 @@ def build_mpgtf(
     counts = np.full(len(centers), per_center, dtype=int)
     counts[:surplus] += 1
 
-    # Every centre is checked before any row is sampled. The per-row loop
-    # raised in the same order: a degenerate row needs a decay above
+    # Every centre is checked before any row is sampled. The per-row
+    # reference raises in the same order: a degenerate row needs a decay above
     # ~100*fs, and the ERB spacing that comes with it leaves no second
     # centre below 4000 Hz.
     decays = []
     for fc in centers:
         b = bandwidth_b(erb(float(fc), p), order)
-        _check_filter(order, float(fc), b, frame_len, sample_rate)
+        _check_filter(float(fc), frame_len, sample_rate)
         decays.append(b)
 
     # Row r takes phase k of its centre's count, evenly spaced on [0, pi).
@@ -147,12 +114,17 @@ def build_mpgtf(
     row_phi = math.pi * k / row_count
     row_b = np.repeat(decays, counts)
     row_fc = np.repeat(centers, counts)
-    # `gammatone_ir`'s expression and factor order, so every tap equals
-    # the reference's bitwise.
+    # The expression and factor order of `gammatone_ir` in
+    # `tests/gammatone_model.py`, so every tap equals the reference's
+    # bitwise. A decay b above float max/(2*pi) ~ 2.9e307 (c1 = 1.7e308
+    # gives b ~ 1.08e308) overflows to -inf here: every tap of its row is
+    # then 0, and the zero-peak check below refuses the row.
+    with np.errstate(over="ignore"):
+        row_decay = -2.0 * math.pi * row_b
     t = (np.arange(frame_len) + 1.0) / sample_rate
     rows = (
         t ** (order - 1)
-        * np.exp((-2.0 * math.pi * row_b)[:, None] * t)
+        * np.exp(row_decay[:, None] * t)
         * np.cos((2.0 * math.pi * row_fc)[:, None] * t + row_phi[:, None])
     )
     peaks = np.max(np.abs(rows), axis=1)

@@ -38,7 +38,8 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
     With s_t = (<est, ref> / ||ref||^2) * ref and e = est - s_t, the value
     is 10*log10(||s_t||^2 / ||e||^2). A perfect reconstruction yields
     +inf; a zero or orthogonal estimate yields -inf. Raises on a
-    zero-energy reference.
+    zero-energy reference, and on either argument whose stored energy
+    overflows a float (|x| >~ 1e154).
 
     The projection gain reads ||ref||^2 from `Waveform.energy` and takes
     one whole-signal dot product. s_t and e are formed, and their energies
@@ -52,11 +53,12 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
         )
     if len(estimate) != len(reference):
         raise ValueError(f"length mismatch: estimate {len(estimate)}, reference {len(reference)}")
-    est = estimate.samples
-    ref = reference.samples
+    est, ref = estimate.samples, reference.samples
     ref_energy = reference.energy()
     if ref_energy == 0.0:
         raise ValueError("zero-energy reference")
+    if math.inf in (estimate.energy(), ref_energy):  # the dot below would overflow, or the gain read 0
+        raise ValueError(f"energy overflows a float: estimate {estimate.energy()!r}, reference {ref_energy!r}")
     beta = float(np.dot(est, ref)) / ref_energy
     target_energy = noise_energy = 0.0
     for lo in range(0, len(ref), BLOCK_SAMPLES):

@@ -91,8 +91,9 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     addends of the mixture itself (the first source and each g_c * s_c),
     so a perfect separator would score +inf SI-SNR on each. A source that
     is all zero over the common length raises `SilentSourceError` naming
-    its position; an snr_db so extreme that a gain overflows or
-    underflows to 0 is a `ValueError`.
+    its position, and so does the `ValueError` for a source whose energy
+    overflows a float (|x| >~ 1e154); an snr_db so extreme that a gain
+    overflows or underflows to 0 is a `ValueError`.
     """
     if len(sources) < 2:
         raise ValueError(f"need at least 2 sources, got {len(sources)}")
@@ -106,10 +107,13 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     head = sources[0].samples[:n]
     targets = [Waveform(head, fs)]
     tails = [s.samples[:n] for s in sources[1:]]
-    energies = [targets[0].energy()] + [float(np.dot(tail, tail)) for tail in tails]
+    with np.errstate(over="ignore"):  # an overflowing energy reads inf and is refused below
+        energies = [targets[0].energy()] + [float(np.dot(tail, tail)) for tail in tails]
     for position, energy in enumerate(energies, start=1):
         if energy == 0.0:
             raise SilentSourceError(position, len(sources), n)
+        if energy == math.inf:
+            raise ValueError(f"source {position} of {len(sources)}: its energy overflows a float")
     total = head.copy()
     for tail, energy in zip(tails, energies[1:]):
         try:  # energy != 0: the check above refused a silent source

@@ -138,6 +138,13 @@ class TestBuildBank:
         )
         assert not out.exists()
 
+    def test_overflowing_decay_is_typed_error_without_warning(self, tmp_path, capsys):
+        # c1 * c2 = inf leaves one centre whose decay b ~ 1.08e308 makes -2*pi*b overflow
+        out = tmp_path / "bad.fbank"
+        assert run(["build-bank", "mpgtf", "--c1", "1.7e308", "--c2", "1e6", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: degenerate gammatone filter: all taps are zero\n"
+        assert not out.exists()
+
 
 class TestFreqResponse:
     def test_csv_shape(self, tmp_path):

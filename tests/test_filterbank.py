@@ -311,7 +311,8 @@ class TestFrequencyResponse:
     def test_resolved_gammatone_peaks_within_one_bin_of_fc(self):
         # a 2 ms gammatone is envelope-dominated, so the sharp per-filter
         # peak claim needs a window long enough to resolve the passband
-        from fblab import GammatoneSpec, bandwidth_b, erb, gammatone_ir
+        from fblab import bandwidth_b, erb
+        from gammatone_model import GammatoneSpec, gammatone_ir
 
         for fc in (500.0, 1000.0, 2000.0, 3000.0):
             b = bandwidth_b(erb(fc, ErbParams()), 2)

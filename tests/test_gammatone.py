@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fblab.gammatone as gammatone_module
@@ -14,15 +14,15 @@ from fblab import (
     FC_MIN_HZ,
     FILTER_LENGTH_SECONDS,
     ErbParams,
+    Filterbank,
     FilterbankKind,
-    GammatoneSpec,
     bandwidth_b,
     build_mpgtf,
     build_parampgtf,
     center_frequency_grid,
     erb,
-    gammatone_ir,
 )
+from gammatone_model import GammatoneSpec, gammatone_ir
 
 DEFAULTS = ErbParams()
 
@@ -190,6 +190,11 @@ class TestBuildMpgtf:
         assert message == value_error(per_row_reference, DEFAULTS, n_filters, 16, 8000)
         assert message.endswith(f"n_filters={n_filters} < 2*M=48")
 
+    def test_smallest_decay_is_positive(self):
+        # the builder checks no decay: the lowest ERB any ErbParams gives at 100 Hz, at the top order, stays > 0
+        p = ErbParams(5e-324, 1.7976931348623157e308)
+        assert bandwidth_b(erb(100.0, p), 12) > 4e-318
+
     def test_minimum_one_phase_per_center(self):
         bank = build_mpgtf(DEFAULTS, 48, 16, 8000)
         assert bank.taps.shape == (48, 16)
@@ -275,3 +280,34 @@ class TestBuildParampgtf:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError, match="invalid ERB parameters"):
             build_parampgtf(ErbParams(-1.0, 9.265), 512, 16, 8000)
+
+
+#: c1 or c2 drawn log-uniform from the smallest subnormals to near the float maximum.
+ERB_CONSTANT = st.floats(math.log10(1e-320), math.log10(1.7e308)).map(lambda e: 10.0 ** e)
+
+
+class TestBuilderFuzz:
+    @given(
+        builder=st.sampled_from([build_mpgtf, build_parampgtf]),
+        c1=ERB_CONSTANT,
+        c2=ERB_CONSTANT,
+        n_filters=st.integers(0, 512),
+        frame_len=st.integers(0, 48),  # explicit, so no draw sizes an array from the rate
+        sample_rate=st.sampled_from([1, 200, 7000, 8000, 16000]),
+        order=st.integers(0, 13),
+    )
+    # c1 * c2 = inf: one centre whose decay overflows -2*pi*b (`fblab build-bank` reaches it)
+    @example(builder=build_mpgtf, c1=1.7e308, c2=1e6, n_filters=512, frame_len=16, sample_rate=8000, order=2)
+    @settings(max_examples=100, deadline=None)
+    def test_builds_or_raises_value_error(self, builder, c1, c2, n_filters, frame_len, sample_rate, order):
+        # pyproject.toml turns every warning into an error, so a numpy warning on the way fails here
+        try:
+            p = ErbParams(c1, c2)
+        except ValueError:
+            return
+        try:
+            bank = builder(p, n_filters, frame_len, sample_rate, order=order)
+        except ValueError:
+            return
+        assert isinstance(bank, Filterbank)
+        assert bank.taps.shape == (n_filters, frame_len)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ class TestSiSnr:
     def test_zero_reference_raises(self):
         with pytest.raises(ValueError, match="zero-energy reference"):
             si_snr(wave([1.0, 2.0]), wave([0.0, 0.0]))
+
+    @pytest.mark.parametrize("scaled", ["estimate", "reference"])
+    def test_overflowing_energy_raises(self, scaled):
+        # 1e200 * x has a sum of squares beyond a float: an inf estimate energy overflows
+        # the projection's dot, and an inf reference energy zeroes the projection gain
+        x = np.array([1.0, -2.0, 3.0, 0.5])
+        est, ref = (1e200 * x, x) if scaled == "estimate" else (x, 1e200 * x)
+        energies = {"estimate": "inf, reference 14.25", "reference": "14.25, reference inf"}
+        message = f"energy overflows a float: estimate {energies[scaled]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            si_snr(Waveform(est, 8000), Waveform(ref, 8000))
 
     def test_zero_estimate_is_negative_infinity(self):
         assert si_snr(wave([0.0, 0.0]), wave([1.0, 2.0])).value_db == -math.inf

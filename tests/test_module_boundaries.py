@@ -10,12 +10,21 @@ builds a decoder bank: the engine decodes with the bank's own
 `stft.istft_decoder`. Only `cli` calls `print`; the other modules
 report through return values and exceptions. The sources are read with
 `ast`, so a call is found whether or not the code path runs in a test.
+
+Every public name of `fblab` has a reader outside the unit tests: the
+library's own modules, the acceptance suite, the benchmark or the README's
+example. A name that only unit tests read belongs to the tests.
 """
 
 import ast
+import re
+import types
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fblab"
+import fblab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fblab"
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -79,3 +88,29 @@ def test_only_istft_decoder_calls_pseudo_inverse():
     callers = {(name, caller) for name, tree in modules.items() for caller in _callers(tree, "pseudo_inverse")}
     assert callers == {("stft", "istft_decoder")}
     assert {name for name, tree in modules.items() if _imports(tree, "pseudo_inverse")} == {"__init__", "stft"}
+
+
+def _read_names(trees) -> set[str]:
+    """The names `trees` read: each loaded `Name` or `Attribute`, and each name an `ImportFrom` imports."""
+    names = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_has_a_reader_outside_the_unit_tests():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    sources.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    sources += [path.read_text() for path in sorted((ROOT / "benchmarks").glob("*.py"))]
+    snippets = re.findall(r'python -c "(.*?)"', (ROOT / "README.md").read_text(), re.S)
+    assert snippets  # the README's example is among the readers
+    read = _read_names(ast.parse(source) for source in sources + snippets)
+    exported = {name for name, value in vars(fblab).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert "build_mpgtf" in exported  # the check sees the names it is meant to judge
+    assert sorted(exported - read) == []

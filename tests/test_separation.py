@@ -370,6 +370,15 @@ class TestMixtureItems:
             make_multi_mixture_item(sources, MixSpec(0.0))
         assert excinfo.value.position == position
 
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_overflowing_energy_is_named_by_position(self, position):
+        # a 1e200-scaled source: its sum of squares overflows, and the source is named, not the SNR
+        sources = [wave([1.0, -2.0, 3.0]), wave([0.5, 0.5, 7.0])]
+        sources[position - 1] = wave(1e200 * sources[position - 1].samples)
+        message = f"source {position} of 2: its energy overflows a float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_multi_mixture_item(sources, MixSpec(0.0))
+
     def test_rate_mismatch(self):
         with pytest.raises(ValueError, match="^sample rates differ: 8000 vs 16000$"):
             make_multi_mixture_item([wave([1.0]), Waveform(np.ones(1), 16000)], MixSpec(0.0))
