@@ -4,7 +4,10 @@ Everything operates on immutable float64 values. Framing follows strided
 1-D convolution semantics: the trailing partial frame is zero-padded, and
 overlap-add sums shifted synthesis frames without window compensation.
 `_framed` owns the frame geometry for both the whole-signal `frame_signal`
-and the block engine `codec._resynthesize`.
+and the block engine `codec._resynthesize`. `_dot` takes every
+whole-signal dot product of the library (a waveform's energy, the
+mixer's tail energies, `si_snr`'s projection) in fixed blocks, so no
+result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +25,26 @@ def _check_sample_rate(sample_rate) -> None:
         raise ValueError(f"sample_rate must be a positive integer, got {sample_rate!r}")
     if sample_rate > sys.float_info.max:  # beyond it, `float(sample_rate)` and `sample_rate / n` overflow
         raise ValueError(f"sample_rate must not exceed the float range ({sys.float_info.max!r} Hz)")
+
+
+#: Samples per block of a whole-signal sum (`_dot`, and `si_snr`'s energies).
+#: OpenBLAS splits a dot product of more than 10000 elements across threads
+#: and rounds it differently at each thread count; a block of 8192 stays on
+#: one thread. On a 60 s signal, blocks of 8192 to 32768 samples ran within
+#: 25% of the whole-signal sums.
+BLOCK_SAMPLES = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> as one `np.dot` per block of `BLOCK_SAMPLES` samples, summed in order.
+
+    The same bits at any BLAS thread count; a vector of at most
+    `BLOCK_SAMPLES` samples gets the bits of one whole `np.dot`.
+    """
+    total = float(np.dot(a[:BLOCK_SAMPLES], b[:BLOCK_SAMPLES]))
+    for lo in range(BLOCK_SAMPLES, len(a), BLOCK_SAMPLES):
+        total += float(np.dot(a[lo:lo + BLOCK_SAMPLES], b[lo:lo + BLOCK_SAMPLES]))
+    return total
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -57,7 +80,7 @@ class Waveform:
         if samples.ndim != 1:
             raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            energy = float(np.dot(samples, samples))
+            energy = _dot(samples, samples)
         # A NaN or inf sample makes the sum of squares non-finite, so a finite one
         # proves every sample finite without an n-long temporary; a sum that
         # overflows (|x| >~ 1e154) or meets a NaN takes the exact check.

@@ -8,6 +8,13 @@ followed by N lines of L space-separated floats, LF newlines. Every float
 is written with 17 significant digits, so taps and centers round-trip
 float64 exactly. The `centers` field is optional on read: files without
 it load with no center frequencies.
+
+The taps are written by one `np.savetxt` call at 17 significant digits
+and read by one `np.loadtxt` call over all tap rows. `_parse_rows` runs
+only when numpy refuses the rows or reads another shape: it accepts the
+spellings only `float()` reads (underscores, non-ASCII digits) and names
+the bad row. The loader does not look for a sign-split [P; -P] bank;
+`Filterbank.sign_split_half` alone decides the fold, on the parsed taps.
 """
 
 from __future__ import annotations
@@ -122,8 +129,7 @@ def save_filterbank(path, bank: Filterbank) -> None:
     )
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in bank.taps:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, bank.taps, fmt="%.17g")
 
 
 def load_filterbank(path) -> Filterbank:
@@ -162,11 +168,11 @@ def load_filterbank(path) -> Filterbank:
     rows = [line for line in lines[1:] if line.strip()]
     if len(rows) != n:
         raise ValueError(f"FBANK1 dimension mismatch: header says {n} filters, file has {len(rows)}")
-    h = n // 2
-    if n % 2 == 0 and _negates(rows[:h], rows[h:]):  # a sign-split bank [P; -P]: parse P alone
-        half = _parse_rows(rows[:h], length)
-        taps = np.vstack([half, -half])
-    else:
+    try:
+        taps = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:  # a spelling only float() reads, or a bad row, which `_parse_rows` names
+        taps = None
+    if taps is None or taps.shape != (n, length):
         taps = _parse_rows(rows, length)
 
     return Filterbank(taps, fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
@@ -184,24 +190,6 @@ def _parse_rows(rows: list[str], length: int) -> np.ndarray:
         except ValueError:
             raise ValueError(f"FBANK1 bad tap on row {i}: {tap!r}") from None
     return np.array(taps)
-
-
-def _negates(first: list[str], second: list[str]) -> bool:
-    """Whether the rows `second` are the rows `first` with every value negated, judged on the text.
-
-    It holds when `first` is values separated by single spaces, none with a
-    leading "+", and `second` reads as `first` with a "-" put before every
-    value and every "--" dropped. Then `second` has the same number of
-    values per row, and float("-" + v) == -float(v) bit for bit, also for
-    0 and subnormals, so parsing `first` and negating gives the taps, and
-    the errors, that parsing every row does. Any other text is parsed row
-    by row, so an error in `second` still names its row.
-    """
-    text = "\n".join(first)
-    spaced = " " + text.replace("\n", " ") + " "  # a stray space doubles one; a "+" value follows one
-    if not spaced.isprintable() or "  " in spaced or " +" in spaced:
-        return False
-    return ("-" + text.replace(" ", " -").replace("\n", "\n-")).replace("--", "") == "\n".join(second)
 
 
 def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, np.ndarray]:

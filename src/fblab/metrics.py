@@ -12,15 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import BLOCK_SAMPLES, Waveform, _dot
 
 #: Reporting/loss clip for (near-)perfect reconstructions, in dB.
 SI_SNR_CLIP_DB = 60.0
-
-#: Samples per block of the energy sums in `si_snr`: a 64 kB work array in
-#: place of a signal-long temporary. On a 60 s signal, blocks of 8192 to
-#: 32768 samples ran within 25% of the whole-signal sums.
-BLOCK_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -42,10 +37,12 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
     overflows a float (|x| >~ 1e154).
 
     The projection gain reads ||ref||^2 from `Waveform.energy` and takes
-    one whole-signal dot product. s_t and e are formed, and their energies
-    summed, one block of `BLOCK_SAMPLES` samples at a time, so no
-    signal-long temporary is allocated. Blocked sums round differently
-    from one whole-signal dot product, by about 1e-15 relative.
+    <est, ref> from `dsp._dot`. s_t and e are formed, and their energies
+    summed, one block of `dsp.BLOCK_SAMPLES` samples at a time, so no
+    signal-long temporary is allocated (a 64 kB work array). Every sum
+    runs in a fixed block order, so the result does not depend on the
+    BLAS thread count; blocked sums round differently from one
+    whole-signal dot product, by about 1e-15 relative.
     """
     if estimate.sample_rate != reference.sample_rate:
         raise ValueError(
@@ -59,7 +56,7 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
         raise ValueError("zero-energy reference")
     if math.inf in (estimate.energy(), ref_energy):  # the dot below would overflow, or the gain read 0
         raise ValueError(f"energy overflows a float: estimate {estimate.energy()!r}, reference {ref_energy!r}")
-    beta = float(np.dot(est, ref)) / ref_energy
+    beta = _dot(est, ref) / ref_energy
     target_energy = noise_energy = 0.0
     for lo in range(0, len(ref), BLOCK_SAMPLES):
         work = ref[lo:lo + BLOCK_SAMPLES] * beta  # the block's target, then its residual est - target

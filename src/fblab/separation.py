@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import _resynthesize, encode
-from .dsp import FrameParams, Waveform
+from .dsp import FrameParams, Waveform, _dot
 from .filterbank import Filterbank
 from .metrics import si_snr
 
@@ -108,7 +108,7 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     targets = [Waveform(head, fs)]
     tails = [s.samples[:n] for s in sources[1:]]
     with np.errstate(over="ignore"):  # an overflowing energy reads inf and is refused below
-        energies = [targets[0].energy()] + [float(np.dot(tail, tail)) for tail in tails]
+        energies = [targets[0].energy()] + [_dot(tail, tail) for tail in tails]
     for position, energy in enumerate(energies, start=1):
         if energy == 0.0:
             raise SilentSourceError(position, len(sources), n)

@@ -130,8 +130,9 @@ def train_parampgtf(
     the trace (the initial point included), so the selection never
     regresses below the starting dev loss.
 
-    Raises TrainingDivergedError if any loss evaluation is non-finite, or
-    if no bank can be built at a point the optimizer reached after the
+    Raises TrainingDivergedError if any loss evaluation is non-finite, if
+    a step overflows a float (learning rate times gradient), or if no
+    bank can be built at a point the optimizer reached after the
     initial one (a step, or a finite-difference probe around a row that
     another row follows; e.g. more centers than n_filters/2, or c2 so
     small that every tap underflows). The last row takes no probes, so
@@ -169,5 +170,9 @@ def train_parampgtf(
             best_params = params
         if cfg.learning_rate > 0 and iteration + 1 < cfg.max_iters:  # the last row's step is never read
             grad = fd_gradient(lambda t: loss_at(t, train_items), theta, cfg.fd_epsilon)
-            theta = np.maximum(theta - cfg.learning_rate * grad, PARAM_FLOOR)
+            with np.errstate(over="ignore"):  # a step beyond the float range is refused below
+                theta = np.maximum(theta - cfg.learning_rate * grad, PARAM_FLOOR)
+            if not np.all(np.isfinite(theta)):
+                raise TrainingDivergedError(f"the step after iteration {iteration} overflows a float: learning rate "
+                                            f"{cfg.learning_rate!r}, gradient {grad.tolist()!r}", trace)
     return best_params, trace

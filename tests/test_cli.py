@@ -4,10 +4,14 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +340,18 @@ class TestRoundtrip:
         assert run(["roundtrip", bank, empty, out_wav]) == 1
         assert capsys.readouterr().err == f"error: {empty}: no samples\n"
         assert not out_wav.exists()
+
+
+def test_overflowing_products_are_a_typed_error_without_warning(tmp_path, capsys):
+    # Taps of 1e300 and samples of 1e9: the encoding overflows, and the output
+    # is refused as non-finite; the engine's products warned on the way before.
+    bank, wav = tmp_path / "huge.fbank", tmp_path / "loud.wav"
+    bank.write_text("FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n1e300 2e299\n-3e299 1e300\n")
+    write_wav(wav, Waveform(1e9 * np.sin(np.arange(64) / 3.0), 8000), encoding="float32")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["roundtrip", bank, wav, tmp_path / "out.wav", "--hop", "1", "--relu"]) == 1
+    assert capsys.readouterr().err == "error: waveform contains non-finite samples\n"
 
 
 class TestUninvertibleBank:
@@ -835,6 +851,78 @@ class TestMutatedInputs:
         _assert_clean_exit(argv)
 
 
+#: Values for a numeric CLI flag: the edges of the int and float ranges, the
+#: special floats, spellings argparse refuses for an int flag, and small valid
+#: sizes. No int value between 64 and 99999999999999999999 is drawn, so no run
+#: allocates much: the builders refuse that one before any allocation.
+_FLAG_VALUES = st.sampled_from(["0", "-1", "1e-320", "1.7e308", "-1.7e308", "inf", "-inf", "nan", "2e10",
+                                "99999999999999999999", "1", "2", "4", "8", "16", "64", "0.5", "1e-3", "24.7"])
+
+#: The numeric flags of each subcommand the net drives.
+_NUMERIC_FLAGS = {
+    "build-bank": ["--fs", "--n-filters", "--order", "--frame-len", "--c1", "--c2", "--nfreqs"],
+    "freq-response": ["--n-fft"],
+    "roundtrip": ["--hop"],
+    "separate": ["--snr-db", "--hop"],
+    "train": ["--lr", "--fd-epsilon", "--hop", "--n-filters", "--frame-len", "--c1-init", "--c2-init"],
+}
+
+
+@st.composite
+def numeric_flag_runs(draw):
+    """A subcommand (build-bank with its kind) and one to three of its numeric flags, each set to a drawn value."""
+    command = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(_NUMERIC_FLAGS[command]), min_size=1, max_size=3, unique=True))
+    kind = [draw(st.sampled_from(["mpgtf", "stft"]))] if command == "build-bank" else []
+    return [command, *kind], [token for flag in flags for token in (flag, draw(_FLAG_VALUES))]
+
+
+class TestNumericFlags:
+    """A regression net over the CLI's numeric flags: exit 0 (stderr empty, or
+    `warning: ` lines only), exit 1 with one `error: ` line, or argparse's
+    exit 2 with its usage message; never an exception or a warning."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("flags")
+        save_filterbank(d / "bank.fbank", build_mpgtf(ErbParams(), 64, 16, 8000))
+        for split in ("train", "dev"):
+            (d / split).mkdir()
+        for k, name, freq, phase in [(1, "a", 300.0, 0.0), (2, "b", 2000.0, 1.0)]:
+            for path in (d / f"{name}.wav", d / "train" / f"x_s{k}.wav", d / "dev" / f"x_s{k}.wav"):
+                write_wav(path, tone(freq, n=64, phase=phase), encoding="float32")
+        return d
+
+    @given(numeric_flag_runs())
+    @example((["train"], ["--lr", "1.7e308"]))  # lr * gradient overflowed: a numpy warning, then a misleading error
+    @settings(max_examples=120, deadline=None)
+    def test_numeric_flag_exits_cleanly(self, inputs, run_case):
+        command, flags = run_case
+        d = inputs
+        operands = {
+            "build-bank": ["--out", d / "built.fbank"],
+            "freq-response": [d / "bank.fbank", "--out", d / "response.csv"],
+            "roundtrip": [d / "bank.fbank", d / "a.wav", d / "out.wav"],
+            "separate": [d / "bank.fbank", d / "a.wav", d / "b.wav", "--out-dir", d / "sep"],
+            "train": [d / "train", d / "dev", "--out-dir", d / "trained", "--max-iters", "2", "--n-filters", "64"],
+        }[command[0]]
+        argv = [*command, *operands, *flags]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse refuses a value that its type does not parse
+                code = exc.code
+        text = err.getvalue()
+        if code == 0:
+            assert all(line.startswith("warning: ") for line in text.splitlines())
+        elif code == 1:
+            assert re.fullmatch(r"error: [^\n]*\n", text)
+        else:
+            assert code == 2 and text.startswith("usage: fblab ") and "error: argument " in text
+
+
 def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["build-bank", "--help"])
@@ -880,3 +968,36 @@ def test_cli_defaults_equal_the_library_defaults():
 
     # the one deliberate exception: roundtrip's hop defaults to the bank's frame length
     assert _defaults("roundtrip", "bank.fbank", "in.wav", "out.wav").hop is None
+
+
+#: `separate`, then `roundtrip`, in one interpreter: argv is the bank, two source WAVs and the output directory.
+_SEPARATE_AND_ROUNDTRIP = """
+import sys
+from fblab.cli import main
+bank, s1, s2, out = sys.argv[1:]
+assert main(["separate", bank, s1, s2, "--out-dir", out, "--seed", "5"]) == 0
+assert main(["roundtrip", bank, s1, out + "/roundtrip.wav", "--relu", "--hop", "8"]) == 0
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product of more than 10000 elements across
+    # threads and rounds it differently; these sources are 80000 samples.
+    rng = np.random.default_rng(1701)
+    wavs = [tmp_path / "s1.wav", tmp_path / "s2.wav"]
+    for path in wavs:
+        write_wav(path, Waveform(0.1 * rng.standard_normal(80000), 8000), encoding="float32")
+    bank = tmp_path / "mpgtf.fbank"
+    save_filterbank(bank, build_mpgtf(ErbParams(), 512, 16, 8000))
+    src = str(Path(fblab.cli.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _SEPARATE_AND_ROUNDTRIP, str(bank), *map(str, wavs), str(out)],
+                              env=env, capture_output=True, text=True, check=True)
+        runs.append((proc.stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+    assert sorted(runs[0][1]) == ["est_1.wav", "est_2.wav", "mixture.wav", "report.csv", "report.json",
+                                  "roundtrip.wav"]
+    assert runs[0] == runs[1]

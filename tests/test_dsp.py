@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblab import FrameParams, Waveform, num_frames
-from fblab.dsp import frame_signal, overlap_add
+from fblab.dsp import BLOCK_SAMPLES, frame_signal, overlap_add
 
 
 def wave(values, fs=8000):
@@ -85,6 +85,17 @@ class TestWaveform:
         for w in (Waveform(s, 8000), Waveform._adopt(s.copy(), 8000)):
             assert type(w.energy()) is float
             assert np.float64(w.energy()).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("n", [BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1, 3 * BLOCK_SAMPLES + 5])
+    def test_energy_is_summed_block_by_block_in_order(self, n):
+        # Up to one block it is one np.dot; beyond, the per-block dots are added
+        # first to last, which no BLAS thread count changes.
+        s = np.random.default_rng(n).standard_normal(n)
+        blocks = [float(np.dot(s[lo:lo + BLOCK_SAMPLES], s[lo:lo + BLOCK_SAMPLES])) for lo in range(0, n, BLOCK_SAMPLES)]
+        want = blocks[0]
+        for value in blocks[1:]:
+            want += value
+        assert np.float64(Waveform(s, 8000).energy()).tobytes() == np.float64(want).tobytes()
 
     def test_energy_that_overflows_is_inf_without_warning(self):
         with warnings.catch_warnings():

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fblab.filterbank
 
@@ -20,6 +23,12 @@ from fblab import (
 )
 
 FS = 8000
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    """One directory that the hypothesis tests below rewrite their files in."""
+    return tmp_path_factory.mktemp("fbank1")
 
 
 class TestFilterbankType:
@@ -226,22 +235,8 @@ def edit_row(path, index, edit):
 SIGNED_ZEROS_AND_SUBNORMALS = np.array([[0.0, -0.0, 5e-324, -5e-324], [2.2250738585072014e-308, -1e-310, 1.0, -3.5]])
 
 
-@pytest.fixture()
-def parsed_row_counts(monkeypatch):
-    """The number of rows of each `_parse_rows` call the loader makes."""
-    counts = []
-    original = fblab.filterbank._parse_rows
-
-    def counting(rows, length):
-        counts.append(len(rows))
-        return original(rows, length)
-
-    monkeypatch.setattr(fblab.filterbank, "_parse_rows", counting)
-    return counts
-
-
 class TestSignSplitLoad:
-    """A [P; -P] file is loaded by parsing P only; the taps must be those of parsing every row."""
+    """A [P; -P] file loads to the taps of parsing every row, however its rows are spaced."""
 
     @pytest.mark.parametrize("bank", [
         build_mpgtf(ErbParams(), 512, 16, FS),
@@ -249,20 +244,18 @@ class TestSignSplitLoad:
         build_stft_bank(StftSpec(), FS),
         Filterbank(np.vstack([SIGNED_ZEROS_AND_SUBNORMALS, -SIGNED_ZEROS_AND_SUBNORMALS]), FS),
     ], ids=["mpgtf", "parampgtf", "stft", "zeros-and-subnormals"])
-    def test_taps_equal_the_full_parse(self, tmp_path, parsed_row_counts, bank):
+    def test_taps_equal_the_full_parse(self, tmp_path, bank):
         path = tmp_path / "bank.fbank"
         save_filterbank(path, bank)
         taps = load_filterbank(path).taps
-        assert parsed_row_counts == [bank.n_filters // 2]
         assert taps.tobytes() == parse_every_row(path).tobytes() == bank.taps.tobytes()
 
-    def test_hand_spaced_second_half_is_parsed_row_by_row(self, tmp_path, parsed_row_counts):
+    def test_hand_spaced_second_half_loads_the_same_taps(self, tmp_path):
         bank = build_mpgtf(ErbParams(), 64, 16, FS)
         path = tmp_path / "bank.fbank"
         save_filterbank(path, bank)
         edit_row(path, 32 + 1, lambda row: "  " + row.replace(" ", "   ") + " ")
         taps = load_filterbank(path).taps
-        assert parsed_row_counts == [64]
         assert taps.tobytes() == parse_every_row(path).tobytes() == bank.taps.tobytes()
 
     @pytest.mark.parametrize("edit", [lambda row: row.rsplit(" ", 1)[0], lambda row: row + " 0.5"],
@@ -275,7 +268,7 @@ class TestSignSplitLoad:
             load_filterbank(path)
 
     @pytest.mark.parametrize("rows,expected", [
-        ("1\t2\n-1\t2", [[1.0, 2.0], [-1.0, 2.0]]),  # a tab: the text negation misses the second value
+        ("1\t2\n-1\t2", [[1.0, 2.0], [-1.0, 2.0]]),
         ("1  2\n-1 - -2", "FBANK1 dimension mismatch on row 1: expected 2 taps, got 3"),
         ("+1 2\n-+1 -2", "^FBANK1 bad tap on row 1: '-\\+1'$"),
         ("1 +2\n-1 -+2", "^FBANK1 bad tap on row 1: '-\\+2'$"),
@@ -283,8 +276,9 @@ class TestSignSplitLoad:
         ("1 2 \n-1 -2 -", "FBANK1 dimension mismatch on row 1: expected 2 taps, got 3"),
     ], ids=["tab", "double-space", "leading-plus-sign", "plus-sign", "leading-space", "trailing-space"])
     def test_second_half_that_is_only_the_text_negation_of_an_irregular_first_half(self, tmp_path, rows, expected):
-        # The text negation is a value negation only for single-space-separated
-        # values without a "+": any other first half takes the full parse.
+        # Each second row puts a "-" before every value of an irregularly
+        # spaced first row, so it reads as a negation on the text but not on
+        # the values: it must load, or fail, as parsing every row does.
         path = tmp_path / "odd.fbank"
         path.write_text(f"FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n{rows}\n")
         if isinstance(expected, str):
@@ -292,6 +286,86 @@ class TestSignSplitLoad:
                 load_filterbank(path)
         else:
             assert load_filterbank(path).taps.tolist() == expected
+
+
+#: Tap-row text where numpy and float() could part ways: separators that
+#: str.split() does or does not split on, spellings only float() reads
+#: (underscores, Arabic-Indic digits), and ones neither reads.
+_ROW_SEPARATORS = [" ", "  ", "\t", "\xa0", "\u3000", "\x1f", "\x00", "\ufeff"]
+_ODD_TOKENS = ["-0", "5e-324", "-5e-324", "1e400", "-1e400", "nan", "-inf", "Infinity", "+1", "1_0",
+               "\u0661\u0660", "1.", ".5", "1e", "--1", "0x1", "1,5", "#1", '"1"', "1.7976931348623157e308"]
+_TOKEN_CHARS = "0123456789.e-+_#\"'xnafiINF\u0660\u0661\u0669\ufeff\x00"
+_TAP_TOKENS = st.one_of(st.floats().map(repr), st.sampled_from(_ODD_TOKENS), st.text(_TOKEN_CHARS, min_size=1, max_size=4))
+_TAP_ROWS = st.builds(lambda lead, cells: lead + "".join(t + sep for t, sep in cells),
+                      st.sampled_from(["", " ", "\t", "\xa0"]),
+                      st.lists(st.tuples(_TAP_TOKENS, st.sampled_from(_ROW_SEPARATORS)), min_size=1, max_size=4))
+
+
+class TestParseParity:
+    """The loader's one numpy read gives what parsing every row with float() gives."""
+
+    @given(rows=st.lists(_TAP_ROWS, min_size=1, max_size=4), length=st.integers(1, 4))
+    @example(rows=["1 2", "-1 -2"], length=2)
+    @example(rows=["1_0 2", "-1_0 -2"], length=2)  # float() alone reads "1_0"
+    @example(rows=["1 nan"], length=2)
+    @settings(max_examples=200, deadline=None)
+    def test_loads_the_taps_or_the_error_of_parsing_every_row(self, scratch_dir, rows, length):
+        rows = [row for row in rows if row.strip()]
+        assume(rows)
+        path = scratch_dir / "rows.fbank"
+        path.write_text(f"FBANK1 kind=custom n={len(rows)} len={length} fs=8000 c1=- c2=- centers=-\n"
+                        + "\n".join(rows) + "\n", encoding="utf-8")
+        assert [row for row in path.read_text(encoding="utf-8").splitlines()[1:] if row.strip()] == rows
+        try:
+            want = fblab.filterbank._parse_rows(rows, length)
+        except ValueError as exc:
+            want_error = str(exc)
+        else:
+            if np.all(np.isfinite(want)):
+                assert load_filterbank(path).taps.tobytes() == parse_every_row(path).tobytes() == want.tobytes()
+                return
+            want_error = "taps contain non-finite values"
+        with pytest.raises(ValueError) as got:
+            load_filterbank(path)
+        assert str(got.value) == want_error
+
+
+#: Float64 values a text format can lose: signed zeros, the smallest
+#: subnormals, the smallest normal and the largest finite magnitudes.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fbank1_records(draw):
+    """Banks of arbitrary finite taps up to 9 x 9, of every kind, with and without centres and ERB parameters."""
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    taps = draw(hnp.arrays(np.float64, shape, elements=st.one_of(st.sampled_from(_EDGE_FLOATS), _FINITE)))
+    kind = draw(st.sampled_from(list(FilterbankKind)))
+    in_band = st.floats(100.0, 4000.0) if kind in (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF) else _FINITE
+    centers = draw(st.none() | st.lists(in_band, min_size=1, max_size=9, unique=True).map(sorted))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    erb_params = draw(st.none() | st.tuples(positive, positive).filter(lambda c: c[0] * c[1] > 0.0).map(
+        lambda c: ErbParams(*c)))
+    sample_rate = draw(st.integers(1, 2**53))
+    return Filterbank(taps, sample_rate, kind=kind, center_freqs=centers, erb_params=erb_params)
+
+
+@given(bank=fbank1_records())
+@settings(max_examples=100, deadline=None)
+def test_fbank1_round_trip_is_lossless(scratch_dir, bank):
+    path, again = scratch_dir / "bank.fbank", scratch_dir / "again.fbank"
+    save_filterbank(path, bank)
+    back = load_filterbank(path)
+    for field in dataclasses.fields(Filterbank):
+        a, b = getattr(bank, field.name), getattr(back, field.name)
+        if isinstance(a, np.ndarray):
+            assert isinstance(b, np.ndarray) and a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+    save_filterbank(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 class TestFrequencyResponse:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblab import (
@@ -590,3 +590,52 @@ def test_unfoldable_banks_run_every_row(case, apply_relu):
         before = _resynthesize([mixture, *sources], bank, p, rectify_then_mask, 2, relu=False)
     for out, old in zip(outs, before):
         assert out.samples.tobytes() == old.samples.tobytes()
+
+
+#: Edge values for the library fuzz net: magnitudes from the smallest
+#: subnormal to the largest float, and SNRs that overflow or underflow a gain.
+_FUZZ_SCALES = [0.0, 1e-320, 1e-300, 1e-154, 1.0, 1e154, 1e155, 1e300, 1.7e308]
+_FUZZ_SNRS_DB = [0.0, -1.0, 1e-320, 1.7e308, -1.7e308, 2e10, 99999999999999999999.0, math.inf, -math.inf, math.nan]
+
+
+@given(
+    n_sources=st.integers(2, 3),
+    n_samples=st.integers(0, 64),
+    extra=st.lists(st.integers(0, 8), min_size=3, max_size=3),
+    scales=st.lists(st.floats(1e-3, 1e3) | st.floats(1e-320, 1.7e308) | st.sampled_from(_FUZZ_SCALES),
+                    min_size=3, max_size=3),
+    snr_db=st.floats(-30.0, 30.0) | st.floats(-400.0, 400.0) | st.sampled_from(_FUZZ_SNRS_DB),
+    rates=st.sampled_from([(FS, FS, FS)] * 3 + [(FS, 16000, FS)]),
+    bank_scale=st.sampled_from([1e-320, 1e-308, 1e-300, 1e-3, 1.0, 1e300, 1.7e308]),
+    hop=st.integers(1, 4),
+    apply_relu=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+# taps of 1e300 times samples of 7e8 overflow the encoding: a numpy warning in the engine's products
+@example(n_sources=2, n_samples=1, extra=[0, 0, 0], scales=[703533040.0, 1.0, 1.0], snr_db=0.0, rates=(FS, FS, FS),
+         bank_scale=1e300, hop=1, apply_relu=False, seed=0)
+@settings(max_examples=150, deadline=None)
+def test_mixes_separates_and_scores_or_raises_value_error(n_sources, n_samples, extra, scales, snr_db, rates,
+                                                          bank_scale, hop, apply_relu, seed):
+    # A regression net: pyproject.toml turns every warning into an error, so a
+    # numpy warning on the way fails here, and so does any other exception.
+    rng = np.random.default_rng(seed)
+    sources = [Waveform(scale * rng.uniform(-1.0, 1.0, n_samples + more), fs)
+               for more, scale, fs in zip(extra[:n_sources], scales, rates)]
+    bank = Filterbank(bank_scale * rng.uniform(-1.0, 1.0, (6, 4)), FS)
+    for estimate, reference in zip(sources, sources[::-1]):
+        try:
+            si_snr(estimate, reference)
+        except ValueError:
+            pass
+    try:
+        item = make_multi_mixture_item(sources, MixSpec(snr_db))
+        estimates = separate(item.mixture, item.sources, bank, FrameParams(4, hop), apply_relu=apply_relu)
+    except ValueError:
+        return
+    assert len(estimates) == len(sources)
+    for estimate, source in zip(estimates, item.sources):
+        try:
+            assert isinstance(si_snr(estimate, source).value_db, float)
+        except ValueError:
+            pass

@@ -171,6 +171,16 @@ class TestTrainParampgtf:
         assert [(row.iteration, row.c1, row.c2) for row in trace] == [(0, 24.7, 9.265)]
         assert math.isfinite(trace[0].train_loss) and math.isfinite(trace[0].dev_loss)
 
+    def test_overflowing_step_is_divergence(self):
+        # lr * gradient overflows to -inf on the first step; it was a numpy warning,
+        # then an ErbParams error that blamed c1 = inf and dropped the trace.
+        items = make_sinusoid_mixture_items(4, seed=1, duration_s=0.1)
+        with pytest.raises(TrainingDivergedError, match=r"^the step after iteration 0 overflows a float: "
+                                                        r"learning rate 1\.7e\+308, gradient \[") as excinfo:
+            train_parampgtf(items[:2], items[2:], TrainerConfig(learning_rate=1.7e308, max_iters=3), ErbParams(),
+                            n_filters=64)
+        assert [(row.iteration, row.c1, row.c2) for row in excinfo.value.trace] == [(0, 24.7, 9.265)]
+
     def test_last_row_takes_no_probe(self):
         # Feasible with M = 32 centres at n_filters = 64; the +c2 probe needs M = 33.
         items = make_sinusoid_mixture_items(4, seed=1, duration_s=0.1)
