@@ -226,9 +226,10 @@ def _resynthesize(
 
     Raises the `ValueError`s of `encode` for a bank or signal that does
     not fit, one for signals of unequal lengths and one for `weigh=None`
-    with more than one signal or output, before any work; and the
-    `ValueError` of `Waveform` for an output that is not finite, as when
-    a product of taps and samples overflows a float.
+    with more than one signal or output, before any work; and one for a
+    product of taps and samples, or a weigh's result, that overflows a
+    float, which `relu` or the weigh could otherwise turn into a finite
+    but wrong output.
     """
     if weigh is None and (len(signals) != 1 or n_out != 1):
         raise ValueError(f"weigh=None takes one signal and n_out=1, got {len(signals)} signals and n_out={n_out}")
@@ -255,22 +256,25 @@ def _resynthesize(
     frames = np.empty((n_sig, block, frame_len))
     enc = np.empty((n_sig, block, analysis_t.shape[1]))
     synth = enc if synthesis is None else np.empty((n_out, block, frame_len))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves non-finite outputs, which `Waveform` refuses
-        for first in range(0, count, block):
-            k = min(block, count - first)
-            for dst, (inside, tail) in zip(frames, framed):
-                full = len(inside)
-                split = min(max(full - first, 0), k)  # frames of this block read in place
-                np.copyto(dst[:split], inside[first:first + split])
-                if split < k:
-                    np.copyto(dst[split:k], tail[first + split - full:first + k - full])
-            np.matmul(frames[:, :k], analysis_t, out=enc[:, :k])
-            if rectify:
-                np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
-            if synthesis is not None:
-                coeffs = enc[:, :k] if weigh is None else weigh(enc[:, :k])
-                np.matmul(coeffs, synthesis, out=synth[:, :k])
-            _add_frames(rows, synth[:, :k], p.hop, first)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # before `relu` or the weigh turns an overflow finite
+            for first in range(0, count, block):
+                k = min(block, count - first)
+                for dst, (inside, tail) in zip(frames, framed):
+                    full = len(inside)
+                    split = min(max(full - first, 0), k)  # frames of this block read in place
+                    np.copyto(dst[:split], inside[first:first + split])
+                    if split < k:
+                        np.copyto(dst[split:k], tail[first + split - full:first + k - full])
+                np.matmul(frames[:, :k], analysis_t, out=enc[:, :k])
+                if rectify:
+                    np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
+                if synthesis is not None:
+                    coeffs = enc[:, :k] if weigh is None else weigh(enc[:, :k])
+                    np.matmul(coeffs, synthesis, out=synth[:, :k])
+                _add_frames(rows, synth[:, :k], p.hop, first)
+    except FloatingPointError as exc:
+        raise ValueError(f"filtering the signals with the bank overflows a float ({exc})") from None
     rows.setflags(write=False)
     return [Waveform._adopt(out.ravel()[:n], bank.sample_rate) for out in rows]
 

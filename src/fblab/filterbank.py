@@ -10,11 +10,10 @@ float64 exactly. The `centers` field is optional on read: files without
 it load with no center frequencies.
 
 The taps are written by one `np.savetxt` call at 17 significant digits
-and read by one `np.loadtxt` call over all tap rows. `_parse_rows` runs
-only when numpy refuses the rows or reads another shape: it accepts the
-spellings only `float()` reads (underscores, non-ASCII digits) and names
-the bad row. The loader does not look for a sign-split [P; -P] bank;
-`Filterbank.sign_split_half` alone decides the fold, on the parsed taps.
+and read row by row by `_parse_rows`, which accepts what `float()` reads
+and names the bad row. The loader does not look for a sign-split [P; -P]
+bank; `Filterbank.sign_split_half` alone decides the fold, on the parsed
+taps.
 """
 
 from __future__ import annotations
@@ -168,12 +167,7 @@ def load_filterbank(path) -> Filterbank:
     rows = [line for line in lines[1:] if line.strip()]
     if len(rows) != n:
         raise ValueError(f"FBANK1 dimension mismatch: header says {n} filters, file has {len(rows)}")
-    try:
-        taps = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:  # a spelling only float() reads, or a bad row, which `_parse_rows` names
-        taps = None
-    if taps is None or taps.shape != (n, length):
-        taps = _parse_rows(rows, length)
+    taps = _parse_rows(rows, length)
 
     return Filterbank(taps, fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
 

@@ -342,16 +342,22 @@ class TestRoundtrip:
         assert not out_wav.exists()
 
 
-def test_overflowing_products_are_a_typed_error_without_warning(tmp_path, capsys):
-    # Taps of 1e300 and samples of 1e9: the encoding overflows, and the output
-    # is refused as non-finite; the engine's products warned on the way before.
+@pytest.mark.parametrize("taps", ["1e300 2e299\n-3e299 1e300", "-1e300 -1e300\n-1e300 -1e300"],
+                         ids=["mixed-sign", "one-sign"])
+def test_overflowing_products_are_a_typed_error_without_warning(tmp_path, capsys, taps):
+    # Taps of 1e300 and samples of 1e9 overflow the encoding. With the
+    # one-sign bank on a positive input every encoding is -inf, which the
+    # ReLU turned into 0: an all-zero WAV and exit 0 unless the overflow is
+    # caught where it happens.
     bank, wav = tmp_path / "huge.fbank", tmp_path / "loud.wav"
-    bank.write_text("FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n1e300 2e299\n-3e299 1e300\n")
-    write_wav(wav, Waveform(1e9 * np.sin(np.arange(64) / 3.0), 8000), encoding="float32")
+    bank.write_text(f"FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n{taps}\n")
+    write_wav(wav, Waveform(1e9 * (1.5 + np.sin(np.arange(64) / 3.0)), 8000), encoding="float32")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["roundtrip", bank, wav, tmp_path / "out.wav", "--hop", "1", "--relu"]) == 1
-    assert capsys.readouterr().err == "error: waveform contains non-finite samples\n"
+    assert capsys.readouterr().err == ("error: filtering the signals with the bank overflows a float "
+                                       "(overflow encountered in matmul)\n")
+    assert not (tmp_path / "out.wav").exists()
 
 
 class TestUninvertibleBank:
@@ -980,6 +986,9 @@ assert main(["roundtrip", bank, s1, out + "/roundtrip.wav", "--relu", "--hop", "
 """
 
 
+@pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name", "")
+                    or (os.cpu_count() or 1) < 2,
+                    reason="OPENBLAS_NUM_THREADS changes nothing without OpenBLAS and two CPUs")
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # OpenBLAS splits a dot product of more than 10000 elements across
     # threads and rounds it differently; these sources are 80000 samples.

@@ -2,11 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-
-import fblab.filterbank
 
 from fblab import (
     ErbParams,
@@ -286,48 +284,6 @@ class TestSignSplitLoad:
                 load_filterbank(path)
         else:
             assert load_filterbank(path).taps.tolist() == expected
-
-
-#: Tap-row text where numpy and float() could part ways: separators that
-#: str.split() does or does not split on, spellings only float() reads
-#: (underscores, Arabic-Indic digits), and ones neither reads.
-_ROW_SEPARATORS = [" ", "  ", "\t", "\xa0", "\u3000", "\x1f", "\x00", "\ufeff"]
-_ODD_TOKENS = ["-0", "5e-324", "-5e-324", "1e400", "-1e400", "nan", "-inf", "Infinity", "+1", "1_0",
-               "\u0661\u0660", "1.", ".5", "1e", "--1", "0x1", "1,5", "#1", '"1"', "1.7976931348623157e308"]
-_TOKEN_CHARS = "0123456789.e-+_#\"'xnafiINF\u0660\u0661\u0669\ufeff\x00"
-_TAP_TOKENS = st.one_of(st.floats().map(repr), st.sampled_from(_ODD_TOKENS), st.text(_TOKEN_CHARS, min_size=1, max_size=4))
-_TAP_ROWS = st.builds(lambda lead, cells: lead + "".join(t + sep for t, sep in cells),
-                      st.sampled_from(["", " ", "\t", "\xa0"]),
-                      st.lists(st.tuples(_TAP_TOKENS, st.sampled_from(_ROW_SEPARATORS)), min_size=1, max_size=4))
-
-
-class TestParseParity:
-    """The loader's one numpy read gives what parsing every row with float() gives."""
-
-    @given(rows=st.lists(_TAP_ROWS, min_size=1, max_size=4), length=st.integers(1, 4))
-    @example(rows=["1 2", "-1 -2"], length=2)
-    @example(rows=["1_0 2", "-1_0 -2"], length=2)  # float() alone reads "1_0"
-    @example(rows=["1 nan"], length=2)
-    @settings(max_examples=200, deadline=None)
-    def test_loads_the_taps_or_the_error_of_parsing_every_row(self, scratch_dir, rows, length):
-        rows = [row for row in rows if row.strip()]
-        assume(rows)
-        path = scratch_dir / "rows.fbank"
-        path.write_text(f"FBANK1 kind=custom n={len(rows)} len={length} fs=8000 c1=- c2=- centers=-\n"
-                        + "\n".join(rows) + "\n", encoding="utf-8")
-        assert [row for row in path.read_text(encoding="utf-8").splitlines()[1:] if row.strip()] == rows
-        try:
-            want = fblab.filterbank._parse_rows(rows, length)
-        except ValueError as exc:
-            want_error = str(exc)
-        else:
-            if np.all(np.isfinite(want)):
-                assert load_filterbank(path).taps.tobytes() == parse_every_row(path).tobytes() == want.tobytes()
-                return
-            want_error = "taps contain non-finite values"
-        with pytest.raises(ValueError) as got:
-            load_filterbank(path)
-        assert str(got.value) == want_error
 
 
 #: Float64 values a text format can lose: signed zeros, the smallest

@@ -224,8 +224,8 @@ def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank):
 def test_separate_holds_while_the_mixture_outgrows_its_sources_by_up_to_1e300(mpgtf_bank):
     # The weigh scales each magnitude by mixture / (sum of magnitudes). At a
     # ratio of ~1e300 it still gives the reference's estimates; past the
-    # float range the ratio overflows and the non-finite estimates are
-    # refused. A mixture that is the sum of its sources never gets there.
+    # float range the ratio overflows and the engine refuses the call. A
+    # mixture that is the sum of its sources never gets there.
     x = tone(440.0).samples
 
     def pair(mix_scale, source_scale):
@@ -237,8 +237,17 @@ def test_separate_holds_while_the_mixture_outgrows_its_sources_by_up_to_1e300(mp
     for out, ref in zip(outs, refs):
         assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
     mixture, sources = pair(1e10, 1e-300)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite samples"):
+    with pytest.raises(ValueError, match="^filtering the signals with the bank overflows a float "):
         separate(mixture, sources, mpgtf_bank, FP)
+
+
+def test_sources_whose_magnitude_sum_overflows_are_refused():
+    # Opposite sources of ~1.6e307 encode finitely, but their magnitude sum
+    # overflows to inf: mix / inf read 0 and gave wrong, finite estimates.
+    x = np.sin(np.arange(800) / 3.0)
+    sources = [Waveform(1.6e307 * x, FS), Waveform(-1.6e307 * x, FS)]
+    with pytest.raises(ValueError, match="^filtering the signals with the bank overflows a float "):
+        separate(Waveform(x, FS), sources, build_mpgtf(ErbParams(), 64, 16, FS), FP)
 
 
 @given(
