@@ -38,7 +38,6 @@ from .gammatone import FILTER_LENGTH_SECONDS, build_mpgtf, build_parampgtf
 from .metrics import SI_SNR_CLIP_DB, SiSnrResult, clip_si_snr, si_snr
 from .separation import (
     SNR_RANGE_DB,
-    MixSpec,
     MixtureItem,
     SilentSourceError,
     make_multi_mixture_item,

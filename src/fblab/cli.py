@@ -41,8 +41,8 @@ from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
 from .filterbank import Filterbank, FilterbankKind, frequency_response, load_filterbank, save_filterbank
 from .gammatone import build_mpgtf, build_parampgtf
 from .metrics import clip_si_snr, si_snr
-from .separation import (SNR_RANGE_DB, MixSpec, MixtureItem, SilentSourceError, make_multi_mixture_item,
-                         score_separation, separate)
+from .separation import (SNR_RANGE_DB, MixtureItem, SilentSourceError, make_multi_mixture_item, score_separation,
+                         separate)
 from .stft import StftMode, StftSpec, StftWindow, build_stft_bank
 from .training import TrainerConfig, TrainingDivergedError, train_parampgtf
 from .wavio import WavError, read_wav, write_wav
@@ -119,7 +119,7 @@ def _read_item(paths, snr_db: float, fs: int | None) -> MixtureItem:
     sources = [_read_source(paths[0], fs)]
     sources += [_read_source(path, sources[0].sample_rate) for path in paths[1:]]
     try:
-        return make_multi_mixture_item(sources, MixSpec(snr_db))
+        return make_multi_mixture_item(sources, snr_db)
     except SilentSourceError as exc:
         raise ValueError(f"{paths[exc.position - 1]}: {exc}") from exc
 

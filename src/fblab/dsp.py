@@ -27,6 +27,17 @@ def _check_sample_rate(sample_rate) -> None:
         raise ValueError(f"sample_rate must not exceed the float range ({sys.float_info.max!r} Hz)")
 
 
+def _check_array_size(params: str, rows: int, cols: int, dtype=np.float64) -> None:
+    """Raise ValueError naming `params` if a rows x cols `dtype` array is larger than numpy can hold.
+
+    Callers check before they size any array: numpy's own refusals of such
+    a size name no parameter, and some of them (a negative dimension) are
+    false.
+    """
+    if rows * cols * np.dtype(dtype).itemsize > np.iinfo(np.intp).max:
+        raise ValueError(f"{params}: a {rows} x {cols} {np.dtype(dtype)} array is larger than numpy can hold")
+
+
 #: Samples per block of a whole-signal sum (`_dot`, and `si_snr`'s energies).
 #: OpenBLAS splits a dot product of more than 10000 elements across threads
 #: and rounds it differently at each thread count; a block of 8192 stays on

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dsp import _check_sample_rate, _frozen
+from .dsp import _check_array_size, _check_sample_rate, _frozen
 from .erb import FC_MAX_HZ, FC_MIN_HZ, ErbParams
 
 #: Relative singular-value cutoff for numerical rank and pseudo-inverse
@@ -195,6 +195,7 @@ def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, 
     """
     if n_fft < bank.filter_len:
         raise ValueError(f"n_fft must be >= filter length, got {n_fft} < {bank.filter_len}")
+    _check_array_size(f"n_fft={n_fft}", bank.n_filters, n_fft, np.complex128)  # the spectrum, before its magnitude
     mags = np.abs(np.fft.fft(bank.taps, n=n_fft, axis=1))
     bin_hz = np.arange(n_fft) * (bank.sample_rate / n_fft)
     return bin_hz, mags

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .dsp import _check_sample_rate
+from .dsp import _check_array_size, _check_sample_rate
 from .erb import ErbParams, bandwidth_b, center_count, center_frequency_grid, erb
 from .filterbank import Filterbank, FilterbankKind
 
@@ -86,6 +86,7 @@ def build_mpgtf(
         frame_len = round(FILTER_LENGTH_SECONDS * sample_rate)
     if n_filters < 2 or n_filters % 2 != 0:
         raise ValueError(f"n_filters must be a positive even number, got {n_filters}")
+    _check_array_size(f"n_filters={n_filters}, frame_len={frame_len}", n_filters, frame_len)
     n_half = n_filters // 2
     # The grid holds exactly `center_count` centres, so a grid too large for
     # the bank is refused before it is built (c1=1e-3, c2=1e6 spans 1 514 128).

@@ -5,11 +5,11 @@ separated source, in source order. `score_separation` and
 `run_separation` return it. This module writes no files: `fblab
 separate` writes the scores to report.csv and report.json in `cli`.
 
-There is one mixer, `make_multi_mixture_item`, and `MixSpec` and
-`SNR_RANGE_DB` are its rule: every source after the first sits `snr_db`
-below the first, and experiments draw `snr_db` from `SNR_RANGE_DB`. The
-targets are the mixture's addends, so the mixture is their sum, as
-`separate` requires.
+There is one mixer, `make_multi_mixture_item`, and it and `SNR_RANGE_DB`
+are the mixing rule: every source after the first sits `snr_db` below the
+first, and experiments draw `snr_db` from `SNR_RANGE_DB`. The targets are
+the mixture's addends, so the mixture is their sum, as `separate`
+requires.
 
 Ideal ratio masks computed from the true sources stand in for a learned
 separator, so encoder/decoder feature families can be compared on their
@@ -25,9 +25,10 @@ encodes the mixture and the sources together one block of frames at a
 time, masks and decodes them; it states what the engine holds and how
 closely it agrees with the whole-signal path `encode` ->
 `oracle_irm_masks` -> `apply_mask` -> `decode` through
-`codec.pseudo_inverse(bank)`. That path is the reference: it builds the
-masks with `_ratio_masks`, where the engine's weigh `_oracle_mask_weigh`
-scales each source's magnitude by mixture / sum in one divide per cell.
+`codec.pseudo_inverse(bank)`. That path is the reference: it states the
+mask rule in three array lines, where the engine's weigh
+`_oracle_mask_weigh` scales each source's magnitude by mixture / sum in
+one divide per cell.
 On sign-split banks the engine runs only the positive half of each +/-
 row pair (see `codec`).
 """
@@ -62,31 +63,18 @@ class MixtureItem:
     sources: tuple[Waveform, ...]
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    """Target SNR in dB of a mixture's first source over each other source.
-
-    Mixing is deterministic; experiments that draw `snr_db` at random own
-    their RNG. The conventional sampling range is [-5, +5] dB
-    (`SNR_RANGE_DB`); `snr_db` itself may be any finite value.
-    """
-
-    snr_db: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
-
-
 #: Default range experiments draw mixture SNRs from, in dB.
 SNR_RANGE_DB = (-5.0, 5.0)
 
 
-def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
-    """Mix two or more sources; every tail source sits spec.snr_db below the first.
+def make_multi_mixture_item(sources, snr_db: float) -> MixtureItem:
+    """Mix two or more sources; every tail source sits `snr_db` below the first.
 
-    Sources must share one sample rate and are truncated to the common
-    length; source c >= 2 is scaled by its own gain
+    `snr_db` may be any finite value; a non-finite one is refused before
+    anything else. Mixing is deterministic: experiments that draw `snr_db`
+    at random, conventionally from `SNR_RANGE_DB`, own their RNG. Sources
+    must share one sample rate and are truncated to the common length;
+    source c >= 2 is scaled by its own gain
     g_c = sqrt((E1 / E_c) * 10^(-snr_db / 10)). The targets are the
     addends of the mixture itself (the first source and each g_c * s_c),
     so a perfect separator would score +inf SI-SNR on each. A source that
@@ -95,6 +83,8 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     overflows a float (|x| >~ 1e154); an snr_db so extreme that a gain
     overflows or underflows to 0 is a `ValueError`.
     """
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     if len(sources) < 2:
         raise ValueError(f"need at least 2 sources, got {len(sources)}")
     fs = sources[0].sample_rate
@@ -117,11 +107,11 @@ def make_multi_mixture_item(sources, spec: MixSpec) -> MixtureItem:
     total = head.copy()
     for tail, energy in zip(tails, energies[1:]):
         try:  # energy != 0: the check above refused a silent source
-            g = math.sqrt((energies[0] / energy) * 10.0 ** (-spec.snr_db / 10.0))
+            g = math.sqrt((energies[0] / energy) * 10.0 ** (-snr_db / 10.0))
         except OverflowError:
             g = math.inf
         if not 0.0 < g < math.inf:
-            raise ValueError(f"snr_db={spec.snr_db!r} gives a mixing gain {g!r} outside (0, inf)")
+            raise ValueError(f"snr_db={snr_db!r} gives a mixing gain {g!r} outside (0, inf)")
         scaled = tail * g
         targets.append(Waveform._adopt(scaled, fs))
         total += scaled
@@ -147,34 +137,8 @@ def make_sinusoid_mixture_items(n_items: int, seed: int, duration_s: float = 0.5
         snr_db = rng.uniform(*SNR_RANGE_DB)
         s1 = Waveform(0.5 * np.sin(2.0 * np.pi * f_lo * t + ph_lo), fs)
         s2 = Waveform(0.5 * np.sin(2.0 * np.pi * f_hi * t + ph_hi), fs)
-        items.append(make_multi_mixture_item([s1, s2], MixSpec(snr_db)))
+        items.append(make_multi_mixture_item([s1, s2], snr_db))
     return items
-
-
-def _ratio_masks(mags: np.ndarray) -> None:
-    """Turn C stacked magnitudes (C, ...) into ideal ratio masks, in place.
-
-    mask_c = mags[c] / sum(mags), or 1/C where every magnitude is zero;
-    the last mask is clip(1 - sum of the others), so the set sums to one.
-    Only the whole-signal reference `oracle_irm_masks` builds masks; the
-    engine's `_oracle_mask_weigh` goes straight to masked coefficients.
-    """
-    c = mags.shape[0]
-    denom = mags[0] + mags[1]
-    for m in mags[2:]:
-        denom += m
-    # A zero sum means every magnitude is zero there: 1 / C reads 1/C exactly.
-    zero = denom == 0.0
-    np.copyto(denom, c, where=zero)
-    for m in mags[:-1]:
-        np.copyto(m, 1.0, where=zero)
-        np.divide(m, denom, out=m)
-    last = mags[-1]
-    np.copyto(last, mags[0])
-    for m in mags[1:-1]:
-        last += m
-    np.subtract(1.0, last, out=last)
-    np.clip(last, 0.0, 1.0, out=last)
 
 
 def oracle_irm_masks(
@@ -200,8 +164,10 @@ def oracle_irm_masks(
     if any(s.sample_rate != sources[0].sample_rate for s in sources):
         raise ValueError("sources must share one sample rate")
     mags = np.stack([np.abs(encode(s, bank, frame_params, apply_relu=False).values) for s in sources])
-    _ratio_masks(mags)
-    return mags
+    total = mags.sum(axis=0)
+    masks = np.divide(mags, total, out=np.full_like(mags, 1.0 / len(sources)), where=total > 0.0)
+    masks[-1] = np.clip(1.0 - masks[:-1].sum(axis=0), 0.0, 1.0)
+    return masks
 
 
 def _oracle_mask_weigh(enc: np.ndarray) -> np.ndarray:
@@ -210,7 +176,7 @@ def _oracle_mask_weigh(enc: np.ndarray) -> np.ndarray:
     Takes the engine's (1 + C, k, N') block, C >= 2, and overwrites the
     sources' rows with their masked coefficients |e_c| * (mix / sum_c' |e_c'|),
     which it returns as a (C, k, N') view. That is the ratio mask of
-    `_ratio_masks` times the mixture's block (already rectified by the
+    `oracle_irm_masks` times the mixture's block (already rectified by the
     engine if asked), within rounding, in 3C + 1 passes over a block and
     one (k, N') temporary: C for the magnitudes, C - 1 for their sum, one
     test for all-zero cells, one divide and C products. Where every

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import analysis_matrix, pseudo_inverse
-from .dsp import _check_sample_rate
+from .dsp import _check_array_size, _check_sample_rate
 from .filterbank import Filterbank, FilterbankKind, numerical_rank
 
 
@@ -72,6 +72,8 @@ def _window_taps(window: StftWindow, length: int) -> np.ndarray:
 def build_stft_bank(spec: StftSpec, sample_rate: int) -> Filterbank:
     """Construct the cosine/sine analysis bank described by `spec`."""
     _check_sample_rate(sample_rate)  # before it divides
+    _check_array_size(f"n_freqs={spec.n_freqs}, frame_len={spec.frame_len}",
+                      (4 if spec.mode is StftMode.SIGN_SPLIT else 2) * spec.n_freqs, spec.frame_len)
     step = (sample_rate / 2.0) / spec.n_freqs
     freqs = (np.arange(1, spec.n_freqs + 1) - 0.5) * step
     l = np.arange(spec.frame_len)

@@ -8,9 +8,9 @@ oracle-mask separations of the training and development items, and logs
 one trace row. Every row but
 the last is followed by a step down a central finite-difference gradient
 of the training loss; the last row ends the run, so no gradient is taken
-that nothing would read. The parameters with the best development loss
-are returned; with only two degrees of freedom a finite-difference step
-costs four bank rebuilds.
+that nothing would read. The best point is read off the trace: the first
+row of least development loss. With only two degrees of freedom a
+finite-difference step costs four bank rebuilds.
 This module writes no files: `fblab train` writes the trace and result
 in `cli`.
 """
@@ -126,9 +126,9 @@ def train_parampgtf(
     Every iteration logs one trace row (current parameters, train and dev
     loss); every row but the last is then followed by a gradient step, so
     cfg.max_iters rows take cfg.max_iters - 1 steps (none at learning rate
-    0). The returned parameters are the ones with the lowest dev loss over
-    the trace (the initial point included), so the selection never
-    regresses below the starting dev loss.
+    0). The returned parameters are those of the first trace row of least
+    dev loss (the initial point included), so the selection never
+    regresses below the starting dev loss; with no rows they are `init`.
 
     Raises TrainingDivergedError if any loss evaluation is non-finite, if
     a step overflows a float (learning rate times gradient), or if no
@@ -154,20 +154,14 @@ def train_parampgtf(
             ) from exc
 
     theta = np.array([init.c1, init.c2], dtype=np.float64)
-    best_params = init
-    best_dev = math.inf
     for iteration in range(cfg.max_iters):
-        params = ErbParams(float(theta[0]), float(theta[1]))
         train_loss = loss_at(theta, train_items)
         dev_loss = loss_at(theta, dev_items)
         if not (math.isfinite(train_loss) and math.isfinite(dev_loss)):
             raise TrainingDivergedError(
                 f"non-finite loss at iteration {iteration}: train={train_loss}, dev={dev_loss}", trace
             )
-        trace.append(TraceRow(iteration, params.c1, params.c2, train_loss, dev_loss))
-        if dev_loss < best_dev:
-            best_dev = dev_loss
-            best_params = params
+        trace.append(TraceRow(iteration, float(theta[0]), float(theta[1]), train_loss, dev_loss))
         if cfg.learning_rate > 0 and iteration + 1 < cfg.max_iters:  # the last row's step is never read
             grad = fd_gradient(lambda t: loss_at(t, train_items), theta, cfg.fd_epsilon)
             with np.errstate(over="ignore"):  # a step beyond the float range is refused below
@@ -175,4 +169,5 @@ def train_parampgtf(
             if not np.all(np.isfinite(theta)):
                 raise TrainingDivergedError(f"the step after iteration {iteration} overflows a float: learning rate "
                                             f"{cfg.learning_rate!r}, gradient {grad.tolist()!r}", trace)
-    return best_params, trace
+    best = min(trace, key=lambda row: row.dev_loss, default=None)  # `min` keeps the first of equal losses
+    return (init if best is None else ErbParams(best.c1, best.c2)), trace

@@ -27,7 +27,6 @@ from fblab import (
     FILTER_LENGTH_SECONDS,
     ErbParams,
     FrameParams,
-    MixSpec,
     StftSpec,
     TrainerConfig,
     Waveform,
@@ -417,7 +416,7 @@ class TestSeparate:
         assert run(["separate", bank, *source_wavs, "--out-dir", out_dir, "--snr-db", "0"]) == 0
         assert len(calls) == 1
 
-        item = make_multi_mixture_item([read_wav(p) for p in source_wavs], MixSpec(0.0))
+        item = make_multi_mixture_item([read_wav(p) for p in source_wavs], 0.0)
         scores = json.loads((out_dir / "report.json").read_text())["items"][0]["si_snr_db"]
         assert len(scores) == len(item.sources)
         for i, (score, src) in enumerate(zip(scores, item.sources), start=1):
@@ -927,6 +926,35 @@ class TestNumericFlags:
             assert re.fullmatch(r"error: [^\n]*\n", text)
         else:
             assert code == 2 and text.startswith("usage: fblab ") and "error: argument " in text
+
+    _HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize("command,flags,message", [
+        (["build-bank", "mpgtf"], ["--frame-len", _HUGE], f"n_filters=512, frame_len={_HUGE}: a 512 x {_HUGE} float64"),
+        (["build-bank", "stft"], ["--frame-len", _HUGE], f"n_freqs=128, frame_len={_HUGE}: a 512 x {_HUGE} float64"),
+        (["build-bank", "stft"], ["--nfreqs", _HUGE],  # sign-split: 4 rows per frequency
+         f"n_freqs={_HUGE}, frame_len=16: a {4 * int(_HUGE)} x 16 float64"),
+        (["build-bank", "mpgtf"], ["--n-filters", "99999999999999999998"],  # numpy's own refusal: "negative dimensions"
+         "n_filters=99999999999999999998, frame_len=16: a 99999999999999999998 x 16 float64"),
+        (["build-bank", "mpgtf"], ["--n-filters", "2305843009213693952"],  # numpy's own refusal: "array is too big"
+         "n_filters=2305843009213693952, frame_len=16: a 2305843009213693952 x 16 float64"),
+        (["freq-response"], ["--n-fft", _HUGE], f"n_fft={_HUGE}: a 64 x {_HUGE} complex128"),
+        (["train"], ["--frame-len", _HUGE], f"n_filters=64, frame_len={_HUGE}: a 64 x {_HUGE} float64"),
+        (["train"], ["--n-filters", "99999999999999999998"],
+         "n_filters=99999999999999999998, frame_len=16: a 99999999999999999998 x 16 float64"),
+    ], ids=["mpgtf-frame-len", "stft-frame-len", "stft-nfreqs", "mpgtf-n-filters", "mpgtf-n-filters-2**61",
+            "n-fft", "train-frame-len", "train-n-filters"])
+    def test_size_beyond_numpy_names_its_parameters(self, inputs, capsys, command, flags, message):
+        # Refused before any array is sized, so numpy's texts, which name no parameter, never show.
+        d = inputs
+        operands = {
+            "build-bank": ["--out", d / "huge.fbank"],
+            "freq-response": [d / "bank.fbank", "--out", d / "huge.csv"],
+            "train": [d / "train", d / "dev", "--out-dir", d / "huge", "--max-iters", "2", "--n-filters", "64"],
+        }[command[0]]
+        assert run([*command, *operands, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message} array is larger than numpy can hold\n"
+        assert not any(p.name.startswith("huge") for p in d.iterdir())
 
 
 def test_help_lists_defaults(capsys):

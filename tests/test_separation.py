@@ -12,7 +12,6 @@ from fblab import (
     ErbParams,
     Filterbank,
     FrameParams,
-    MixSpec,
     SilentSourceError,
     Waveform,
     build_mpgtf,
@@ -28,7 +27,7 @@ from fblab import (
 )
 import fblab.codec as codec
 from fblab.codec import _resynthesize, apply_mask
-from fblab.separation import _oracle_mask_weigh, _ratio_masks, oracle_irm_masks
+from fblab.separation import _oracle_mask_weigh, oracle_irm_masks
 
 FS = 8000
 FP = FrameParams(16, 8)
@@ -79,6 +78,21 @@ class TestOracleIrmMasks:
         total = masks[0] + masks[1] + masks[2]
         np.testing.assert_allclose(total, 1.0, atol=1e-15)
 
+    def test_four_sources_take_a_quarter_of_an_all_zero_cell(self, mpgtf_bank):
+        rng = np.random.default_rng(2)
+        samples = rng.standard_normal((4, 800))
+        samples[:, 200:400] = 0.0  # frames 25-48 see only zeros in every source
+        sources = [Waveform(x, FS) for x in samples]
+        masks = oracle_irm_masks(sources, mpgtf_bank, FP)
+        mags = np.stack([np.abs(encode(s, mpgtf_bank, FP, apply_relu=False).values) for s in sources])
+        zero = np.all(mags == 0.0, axis=0)
+        assert zero[:, 25:49].all() and not zero.all()
+        for mask in masks:
+            assert np.all(mask[zero] == 0.25)
+        total = masks[0] + masks[1] + masks[2] + masks[3]
+        assert np.all(total[zero] == 1.0)
+        np.testing.assert_allclose(total, 1.0, atol=1e-15)
+
     def test_rejects_single_source(self, mpgtf_bank):
         with pytest.raises(ValueError, match="at least 2"):
             oracle_irm_masks([tone(440.0)], mpgtf_bank, FP)
@@ -103,7 +117,7 @@ class TestRunSeparation:
         assert clip_si_snr(value) == 60.0
 
     def test_disjoint_sinusoids_improve_over_mixture(self, mpgtf_bank):
-        item = make_multi_mixture_item([tone(300.0), tone(2000.0, phase=1.2)], MixSpec(0.0))
+        item = make_multi_mixture_item([tone(300.0), tone(2000.0, phase=1.2)], 0.0)
         scores = run_separation(item.mixture, item.sources, mpgtf_bank, FP)
         assert isinstance(scores, tuple) and len(scores) == 2
         for est_db, src in zip(scores, item.sources):
@@ -117,7 +131,7 @@ class TestRunSeparation:
         from fblab import clip_si_snr
 
         s = tone(440.0, n=2048)
-        item = make_multi_mixture_item([s, s], MixSpec(0.0))
+        item = make_multi_mixture_item([s, s], 0.0)
         p = FrameParams(16, 16)  # disjoint frames keep the decode proportional
         masks = oracle_irm_masks(item.sources, mpgtf_bank, p)
         assert np.all(masks[0] == 0.5) and np.all(masks[1] == 0.5)
@@ -129,7 +143,7 @@ class TestRunSeparation:
         assert clip_si_snr(mix_db) == 60.0
 
     def test_estimates_sum_to_decoded_mixture(self, mpgtf_bank):
-        item = make_multi_mixture_item([tone(300.0), tone(2000.0)], MixSpec(-3.0))
+        item = make_multi_mixture_item([tone(300.0), tone(2000.0)], -3.0)
         estimates = separate(item.mixture, item.sources, mpgtf_bank, FP)
         rep = encode(item.mixture, mpgtf_bank, FP, apply_relu=True)
         full = decode(rep, pseudo_inverse(mpgtf_bank)).samples[: len(item.mixture)]
@@ -268,8 +282,10 @@ def test_mask_weigh_matches_ratio_masks_times_the_mixture(seed, n_sources, frame
     enc[1:, zero] = 0.0
     mix = enc[0].copy()
     mags = np.abs(enc[1:])
-    _ratio_masks(mags)
-    ref = mags * mix
+    total = mags.sum(axis=0)
+    masks = np.divide(mags, total, out=np.full_like(mags, 1.0 / n_sources), where=total > 0.0)
+    masks[-1] = np.clip(1.0 - masks[:-1].sum(axis=0), 0.0, 1.0)
+    ref = masks * mix
 
     out = _oracle_mask_weigh(enc)
     assert out.shape == (n_sources, frames, rows) and np.shares_memory(out, enc)
@@ -351,13 +367,13 @@ class TestMixtureItems:
 
     def test_equal_energy_zero_db(self):
         s1, s2 = wave([2.0, 0.0, 0.0, 0.0]), wave([1.0, -1.0, 1.0, -1.0])  # both of energy 4
-        item = make_multi_mixture_item([s1, s2], MixSpec(0.0))
+        item = make_multi_mixture_item([s1, s2], 0.0)
         assert item.sources[1].samples.tobytes() == s2.samples.tobytes()  # a gain of exactly 1
         np.testing.assert_array_equal(item.mixture.samples, [3.0, -1.0, 1.0, -1.0])
 
     def test_equal_energy_plus_five_db(self):
         s1, s2 = wave([1.0, 0.0]), wave([0.0, -1.0])
-        item = make_multi_mixture_item([s1, s2], MixSpec(5.0))
+        item = make_multi_mixture_item([s1, s2], 5.0)
         np.testing.assert_allclose(item.sources[1].samples, 10.0 ** -0.25 * s2.samples, rtol=1e-12, atol=0)
         np.testing.assert_allclose(item.mixture.samples, [1.0, -(10.0 ** -0.25)], rtol=1e-12, atol=0)
 
@@ -365,9 +381,8 @@ class TestMixtureItems:
         rng = np.random.default_rng(3)
         s1 = wave(rng.standard_normal(100))
         s2 = wave(rng.standard_normal(100))
-        spec = MixSpec(2.5)
-        x1 = make_multi_mixture_item([s1, s2], spec).mixture
-        x2 = make_multi_mixture_item([s1, wave(2.0 * s2.samples)], spec).mixture
+        x1 = make_multi_mixture_item([s1, s2], 2.5).mixture
+        x2 = make_multi_mixture_item([s1, wave(2.0 * s2.samples)], 2.5).mixture
         np.testing.assert_array_equal(x1.samples, x2.samples)
 
     @pytest.mark.parametrize("position", [1, 2, 3])
@@ -376,7 +391,7 @@ class TestMixtureItems:
         sources[position - 1] = wave([0.0, 0.0, 0.0, 4.0])  # non-zero only past the common length
         message = f"silent source {position} of 3: its first 3 samples (the length the sources share) are all zero"
         with pytest.raises(SilentSourceError, match=f"^{re.escape(message)}$") as excinfo:
-            make_multi_mixture_item(sources, MixSpec(0.0))
+            make_multi_mixture_item(sources, 0.0)
         assert excinfo.value.position == position
 
     @pytest.mark.parametrize("position", [1, 2])
@@ -386,16 +401,16 @@ class TestMixtureItems:
         sources[position - 1] = wave(1e200 * sources[position - 1].samples)
         message = f"source {position} of 2: its energy overflows a float"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            make_multi_mixture_item(sources, MixSpec(0.0))
+            make_multi_mixture_item(sources, 0.0)
 
     def test_rate_mismatch(self):
         with pytest.raises(ValueError, match="^sample rates differ: 8000 vs 16000$"):
-            make_multi_mixture_item([wave([1.0]), Waveform(np.ones(1), 16000)], MixSpec(0.0))
+            make_multi_mixture_item([wave([1.0]), Waveform(np.ones(1), 16000)], 0.0)
 
     def test_truncates_to_shorter(self):
         s1 = wave([1.0, 1.0, 1.0, 99.0])
         s2 = wave([1.0, -1.0, 1.0])  # the energy of s1's first 3 samples: a gain of exactly 1
-        item = make_multi_mixture_item([s1, s2], MixSpec(0.0))
+        item = make_multi_mixture_item([s1, s2], 0.0)
         assert len(item.mixture) == 3
         assert item.sources[0].samples.tobytes() == s1.samples[:3].tobytes()
         assert item.sources[1].samples.tobytes() == s2.samples.tobytes()
@@ -407,19 +422,20 @@ class TestMixtureItems:
         rng = np.random.default_rng(seed)
         s1 = wave(rng.standard_normal(64))
         s2 = wave(rng.standard_normal(64))
-        item = make_multi_mixture_item([s1, s2], MixSpec(snr_db))
+        item = make_multi_mixture_item([s1, s2], snr_db)
         measured = 10.0 * np.log10(item.sources[0].energy() / item.sources[1].energy())
         assert measured == pytest.approx(snr_db, abs=1e-9)
 
     def test_invalid_spec(self):
-        with pytest.raises(ValueError, match="finite"):
-            MixSpec(float("nan"))
+        for snr_db in (math.nan, math.inf, -math.inf):  # refused ahead of the one-source error
+            with pytest.raises(ValueError, match=f"^snr_db must be finite, got {snr_db!r}$"):
+                make_multi_mixture_item([wave([1.0])], snr_db)
 
     def test_targets_and_mixture_are_read_only_and_share_no_memory(self):
         s1 = wave([1.0, -2.0, 3.0, 99.0])
         s2 = wave([1.0, -1.0, 1.0])
         s3 = wave([0.5, 2.0, -1.0])
-        item = make_multi_mixture_item([s1, s2, s3], MixSpec(1.0))
+        item = make_multi_mixture_item([s1, s2, s3], 1.0)
         outputs = [item.mixture.samples, *(t.samples for t in item.sources)]
         for i, out in enumerate(outputs):
             assert not out.flags.writeable
@@ -432,7 +448,7 @@ class TestMixtureItems:
         # 10 ** 1000 overflows the gain to inf, and 10 ** -1000 underflows it to 0
         message = f"snr_db={snr_db!r} gives a mixing gain {math.inf if snr_db < 0 else 0.0!r} outside (0, inf)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            make_multi_mixture_item([wave([1.0, 2.0]), wave([2.0, -1.0])], MixSpec(snr_db))
+            make_multi_mixture_item([wave([1.0, 2.0]), wave([2.0, -1.0])], snr_db)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -443,14 +459,14 @@ class TestMixtureItems:
     def test_matches_the_written_out_arithmetic_bitwise(self, seed, lengths, snr_db):
         rng = np.random.default_rng(seed)
         sources = [wave(rng.standard_normal(n)) for n in lengths]
-        item = make_multi_mixture_item(sources, MixSpec(snr_db))
+        item = make_multi_mixture_item(sources, snr_db)
         total, targets = _model_mixture(sources, snr_db)
         assert item.mixture.samples.tobytes() == total.tobytes()
         for got, want in zip(item.sources, targets, strict=True):
             assert got.samples.tobytes() == want.tobytes()
 
     def test_mixture_is_sum_of_stored_sources(self):
-        item = make_multi_mixture_item([tone(300.0), tone(2000.0)], MixSpec(4.0))
+        item = make_multi_mixture_item([tone(300.0), tone(2000.0)], 4.0)
         np.testing.assert_array_equal(
             item.mixture.samples, item.sources[0].samples + item.sources[1].samples
         )
@@ -459,23 +475,23 @@ class TestMixtureItems:
     def test_targets_are_gained_truncated_sources_bitwise(self, lengths):
         rng = np.random.default_rng(len(lengths))
         sources = [Waveform(rng.standard_normal(n), FS) for n in lengths]
-        spec = MixSpec(-2.5)
-        item = make_multi_mixture_item(sources, spec)
-        total, targets = _model_mixture(sources, spec.snr_db)
+        snr_db = -2.5
+        item = make_multi_mixture_item(sources, snr_db)
+        total, targets = _model_mixture(sources, snr_db)
         assert item.mixture.samples.tobytes() == total.tobytes()
         for target, expected in zip(item.sources, targets, strict=True):
             assert target.samples.tobytes() == expected.tobytes()
         for target in item.sources[1:]:
             measured = 10.0 * np.log10(item.sources[0].energy() / target.energy())
-            assert measured == pytest.approx(spec.snr_db, abs=1e-9)
+            assert measured == pytest.approx(snr_db, abs=1e-9)
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="^empty input$"):
-            make_multi_mixture_item([tone(300.0), Waveform(np.zeros(0), FS)], MixSpec(0.0))
+            make_multi_mixture_item([tone(300.0), Waveform(np.zeros(0), FS)], 0.0)
 
     def test_single_source(self):
         with pytest.raises(ValueError, match="^need at least 2 sources, got 1$"):
-            make_multi_mixture_item([tone(300.0)], MixSpec(0.0))
+            make_multi_mixture_item([tone(300.0)], 0.0)
 
     def test_synthetic_set_is_deterministic(self):
         a = make_sinusoid_mixture_items(3, seed=5)
@@ -638,7 +654,7 @@ def test_mixes_separates_and_scores_or_raises_value_error(n_sources, n_samples, 
         except ValueError:
             pass
     try:
-        item = make_multi_mixture_item(sources, MixSpec(snr_db))
+        item = make_multi_mixture_item(sources, snr_db)
         estimates = separate(item.mixture, item.sources, bank, FrameParams(4, hop), apply_relu=apply_relu)
     except ValueError:
         return

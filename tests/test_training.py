@@ -157,6 +157,20 @@ class TestTrainParampgtf:
         assert (best.c1, best.c2) == (best_row.c1, best_row.c2)
         assert best_row.dev_loss <= trace[0].dev_loss
 
+    def test_first_of_tied_best_rows_is_returned(self, tiny_items, tiny_dev_items, monkeypatch):
+        # The train loss is c2, so each step of lr 1 lowers c2 by ~1; the dev
+        # loss drops once c2 < 9 and then holds, so rows 1 and 2 tie at its least.
+        def loss(params, items, *args):
+            if items is tiny_items:
+                return params.c2
+            return -1.0 if params.c2 < 9.0 else 0.0
+        monkeypatch.setattr(fblab.training, "separation_loss", loss)
+        cfg = TrainerConfig(learning_rate=1.0, max_iters=3)
+        best, trace = train_parampgtf(tiny_items, tiny_dev_items, cfg, ErbParams(), n_filters=128)
+        assert [row.dev_loss for row in trace] == [0.0, -1.0, -1.0]
+        assert trace[1].c2 != trace[2].c2
+        assert best == ErbParams(trace[1].c1, trace[1].c2)
+
     def test_empty_items_rejected(self, tiny_items):
         with pytest.raises(ValueError, match="non-empty"):
             train_parampgtf([], tiny_items, TrainerConfig(max_iters=1), ErbParams())
