@@ -34,7 +34,7 @@ from .filterbank import (
     numerical_rank,
     save_filterbank,
 )
-from .gammatone import FILTER_LENGTH_SECONDS, build_mpgtf, build_parampgtf
+from .gammatone import build_mpgtf, build_parampgtf
 from .metrics import SI_SNR_CLIP_DB, SiSnrResult, clip_si_snr, si_snr
 from .separation import (
     SNR_RANGE_DB,

@@ -248,7 +248,7 @@ def cmd_roundtrip(args) -> int:
     hop = args.hop if args.hop is not None else bank.filter_len
     p = FrameParams(bank.filter_len, hop)
     (out,) = _resynthesize([x], bank, p, None, 1, relu=args.relu)
-    write_wav(args.wav_out, out, encoding="float32")
+    write_wav(args.wav_out, out)
     if x.energy() == 0.0:
         print("si_snr_db=n/a")
     else:
@@ -272,9 +272,9 @@ def cmd_separate(args) -> int:
 
     with _out_dir(args.out_dir) as out_dir:
         # Written before scoring: the float32 range check refuses any signal whose SI-SNR sums overflow.
-        write_wav(out_dir / "mixture.wav", item.mixture, encoding="float32")
+        write_wav(out_dir / "mixture.wav", item.mixture)
         for i, est in enumerate(estimates, start=1):
-            write_wav(out_dir / f"est_{i}.wav", est, encoding="float32")
+            write_wav(out_dir / f"est_{i}.wav", est)
         scores = score_separation(estimates, item.sources)
         mean = float(np.mean(scores))
         item_id = "item-0"  # the one item a report scores
@@ -349,7 +349,7 @@ def cmd_train(args) -> int:
             "c2": best.c2,
             "init": {"c1": init.c1, "c2": init.c2},
             "iterations": len(trace),
-            "best_dev_loss": min((row.dev_loss for row in trace), default=None),
+            "best_dev_loss": next((row.dev_loss for row in trace if (row.c1, row.c2) == (best.c1, best.c2)), None),
             "seed": seed,
             "config": {
                 "learning_rate": cfg.learning_rate,

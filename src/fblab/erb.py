@@ -104,33 +104,31 @@ def erb_scale_inv(u: float, p: ErbParams = ErbParams()) -> float:
     return f_hz
 
 
-def center_count(p: ErbParams, f_start: float = FC_MIN_HZ, f_max: float = FC_MAX_HZ) -> float:
-    """Centres `center_frequency_grid(p, f_start, f_max)` holds: floor(span) + 1, for the span
+def center_count(p: ErbParams) -> float:
+    """Centres `center_frequency_grid(p)` holds: floor(span) + 1, for the span
 
-        scale(f_max) - scale(f_start) = c2 * ln((c1*c2 + f_max) / (c1*c2 + f_start))
+        scale(FC_MAX_HZ) - scale(FC_MIN_HZ) = c2 * ln((c1*c2 + FC_MAX_HZ) / (c1*c2 + FC_MIN_HZ))
 
-    computed as one `log1p` that neither divides by c1*c2 nor cancels.
-    Returned as a float, so a span too large for one reads inf.
+    of the one band, computed as one `log1p` that neither divides by c1*c2
+    nor cancels. Returned as a float, so a span too large for one reads inf.
     """
-    span = p.c2 * math.log1p((f_max - f_start) / (p.c1 * p.c2 + f_start))
+    span = p.c2 * math.log1p((FC_MAX_HZ - FC_MIN_HZ) / (p.c1 * p.c2 + FC_MIN_HZ))
     return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
 
 
-def center_frequency_grid(p: ErbParams, f_start: float = FC_MIN_HZ, f_max: float = FC_MAX_HZ) -> np.ndarray:
-    """Center frequencies spaced one ERB-rate unit apart from f_start up to f_max.
+def center_frequency_grid(p: ErbParams) -> np.ndarray:
+    """Center frequencies spaced one ERB-rate unit apart over the band [FC_MIN_HZ, FC_MAX_HZ].
 
-    Centre j is f_start + (f_start + c1*c2) * expm1(j / c2) for j = 0 ..
-    `center_count(p, f_start, f_max)` - 1; j / c2 never exceeds the span's
-    log, so expm1 cannot overflow. The first element is f_start exactly,
-    and a last centre that rounding puts past f_max is clipped to it.
+    Centre j is FC_MIN_HZ + (FC_MIN_HZ + c1*c2) * expm1(j / c2) for j = 0 ..
+    `center_count(p)` - 1; j / c2 never exceeds the span's log, so expm1
+    cannot overflow. The first element is FC_MIN_HZ exactly, and a last
+    centre that rounding puts past FC_MAX_HZ is clipped to it.
     Raises ValueError when the span is too large for a float.
     """
-    if not 0 < f_start < f_max:
-        raise ValueError(f"need 0 < f_start < f_max, got f_start={f_start}, f_max={f_max}")
-    count = center_count(p, f_start, f_max)
+    count = center_count(p)
     if math.isinf(count):
-        raise ValueError(f"the ERB-rate span from {f_start} to {f_max} Hz overflows a float "
+        raise ValueError(f"the ERB-rate span from {FC_MIN_HZ} to {FC_MAX_HZ} Hz overflows a float "
                          f"at c1={p.c1!r}, c2={p.c2!r}")
     # Centre 0 is placed apart: where c1*c2 overflows (one centre), its term would be inf * 0.
-    steps = (f_start + p.c1 * p.c2) * np.expm1(np.arange(1.0, count) / p.c2)
-    return np.concatenate(([f_start], np.minimum(f_start + steps, f_max)))
+    steps = (FC_MIN_HZ + p.c1 * p.c2) * np.expm1(np.arange(1.0, count) / p.c2)
+    return np.concatenate(([FC_MIN_HZ], np.minimum(FC_MIN_HZ + steps, FC_MAX_HZ)))

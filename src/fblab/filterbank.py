@@ -192,11 +192,18 @@ def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, 
     Returns:
         (bin_hz, magnitudes) with bin_hz of shape (n_fft,) covering the
         full 0 .. fs grid and magnitudes of shape (n_filters, n_fft).
+
+    Raises ValueError when a filter's spectrum or its magnitude overflows
+    a float (finite taps near the float maximum can sum past it).
     """
     if n_fft < bank.filter_len:
         raise ValueError(f"n_fft must be >= filter length, got {n_fft} < {bank.filter_len}")
     _check_array_size(f"n_fft={n_fft}", bank.n_filters, n_fft, np.complex128)  # the spectrum, before its magnitude
-    mags = np.abs(np.fft.fft(bank.taps, n=n_fft, axis=1))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mags = np.abs(np.fft.fft(bank.taps, n=n_fft, axis=1))
+    except FloatingPointError as exc:
+        raise ValueError(f"the bank's spectrum overflows a float ({exc})") from None
     bin_hz = np.arange(n_fft) * (bank.sample_rate / n_fft)
     return bin_hz, mags
 

@@ -4,8 +4,8 @@ A gammatone filter is the classic cochlear model
 
     g(t) = alpha * t^(n-1) * exp(-2*pi*b*t) * cos(2*pi*fc*t + phi),  t > 0
 
-truncated here to short FIR prototypes (2 ms at the canonical 8 kHz rate,
-i.e. 16 taps) for low-latency analysis. The multi-phase construction
+truncated here to short FIR prototypes (16 taps by default, 2 ms at the
+canonical 8 kHz rate) for low-latency analysis. The multi-phase construction
 covers each center frequency with several phase shifts evenly spaced on
 [0, pi) and appends the negation of every filter, so rectified encoder
 outputs keep energy at every center. Center frequencies sit one ERB-rate
@@ -38,9 +38,6 @@ from .dsp import _check_array_size, _check_sample_rate
 from .erb import ErbParams, bandwidth_b, center_count, center_frequency_grid, erb
 from .filterbank import Filterbank, FilterbankKind
 
-#: Canonical prototype length: 2 ms of signal.
-FILTER_LENGTH_SECONDS = 0.002
-
 
 def _check_filter(center_fc: float, length: int, sample_rate: int) -> None:
     """Raise ValueError for a gammatone filter that cannot be sampled.
@@ -59,7 +56,7 @@ def _check_filter(center_fc: float, length: int, sample_rate: int) -> None:
 def build_mpgtf(
     p: ErbParams,
     n_filters: int = 512,
-    frame_len: int | None = None,
+    frame_len: int = 16,
     sample_rate: int = 8000,
     *,
     order: int = 2,
@@ -67,8 +64,8 @@ def build_mpgtf(
 ) -> Filterbank:
     """Build a multi-phase gammatone filterbank at the ERB constants `p`.
 
-    `frame_len` defaults to 2 ms at the given sample rate (16 taps at
-    8 kHz). The result has exactly `n_filters` rows: n_filters/2 phase
+    `frame_len` defaults to 16 taps, 2 ms at 8 kHz, at every sample
+    rate. The result has exactly `n_filters` rows: n_filters/2 phase
     variants spread over the ERB-spaced centers, plus their negations.
     `kind` (MPGTF or PARAMPGTF) only labels the bank; the taps depend on
     `p` alone.
@@ -79,11 +76,9 @@ def build_mpgtf(
     (fc, b, phi), and a bad input raises the same ValueError as the bank
     built one model filter per row.
     """
-    _check_sample_rate(sample_rate)  # before it sizes the frame and bounds the centres
+    _check_sample_rate(sample_rate)  # before it bounds the centres
     if kind not in (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF):
         raise ValueError(f"not a multi-phase gammatone kind: {kind}")
-    if frame_len is None:
-        frame_len = round(FILTER_LENGTH_SECONDS * sample_rate)
     if n_filters < 2 or n_filters % 2 != 0:
         raise ValueError(f"n_filters must be a positive even number, got {n_filters}")
     _check_array_size(f"n_filters={n_filters}, frame_len={frame_len}", n_filters, frame_len)

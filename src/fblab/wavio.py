@@ -1,4 +1,4 @@
-"""Minimal RIFF/WAVE reader and writer for mono PCM16 and IEEE float32 files.
+"""Minimal RIFF/WAVE reader and writer: reads mono PCM16 and IEEE float32, writes float32.
 
 Hand-rolled on `struct` so malformed headers, unsupported codecs, and
 multichannel files raise distinct, stable error types.
@@ -92,52 +92,33 @@ def read_wav(path) -> Waveform:
     return Waveform._adopt(samples, int(sample_rate))
 
 
-def write_wav(path, w: Waveform, encoding: str = "pcm16") -> None:
-    """Write a mono WAV file.
-
-    encoding: "pcm16" quantizes by round(x * 32767) with clipping to the
-    int16 range; "float32" stores samples cast to single precision.
+def write_wav(path, w: Waveform) -> None:
+    """Write a mono IEEE float32 WAV file: the samples cast to single precision.
 
     The payload is converted and written in chunks of `CHUNK_SAMPLES`
     samples, so no signal-long copy is made; the bytes are those of a
     whole-signal conversion.
 
-    Raises ValueError, before the file is opened, for an unknown encoding,
-    for float32 samples beyond the float32 range (they would be stored as
-    inf, which `read_wav` rejects) and for a sample rate whose byte rate
-    does not fit the header's 32-bit field.
+    Raises ValueError, before the file is opened, for samples beyond the
+    float32 range (they would be stored as inf, which `read_wav` rejects)
+    and for a sample rate whose byte rate does not fit the header's 32-bit
+    field.
     """
     samples = w.samples
-    if encoding == "pcm16":
-        audio_format, bits = _PCM, 16
-    elif encoding == "float32":
-        audio_format, bits = _IEEE_FLOAT, 32
-        if not w.energy() < _FLOAT32_OVERFLOW**2:  # a smaller sum of squares bounds every |x|; else check exactly
-            peak = max(float(samples.max()), -float(samples.min()))  # no n-long temporary
-            if peak >= _FLOAT32_OVERFLOW:
-                raise ValueError(f"sample magnitude {peak!r} is beyond the float32 range ({_FLOAT32_MAX!r})")
-    else:
-        raise ValueError(f"unknown encoding {encoding!r} (expected 'pcm16' or 'float32')")
+    if not w.energy() < _FLOAT32_OVERFLOW**2:  # a smaller sum of squares bounds every |x|; else check exactly
+        peak = max(float(samples.max()), -float(samples.min()))  # no n-long temporary
+        if peak >= _FLOAT32_OVERFLOW:
+            raise ValueError(f"sample magnitude {peak!r} is beyond the float32 range ({_FLOAT32_MAX!r})")
 
-    block_align = bits // 8
-    byte_rate = w.sample_rate * block_align
+    byte_rate = w.sample_rate * 4
     if byte_rate > _U32_MAX:
-        raise ValueError(f"sample rate {w.sample_rate} Hz is too high for a {bits}-bit WAV: "
+        raise ValueError(f"sample rate {w.sample_rate} Hz is too high for a 32-bit WAV: "
                          f"its byte rate {byte_rate} does not fit 32 bits")
-    nbytes = len(samples) * block_align
+    nbytes = len(samples) * 4
     header = b"RIFF" + struct.pack("<I", 36 + nbytes) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, audio_format, 1, w.sample_rate, byte_rate, block_align, bits
-    )
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, _IEEE_FLOAT, 1, w.sample_rate, byte_rate, 4, 32)
     header += b"data" + struct.pack("<I", nbytes)
     with open(path, "wb") as fh:
         fh.write(header)
         for lo in range(0, len(samples), CHUNK_SAMPLES):
-            chunk = samples[lo:lo + CHUNK_SAMPLES]
-            if encoding == "pcm16":
-                q = chunk * _INT16_FULL_SCALE
-                np.round(q, out=q)
-                np.clip(q, -32768, 32767, out=q)
-                fh.write(q.astype("<i2"))
-            else:
-                fh.write(chunk.astype("<f4"))
+            fh.write(samples[lo:lo + CHUNK_SAMPLES].astype("<f4"))

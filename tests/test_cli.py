@@ -24,10 +24,10 @@ import fblab.separation
 import fblab.training
 import fblab.wavio
 from fblab import (
-    FILTER_LENGTH_SECONDS,
     ErbParams,
     FrameParams,
     StftSpec,
+    TraceRow,
     TrainerConfig,
     Waveform,
     build_mpgtf,
@@ -43,6 +43,7 @@ from fblab import (
     write_wav,
 )
 from fblab.cli import main
+from test_wavio import whole_signal_wav_bytes
 
 
 def tone(freq, n=4000, fs=8000, amp=0.5, phase=0.0):
@@ -54,8 +55,8 @@ def tone(freq, n=4000, fs=8000, amp=0.5, phase=0.0):
 def source_wavs(tmp_path):
     a = tmp_path / "a.wav"
     b = tmp_path / "b.wav"
-    write_wav(a, tone(300.0), encoding="float32")
-    write_wav(b, tone(2000.0, phase=1.0), encoding="float32")
+    write_wav(a, tone(300.0))
+    write_wav(b, tone(2000.0, phase=1.0))
     return a, b
 
 
@@ -230,6 +231,22 @@ class TestFreqResponse:
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
         assert not csv.exists()
 
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308, 3e307])
+    def test_spectrum_overflow_is_typed_error(self, tmp_path, scale):
+        # Four finite taps of |scale| sum past the float maximum in some bin unless 4 * scale fits.
+        signs = [[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, -1, -1], [-1, 1, -1, 1]]
+        rows = "\n".join(" ".join(repr(sign * scale) for sign in row) for row in signs)
+        bank = tmp_path / "big.fbank"
+        bank.write_text(f"FBANK1 kind=custom n=4 len=4 fs=8000 c1=- c2=- centers=-\n{rows}\n")
+        csv = tmp_path / "r.csv"
+        code, err = _assert_clean_exit(["freq-response", bank, "--out", csv])
+        if 4 * scale < math.inf:
+            assert code == 0
+            assert all(math.isfinite(float(line.split(",")[2])) for line in csv.read_text().splitlines()[1:])
+        else:
+            assert code == 1 and err.startswith("error: the bank's spectrum overflows a float (")
+            assert not csv.exists()
+
 
 class TestRoundtrip:
     def test_stft_signsplit_relu_hits_clip(self, tmp_path, source_wavs, capsys):
@@ -254,7 +271,7 @@ class TestRoundtrip:
         run(["build-bank", "mpgtf", "--out", bank])
         capsys.readouterr()
         silent = tmp_path / "silent.wav"
-        write_wav(silent, Waveform(np.zeros(1600), 8000), encoding="float32")
+        write_wav(silent, Waveform(np.zeros(1600), 8000))
         out_wav = tmp_path / "out.wav"
         assert run(["roundtrip", bank, silent, out_wav]) == 0
         assert capsys.readouterr().out.strip() == "si_snr_db=n/a"
@@ -273,7 +290,7 @@ class TestRoundtrip:
         run(["build-bank", "stft", "--out", bank])
         n = int(seconds * 8000)
         wav_in = tmp_path / "long.wav"
-        write_wav(wav_in, Waveform(0.3 * np.random.default_rng(6).standard_normal(n), 8000), encoding="float32")
+        write_wav(wav_in, Waveform(0.3 * np.random.default_rng(6).standard_normal(n), 8000))
         tracemalloc.start()
         try:
             assert run(["roundtrip", bank, wav_in, tmp_path / "out.wav", "--relu", "--hop", "8"]) == 0
@@ -326,7 +343,7 @@ class TestRoundtrip:
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])
         wav16k = tmp_path / "x.wav"
-        write_wav(wav16k, Waveform(np.ones(100), 16000), encoding="float32")
+        write_wav(wav16k, Waveform(np.ones(100), 16000))
         assert run(["roundtrip", bank, wav16k, tmp_path / "y.wav"]) == 1
         assert capsys.readouterr().err == f"error: {wav16k}: sample rate mismatch: 16000 Hz, expected 8000 Hz\n"
 
@@ -334,7 +351,7 @@ class TestRoundtrip:
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
         empty = tmp_path / "empty.wav"
-        write_wav(empty, Waveform(np.zeros(0), 8000), encoding="float32")
+        write_wav(empty, Waveform(np.zeros(0), 8000))
         out_wav = tmp_path / "out.wav"
         assert run(["roundtrip", bank, empty, out_wav]) == 1
         assert capsys.readouterr().err == f"error: {empty}: no samples\n"
@@ -350,7 +367,7 @@ def test_overflowing_products_are_a_typed_error_without_warning(tmp_path, capsys
     # caught where it happens.
     bank, wav = tmp_path / "huge.fbank", tmp_path / "loud.wav"
     bank.write_text(f"FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n{taps}\n")
-    write_wav(wav, Waveform(1e9 * (1.5 + np.sin(np.arange(64) / 3.0)), 8000), encoding="float32")
+    write_wav(wav, Waveform(1e9 * (1.5 + np.sin(np.arange(64) / 3.0)), 8000))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["roundtrip", bank, wav, tmp_path / "out.wav", "--hop", "1", "--relu"]) == 1
@@ -462,7 +479,7 @@ class TestSeparate:
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])
         silent = tmp_path / "z.wav"
-        write_wav(silent, Waveform(np.zeros(4000), 8000), encoding="float32")
+        write_wav(silent, Waveform(np.zeros(4000), 8000))
         out_dir = tmp_path / "sep"
         assert run(["separate", bank, source_wavs[0], silent, "--out-dir", out_dir]) == 1
         assert capsys.readouterr().err == f"error: {silent}: silent source 2 of 2: its first 4000 samples " \
@@ -474,11 +491,11 @@ class TestSeparate:
         [
             (lambda path: path.write_bytes(b"not a wav"),
              "malformed header: not a RIFF/WAVE file"),
-            (lambda path: write_wav(path, Waveform(np.zeros(0), 8000)),
+            (lambda path: path.write_bytes(whole_signal_wav_bytes(Waveform(np.zeros(0), 8000), "pcm16")),
              "no samples"),
             (lambda path: path.write_bytes(_float32_wav_bytes([0.5, math.inf])),
              "waveform contains non-finite samples"),
-            (lambda path: write_wav(path, tone(2000.0, fs=16000)),
+            (lambda path: path.write_bytes(whole_signal_wav_bytes(tone(2000.0, fs=16000), "pcm16")),
              "sample rate mismatch: 16000 Hz, expected 8000 Hz"),
         ],
         ids=["malformed", "empty", "non-finite", "off-rate"],
@@ -497,8 +514,8 @@ class TestSeparate:
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])
         wavs = [tmp_path / "a.wav", tmp_path / "b.wav"]
-        write_wav(wavs[0], Waveform(3e38 / 0.5 * tone(300.0).samples, 8000), encoding="float32")
-        write_wav(wavs[1], Waveform(3e38 / 0.5 * tone(2000.0, phase=1.0).samples, 8000), encoding="float32")
+        write_wav(wavs[0], Waveform(3e38 / 0.5 * tone(300.0).samples, 8000))
+        write_wav(wavs[1], Waveform(3e38 / 0.5 * tone(2000.0, phase=1.0).samples, 8000))
         out_dir = tmp_path / "sep"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -538,8 +555,8 @@ class TestSeparate:
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])
         wavs = [tmp_path / "a16k.wav", tmp_path / "b16k.wav"]
-        write_wav(wavs[0], tone(300.0, fs=16000), encoding="float32")
-        write_wav(wavs[1], tone(2000.0, fs=16000), encoding="float32")
+        write_wav(wavs[0], tone(300.0, fs=16000))
+        write_wav(wavs[1], tone(2000.0, fs=16000))
         out_dir = tmp_path / "sep"
         assert run(["separate", bank, *wavs, "--out-dir", out_dir, "--snr-db", "0"]) == 1
         assert capsys.readouterr().err == f"error: {wavs[0]}: sample rate mismatch: 16000 Hz, expected 8000 Hz\n"
@@ -615,8 +632,8 @@ class TestTrain:
         for i in range(n):
             f1 = rng.uniform(250, 1200)
             f2 = rng.uniform(1500, 3600)
-            write_wav(directory / f"item{i}_s1.wav", tone(f1, n=1600, fs=fs), encoding="float32")
-            write_wav(directory / f"item{i}_s2.wav", tone(f2, n=1600, fs=fs), encoding="float32")
+            write_wav(directory / f"item{i}_s1.wav", tone(f1, n=1600, fs=fs))
+            write_wav(directory / f"item{i}_s2.wav", tone(f2, n=1600, fs=fs))
 
     def test_zero_iters_returns_init(self, tmp_path, capsys):
         self._write_pairs(tmp_path / "train", 2, 0)
@@ -687,6 +704,17 @@ class TestTrain:
         assert err.startswith("error: ") and "not enough filters" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_best_dev_loss_is_that_of_the_returned_point(self, tmp_path, monkeypatch):
+        # The returned point is not the row of least dev loss, so only the row at that point gives its loss.
+        self._write_pairs(tmp_path / "train", 1, 0)
+        self._write_pairs(tmp_path / "dev", 1, 1)
+        trace = [TraceRow(0, 24.7, 9.265, -3.0, -4.0), TraceRow(1, 25.0, 9.2, -3.5, -2.0)]
+        monkeypatch.setattr(fblab.cli, "train_parampgtf", lambda *args, **kwargs: (ErbParams(25.0, 9.2), trace))
+        out_dir = tmp_path / "out"
+        assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir, "--n-filters", "128"]) == 0
+        result = json.loads((out_dir / "result.json").read_text())
+        assert (result["c1"], result["c2"], result["best_dev_loss"]) == (25.0, 9.2, -2.0)
+
     def test_unpaired_source_is_named(self, tmp_path, capsys):
         self._write_pairs(tmp_path / "train", 1, 0)
         self._write_pairs(tmp_path / "dev", 1, 1)
@@ -699,7 +727,7 @@ class TestTrain:
     def test_unpaired_second_source_is_named(self, tmp_path, capsys):
         self._write_pairs(tmp_path / "train", 1, 0)
         self._write_pairs(tmp_path / "dev", 1, 1)
-        write_wav(tmp_path / "train" / "orphan_s2.wav", tone(2000.0, n=1600), encoding="float32")
+        write_wav(tmp_path / "train" / "orphan_s2.wav", tone(2000.0, n=1600))
         out_dir = tmp_path / "out"
         assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir]) == 1
         assert capsys.readouterr().err == "error: missing partner file for orphan_s2.wav\n"
@@ -709,7 +737,7 @@ class TestTrain:
         self._write_pairs(tmp_path / "train", 2, 0)
         self._write_pairs(tmp_path / "dev", 1, 1)
         off_rate = tmp_path / "train" / "item1_s2.wav"
-        write_wav(off_rate, tone(2000.0, n=1600, fs=16000), encoding="float32")
+        write_wav(off_rate, tone(2000.0, n=1600, fs=16000))
         out_dir = tmp_path / "out"
         assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir]) == 1
         assert capsys.readouterr().err == f"error: {off_rate}: sample rate mismatch: 16000 Hz, expected 8000 Hz\n"
@@ -729,7 +757,7 @@ class TestTrain:
         self._write_pairs(tmp_path / "train", 2, 0)
         self._write_pairs(tmp_path / "dev", 1, 1)
         silent = tmp_path / "dev" / "item0_s1.wav"
-        write_wav(silent, Waveform(np.zeros(1600), 8000), encoding="float32")
+        write_wav(silent, Waveform(np.zeros(1600), 8000))
         out_dir = tmp_path / "out"
         assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir]) == 1
         err = capsys.readouterr().err
@@ -782,13 +810,17 @@ class TestTrain:
         assert "no *_s1.wav" in capsys.readouterr().err
 
 
-def _assert_clean_exit(argv) -> None:
-    """Run the CLI on `argv`: exit 0 with nothing on stderr, or exit 1 with one `error: ` line; no warning."""
+def _assert_clean_exit(argv) -> tuple[int, str]:
+    """Run the CLI on `argv`: exit 0 with nothing on stderr, or exit 1 with one `error: ` line; no warning.
+
+    Returns the exit code and stderr.
+    """
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         code = run(argv)
     assert (code, err.getvalue()) == (0, "") or (code == 1 and re.fullmatch(r"error: [^\n]*\n", err.getvalue()))
+    return code, err.getvalue()
 
 
 #: Values for a mutated FBANK1 header field: small sizes, integers far beyond
@@ -814,8 +846,8 @@ class TestMutatedInputs:
     def inputs(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("inputs")
         save_filterbank(d / "bank.fbank", build_stft_bank(StftSpec(frame_len=4, n_freqs=2), 8000))
-        write_wav(d / "a.wav", tone(300.0, n=64), encoding="float32")
-        write_wav(d / "b.wav", tone(2000.0, n=64, phase=1.0), encoding="float32")
+        write_wav(d / "a.wav", tone(300.0, n=64))
+        write_wav(d / "b.wav", tone(2000.0, n=64, phase=1.0))
         return d
 
     @given(st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)), min_size=1, max_size=4),
@@ -851,6 +883,27 @@ class TestMutatedInputs:
         bank.write_text("\n".join([" ".join(["FBANK1", *(f"{k}={v}" for k, v in fields.items())]), *rows]) + "\n")
         if command == "roundtrip":
             argv = ["roundtrip", bank, inputs / "a.wav", inputs / "out.wav"]
+        else:
+            argv = ["freq-response", bank, "--out", inputs / "response.csv", "--n-fft", "8"]
+        _assert_clean_exit(argv)
+
+    @given(st.floats(1.0, 10.0, exclude_max=True), st.integers(-324, 308),
+           st.sampled_from(["roundtrip", "separate", "freq-response"]))
+    @example(1.0, 308, "freq-response")  # a spectrum beyond float range escaped as numpy warnings
+    @settings(max_examples=30, deadline=None)
+    def test_scaled_bank_taps(self, inputs, m, k, command):
+        # Python floats: a product past the float range reads inf (which the
+        # loader refuses) and one below it 0, without a numpy warning.
+        scale = m * 10.0**k
+        head, *rows = (inputs / "bank.fbank").read_text().splitlines()
+        bank = inputs / "scaled.fbank"
+        bank.write_text("\n".join([head, *(" ".join(repr(float(v) * scale) for v in row.split()) for row in rows)])
+                        + "\n")
+        if command == "roundtrip":
+            argv = ["roundtrip", bank, inputs / "a.wav", inputs / "out.wav"]
+        elif command == "separate":
+            argv = ["separate", bank, inputs / "a.wav", inputs / "b.wav",
+                    "--out-dir", inputs / "sep", "--snr-db", "0", "--hop", "2"]
         else:
             argv = ["freq-response", bank, "--out", inputs / "response.csv", "--n-fft", "8"]
         _assert_clean_exit(argv)
@@ -895,7 +948,7 @@ class TestNumericFlags:
             (d / split).mkdir()
         for k, name, freq, phase in [(1, "a", 300.0, 0.0), (2, "b", 2000.0, 1.0)]:
             for path in (d / f"{name}.wav", d / "train" / f"x_s{k}.wav", d / "dev" / f"x_s{k}.wav"):
-                write_wav(path, tone(freq, n=64, phase=phase), encoding="float32")
+                write_wav(path, tone(freq, n=64, phase=phase))
         return d
 
     @given(numeric_flag_runs())
@@ -978,8 +1031,7 @@ def test_cli_defaults_equal_the_library_defaults():
     build = _defaults("build-bank", "mpgtf", "--out", "bank.fbank")
     mpgtf = _parameter_defaults(build_mpgtf)
     assert (build.fs, build.n_filters, build.order) == (mpgtf["sample_rate"], mpgtf["n_filters"], mpgtf["order"])
-    # build_mpgtf's default frame is 2 ms, which is --frame-len 16 only at the default 8 kHz
-    assert mpgtf["frame_len"] is None and round(FILTER_LENGTH_SECONDS * 8000) == 16
+    assert build.frame_len == mpgtf["frame_len"]
     stft = StftSpec()
     assert (build.frame_len, build.nfreqs, build.mode, build.window) == (
         stft.frame_len, stft.n_freqs, stft.mode.value, stft.window.value)
@@ -1023,7 +1075,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     rng = np.random.default_rng(1701)
     wavs = [tmp_path / "s1.wav", tmp_path / "s2.wav"]
     for path in wavs:
-        write_wav(path, Waveform(0.1 * rng.standard_normal(80000), 8000), encoding="float32")
+        write_wav(path, Waveform(0.1 * rng.standard_normal(80000), 8000))
     bank = tmp_path / "mpgtf.fbank"
     save_filterbank(bank, build_mpgtf(ErbParams(), 512, 16, 8000))
     src = str(Path(fblab.cli.__file__).resolve().parents[1])

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 import fblab.gammatone as gammatone_module
 from fblab import (
-    FC_MAX_HZ,
-    FC_MIN_HZ,
-    FILTER_LENGTH_SECONDS,
     ErbParams,
     Filterbank,
     FilterbankKind,
@@ -31,13 +28,11 @@ def spec(order=2, phi=0.0, fc=1000.0, b=200.0, length=16, fs=8000):
     return GammatoneSpec(order, phi, fc, b, length, fs)
 
 
-def per_row_reference(p, n_filters=512, frame_len=None, sample_rate=8000, order=2):
+def per_row_reference(p, n_filters=512, frame_len=16, sample_rate=8000, order=2):
     """The multi-phase bank built one `gammatone_ir` call per row: (taps, centers)."""
-    if frame_len is None:
-        frame_len = round(FILTER_LENGTH_SECONDS * sample_rate)
     if n_filters < 2 or n_filters % 2 != 0:
         raise ValueError(f"n_filters must be a positive even number, got {n_filters}")
-    centers = center_frequency_grid(p, FC_MIN_HZ, FC_MAX_HZ)
+    centers = center_frequency_grid(p)
     m = len(centers)
     n_half = n_filters // 2
     per_center = n_half // m
@@ -135,9 +130,9 @@ class TestBuildMpgtf:
         assert bank.kind is FilterbankKind.MPGTF
         assert len(bank.center_freqs) == 24
 
-    def test_default_frame_len_is_2ms(self):
+    def test_default_frame_len_is_16_taps_at_any_rate(self):
         assert build_mpgtf(DEFAULTS, 64, sample_rate=8000).filter_len == 16
-        assert build_mpgtf(DEFAULTS, 64, sample_rate=16000).filter_len == 32
+        assert build_mpgtf(DEFAULTS, 64, sample_rate=16000).filter_len == 16
 
     def test_every_row_has_its_negation(self):
         bank = build_mpgtf(DEFAULTS, 512, 16, 8000)
@@ -271,8 +266,8 @@ class TestBuildParampgtf:
         assert bank.center_freqs[0] == 100.0
 
     def test_c2_perturbation_moves_every_center_but_the_anchor(self):
-        base = center_frequency_grid(DEFAULTS, 100.0, 4000.0)
-        moved = center_frequency_grid(ErbParams(24.7, 9.3), 100.0, 4000.0)
+        base = center_frequency_grid(DEFAULTS)
+        moved = center_frequency_grid(ErbParams(24.7, 9.3))
         n = min(len(base), len(moved))
         assert moved[0] == base[0] == 100.0
         assert np.all(moved[1:n] != base[1:n])
