@@ -43,13 +43,30 @@ def loud_noise(n, seed):
     return Waveform(samples, 8000)
 
 
-@pytest.mark.parametrize("n", sorted({0, 1, *(k * wavio.CHUNK_SAMPLES + d for k in (1, 2) for d in (-1, 0, 1))}),
-                         ids=lambda n: f"{n}-float32")
+#: Signal lengths at and around the writer's chunk boundaries.
+CHUNK_BOUNDARY_LENGTHS = sorted({0, 1, *(k * wavio.CHUNK_SAMPLES + d for k in (1, 2) for d in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize("n", CHUNK_BOUNDARY_LENGTHS, ids=lambda n: f"{n}-float32")
 def test_chunked_bytes_equal_a_whole_signal_write(tmp_path, n):
     w = loud_noise(n, seed=n)
     path = tmp_path / "x.wav"
     write_wav(path, w)
     assert path.read_bytes() == whole_signal_wav_bytes(w, "float32")
+
+
+@pytest.mark.parametrize("n", CHUNK_BOUNDARY_LENGTHS, ids=lambda n: f"{n}-pcm16")
+def test_pcm16_file_reads_as_its_quantized_samples(tmp_path, n):
+    # Clipped samples and half-LSB ties included: each int16 code reads as code / 32767, exactly.
+    w = loud_noise(n, seed=n)
+    path = tmp_path / "x.wav"
+    data = whole_signal_wav_bytes(w, "pcm16")
+    path.write_bytes(data)
+    codes = np.frombuffer(data, dtype="<i2", offset=44).astype(np.float64)
+    back = read_wav(path)
+    assert back.sample_rate == 8000
+    np.testing.assert_array_equal(back.samples, codes / 32767.0)
+    assert np.all(np.abs(back.samples) <= 32768.0 / 32767.0)
 
 
 @given(st.integers(1, 9), st.integers(0, 40), st.integers(0, 2**32 - 1))
@@ -210,6 +227,16 @@ def test_highest_byte_rate_that_fits_is_written(tmp_path, rate):
     write_wav(path, Waveform(np.zeros(4), rate))
     assert read_wav(path).sample_rate == rate
     assert struct.unpack_from("<I", path.read_bytes(), 28) == (rate * 4,)
+
+
+def test_highest_pcm16_byte_rate_is_read(tmp_path):
+    # A PCM16 header's 32-bit byte rate holds 2 * (2**31 - 1); the rate field is read whole.
+    rate = 2**31 - 1
+    path = tmp_path / "fast.wav"
+    path.write_bytes(whole_signal_wav_bytes(Waveform(np.array([0.5, -0.5]), rate), "pcm16"))
+    back = read_wav(path)
+    assert back.sample_rate == rate
+    np.testing.assert_array_equal(back.samples, [16384 / 32767.0, -16384 / 32767.0])
 
 
 @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
