@@ -55,6 +55,6 @@ from .training import (
     separation_loss,
     train_parampgtf,
 )
-from .wavio import MalformedWavError, MultichannelError, UnsupportedCodecError, WavError, read_wav, write_wav
+from .wavio import read_wav, write_wav
 
 __version__ = "0.1.0"

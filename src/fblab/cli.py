@@ -5,8 +5,7 @@ numeric defaults mirror the canonical operating point (8 kHz, 16-tap
 frames, hop 8, 512 filters, c1 = 24.7, c2 = 9.265, gammatone order 2),
 so a flagless run reproduces the standard configuration; `roundtrip`'s
 --hop alone defaults to the bank's frame length instead. Outputs are
-deterministic given --seed; the FBLAB_SEED environment variable overrides
-the default seed of 0.
+deterministic given --seed, which defaults to 0.
 
 Every file a subcommand produces is written here except WAVs
 (`wavio.write_wav`) and FBANK1 banks (`filterbank.save_filterbank`). Its
@@ -21,16 +20,17 @@ names the file in every error that file causes, as `error: <path>:
 <reason>`: `_read_source` reads each WAV (`roundtrip`'s input, and the
 sources that `_read_item` mixes for `separate` and `train`) and
 `_load_bank` each FBANK1 bank (`freq-response`, `roundtrip` and
-`separate`).
+`separate`). The one computation each of those three subcommands runs on
+the bank (`frequency_response`, `_resynthesize`, `separate`) names the
+bank file in its errors too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,21 +45,13 @@ from .separation import (SNR_RANGE_DB, MixtureItem, SilentSourceError, make_mult
                          separate)
 from .stft import StftMode, StftSpec, StftWindow, build_stft_bank
 from .training import TrainerConfig, TrainingDivergedError, train_parampgtf
-from .wavio import WavError, read_wav, write_wav
-
-SEED_ENV_VAR = "FBLAB_SEED"
+from .wavio import read_wav, write_wav
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        if args.seed < 0:  # numpy's own refusal names neither the flag nor the value
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.seed
-    value = os.environ.get(SEED_ENV_VAR, "0")
-    if value.strip().isdecimal():  # not "-1", which numpy refuses without naming the variable
-        with suppress(ValueError):  # int() refuses more than 4300 digits without naming it either
-            return int(value)
-    raise ValueError(f"{SEED_ENV_VAR} must be a non-negative integer, got {value!r}")
+    if args.seed < 0:  # numpy's own refusal names neither the flag nor the value
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _write_lines(path, header: str, rows) -> None:
@@ -82,30 +74,34 @@ def _write_trace(path, trace) -> None:
                  (f"{r.iteration},{r.c1!r},{r.c2!r},{r.train_loss!r},{r.dev_loss!r}" for r in trace))
 
 
+@contextmanager
+def _naming(path):
+    """Put `path` before every ValueError the block raises; an OSError names its file already."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_source(path, fs: int | None) -> Waveform:
     """Read the WAV at `path`, refusing one with no samples, or one not at `fs` Hz unless `fs` is None.
 
-    Every `WavError` or `ValueError` of the file (malformed, non-finite,
-    empty or off-rate) becomes a ValueError that starts with its path; an
-    OSError names the file already.
+    Every ValueError of the file (malformed, unsupported, non-finite, empty
+    or off-rate) starts with its path.
     """
-    try:
+    with _naming(path):
         source = read_wav(path)
         if len(source) == 0:
             raise ValueError("no samples")
         if fs is not None and source.sample_rate != fs:
             raise ValueError(f"sample rate mismatch: {source.sample_rate} Hz, expected {fs} Hz")
-    except (WavError, ValueError) as exc:  # `Waveform` raises ValueError on a non-finite sample
-        raise ValueError(f"{path}: {exc}") from exc
     return source
 
 
 def _load_bank(path) -> Filterbank:
-    """`load_filterbank(path)`, with the path put before every ValueError; an OSError names the file already."""
-    try:
+    """`load_filterbank(path)`, with the path put before every ValueError."""
+    with _naming(path):
         return load_filterbank(path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_item(paths, snr_db: float, fs: int | None) -> MixtureItem:
@@ -192,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"mixing SNR in dB (default: drawn uniformly from {list(SNR_RANGE_DB)} using --seed)")
     p.add_argument("--hop", type=int, default=8, help="frame hop D")
     p.add_argument("--no-relu", action="store_true", help="skip encoder rectification")
-    p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("train", formatter_class=fmt,
@@ -209,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-filters", type=int, default=512, help="filters in the trained bank")
     p.add_argument("--frame-len", type=int, default=16, help="filter length L")
     p.add_argument("--hop", type=int, default=8, help="frame hop D")
-    p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_train)
 
     return parser
@@ -234,7 +230,8 @@ def cmd_build_bank(args) -> int:
 
 def cmd_freq_response(args) -> int:
     bank = _load_bank(args.bank)
-    bin_hz, mags = frequency_response(bank, args.n_fft)
+    with _naming(args.bank):
+        bin_hz, mags = frequency_response(bank, args.n_fft)
     _write_lines(args.out, "filter_index,bin_hz,magnitude",
                  (f"{n},{float(bin_hz[k])!r},{float(mags[n, k])!r}"
                   for n in range(bank.n_filters) for k in range(args.n_fft)))
@@ -247,7 +244,8 @@ def cmd_roundtrip(args) -> int:
     x = _read_source(args.wav_in, bank.sample_rate)
     hop = args.hop if args.hop is not None else bank.filter_len
     p = FrameParams(bank.filter_len, hop)
-    (out,) = _resynthesize([x], bank, p, None, 1, relu=args.relu)
+    with _naming(args.bank):
+        (out,) = _resynthesize([x], bank, p, None, 1, relu=args.relu)
     write_wav(args.wav_out, out)
     if x.energy() == 0.0:
         print("si_snr_db=n/a")
@@ -268,7 +266,8 @@ def cmd_separate(args) -> int:
     bank = _load_bank(args.bank)
     item = _read_item(args.sources, snr_db, bank.sample_rate)
     p = FrameParams(bank.filter_len, args.hop)
-    estimates = separate(item.mixture, item.sources, bank, p, apply_relu=not args.no_relu)
+    with _naming(args.bank):
+        estimates = separate(item.mixture, item.sources, bank, p, apply_relu=not args.no_relu)
 
     with _out_dir(args.out_dir) as out_dir:
         # Written before scoring: the float32 range check refuses any signal whose SI-SNR sums overflow.
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, WavError, OSError, TrainingDivergedError, MemoryError) as exc:
+    except (ValueError, OSError, TrainingDivergedError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

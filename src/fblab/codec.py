@@ -288,7 +288,9 @@ def pseudo_inverse(bank: Filterbank) -> Filterbank:
     representation row n in `decode`. Its rows come from
     `Filterbank.pinv_rows`, which the bank computes once; the pipeline
     engine reads them there and builds no decoder bank. This bank is for
-    `decode` and for inspecting the decoder.
+    `decode` and for inspecting the decoder. It carries the taps and the
+    sample rate alone: its kind is `custom`, with no centre frequencies or
+    ERB parameters, since a decoder is not a member of its encoder's family.
 
     A sign-split bank [P; -P] (`Filterbank.sign_split_half` is nonzero) has
     analysis matrix [1; -1] (x) A for A the analysis matrix of P, and
@@ -301,13 +303,7 @@ def pseudo_inverse(bank: Filterbank) -> Filterbank:
     antisymmetric, which lets `_resynthesize` decode with Q alone.
     """
     rows = bank.pinv_rows
-    return Filterbank(
-        np.vstack([rows, -rows]) if bank.sign_split_half else rows,
-        bank.sample_rate,
-        kind=bank.kind,
-        center_freqs=bank.center_freqs,
-        erb_params=bank.erb_params,
-    )
+    return Filterbank(np.vstack([rows, -rows]) if bank.sign_split_half else rows, bank.sample_rate)
 
 
 def apply_mask(rep: TFRepresentation, mask: np.ndarray) -> TFRepresentation:

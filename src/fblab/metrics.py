@@ -20,15 +20,13 @@ SI_SNR_CLIP_DB = 60.0
 
 @dataclass(frozen=True)
 class SiSnrResult:
-    """SI-SNR in dB (may be +/-inf) plus the two energies behind it."""
+    """SI-SNR in dB (may be +/-inf)."""
 
     value_db: float
-    target_energy: float
-    noise_energy: float
 
 
 def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
-    """SI-SNR of `estimate` against `reference`.
+    """SI-SNR of `estimate` against `reference`, as a `SiSnrResult`.
 
     With s_t = (<est, ref> / ||ref||^2) * ref and e = est - s_t, the value
     is 10*log10(||s_t||^2 / ||e||^2). A perfect reconstruction yields
@@ -69,7 +67,7 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
         value = -math.inf
     else:
         value = 10.0 * math.log10(target_energy / noise_energy)
-    return SiSnrResult(value, target_energy, noise_energy)
+    return SiSnrResult(value)
 
 
 def clip_si_snr(value_db: float) -> float:

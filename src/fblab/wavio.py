@@ -1,7 +1,7 @@
 """Minimal RIFF/WAVE reader and writer: reads mono PCM16 and IEEE float32, writes float32.
 
-Hand-rolled on `struct` so malformed headers, unsupported codecs, and
-multichannel files raise distinct, stable error types.
+Hand-rolled on `struct`: a malformed header, an unsupported codec or a
+multichannel file raises a ValueError that names the fault.
 """
 
 from __future__ import annotations
@@ -11,22 +11,6 @@ import struct
 import numpy as np
 
 from .dsp import Waveform
-
-
-class WavError(Exception):
-    """Base class for WAV I/O failures."""
-
-
-class MalformedWavError(WavError):
-    """File is not a well-formed RIFF/WAVE stream."""
-
-
-class UnsupportedCodecError(WavError):
-    """Format tag / bit depth combination we do not decode."""
-
-
-class MultichannelError(WavError):
-    """More than one channel; only mono is supported."""
 
 
 _PCM = 1
@@ -48,13 +32,15 @@ def read_wav(path) -> Waveform:
     """Read a mono PCM16 or float32 WAV file.
 
     PCM16 samples are scaled to [-1, 1] by 1/32767; float32 samples are
-    taken as-is (widened to float64).
+    taken as-is (widened to float64). Raises ValueError for a malformed
+    header, another codec or more than one channel, and (from `Waveform`)
+    for a non-finite sample.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     view = memoryview(data)  # slices of a memoryview share the file's bytes
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedWavError("malformed header: not a RIFF/WAVE file")
+        raise ValueError("malformed header: not a RIFF/WAVE file")
 
     fmt = None
     payload = None
@@ -65,20 +51,20 @@ def read_wav(path) -> Waveform:
         body = view[pos + 8:pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if chunk_size < 16 or len(body) < 16:
-                raise MalformedWavError("malformed header: truncated fmt chunk")
+                raise ValueError("malformed header: truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             if len(body) < chunk_size:
-                raise MalformedWavError("malformed header: truncated data chunk")
+                raise ValueError("malformed header: truncated data chunk")
             payload = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None or payload is None:
-        raise MalformedWavError("malformed header: missing fmt or data chunk")
+        raise ValueError("malformed header: missing fmt or data chunk")
 
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels != 1:
-        raise MultichannelError(f"multichannel unsupported: {channels} channels")
+        raise ValueError(f"multichannel unsupported: {channels} channels")
     if audio_format == _PCM and bits == 16:
         raw = np.frombuffer(payload[:len(payload) - len(payload) % 2], dtype="<i2")
         samples = raw.astype(np.float64)
@@ -88,7 +74,7 @@ def read_wav(path) -> Waveform:
         with np.errstate(invalid="ignore"):  # a signalling NaN; `Waveform` rejects it below
             samples = raw.astype(np.float64)
     else:
-        raise UnsupportedCodecError(f"unsupported codec: format tag {audio_format}, {bits}-bit")
+        raise ValueError(f"unsupported codec: format tag {audio_format}, {bits}-bit")
     return Waveform._adopt(samples, int(sample_rate))
 
 

@@ -244,7 +244,7 @@ class TestFreqResponse:
             assert code == 0
             assert all(math.isfinite(float(line.split(",")[2])) for line in csv.read_text().splitlines()[1:])
         else:
-            assert code == 1 and err.startswith("error: the bank's spectrum overflows a float (")
+            assert code == 1 and err.startswith(f"error: {bank}: the bank's spectrum overflows a float (")
             assert not csv.exists()
 
 
@@ -371,7 +371,7 @@ def test_overflowing_products_are_a_typed_error_without_warning(tmp_path, capsys
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["roundtrip", bank, wav, tmp_path / "out.wav", "--hop", "1", "--relu"]) == 1
-    assert capsys.readouterr().err == ("error: filtering the signals with the bank overflows a float "
+    assert capsys.readouterr().err == (f"error: {bank}: filtering the signals with the bank overflows a float "
                                        "(overflow encountered in matmul)\n")
     assert not (tmp_path / "out.wav").exists()
 
@@ -391,7 +391,7 @@ class TestUninvertibleBank:
         target = ["--out-dir", out] if name == "separate" else [out]
         assert run([name, bank, *inputs, *target, *flags]) == 1
         message = "the bank's taps are too small or too large for a float64 pseudo-inverse decoder"
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {bank}: {message}\n")
         assert not out.exists()
 
 
@@ -562,29 +562,17 @@ class TestSeparate:
         assert capsys.readouterr().err == f"error: {wavs[0]}: sample rate mismatch: 16000 Hz, expected 8000 Hz\n"
         assert not out_dir.exists()
 
-    def test_seed_env_var_used_as_default(self, tmp_path, source_wavs, monkeypatch):
+    def test_seed_flag_sets_the_draw_and_defaults_to_0(self, tmp_path, source_wavs):
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--out", bank])
-        d1, d2, d3 = tmp_path / "s1", tmp_path / "s2", tmp_path / "s3"
-        monkeypatch.setenv("FBLAB_SEED", "7")
-        run(["separate", bank, *source_wavs, "--out-dir", d1])
-        run(["separate", bank, *source_wavs, "--out-dir", d2])
-        monkeypatch.setenv("FBLAB_SEED", "8")
-        run(["separate", bank, *source_wavs, "--out-dir", d3])
-        assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
-        assert (d1 / "report.json").read_bytes() != (d3 / "report.json").read_bytes()
 
-    # Python's int() refuses a string of more than 4300 digits, which isdecimal() accepts.
-    @pytest.mark.parametrize("value", ["abc", "-1", "1" * 4301], ids=["abc", "-1", "4301_digits"])
-    def test_bad_seed_env_var_is_named(self, tmp_path, source_wavs, monkeypatch, capsys, value):
-        bank = tmp_path / "bank.fbank"
-        run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
-        capsys.readouterr()
-        monkeypatch.setenv("FBLAB_SEED", value)
-        out_dir = tmp_path / "sep"
-        assert run(["separate", bank, *source_wavs, "--out-dir", out_dir]) == 1
-        assert capsys.readouterr().err == f"error: FBLAB_SEED must be a non-negative integer, got {value!r}\n"
-        assert not out_dir.exists()
+        reports = {}
+        for name, flags in [("none", []), ("0", ["--seed", "0"]), ("7", ["--seed", "7"]),
+                            ("7-again", ["--seed", "7"]), ("8", ["--seed", "8"])]:
+            assert run(["separate", bank, *source_wavs, "--out-dir", tmp_path / name, *flags]) == 0
+            reports[name] = (tmp_path / name / "report.json").read_bytes()
+        assert reports["none"] == reports["0"]
+        assert reports["7"] == reports["7-again"] != reports["8"]
 
     def test_negative_seed_flag_is_named(self, tmp_path, source_wavs, capsys):
         bank = tmp_path / "bank.fbank"
@@ -991,7 +979,7 @@ class TestNumericFlags:
          "n_filters=99999999999999999998, frame_len=16: a 99999999999999999998 x 16 float64"),
         (["build-bank", "mpgtf"], ["--n-filters", "2305843009213693952"],  # numpy's own refusal: "array is too big"
          "n_filters=2305843009213693952, frame_len=16: a 2305843009213693952 x 16 float64"),
-        (["freq-response"], ["--n-fft", _HUGE], f"n_fft={_HUGE}: a 64 x {_HUGE} complex128"),
+        (["freq-response"], ["--n-fft", _HUGE], f"{{bank}}: n_fft={_HUGE}: a 64 x {_HUGE} complex128"),
         (["train"], ["--frame-len", _HUGE], f"n_filters=64, frame_len={_HUGE}: a 64 x {_HUGE} float64"),
         (["train"], ["--n-filters", "99999999999999999998"],
          "n_filters=99999999999999999998, frame_len=16: a 99999999999999999998 x 16 float64"),
@@ -1006,6 +994,7 @@ class TestNumericFlags:
             "train": [d / "train", d / "dev", "--out-dir", d / "huge", "--max-iters", "2", "--n-filters", "64"],
         }[command[0]]
         assert run([*command, *operands, *flags]) == 1
+        message = message.format(bank=d / "bank.fbank")  # a bank's computation names the bank file
         assert capsys.readouterr().err == f"error: {message} array is larger than numpy can hold\n"
         assert not any(p.name.startswith("huge") for p in d.iterdir())
 
@@ -1016,6 +1005,14 @@ def test_help_lists_defaults(capsys):
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
     assert "24.7" in out and "9.265" in out and "512" in out
+
+
+@pytest.mark.parametrize("command", ["separate", "train"])
+def test_seed_help_gives_its_default(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert "--seed SEED RNG seed (default: 0)" in " ".join(capsys.readouterr().out.split())
 
 
 def _defaults(*argv):

@@ -7,13 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblab import (
+    ErbParams,
     Filterbank,
+    FilterbankKind,
     FrameParams,
+    StftMode,
+    StftSpec,
     TFRepresentation,
     Waveform,
     analysis_matrix,
+    build_mpgtf,
+    build_stft_bank,
     decode,
     encode,
+    istft_decoder,
     numerical_rank,
     pseudo_inverse,
     num_frames,
@@ -183,8 +190,6 @@ def sign_split_half(taps):
 @st.composite
 def fold_banks(draw):
     """Sign-split and plain banks, some one ulp off [P; -P], as built, loaded or pseudo-inverted."""
-    from fblab import ErbParams, StftMode, StftSpec, build_mpgtf, build_stft_bank
-
     kind = draw(st.sampled_from(["sign_split", "one_ulp_off", "odd", "plain", "mpgtf", "stft", "stft_linear"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     frame_len = draw(st.integers(1, 16))
@@ -428,8 +433,6 @@ def engine_frame_operator(bank, relu):
 
 @pytest.mark.parametrize("name", ["stft_signsplit", "mpgtf"])
 def test_frame_operator_of_a_full_rank_folded_bank_is_half_the_identity(name):
-    from fblab import ErbParams, StftSpec, build_mpgtf, build_stft_bank
-
     bank = build_stft_bank(StftSpec(), FS) if name == "stft_signsplit" else build_mpgtf(ErbParams(), 512, 16, FS)
     dec = pseudo_inverse(bank)
     assert numerical_rank(analysis_matrix(bank)) == 16
@@ -607,14 +610,16 @@ class TestPseudoInverse:
             assert rows.tobytes() == np.ascontiguousarray(np.linalg.pinv(a, rcond=PINV_RCOND).T).tobytes()
             assert pseudo_inverse(bank).taps.tobytes() == rows.tobytes()
 
-    def test_metadata_carried_over(self):
-        from fblab import ErbParams, build_mpgtf
-
-        bank = build_mpgtf(ErbParams(), 128, 16, FS)
+    @pytest.mark.parametrize("bank", [build_mpgtf(ErbParams(), 128, 16, FS), build_stft_bank(StftSpec(), FS)],
+                             ids=["mpgtf", "stft"])
+    def test_decoder_carries_taps_and_rate_alone(self, bank):
+        # A decoder is not a member of its encoder's family: no kind, centres or
+        # ERB parameters, so `istft_decoder` refuses a decoder of an STFT bank.
         dec = pseudo_inverse(bank)
-        assert dec.kind is bank.kind
-        assert dec.erb_params == bank.erb_params
-        np.testing.assert_array_equal(dec.center_freqs, bank.center_freqs)
+        assert (dec.kind, dec.center_freqs, dec.erb_params) == (FilterbankKind.CUSTOM, None, None)
+        assert dec.sample_rate == bank.sample_rate
+        with pytest.raises(ValueError, match="^istft_decoder requires an STFT bank, got kind='custom'$"):
+            istft_decoder(dec)
 
 
 class TestMask:

@@ -45,13 +45,10 @@ class TestSiSnr:
         s = wave(rng.standard_normal(100))
         result = si_snr(s, s)
         assert result.value_db == math.inf
-        assert result.noise_energy == 0.0
 
     def test_hand_case_zero_db(self):
         result = si_snr(wave([1.0, 1.0]), wave([1.0, 0.0]))
         assert result.value_db == 0.0
-        assert result.target_energy == 1.0
-        assert result.noise_energy == 1.0
 
     def test_scale_invariance_exact(self):
         # projection gain 14/8 is dyadic here, so every intermediate scales
@@ -125,21 +122,16 @@ class TestSiSnr:
         est = gain * ref + noise * rng.standard_normal(n)
         result = si_snr(wave(est), wave(ref))
         target, residual = whole_signal_energies(est, ref)
-        assert math.isclose(result.target_energy, target, rel_tol=1e-12, abs_tol=0.0)
-        assert math.isclose(result.noise_energy, residual, rel_tol=1e-12, abs_tol=0.0)
+        if target == 0.0 or residual == 0.0:  # the blocked sums must be exactly 0 too
+            assert result.value_db == (-math.inf if target == 0.0 else math.inf)
+        else:  # 1e-12 relative on each energy is 20e-12 / ln(10) < 1e-11 dB on their ratio
+            assert abs(result.value_db - 10.0 * math.log10(target / residual)) <= 1e-11
 
     @pytest.mark.parametrize("n", BLOCK_EDGE_LENGTHS)
     def test_infinite_values_at_block_edges(self, n):
         s = wave(np.random.default_rng(n).standard_normal(n))
         assert si_snr(s, s).value_db == math.inf
         assert si_snr(wave(np.zeros(n)), s).value_db == -math.inf
-
-    def test_value_consistent_with_energies(self):
-        rng = np.random.default_rng(2)
-        result = si_snr(wave(rng.standard_normal(64)), wave(rng.standard_normal(64)))
-        assert result.value_db == pytest.approx(
-            10.0 * math.log10(result.target_energy / result.noise_energy), abs=1e-12
-        )
 
 
 class TestClip:

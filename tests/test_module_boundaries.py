@@ -11,9 +11,11 @@ builds a decoder bank: the engine decodes with the bank's own
 report through return values and exceptions. The sources are read with
 `ast`, so a call is found whether or not the code path runs in a test.
 
-Every public name of `fblab` has a reader outside the unit tests: the
-library's own modules, the acceptance suite, the benchmark or the README's
-example. A name that only unit tests read belongs to the tests.
+Every public name of `fblab`, and every dataclass field, public method and
+property of its classes, has a reader outside the unit tests: the library's
+own modules, the acceptance suite, the benchmark or the README's example.
+A name that only unit tests read belongs to the tests. No module reads the
+process environment: every setting is a parameter or a flag.
 """
 
 import ast
@@ -103,14 +105,46 @@ def _read_names(trees) -> set[str]:
     return names
 
 
-def test_every_export_has_a_reader_outside_the_unit_tests():
+def _outside_readers() -> list[ast.Module]:
+    """The code outside the unit tests: `src/fblab` but `__init__`, the acceptance suite, `benchmarks/`, the README."""
     sources = [path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     sources.append((ROOT / "tests" / "test_acceptance.py").read_text())
     sources += [path.read_text() for path in sorted((ROOT / "benchmarks").glob("*.py"))]
     snippets = re.findall(r'python -c "(.*?)"', (ROOT / "README.md").read_text(), re.S)
     assert snippets  # the README's example is among the readers
-    read = _read_names(ast.parse(source) for source in sources + snippets)
+    return [ast.parse(source) for source in sources + snippets]
+
+
+def test_every_export_has_a_reader_outside_the_unit_tests():
+    read = _read_names(_outside_readers())
     exported = {name for name, value in vars(fblab).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert "build_mpgtf" in exported  # the check sees the names it is meant to judge
     assert sorted(exported - read) == []
+
+
+def _members(cls: ast.ClassDef) -> set[str]:
+    """The annotated fields and public methods and properties of `cls`.
+
+    An enum's members are plain assignments, so they are not counted: the CLI reads them by value.
+    """
+    fields = {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    return fields | methods
+
+
+def test_every_class_member_has_a_reader_outside_the_unit_tests():
+    read = {node.attr for tree in _outside_readers() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    members = {f"{cls.name}.{member}" for tree in _modules().values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for member in _members(cls)}
+    assert "Filterbank.pinv_rows" in members  # the check sees the members it is meant to judge
+    assert sorted(member for member in members if member.split(".")[1] not in read) == []
+
+
+def test_no_module_reads_the_environment():
+    names = ("environ", "environb", "getenv", "getenvb")  # read as `os.environ`, or imported bare
+    readers = {module for module, tree in _modules().items() for name in names
+               if _imports(tree, name) or any(isinstance(node, ast.Attribute) and node.attr == name
+                                              for node in ast.walk(tree))}
+    assert readers == set()
