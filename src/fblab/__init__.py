@@ -7,7 +7,6 @@ oracle-mask separation with SI-SNR.
 """
 
 from .codec import (
-    TFRepresentation,
     analysis_matrix,
     decode,
     encode,
@@ -35,7 +34,7 @@ from .filterbank import (
     save_filterbank,
 )
 from .gammatone import build_mpgtf, build_parampgtf
-from .metrics import SI_SNR_CLIP_DB, SiSnrResult, clip_si_snr, si_snr
+from .metrics import SI_SNR_CLIP_DB, clip_si_snr, si_snr
 from .separation import (
     SNR_RANGE_DB,
     MixtureItem,

@@ -138,13 +138,20 @@ def _out_dir(path):
         raise
 
 
+class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Adds nothing for a None default: such an option is required, or its help states its default."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fblab",
         description="Analysis/synthesis filterbank lab: build banks, inspect them, and run oracle-mask separation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _DefaultsHelpFormatter
 
     p = sub.add_parser("build-bank", formatter_class=fmt, help="construct a filterbank and write it as FBANK1")
     p.add_argument("kind", choices=["mpgtf", "parampgtf", "stft"],
@@ -250,7 +257,7 @@ def cmd_roundtrip(args) -> int:
     if x.energy() == 0.0:
         print("si_snr_db=n/a")
     else:
-        print(f"si_snr_db={clip_si_snr(si_snr(out, x).value_db)!r}")
+        print(f"si_snr_db={clip_si_snr(si_snr(out, x))!r}")
     return 0
 
 

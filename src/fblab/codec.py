@@ -84,18 +84,18 @@ and the public API for inspecting a representation:
 - `encode` is the bitwise reference encoder. It accumulates over the tap
   index in fixed ascending order and matches a naive loop evaluation
   exactly (acceptance criterion 08 pins this).
-- `decode` and `apply_mask` act on whole `TFRepresentation`s; a mask is
-  a plain array of the representation's shape with entries in [0, 1].
+- A representation is the read-only (N, I) float64 array `encode`
+  returns; `decode` takes it with the framing that made it, and a mask
+  for `apply_mask` is a plain array of its shape with entries in [0, 1].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dsp import FrameParams, Waveform, _add_frames, _framed, _frozen, frame_signal, num_frames, overlap_add
+from .dsp import FrameParams, Waveform, _add_frames, _framed, frame_signal, num_frames, overlap_add
 from .filterbank import Filterbank
 
 #: Frames per block of `_resynthesize`. Measured on 512-filter banks, L = 16,
@@ -121,24 +121,6 @@ BLOCK_FRAMES = 64
 OPERATOR_BLOCK_FRAMES = 1024
 
 
-@dataclass(frozen=True, eq=False)
-class TFRepresentation:
-    """Nonnegative-capable N x I encoder output plus its framing parameters."""
-
-    values: np.ndarray
-    frame_params: FrameParams
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {values.shape}")
-        object.__setattr__(self, "values", _frozen(values))
-
-    @property
-    def n_filters(self) -> int:
-        return self.values.shape[0]
-
-
 def analysis_matrix(bank: Filterbank) -> np.ndarray:
     """Tap matrix as applied by the encoder: column l holds taps[:, L-1-l]."""
     return bank.taps[:, ::-1]
@@ -151,12 +133,13 @@ def _check_encode_args(x: Waveform, bank: Filterbank, p: FrameParams) -> None:
         raise ValueError(f"bank filter length {bank.filter_len} != frame length {p.frame_len}")
 
 
-def encode(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = True) -> TFRepresentation:
+def encode(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = True) -> np.ndarray:
     """Analysis transform of `x` through `bank` at framing `p` (bitwise reference).
 
-    The inner products accumulate over the tap index in fixed ascending
-    order, so the result is bit-reproducible and matches a naive loop
-    evaluation of the analysis sum exactly.
+    Returns the read-only (N, I) float64 representation. The inner
+    products accumulate over the tap index in fixed ascending order, so
+    the result is bit-reproducible and matches a naive loop evaluation of
+    the analysis sum exactly.
     """
     _check_encode_args(x, bank, p)
     frames = frame_signal(x, p)  # (I, L)
@@ -166,17 +149,20 @@ def encode(x: Waveform, bank: Filterbank, p: FrameParams, apply_relu: bool = Tru
         values += rev[:, l:l + 1] * frames[:, l][None, :]
     if apply_relu:
         values = np.maximum(values, 0.0)
-    return TFRepresentation(values, p)
+    values.setflags(write=False)
+    return values
 
 
-def decode(rep: TFRepresentation, dec_bank: Filterbank) -> Waveform:
-    """Synthesize a waveform: frame i = sum_n rep[n, i] * dec_taps[n], then OLA."""
-    if dec_bank.n_filters != rep.n_filters:
-        raise ValueError(f"decoder has {dec_bank.n_filters} filters but representation has {rep.n_filters} rows")
-    if dec_bank.filter_len != rep.frame_params.frame_len:
-        raise ValueError(f"decoder filter length {dec_bank.filter_len} != frame length {rep.frame_params.frame_len}")
-    frames = (dec_bank.taps.T @ rep.values).T  # (I, L)
-    return overlap_add(frames, rep.frame_params, dec_bank.sample_rate)
+def decode(rep: np.ndarray, dec_bank: Filterbank, p: FrameParams) -> Waveform:
+    """Synthesize an (N, I) representation framed by `p`: frame i = sum_n rep[n, i] * dec_taps[n], then OLA."""
+    if rep.ndim != 2:
+        raise ValueError(f"representation must be 2-D, got shape {rep.shape}")
+    if dec_bank.n_filters != rep.shape[0]:
+        raise ValueError(f"decoder has {dec_bank.n_filters} filters but representation has {rep.shape[0]} rows")
+    if dec_bank.filter_len != p.frame_len:
+        raise ValueError(f"decoder filter length {dec_bank.filter_len} != frame length {p.frame_len}")
+    frames = (dec_bank.taps.T @ rep).T  # (I, L)
+    return overlap_add(frames, p, dec_bank.sample_rate)
 
 
 def _resynthesize(
@@ -306,11 +292,11 @@ def pseudo_inverse(bank: Filterbank) -> Filterbank:
     return Filterbank(np.vstack([rows, -rows]) if bank.sign_split_half else rows, bank.sample_rate)
 
 
-def apply_mask(rep: TFRepresentation, mask: np.ndarray) -> TFRepresentation:
+def apply_mask(rep: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Elementwise product of a representation with a mask in [0, 1] of its shape."""
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != rep.values.shape:
-        raise ValueError(f"mask shape {mask.shape} != representation shape {rep.values.shape}")
+    if mask.shape != rep.shape:
+        raise ValueError(f"mask shape {mask.shape} != representation shape {rep.shape}")
     if not np.all((mask >= 0.0) & (mask <= 1.0)):  # NaN fails both comparisons
         raise ValueError("mask entries must lie in [0, 1]")
-    return TFRepresentation(rep.values * mask, rep.frame_params)
+    return rep * mask

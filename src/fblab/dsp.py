@@ -182,8 +182,8 @@ def overlap_add(frames: np.ndarray, p: FrameParams, sample_rate: int) -> Wavefor
     """Sum shifted frames: output[t] = sum_i frames[i, t - i*D].
 
     Overlapping regions are summed as-is (no synthesis window or overlap
-    compensation). Output length is (num_frames - 1) * D + L. The sums are
-    those of a frame-by-frame loop, bit for bit.
+    compensation). Output length is (num_frames - 1) * D + L, for at least
+    one frame. The sums are those of a frame-by-frame loop, bit for bit.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -191,6 +191,8 @@ def overlap_add(frames: np.ndarray, p: FrameParams, sample_rate: int) -> Wavefor
     if frames.shape[1] != p.frame_len:
         raise ValueError(f"frame length mismatch: frames have {frames.shape[1]} samples, expected {p.frame_len}")
     count = frames.shape[0]
+    if count == 0:
+        raise ValueError("no frames to overlap-add")
     rows = np.zeros((count - 1 + -(-p.frame_len // p.hop), p.hop), dtype=np.float64)
     _add_frames(rows, frames, p.hop, 0)
     return Waveform(rows.ravel()[:(count - 1) * p.hop + p.frame_len], sample_rate)

@@ -8,7 +8,6 @@ the estimate. Means are not removed before the projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +17,8 @@ from .dsp import BLOCK_SAMPLES, Waveform, _dot
 SI_SNR_CLIP_DB = 60.0
 
 
-@dataclass(frozen=True)
-class SiSnrResult:
-    """SI-SNR in dB (may be +/-inf)."""
-
-    value_db: float
-
-
-def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
-    """SI-SNR of `estimate` against `reference`, as a `SiSnrResult`.
+def si_snr(estimate: Waveform, reference: Waveform) -> float:
+    """SI-SNR of `estimate` against `reference`, in dB (may be +/-inf).
 
     With s_t = (<est, ref> / ||ref||^2) * ref and e = est - s_t, the value
     is 10*log10(||s_t||^2 / ||e||^2). A perfect reconstruction yields
@@ -62,12 +54,10 @@ def si_snr(estimate: Waveform, reference: Waveform) -> SiSnrResult:
         np.subtract(est[lo:lo + BLOCK_SAMPLES], work, out=work)
         noise_energy += float(np.dot(work, work))
     if noise_energy == 0.0:
-        value = math.inf if target_energy > 0.0 else -math.inf
-    elif target_energy == 0.0:
-        value = -math.inf
-    else:
-        value = 10.0 * math.log10(target_energy / noise_energy)
-    return SiSnrResult(value)
+        return math.inf if target_energy > 0.0 else -math.inf
+    if target_energy == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(target_energy / noise_energy)
 
 
 def clip_si_snr(value_db: float) -> float:

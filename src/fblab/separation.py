@@ -163,7 +163,7 @@ def oracle_irm_masks(
         raise ValueError("sources must have equal lengths")
     if any(s.sample_rate != sources[0].sample_rate for s in sources):
         raise ValueError("sources must share one sample rate")
-    mags = np.stack([np.abs(encode(s, bank, frame_params, apply_relu=False).values) for s in sources])
+    mags = np.stack([np.abs(encode(s, bank, frame_params, apply_relu=False)) for s in sources])
     total = mags.sum(axis=0)
     masks = np.divide(mags, total, out=np.full_like(mags, 1.0 / len(sources)), where=total > 0.0)
     masks[-1] = np.clip(1.0 - masks[:-1].sum(axis=0), 0.0, 1.0)
@@ -234,7 +234,7 @@ def score_separation(
     sources: tuple[Waveform, ...] | list[Waveform],
 ) -> tuple[float, ...]:
     """SI-SNR in dB of each estimate against its (scaled) source, as a tuple."""
-    return tuple(si_snr(est, src).value_db for est, src in zip(estimates, sources))
+    return tuple(si_snr(est, src) for est, src in zip(estimates, sources))
 
 
 def run_separation(

@@ -437,7 +437,7 @@ class TestSeparate:
         scores = json.loads((out_dir / "report.json").read_text())["items"][0]["si_snr_db"]
         assert len(scores) == len(item.sources)
         for i, (score, src) in enumerate(zip(scores, item.sources), start=1):
-            written = si_snr(read_wav(out_dir / f"est_{i}.wav"), src).value_db
+            written = si_snr(read_wav(out_dir / f"est_{i}.wav"), src)
             assert abs(score - written) <= 1e-6
 
     @pytest.mark.parametrize("n_sources", [2, 3])
@@ -1013,6 +1013,15 @@ def test_seed_help_gives_its_default(capsys, command):
         main([command, "--help"])
     assert excinfo.value.code == 0
     assert "--seed SEED RNG seed (default: 0)" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["build-bank", "freq-response", "roundtrip", "separate", "train"])
+def test_help_gives_no_none_default(capsys, command):
+    # a required option, or one whose help states its default, gets no second one
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert "(default: None)" not in " ".join(capsys.readouterr().out.split())  # help wraps lines
 
 
 def _defaults(*argv):

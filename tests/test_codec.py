@@ -13,7 +13,6 @@ from fblab import (
     FrameParams,
     StftMode,
     StftSpec,
-    TFRepresentation,
     Waveform,
     analysis_matrix,
     build_mpgtf,
@@ -63,23 +62,27 @@ class TestEncode:
         bank = Filterbank(taps, FS)
         x = Waveform(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]), FS)
         rep = encode(x, bank, FrameParams(4, 4), apply_relu=False)
-        np.testing.assert_array_equal(rep.values, [[1.0, 5.0]])
+        np.testing.assert_array_equal(rep, [[1.0, 5.0]])
 
     def test_zero_signal_zero_representation(self):
         rng = np.random.default_rng(0)
         bank = random_bank(rng)
         rep = encode(Waveform(np.zeros(32), FS), bank, FrameParams(8, 4), apply_relu=False)
-        np.testing.assert_array_equal(rep.values, np.zeros_like(rep.values))
+        np.testing.assert_array_equal(rep, np.zeros_like(rep))
 
     def test_relu_zeroes_only_negative_entries(self):
         rng = np.random.default_rng(1)
         bank = random_bank(rng)
         x = Waveform(rng.standard_normal(32), FS)
         p = FrameParams(8, 4)
-        lin = encode(x, bank, p, apply_relu=False).values
-        rect = encode(x, bank, p, apply_relu=True).values
+        lin = encode(x, bank, p, apply_relu=False)
+        rect = encode(x, bank, p, apply_relu=True)
         np.testing.assert_array_equal(rect, np.maximum(lin, 0.0))
         assert np.any(lin < 0)
+        for rep in (lin, rect):
+            assert rep.dtype == np.float64 and rep.flags.c_contiguous and not rep.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rep[0, 0] = 0.0
 
     def test_matches_naive_loop_bitwise(self):
         rng = np.random.default_rng(2)
@@ -91,7 +94,7 @@ class TestEncode:
             bank = Filterbank(rng.standard_normal((n, length)), FS)
             x = rng.standard_normal(sig_len)
             rep = encode(Waveform(x, FS), bank, FrameParams(length, hop), apply_relu=False)
-            np.testing.assert_array_equal(rep.values, naive_encode(x, bank.taps, length, hop, False))
+            np.testing.assert_array_equal(rep, naive_encode(x, bank.taps, length, hop, False))
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -99,9 +102,9 @@ class TestEncode:
         p = FrameParams(8, 3)
         x, y = rng.standard_normal((2, 40))
         a, b = 1.7, -0.4
-        mixed = encode(Waveform(a * x + b * y, FS), bank, p, apply_relu=False).values
-        split = a * encode(Waveform(x, FS), bank, p, apply_relu=False).values \
-            + b * encode(Waveform(y, FS), bank, p, apply_relu=False).values
+        mixed = encode(Waveform(a * x + b * y, FS), bank, p, apply_relu=False)
+        split = a * encode(Waveform(x, FS), bank, p, apply_relu=False) \
+            + b * encode(Waveform(y, FS), bank, p, apply_relu=False)
         np.testing.assert_allclose(mixed, split, rtol=1e-12, atol=1e-12)
 
     def test_rate_mismatch(self):
@@ -134,7 +137,7 @@ def test_blocked_roundtrip_matches_whole_signal_reference(
     bank = Filterbank(rng.standard_normal((n_filters, frame_len)), FS)
     x = Waveform(rng.standard_normal(sig_len), FS)
     block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
-    ref = decode(encode(x, bank, p, apply_relu=apply_relu), pseudo_inverse(bank)).samples[:sig_len]
+    ref = decode(encode(x, bank, p, apply_relu=apply_relu), pseudo_inverse(bank), p).samples[:sig_len]
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
         (out,) = _resynthesize([x], bank, p, lambda enc: enc, 1, relu=apply_relu)
     assert out.sample_rate == FS and len(out) == sig_len
@@ -164,7 +167,7 @@ def test_folded_roundtrip_matches_whole_signal_reference(
     dec = pseudo_inverse(bank)
     x = Waveform(rng.standard_normal(sig_len), FS)
     block_frames = 1 + int(block_frac * num_frames(sig_len, p))  # 1 .. count + 1
-    ref = decode(encode(x, bank, p, apply_relu=apply_relu), dec).samples[:sig_len]
+    ref = decode(encode(x, bank, p, apply_relu=apply_relu), dec, p).samples[:sig_len]
     seen = set()
 
     def identity(enc):
@@ -383,7 +386,7 @@ def test_weigh_free_pass_matches_whole_signal_reference(case, seed, folded, relu
         bank = random_bank(rng, n=1 + seed % 64, length=frame_len)
         relu = False
     x = Waveform(rng.standard_normal(sig_len), FS)
-    ref = decode(encode(x, bank, p, apply_relu=relu), pseudo_inverse(bank)).samples[:sig_len]
+    ref = decode(encode(x, bank, p, apply_relu=relu), pseudo_inverse(bank), p).samples[:sig_len]
     count = num_frames(sig_len, p)
     with mock.patch.object(codec, "OPERATOR_BLOCK_FRAMES", block), \
             mock.patch.object(codec, "BLOCK_FRAMES", count + 1), \
@@ -489,8 +492,7 @@ def test_engine_outputs_are_read_only_and_share_memory_with_no_writable_array():
 class TestDecode:
     def test_zero_representation_gives_silence_of_correct_length(self):
         bank = random_bank(np.random.default_rng(6))
-        rep = TFRepresentation(np.zeros((8, 5)), FrameParams(8, 4))
-        out = decode(rep, bank)
+        out = decode(np.zeros((8, 5)), bank, FrameParams(8, 4))
         assert len(out) == 4 * 4 + 8
         np.testing.assert_array_equal(out.samples, np.zeros(24))
 
@@ -498,26 +500,30 @@ class TestDecode:
         bank = random_bank(np.random.default_rng(7))
         values = np.zeros((8, 1))
         values[3, 0] = 2.5
-        rep = TFRepresentation(values, FrameParams(8, 8))
-        out = decode(rep, bank)
+        out = decode(values, bank, FrameParams(8, 8))
         np.testing.assert_allclose(out.samples, 2.5 * bank.taps[3], rtol=1e-15)
 
     def test_row_count_mismatch(self):
         bank = random_bank(np.random.default_rng(8))
-        rep = TFRepresentation(np.zeros((7, 5)), FrameParams(8, 4))
-        with pytest.raises(ValueError, match="filters"):
-            decode(rep, bank)
+        with pytest.raises(ValueError, match="^decoder has 8 filters but representation has 7 rows$"):
+            decode(np.zeros((7, 5)), bank, FrameParams(8, 4))
 
     def test_filter_length_mismatch(self):
         bank = random_bank(np.random.default_rng(8), length=6)
-        rep = TFRepresentation(np.zeros((8, 5)), FrameParams(8, 4))
         with pytest.raises(ValueError, match="^decoder filter length 6 != frame length 8$"):
-            decode(rep, bank)
+            decode(np.zeros((8, 5)), bank, FrameParams(8, 4))
+
+    def test_zero_frames_are_refused(self):
+        # L - D samples of silence is what an unchecked overlap-add of no frames gives
+        bank = random_bank(np.random.default_rng(8), length=16)
+        with pytest.raises(ValueError, match="^no frames to overlap-add$"):
+            decode(np.zeros((8, 0)), bank, FrameParams(16, 8))
 
     @pytest.mark.parametrize("shape", [(8,), (1, 8, 5)])
     def test_representation_must_be_2d(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"values must be 2-D, got shape {shape}")):
-            TFRepresentation(np.zeros(shape), FrameParams(8, 4))
+        bank = random_bank(np.random.default_rng(8))
+        with pytest.raises(ValueError, match=re.escape(f"representation must be 2-D, got shape {shape}")):
+            decode(np.zeros(shape), bank, FrameParams(8, 4))
 
 
 class TestPseudoInverse:
@@ -553,7 +559,7 @@ class TestPseudoInverse:
         dec = pseudo_inverse(bank)
         x = Waveform(rng.standard_normal(64), FS)
         p = FrameParams(8, 8)
-        y = decode(encode(x, bank, p, apply_relu=False), dec)
+        y = decode(encode(x, bank, p, apply_relu=False), dec, p)
         np.testing.assert_allclose(y.samples, x.samples, atol=1e-9 * np.max(np.abs(x.samples)))
 
     @pytest.fixture
@@ -624,36 +630,36 @@ class TestPseudoInverse:
 
 class TestMask:
     def test_out_of_range_rejected(self):
-        rep = TFRepresentation(np.ones((1, 2)), FrameParams(8, 4))
+        rep = np.ones((1, 2))
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             apply_mask(rep, np.array([[0.5, 1.5]]))
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             apply_mask(rep, np.array([[-0.1, 0.5]]))
 
     def test_nan_rejected(self):
-        rep = TFRepresentation(np.ones((1, 2)), FrameParams(8, 4))
+        rep = np.ones((1, 2))
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             apply_mask(rep, np.array([[np.nan, 0.5]]))
 
     def test_identity_mask(self):
-        rep = TFRepresentation(np.abs(np.random.default_rng(12).standard_normal((4, 3))), FrameParams(8, 4))
+        rep = np.abs(np.random.default_rng(12).standard_normal((4, 3)))
         out = apply_mask(rep, np.ones((4, 3)))
-        np.testing.assert_array_equal(out.values, rep.values)
+        np.testing.assert_array_equal(out, rep)
 
     def test_zero_mask(self):
-        rep = TFRepresentation(np.ones((4, 3)), FrameParams(8, 4))
+        rep = np.ones((4, 3))
         out = apply_mask(rep, np.zeros((4, 3)))
-        np.testing.assert_array_equal(out.values, np.zeros((4, 3)))
+        np.testing.assert_array_equal(out, np.zeros((4, 3)))
 
     def test_complementary_masks_partition(self):
         rng = np.random.default_rng(13)
-        rep = TFRepresentation(np.abs(rng.standard_normal((4, 3))), FrameParams(8, 4))
+        rep = np.abs(rng.standard_normal((4, 3)))
         m = rng.uniform(0, 1, size=(4, 3))
-        total = apply_mask(rep, m).values + apply_mask(rep, 1.0 - m).values
-        np.testing.assert_allclose(total, rep.values, rtol=1e-15)
+        total = apply_mask(rep, m) + apply_mask(rep, 1.0 - m)
+        np.testing.assert_allclose(total, rep, rtol=1e-15)
 
     def test_shape_mismatch(self):
-        rep = TFRepresentation(np.ones((4, 3)), FrameParams(8, 4))
+        rep = np.ones((4, 3))
         with pytest.raises(ValueError, match="shape"):
             apply_mask(rep, np.ones((3, 4)))
 
@@ -665,6 +671,6 @@ def test_encode_decode_identity_property(seed):
     bank = Filterbank(rng.standard_normal((24, 6)), FS)
     x = Waveform(rng.standard_normal(36), FS)
     p = FrameParams(6, 6)
-    y = decode(encode(x, bank, p, apply_relu=False), pseudo_inverse(bank))
+    y = decode(encode(x, bank, p, apply_relu=False), pseudo_inverse(bank), p)
     np.testing.assert_allclose(y.samples, x.samples, atol=1e-9 * max(1.0, np.max(np.abs(x.samples))))
 

@@ -15,12 +15,18 @@ Every public name of `fblab`, and every dataclass field, public method and
 property of its classes, has a reader outside the unit tests: the library's
 own modules, the acceptance suite, the benchmark or the README's example.
 A name that only unit tests read belongs to the tests. No module reads the
-process environment: every setting is a parameter or a flag.
+process environment: every setting is a parameter or a flag. Every type
+hint under `src/fblab` resolves: with postponed annotations, a hint that
+names a missing type imports cleanly and fails only when inspected.
 """
 
 import ast
+import functools
+import importlib
+import inspect
 import re
 import types
+import typing
 from pathlib import Path
 
 import fblab
@@ -148,3 +154,26 @@ def test_no_module_reads_the_environment():
                if _imports(tree, name) or any(isinstance(node, ast.Attribute) and node.attr == name
                                               for node in ast.walk(tree))}
     assert readers == set()
+
+
+def _definitions():
+    """Every function, class and method defined under `src/fblab`, with the module it is defined in."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("fblab" if path.stem == "__init__" else f"fblab.{path.stem}")
+        for value in vars(module).values():
+            value = value.func if isinstance(value, functools.partial) else value  # `build_parampgtf`
+            if (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ == module.__name__:
+                yield value
+                for member in vars(value).values() if inspect.isclass(value) else ():
+                    for wrapped in ("fget", "func", "__func__"):  # property, cached_property, classmethod
+                        member = getattr(member, wrapped, member)
+                    if inspect.isfunction(member) and member.__module__ == module.__name__:
+                        yield member
+
+
+def test_every_type_hint_resolves():
+    definitions = list(_definitions())
+    assert fblab.encode in definitions  # the check sees what it is meant to judge, cached properties too
+    assert vars(fblab.Filterbank)["pinv_rows"].func in definitions
+    for definition in definitions:
+        typing.get_type_hints(definition)

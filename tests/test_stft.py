@@ -94,7 +94,7 @@ class TestIstftDecoder:
         rng = np.random.default_rng(0)
         x = Waveform(rng.standard_normal(160), FS)
         p = FrameParams(16, 16)
-        y = decode(encode(x, bank, p, apply_relu=False), dec)
+        y = decode(encode(x, bank, p, apply_relu=False), dec, p)
         np.testing.assert_allclose(y.samples, x.samples, rtol=0, atol=1e-9 * np.max(np.abs(x.samples)))
 
     def test_relu_roundtrip_recovers_half_signal(self):
@@ -106,7 +106,7 @@ class TestIstftDecoder:
         rng = np.random.default_rng(1)
         x = Waveform(rng.standard_normal(160), FS)
         p = FrameParams(16, 16)
-        y = decode(encode(x, bank, p, apply_relu=True), dec)
+        y = decode(encode(x, bank, p, apply_relu=True), dec, p)
         np.testing.assert_allclose(2.0 * y.samples, x.samples, rtol=0, atol=1e-12)
 
     def test_relu_roundtrip_per_frame_scale_normalized(self):
@@ -118,7 +118,7 @@ class TestIstftDecoder:
         for _ in range(1000):
             frame = rng.standard_normal(16)
             x = Waveform(frame, FS)
-            y = decode(encode(x, bank, p, apply_relu=True), dec)
+            y = decode(encode(x, bank, p, apply_relu=True), dec, p)
             err = np.linalg.norm(2.0 * y.samples - frame) / np.linalg.norm(frame)
             worst = max(worst, err)
         assert worst <= 1e-9
@@ -127,7 +127,8 @@ class TestIstftDecoder:
         bank = build_stft_bank(StftSpec(), FS)
         dec = istft_decoder(bank)
         x = Waveform(np.zeros(32), FS)
-        y = decode(encode(x, bank, FrameParams(16, 16), apply_relu=True), dec)
+        p = FrameParams(16, 16)
+        y = decode(encode(x, bank, p, apply_relu=True), dec, p)
         np.testing.assert_array_equal(y.samples, np.zeros(32))
 
     def test_rank_deficient_requires_acknowledgement(self):
@@ -143,6 +144,6 @@ class TestIstftDecoder:
         for _ in range(20):
             x = Waveform(rng.standard_normal(16), FS)
             rep = encode(x, bank, p, apply_relu=False)
-            ratios.append(float(np.sum(rep.values**2)) / x.energy())
+            ratios.append(float(np.sum(rep**2)) / x.energy())
         ratios = np.array(ratios)
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)  # measured constant: L/2
