@@ -274,7 +274,7 @@ def cmd_separate(args) -> int:
     item = _read_item(args.sources, snr_db, bank.sample_rate)
     p = FrameParams(bank.filter_len, args.hop)
     with _naming(args.bank):
-        estimates = separate(item.mixture, item.sources, bank, p, apply_relu=not args.no_relu)
+        estimates = separate(item.sources, bank, p, apply_relu=not args.no_relu)
 
     with _out_dir(args.out_dir) as out_dir:
         # Written before scoring: the float32 range check refuses any signal whose SI-SNR sums overflow.
@@ -324,7 +324,7 @@ def _load_pairs(directory: Path, rng: np.random.Generator, fs: int | None) -> li
             raise ValueError(f"missing partner file for {path.name}")
         if path == pair[0]:
             items.append(_read_item(pair, float(rng.uniform(*SNR_RANGE_DB)), fs))
-            fs = items[0].mixture.sample_rate
+            fs = items[0].sources[0].sample_rate
     if not items:
         raise ValueError(f"no *_s1.wav/*_s2.wav pairs found in {directory}")
     return items
@@ -334,7 +334,7 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     train = _load_pairs(Path(args.train_dir), rng, None)
-    dev = _load_pairs(Path(args.dev_dir), rng, train[0].mixture.sample_rate)  # at the first train pair's rate
+    dev = _load_pairs(Path(args.dev_dir), rng, train[0].sources[0].sample_rate)  # at the first train pair's rate
 
     cfg = TrainerConfig(learning_rate=args.lr, max_iters=args.max_iters, fd_epsilon=args.fd_epsilon)
     init = ErbParams(args.c1_init, args.c2_init)
@@ -347,7 +347,7 @@ def cmd_train(args) -> int:
             _write_trace(out_dir / "trace.csv", exc.trace)  # keep the rows before the failure
             raise
         # Built before the first write, so a best point no bank can hold leaves no file behind.
-        bank = build_parampgtf(best, args.n_filters, args.frame_len, train[0].mixture.sample_rate)
+        bank = build_parampgtf(best, args.n_filters, args.frame_len, train[0].sources[0].sample_rate)
         _write_trace(out_dir / "trace.csv", trace)
         save_filterbank(out_dir / "parampgtf.fbank", bank)
         _write_json(out_dir / "result.json", {

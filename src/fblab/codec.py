@@ -28,6 +28,12 @@ synthesis rows give the output frames (N' is the number of rows the
 engine runs; see the fold below). Both products then read and write
 unit-stride rows, which BLAS runs faster than the transposed (N', k)
 layout.
+With more than one signal, the block the weigh sees starts with one more
+row, the sum of the S encodings. Encoding is linear, so that row is the
+encoding of the signals' sum, within rounding: a separation's mixture is
+derived from its sources block by block and is never itself framed or
+encoded, so C sources take C encode rows per frame, not C + 1, and no
+caller has to hold the mixture as a signal.
 No frame couples to another further away than one frame length, so its
 work buffers are O(N * BLOCK_FRAMES) however long the signal is, and no
 N x I array is built. It frames every input with `dsp._framed`, as
@@ -45,8 +51,8 @@ Sign-split banks fold. Every multi-phase gammatone bank and every
 sign-split STFT bank is `[P; -P]` bit for bit; when the bank has that
 form, its pseudo-inverse does too: `[Q; -Q]`, again bit for bit, with Q
 the bank's `pinv_rows`. A negated row has the same magnitude, so it gets
-the same ratio mask, and with a weigh that is linear in the mixture's
-block
+the same ratio mask, and with a weigh that is linear in row 0 of the
+block (the sum of the encodings)
 
     relu(e) * Q + relu(-e) * (-Q) = e * Q,    e * Q + (-e) * (-Q) = 2 * e * Q.
 
@@ -176,32 +182,37 @@ def _resynthesize(
 ) -> list[Waveform]:
     """Encode S equal-length signals, weigh, decode and overlap-add, block by block.
 
-    For each block of k <= `BLOCK_FRAMES` frames, the frame-major
-    (S, k, N) array of linear encodings of all `signals` through `bank`
-    goes to `weigh`, with signal 0's block rectified first if `relu`. The
-    weigh overwrites the array in place and returns an (n_out, k, N) view
-    of it holding synthesis coefficients. Those are decoded through the
-    bank's pseudo-inverse, whose rows `bank.pinv_rows` gives, and
-    overlap-added in increasing frame order into `n_out` outputs, each
-    trimmed to the input length.
+    For each block of k <= `BLOCK_FRAMES` frames, the S signals are
+    encoded linearly through `bank` with one product, and the weigh gets
+    the frame-major block of their encodings. With S = 1 that is the
+    (1, k, N) encoding itself. With S > 1 it is (1 + S, k, N): row 0 is
+    the sum of the S encodings, added in signal order with one `np.add`
+    per signal after the first, and rows 1 .. S are the encodings. So the
+    sum of the signals, the mixture of a separation, is never framed or
+    encoded. Row 0 is rectified first if `relu`. The weigh overwrites the
+    array in place and returns an (n_out, k, N) view of it holding
+    synthesis coefficients. Those are decoded through the bank's
+    pseudo-inverse, whose rows `bank.pinv_rows` gives, and overlap-added
+    in increasing frame order into `n_out` outputs, each trimmed to the
+    input length.
 
     Nothing signal-long is copied: `dsp._framed` gives the frames, and the
     overlap-add rows are frozen and handed out as the outputs. Besides its
     inputs and the n_out outputs, a call holds, allocated once and never
-    escaping it: the (S, BLOCK_FRAMES, N) encodings, the
-    (S + n_out, BLOCK_FRAMES, L) frame and synthesis buffers, an (L, N)
-    copy of the analysis matrix and the padded tails. A weigh-free pass
-    holds (S, OPERATOR_BLOCK_FRAMES, L) frames and encodings, which it
-    overlap-adds directly, and no synthesis buffer. Temporaries of the
+    escaping it: the (1 + S, BLOCK_FRAMES, N) encodings (S = 1: one row),
+    the (S + n_out, BLOCK_FRAMES, L) frame and synthesis buffers, an
+    (L, N) copy of the analysis matrix and the padded tails. A weigh-free
+    pass holds (1, OPERATOR_BLOCK_FRAMES, L) frames and encodings, which
+    it overlap-adds directly, and no synthesis buffer. Temporaries of the
     weigh come on top (one (k, N) array for the oracle mask).
 
     If the bank is [P; -P], as its `Filterbank.sign_split_half` says, the
-    weigh gets only the rows of P (N/2 of them), signal 0's block is not
-    rectified, and the coefficients are decoded with Q = `bank.pinv_rows`
-    if `relu`, else with 2*Q (see the module docstring). That is exact for
-    a weigh that is linear in signal 0's block and reads the other signals
-    only through their magnitudes, as the oracle mask and the identity
-    are; other weighs must not be given a sign-split bank.
+    weigh gets only the rows of P (N/2 of them), row 0 is not rectified,
+    and the coefficients are decoded with Q = `bank.pinv_rows` if `relu`,
+    else with 2*Q (see the module docstring). That is exact for a weigh
+    that is linear in row 0 and reads the other rows only through their
+    magnitudes, as the oracle mask and the identity are; other weighs must
+    not be given a sign-split bank.
 
     `weigh=None` means no weigh at all; it takes one signal and
     `n_out == 1`. If the bank folds or `relu` is off, the pass is then
@@ -213,9 +224,9 @@ def _resynthesize(
     Raises the `ValueError`s of `encode` for a bank or signal that does
     not fit, one for signals of unequal lengths and one for `weigh=None`
     with more than one signal or output, before any work; and one for a
-    product of taps and samples, or a weigh's result, that overflows a
-    float, which `relu` or the weigh could otherwise turn into a finite
-    but wrong output.
+    product of taps and samples, a sum of encodings or a weigh's result
+    that overflows a float, which `relu` or the weigh could otherwise turn
+    into a finite but wrong output.
     """
     if weigh is None and (len(signals) != 1 or n_out != 1):
         raise ValueError(f"weigh=None takes one signal and n_out=1, got {len(signals)} signals and n_out={n_out}")
@@ -228,6 +239,7 @@ def _resynthesize(
         raise ValueError(f"signals must have equal lengths, got {[len(x) for x in signals]}")
     framed = [_framed(x.samples, p) for x in signals]
     n_sig, count, frame_len = len(signals), num_frames(n, p), p.frame_len
+    mixed = int(n_sig > 1)  # the encodings start at row 1 when row 0 holds their sum
     analysis, synthesis, rectify = analysis_matrix(bank), bank.pinv_rows, relu
     if h := bank.sign_split_half:  # the rows of P, and Q for relu, 2*Q without
         analysis, rectify = analysis[:h], False
@@ -240,7 +252,7 @@ def _resynthesize(
         analysis_t, block = np.ascontiguousarray(analysis.T), BLOCK_FRAMES
     block = min(block, count)
     frames = np.empty((n_sig, block, frame_len))
-    enc = np.empty((n_sig, block, analysis_t.shape[1]))
+    enc = np.empty((mixed + n_sig, block, analysis_t.shape[1]))
     synth = enc if synthesis is None else np.empty((n_out, block, frame_len))
     try:
         with np.errstate(over="raise", invalid="raise"):  # before `relu` or the weigh turns an overflow finite
@@ -252,7 +264,11 @@ def _resynthesize(
                     np.copyto(dst[:split], inside[first:first + split])
                     if split < k:
                         np.copyto(dst[split:k], tail[first + split - full:first + k - full])
-                np.matmul(frames[:, :k], analysis_t, out=enc[:, :k])
+                np.matmul(frames[:, :k], analysis_t, out=enc[mixed:, :k])
+                if mixed:
+                    np.add(enc[1, :k], enc[2, :k], out=enc[0, :k])
+                    for extra in enc[3:, :k]:
+                        np.add(enc[0, :k], extra, out=enc[0, :k])
                 if rectify:
                     np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
                 if synthesis is not None:

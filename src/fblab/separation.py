@@ -7,9 +7,11 @@ separate` writes the scores to report.csv and report.json in `cli`.
 
 There is one mixer, `make_multi_mixture_item`, and it and `SNR_RANGE_DB`
 are the mixing rule: every source after the first sits `snr_db` below the
-first, and experiments draw `snr_db` from `SNR_RANGE_DB`. The targets are
-the mixture's addends, so the mixture is their sum, as `separate`
-requires.
+first, and experiments draw `snr_db` from `SNR_RANGE_DB`. A `MixtureItem`
+holds the scaled sources alone; its mixture is their sum, a value derived
+on each read, and only `fblab separate` reads it, to write mixture.wav.
+Nothing here takes a mixture: `separate` derives its encoding from the
+sources'.
 
 Ideal ratio masks computed from the true sources stand in for a learned
 separator, so encoder/decoder feature families can be compared on their
@@ -21,14 +23,17 @@ so every function here takes the encoder bank alone.
 
 `separate` (and with it `run_separation`, `training.separation_loss` and
 the CLI) runs the frame-blocked engine `codec._resynthesize`, which
-encodes the mixture and the sources together one block of frames at a
-time, masks and decodes them; it states what the engine holds and how
-closely it agrees with the whole-signal path `encode` ->
+encodes the sources one block of frames at a time, sums their encodings
+into the mixture's, masks and decodes them; it states what the engine
+holds and how closely it agrees with the whole-signal path `encode` ->
 `oracle_irm_masks` -> `apply_mask` -> `decode` through
-`codec.pseudo_inverse(bank)`. That path is the reference: it states the
-mask rule in three array lines, where the engine's weigh
-`_oracle_mask_weigh` scales each source's magnitude by mixture / sum in
-one divide per cell.
+`codec.pseudo_inverse(bank)`, which encodes the mixture itself. That
+path is the reference: it states the mask rule in three array lines,
+where the engine's weigh `_oracle_mask_weigh` scales each source's
+magnitude by mixture / sum in one divide per cell. The mixture's
+encoding is the sum of the sources' encodings, so its magnitude never
+exceeds the sum of their magnitudes: the ratio stays in [-1, 1] and
+cannot overflow.
 On sign-split banks the engine runs only the positive half of each +/-
 row pair (see `codec`).
 """
@@ -57,10 +62,34 @@ class SilentSourceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MixtureItem:
-    """One separation problem: a mixture and the scaled sources it sums."""
+    """One separation problem: two or more scaled sources of one length and one sample rate.
 
-    mixture: Waveform
+    Each refusal of `sources` is a `ValueError` that names its fault:
+    fewer than two, unequal lengths or more than one sample rate.
+    """
+
     sources: tuple[Waveform, ...]
+
+    def __post_init__(self):
+        if len(self.sources) < 2:
+            raise ValueError(f"need at least 2 sources, got {len(self.sources)}")
+        if any(len(s) != len(self.sources[0]) for s in self.sources):
+            raise ValueError(f"sources must have equal lengths, got {[len(s) for s in self.sources]}")
+        if any(s.sample_rate != self.sources[0].sample_rate for s in self.sources):
+            raise ValueError(f"sources must share one sample rate, got {[s.sample_rate for s in self.sources]}")
+
+    @property
+    def mixture(self) -> Waveform:
+        """The sum of the sources, added in order onto a copy of the first, computed on each read.
+
+        A sum beyond the float range is refused with the `ValueError` of
+        `Waveform`.
+        """
+        total = self.sources[0].samples.copy()
+        with np.errstate(over="ignore"):  # an overflowing sum reads inf and is refused by `_adopt`
+            for s in self.sources[1:]:
+                total += s.samples
+        return Waveform._adopt(total, self.sources[0].sample_rate)
 
 
 #: Default range experiments draw mixture SNRs from, in dB.
@@ -75,13 +104,13 @@ def make_multi_mixture_item(sources, snr_db: float) -> MixtureItem:
     at random, conventionally from `SNR_RANGE_DB`, own their RNG. Sources
     must share one sample rate and are truncated to the common length;
     source c >= 2 is scaled by its own gain
-    g_c = sqrt((E1 / E_c) * 10^(-snr_db / 10)). The targets are the
-    addends of the mixture itself (the first source and each g_c * s_c),
-    so a perfect separator would score +inf SI-SNR on each. A source that
-    is all zero over the common length raises `SilentSourceError` naming
-    its position, and so does the `ValueError` for a source whose energy
-    overflows a float (|x| >~ 1e154); an snr_db so extreme that a gain
-    overflows or underflows to 0 is a `ValueError`.
+    g_c = sqrt((E1 / E_c) * 10^(-snr_db / 10)). The item holds these
+    targets (the first source and each g_c * s_c) and nothing else; its
+    mixture is their sum, so a perfect separator would score +inf SI-SNR
+    on each. A source that is all zero over the common length raises
+    `SilentSourceError` naming its position, and so does the `ValueError`
+    for a source whose energy overflows a float (|x| >~ 1e154); an snr_db
+    so extreme that a gain overflows or underflows to 0 is a `ValueError`.
     """
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db!r}")
@@ -104,7 +133,6 @@ def make_multi_mixture_item(sources, snr_db: float) -> MixtureItem:
             raise SilentSourceError(position, len(sources), n)
         if energy == math.inf:
             raise ValueError(f"source {position} of {len(sources)}: its energy overflows a float")
-    total = head.copy()
     for tail, energy in zip(tails, energies[1:]):
         try:  # energy != 0: the check above refused a silent source
             g = math.sqrt((energies[0] / energy) * 10.0 ** (-snr_db / 10.0))
@@ -112,10 +140,8 @@ def make_multi_mixture_item(sources, snr_db: float) -> MixtureItem:
             g = math.inf
         if not 0.0 < g < math.inf:
             raise ValueError(f"snr_db={snr_db!r} gives a mixing gain {g!r} outside (0, inf)")
-        scaled = tail * g
-        targets.append(Waveform._adopt(scaled, fs))
-        total += scaled
-    return MixtureItem(Waveform._adopt(total, fs), tuple(targets))
+        targets.append(Waveform._adopt(tail * g, fs))
+    return MixtureItem(tuple(targets))
 
 
 def make_sinusoid_mixture_items(n_items: int, seed: int, duration_s: float = 0.5) -> list[MixtureItem]:
@@ -173,19 +199,20 @@ def oracle_irm_masks(
 def _oracle_mask_weigh(enc: np.ndarray) -> np.ndarray:
     """`_resynthesize` weigh for oracle separation of encodings [mixture, *sources].
 
-    Takes the engine's (1 + C, k, N') block, C >= 2, and overwrites the
-    sources' rows with their masked coefficients |e_c| * (mix / sum_c' |e_c'|),
-    which it returns as a (C, k, N') view. That is the ratio mask of
-    `oracle_irm_masks` times the mixture's block (already rectified by the
-    engine if asked), within rounding, in 3C + 1 passes over a block and
-    one (k, N') temporary: C for the magnitudes, C - 1 for their sum, one
-    test for all-zero cells, one divide and C products. Where every
-    magnitude is zero the sum becomes C and each magnitude 1, so every
-    source gets mix / C exactly, as the 1/C mask gives; identical sources
-    get bitwise-equal coefficients. The ratio mix / sum overflows only if
-    the mixture's encoding outgrows the sources' magnitude sum by a factor
-    near 1e308, far beyond what rounding gives when the mixture is their
-    sum, as on every pipeline path.
+    Takes the engine's (1 + C, k, N') block, C >= 2, whose row 0, mix, is
+    the sum of the sources' encodings e_c in rows 1 .. C, and overwrites
+    the sources' rows with their masked coefficients
+    |e_c| * (mix / sum_c' |e_c'|), which it returns as a (C, k, N') view.
+    That is the ratio mask of `oracle_irm_masks` times the mixture's
+    encoding (already rectified by the engine if asked), within rounding,
+    in 3C + 1 passes over a block and one (k, N') temporary: C for the
+    magnitudes, C - 1 for their sum, one test for all-zero cells, one
+    divide and C products. Where every magnitude is zero the sum becomes C
+    and each magnitude 1, so every source gets mix / C exactly, as the 1/C
+    mask gives; identical sources get bitwise-equal coefficients. The
+    magnitudes are summed in the order the engine sums the encodings, and
+    rounding is monotonic, so |mix| never exceeds the sum: the ratio stays
+    in [-1, 1] and cannot overflow.
 
     It is linear in the mixture and reads the sources only through their
     magnitudes, so the engine may fold sign-split banks.
@@ -205,28 +232,24 @@ def _oracle_mask_weigh(enc: np.ndarray) -> np.ndarray:
 
 
 def separate(
-    mixture: Waveform,
     sources: tuple[Waveform, ...] | list[Waveform],
     bank: Filterbank,
     frame_params: FrameParams,
     apply_relu: bool = True,
 ) -> list[Waveform]:
-    """Oracle-masked estimates of every source, trimmed to the mixture length.
+    """Oracle-masked estimates of every source from their mixture, trimmed to its length.
 
-    Encodes through `bank` and decodes through its pseudo-inverse. The
-    mixture and the sources must have one length and `bank`'s rate, and
-    the mixture must be the sum of the sources, up to rounding, as
-    `make_multi_mixture_item` makes it: the weigh scales each source's
-    magnitude by mixture / (sum of the sources' magnitudes) per cell, and
-    a mixture that outgrows its sources far beyond that (see
-    `_oracle_mask_weigh`) gives non-finite estimates, refused with the
-    `ValueError` of `Waveform`. Runs the blocked engine `_resynthesize`;
-    every argument is checked before any work.
+    The mixture is the sum of the sources; its encoding is the sum of
+    theirs, which the blocked engine `_resynthesize` forms block by block,
+    rectifies if `apply_relu`, masks per source (`_oracle_mask_weigh`) and
+    decodes through the pseudo-inverse of `bank`. The sources must be two
+    or more, of one length and at `bank`'s rate; every argument is checked
+    before any work. An encoding, or a sum of encodings, beyond the float
+    range is refused with a `ValueError`.
     """
     if len(sources) < 2:  # `_resynthesize` checks the lengths and rates
         raise ValueError(f"need at least 2 sources, got {len(sources)}")
-    return _resynthesize([mixture, *sources], bank, frame_params, _oracle_mask_weigh, len(sources),
-                         relu=apply_relu)
+    return _resynthesize(sources, bank, frame_params, _oracle_mask_weigh, len(sources), relu=apply_relu)
 
 
 def score_separation(
@@ -238,14 +261,12 @@ def score_separation(
 
 
 def run_separation(
-    mixture: Waveform,
     sources: tuple[Waveform, ...] | list[Waveform],
     bank: Filterbank,
     frame_params: FrameParams,
 ) -> tuple[float, ...]:
-    """Encode (rectified), oracle-mask, decode through the pseudo-inverse, and score one mixture.
+    """Encode (rectified), oracle-mask, decode through the pseudo-inverse, and score the sum of `sources`.
 
-    Returns the per-source SI-SNR tuple. The mixture must be the sum of the
-    sources, up to rounding (see `separate`).
+    Returns the per-source SI-SNR tuple (see `separate`).
     """
-    return score_separation(separate(mixture, sources, bank, frame_params), sources)
+    return score_separation(separate(sources, bank, frame_params), sources)

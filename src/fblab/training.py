@@ -104,11 +104,11 @@ def separation_loss(
     """
     if not items:
         raise ValueError("need at least one item")
-    sample_rate = items[0].mixture.sample_rate
+    sample_rate = items[0].sources[0].sample_rate
     bank = build_parampgtf(params, n_filters, frame_params.frame_len, sample_rate)
     values = []
     for item in items:
-        scores = run_separation(item.mixture, item.sources, bank, frame_params)
+        scores = run_separation(item.sources, bank, frame_params)
         values.extend(clip_si_snr(v) for v in scores)
     return -float(np.mean(values))
 

@@ -1,15 +1,20 @@
-"""The benchmark's traced layers and library calls must exist in fblab.
+"""The benchmark's traced layers and library calls must exist in fblab, and its ops must pass their checks.
 
 `benchmarks/run.py --trace 1` wraps every `module.function` in its
 `LAYERS` tuple, and `benchmarks/workloads.py` drives fblab through
 `fblab.<name>` attributes; a name that no longer resolves breaks every
 benchmark op. Both files are read with `ast`, because importing run.py
-sets BLAS environment variables and edits `sys.path`.
+sets BLAS environment variables and edits `sys.path`. workloads.py sets
+no environment, so the smoke test imports it and runs each workload's op
+once on short inputs against the workload's own reference check.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+import pytest
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 RUN_PY = BENCHMARKS / "run.py"
@@ -63,3 +68,22 @@ def test_every_fblab_name_the_workloads_read_resolves():
     assert {"fblab.build_mpgtf", "fblab.train_parampgtf", "fblab.cli.main"} <= names
     for name in sorted(names):
         _resolve(name)
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name,sizes", [
+    ("separate_10s", dict(duration_s=0.5)),
+    ("roundtrip_60s", dict(duration_s=0.5)),
+    ("train_fd", dict(n_items=4, n_train=2, item_s=0.25)),
+])
+def test_each_workload_op_passes_its_own_check_on_short_inputs(tmp_path, name, sizes):
+    workload = _workloads().WORKLOADS[name](tmp_path, 3, **sizes)
+    workload.setup()
+    workload.reset()
+    assert workload.check(workload.op()) == []

@@ -248,7 +248,9 @@ def model_resynthesize(signals, bank, p, weigh, n_out, *, relu, block_frames):
     the taps of the public `pseudo_inverse(bank)`, which are C-ordered, so
     an engine whose decoder rows BLAS reads in another order fails it. A
     weigh-free pass with no relu left to apply multiplies each block of
-    frames by the L x L operator A^T * S and decodes nothing.
+    frames by the L x L operator A^T * S and decodes nothing. With S > 1
+    signals the weigh gets 1 + S rows: the sum of the encodings, added in
+    signal order, then the encodings.
     """
     n = len(signals[0])
     count = num_frames(n, p)
@@ -266,14 +268,19 @@ def model_resynthesize(signals, bank, p, weigh, n_out, *, relu, block_frames):
         analysis, synthesis, rectify = analysis_matrix(bank), dec, relu
     operator = weigh is None and not rectify
     analysis_t = analysis.T @ synthesis if operator else np.ascontiguousarray(analysis.T)
+    mixed = int(len(signals) > 1)
     frames = np.empty((len(signals), block, p.frame_len))
-    enc = np.empty((len(signals), block, analysis_t.shape[1]))
+    enc = np.empty((mixed + len(signals), block, analysis_t.shape[1]))
     synth = enc if operator else np.empty((n_out, block, p.frame_len))
     rows = np.zeros((n_out, count - 1 + -(-p.frame_len // p.hop), p.hop))
     for first in range(0, count, block):
         k = min(block, count - first)
         np.copyto(frames[:, :k], windows[:, first:first + k])
-        np.matmul(frames[:, :k], analysis_t, out=enc[:, :k])
+        np.matmul(frames[:, :k], analysis_t, out=enc[mixed:, :k])
+        if mixed:
+            enc[0, :k] = enc[1, :k]
+            for extra in enc[2:, :k]:
+                enc[0, :k] += extra
         if rectify:
             np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
         if not operator:
@@ -292,11 +299,11 @@ def assert_engine_matches_model(seed, frame_len, hop, sig_len, block_frames, n_s
     else:
         bank = random_bank(rng, n=1 + seed % 16, length=frame_len)
     if weigh == "oracle":
-        weigh, n_sig, n_out = _oracle_mask_weigh, 3, 2  # the mixture and two sources
+        weigh, n_sig, n_out = _oracle_mask_weigh, 2, 2  # two sources; the engine sums them into the mixture
     elif weigh == "none":
         weigh, n_sig, n_out = None, 1, 1
     else:
-        weigh, n_out = (lambda enc: enc), n_sig
+        weigh, n_out = (lambda enc: enc), n_sig + (n_sig > 1)  # the sum of the encodings too
     signals = [Waveform(x, FS) for x in rng.standard_normal((n_sig, sig_len))]
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames), \
             mock.patch.object(codec, "OPERATOR_BLOCK_FRAMES", block_frames):
@@ -476,7 +483,7 @@ def test_engine_outputs_are_read_only_and_share_memory_with_no_writable_array():
         return enc
 
     with mock.patch.object(codec, "BLOCK_FRAMES", 4):
-        outs = _resynthesize(signals, bank, p, identity, 3, relu=True)
+        outs = _resynthesize(signals, bank, p, identity, 4, relu=True)  # the sum, then the 3 signals
     assert max(enc.shape[1] for enc in seen) == 4  # the engine reads BLOCK_FRAMES at call time
     for i, out in enumerate(outs):
         base = out.samples

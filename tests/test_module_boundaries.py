@@ -8,8 +8,11 @@ one reader, which names the file in its errors: WAVs are read only by
 builds a decoder bank: the engine decodes with the bank's own
 `pinv_rows`, and `codec.pseudo_inverse` is called only by
 `stft.istft_decoder`. Only `cli` calls `print`; the other modules
-report through return values and exceptions. The sources are read with
-`ast`, so a call is found whether or not the code path runs in a test.
+report through return values and exceptions. Only `cli` reads an item's
+`mixture`, and only to write it: the pipeline derives the mixture's
+encoding from the sources and never builds the mixture signal. The
+sources are read with `ast`, so a call is found whether or not the code
+path runs in a test.
 
 Every public name of `fblab`, and every dataclass field, public method and
 property of its classes, has a reader outside the unit tests: the library's
@@ -83,6 +86,19 @@ def test_cli_reads_wavs_only_in_read_source_and_banks_only_in_load_bank():
     cli = _modules()["cli"]
     assert _callers(cli, "read_wav") == {"_read_source"}
     assert _callers(cli, "load_filterbank") == {"_load_bank"}
+
+
+def _mixture_reads(tree: ast.Module) -> list[ast.Attribute]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "mixture" and isinstance(node.ctx, ast.Load)]
+
+
+def test_only_cli_reads_the_mixture_and_only_to_write_it():
+    modules = _modules()
+    assert {name for name, tree in modules.items() if _mixture_reads(tree)} == {"cli"}
+    written = {id(arg) for call in ast.walk(modules["cli"])
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "write_wav" for arg in call.args}
+    assert all(id(node) in written for node in _mixture_reads(modules["cli"]))
 
 
 def _imports(tree: ast.Module, name: str) -> bool:

@@ -12,6 +12,7 @@ from fblab import (
     ErbParams,
     Filterbank,
     FrameParams,
+    MixtureItem,
     SilentSourceError,
     Waveform,
     build_mpgtf,
@@ -104,21 +105,21 @@ class TestOracleIrmMasks:
 
 class TestRunSeparation:
     def test_single_source_mixture_reconstructs_perfectly(self, mpgtf_bank):
-        # mixture equal to one source with the other silent: its oracle mask
-        # is 1 on every live cell, so the linear pinv decode returns the
-        # source up to float residuals and the SI-SNR hits the 60 dB clip
+        # one source with the other silent: its oracle mask is 1 on every
+        # live cell, so the linear pinv decode returns the source up to
+        # float residuals and the SI-SNR hits the 60 dB clip
         from fblab import clip_si_snr
 
         s = tone(300.0, n=2048)
         silent = Waveform(np.zeros(2048), FS)
-        estimates = separate(s, [s, silent], mpgtf_bank, FrameParams(16, 16), apply_relu=False)
+        estimates = separate([s, silent], mpgtf_bank, FrameParams(16, 16), apply_relu=False)
         value = si_snr(estimates[0], s)
         assert value > 250.0
         assert clip_si_snr(value) == 60.0
 
     def test_disjoint_sinusoids_improve_over_mixture(self, mpgtf_bank):
         item = make_multi_mixture_item([tone(300.0), tone(2000.0, phase=1.2)], 0.0)
-        scores = run_separation(item.mixture, item.sources, mpgtf_bank, FP)
+        scores = run_separation(item.sources, mpgtf_bank, FP)
         assert isinstance(scores, tuple) and len(scores) == 2
         for est_db, src in zip(scores, item.sources):
             mixture_db = si_snr(item.mixture, src)
@@ -135,7 +136,7 @@ class TestRunSeparation:
         p = FrameParams(16, 16)  # disjoint frames keep the decode proportional
         masks = oracle_irm_masks(item.sources, mpgtf_bank, p)
         assert np.all(masks[0] == 0.5) and np.all(masks[1] == 0.5)
-        estimates = separate(item.mixture, item.sources, mpgtf_bank, p)
+        estimates = separate(item.sources, mpgtf_bank, p)
         np.testing.assert_array_equal(estimates[0].samples, estimates[1].samples)
         est_db = si_snr(estimates[0], item.sources[0])
         mix_db = si_snr(item.mixture, item.sources[0])
@@ -144,7 +145,7 @@ class TestRunSeparation:
 
     def test_estimates_sum_to_decoded_mixture(self, mpgtf_bank):
         item = make_multi_mixture_item([tone(300.0), tone(2000.0)], -3.0)
-        estimates = separate(item.mixture, item.sources, mpgtf_bank, FP)
+        estimates = separate(item.sources, mpgtf_bank, FP)
         rep = encode(item.mixture, mpgtf_bank, FP, apply_relu=True)
         full = decode(rep, pseudo_inverse(mpgtf_bank), FP).samples[: len(item.mixture)]
         total = estimates[0].samples + estimates[1].samples
@@ -179,7 +180,7 @@ def test_blocked_separation_matches_whole_signal_reference(
 
     refs = _reference_estimates(mixture, sources, bank, p, apply_relu)
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
-        outs = _resynthesize([mixture, *sources], bank, p, _oracle_mask_weigh, n_sources, relu=apply_relu)
+        outs = _resynthesize(sources, bank, p, _oracle_mask_weigh, n_sources, relu=apply_relu)
     assert len(outs) == n_sources
     for out, ref in zip(outs, refs):
         assert out.sample_rate == FS and len(out) == sig_len
@@ -195,7 +196,7 @@ def test_separate_memory_is_flat_in_signal_length(mpgtf_bank):
         item = make_sinusoid_mixture_items(1, seed=4, duration_s=seconds)[0]
         tracemalloc.start()
         try:
-            separate(item.mixture, item.sources, mpgtf_bank, FP)
+            separate(item.sources, mpgtf_bank, FP)
             peaks[seconds] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -210,9 +211,10 @@ def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank):
     # At 2 s the peak is also held to the budget `codec._resynthesize` and
     # `separate` document, at the default block of 64 frames: the C outputs,
     # the (1 + C, 64, N') encodings, the weigh's one (64, N') temporary, the
-    # (1 + 2C, 64, L) frame and synthesis buffers and the (L, N') analysis
-    # copy. A block of 68 frames or more fails it; at 10 s every added frame
-    # costs ~9 KB of the harness's 5% `peak_mb` bound (~200 KB).
+    # (2C, 64, L) frame and synthesis buffers (the engine frames the C
+    # sources, not their mixture) and the (L, N') analysis copy. A block of
+    # 68 frames or more fails it; at 10 s every added frame costs ~9 KB of
+    # the harness's 5% `peak_mb` bound (~200 KB).
     block, n_sources = 64, 2
     rows, frame_len = mpgtf_bank.n_filters // 2, FP.frame_len  # the engine folds
     peaks = {}
@@ -220,8 +222,8 @@ def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank):
         item = make_sinusoid_mixture_items(1, seed=4, duration_s=seconds)[0]
         tracemalloc.start()
         try:
-            separate(item.mixture, item.sources, mpgtf_bank, FP)
-            peaks[seconds] = tracemalloc.get_traced_memory()[1], len(item.mixture)
+            separate(item.sources, mpgtf_bank, FP)
+            peaks[seconds] = tracemalloc.get_traced_memory()[1], len(item.sources[0])
         finally:
             tracemalloc.stop()
     peak, n = peaks[32.0]
@@ -230,29 +232,9 @@ def test_separate_peak_memory_is_below_three_signal_lengths(mpgtf_bank):
     budget = 8 * (n_sources * n
                   + (1 + n_sources) * block * rows
                   + block * rows
-                  + (1 + 2 * n_sources) * block * frame_len
+                  + 2 * n_sources * block * frame_len
                   + frame_len * rows)
     assert peak <= budget + 32 * 1024  # interpreter objects and the padded tails
-
-
-def test_separate_holds_while_the_mixture_outgrows_its_sources_by_up_to_1e300(mpgtf_bank):
-    # The weigh scales each magnitude by mixture / (sum of magnitudes). At a
-    # ratio of ~1e300 it still gives the reference's estimates; past the
-    # float range the ratio overflows and the engine refuses the call. A
-    # mixture that is the sum of its sources never gets there.
-    x = tone(440.0).samples
-
-    def pair(mix_scale, source_scale):
-        return Waveform(x * mix_scale, FS), [Waveform(x * source_scale, FS)] * 2
-
-    mixture, sources = pair(1e10, 1e-290)
-    outs = separate(mixture, sources, mpgtf_bank, FP)
-    refs = _reference_estimates(mixture, sources, mpgtf_bank, FP, True)
-    for out, ref in zip(outs, refs):
-        assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
-    mixture, sources = pair(1e10, 1e-300)
-    with pytest.raises(ValueError, match="^filtering the signals with the bank overflows a float "):
-        separate(mixture, sources, mpgtf_bank, FP)
 
 
 def test_sources_whose_magnitude_sum_overflows_are_refused():
@@ -261,7 +243,7 @@ def test_sources_whose_magnitude_sum_overflows_are_refused():
     x = np.sin(np.arange(800) / 3.0)
     sources = [Waveform(1.6e307 * x, FS), Waveform(-1.6e307 * x, FS)]
     with pytest.raises(ValueError, match="^filtering the signals with the bank overflows a float "):
-        separate(Waveform(x, FS), sources, build_mpgtf(ErbParams(), 64, 16, FS), FP)
+        separate(sources, build_mpgtf(ErbParams(), 64, 16, FS), FP)
 
 
 @given(
@@ -303,29 +285,30 @@ class TestSeparateErrors:
     def test_encoder_frame_length(self, mpgtf_bank):
         s = tone(440.0, n=800)
         with pytest.raises(ValueError, match=re.escape("bank filter length 16 != frame length 8")):
-            separate(s, [s, s], mpgtf_bank, FrameParams(8, 4))
+            separate([s, s], mpgtf_bank, FrameParams(8, 4))
 
     def test_bank_signal_rate_mismatch(self, mpgtf_bank):
         s = Waveform(np.ones(800), 16000)
         with pytest.raises(ValueError, match=re.escape("sample rate mismatch: bank 8000 Hz, signal 16000 Hz")):
-            separate(s, [s, s], mpgtf_bank, FP)
+            separate([s, s], mpgtf_bank, FP)
 
     @pytest.mark.parametrize("source_len", [0, 800])
     def test_empty_mixture(self, mpgtf_bank, source_len):
+        # an empty first source: the empty check comes before the length check
         empty = Waveform(np.zeros(0), FS)
         s = tone(440.0, n=source_len)
         with pytest.raises(ValueError, match=re.escape("empty input")):
-            separate(empty, [s, s], mpgtf_bank, FP)
+            separate([empty, s], mpgtf_bank, FP)
 
-    def test_mixture_length_differs_from_sources(self, mpgtf_bank):
+    def test_source_lengths_differ(self, mpgtf_bank):
         s = tone(440.0, n=800)
         with pytest.raises(ValueError, match="equal lengths"):
-            separate(tone(440.0, n=801), [s, s], mpgtf_bank, FP)
+            separate([tone(440.0, n=801), s], mpgtf_bank, FP)
 
     def test_single_source(self, mpgtf_bank):
         s = tone(440.0)
         with pytest.raises(ValueError, match="at least 2"):
-            separate(s, [s], mpgtf_bank, FP)
+            separate([s], mpgtf_bank, FP)
 
     @pytest.mark.parametrize("call,message", [
         ("separate", "sample rate mismatch: bank 8000 Hz, signal 16000 Hz"),  # the engine's per-signal check
@@ -336,7 +319,7 @@ class TestSeparateErrors:
         sources = [s, Waveform(s.samples, 16000)]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             if call == "separate":
-                separate(s, sources, mpgtf_bank, FP)
+                separate(sources, mpgtf_bank, FP)
             else:
                 oracle_irm_masks(sources, mpgtf_bank, FP)
 
@@ -493,6 +476,15 @@ class TestMixtureItems:
         with pytest.raises(ValueError, match="^need at least 2 sources, got 1$"):
             make_multi_mixture_item([tone(300.0)], 0.0)
 
+    @pytest.mark.parametrize("sources,message", [
+        ([tone(300.0)], "need at least 2 sources, got 1"),
+        ([tone(300.0, n=800), tone(2000.0, n=801)], "sources must have equal lengths, got [800, 801]"),
+        ([tone(300.0), Waveform(tone(2000.0).samples, 16000)], "sources must share one sample rate, got [8000, 16000]"),
+    ], ids=["one-source", "two-lengths", "two-rates"])
+    def test_item_refuses_sources_whose_sum_is_no_mixture(self, sources, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MixtureItem(tuple(sources))
+
     def test_synthetic_set_is_deterministic(self):
         a = make_sinusoid_mixture_items(3, seed=5)
         b = make_sinusoid_mixture_items(3, seed=5)
@@ -562,7 +554,7 @@ def test_folded_separation_matches_whole_signal_reference(
     refs = _reference_estimates(mixture, sources, bank, p, apply_relu)
     seen = set()
     with mock.patch.object(codec, "BLOCK_FRAMES", block_frames):
-        outs = _resynthesize([mixture, *sources], bank, p, _recording_rows(_oracle_mask_weigh, seen), n_sources,
+        outs = _resynthesize(sources, bank, p, _recording_rows(_oracle_mask_weigh, seen), n_sources,
                              relu=apply_relu)
     assert seen == {n_half}
     assert len(outs) == n_sources
@@ -598,8 +590,7 @@ def test_unfoldable_banks_run_every_row(case, apply_relu):
     mixture = Waveform(samples.sum(axis=0), FS)
     seen = set()
     with mock.patch.object(codec, "BLOCK_FRAMES", 16):
-        outs = _resynthesize([mixture, *sources], bank, p, _recording_rows(_oracle_mask_weigh, seen), 2,
-                             relu=apply_relu)
+        outs = _resynthesize(sources, bank, p, _recording_rows(_oracle_mask_weigh, seen), 2, relu=apply_relu)
     assert seen == {bank.n_filters}
     refs = _reference_estimates(mixture, sources, bank, p, apply_relu)
     for out, ref in zip(outs, refs):
@@ -612,7 +603,7 @@ def test_unfoldable_banks_run_every_row(case, apply_relu):
         return _oracle_mask_weigh(enc)
 
     with mock.patch.object(codec, "BLOCK_FRAMES", 16):
-        before = _resynthesize([mixture, *sources], bank, p, rectify_then_mask, 2, relu=False)
+        before = _resynthesize(sources, bank, p, rectify_then_mask, 2, relu=False)
     for out, old in zip(outs, before):
         assert out.samples.tobytes() == old.samples.tobytes()
 
@@ -655,7 +646,7 @@ def test_mixes_separates_and_scores_or_raises_value_error(n_sources, n_samples, 
             pass
     try:
         item = make_multi_mixture_item(sources, snr_db)
-        estimates = separate(item.mixture, item.sources, bank, FrameParams(4, hop), apply_relu=apply_relu)
+        estimates = separate(item.sources, bank, FrameParams(4, hop), apply_relu=apply_relu)
     except ValueError:
         return
     assert len(estimates) == len(sources)

@@ -86,7 +86,7 @@ class TestFdRatioOnPipeline:
         fp = FrameParams(16, 8)
 
         def power_weigh(enc):
-            # enc holds the linear encodings [mixture, s1, s2] of one block.
+            # enc holds the linear encodings [s1 + s2, s1, s2] of one block.
             mix, e = enc[0], enc[1:] ** 2
             denom = e[0] + e[1]
             m1 = np.where(denom == 0, 0.5, e[0] / np.where(denom == 0, 1.0, denom))
@@ -98,7 +98,7 @@ class TestFdRatioOnPipeline:
             bank = build_parampgtf(p, 512, 16, 8000)
             vals = []
             for item in items:
-                estimates = _resynthesize([item.mixture, *item.sources], bank, fp, power_weigh, 2, relu=False)
+                estimates = _resynthesize(item.sources, bank, fp, power_weigh, 2, relu=False)
                 for est, src in zip(estimates, item.sources):
                     vals.append(clip_si_snr(si_snr(est, src)))
             return -float(np.mean(vals))
@@ -265,7 +265,7 @@ def test_one_trained_step_beats_mpgtf_and_stft():
     stft = build_stft_bank(StftSpec(), 8000)
 
     def mean_score(bank, items):
-        return float(np.mean([run_separation(it.mixture, it.sources, bank, frame_params) for it in items]))
+        return float(np.mean([run_separation(it.sources, bank, frame_params) for it in items]))
 
     over_mpgtf, over_stft = [], []
     for seed in range(1, 9):
