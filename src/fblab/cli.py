@@ -8,7 +8,11 @@ so a flagless run reproduces the standard configuration; `roundtrip`'s
 deterministic given --seed, which defaults to 0.
 
 Every file a subcommand produces is written here except WAVs
-(`wavio.write_wav`) and FBANK1 banks (`filterbank.save_filterbank`). Its
+(`wavio.write_wav`) and FBANK1 banks (`filterbank.save_filterbank`).
+`separate` writes mixture.wav as `write_wav(path, *item.sources)`, which
+sums the sources one chunk at a time: past the engine's fixed buffers, a
+two-source run peaks at four signal lengths (the sources and the
+estimates), and no mixture signal is ever built. Its
 text outputs go through one line writer, `_write_lines`: the
 freq-response CSV, `separate`'s report.csv and `train`'s trace.csv; and
 one JSON writer, `_write_json`: `separate`'s report.json and `train`'s
@@ -278,7 +282,8 @@ def cmd_separate(args) -> int:
 
     with _out_dir(args.out_dir) as out_dir:
         # Written before scoring: the float32 range check refuses any signal whose SI-SNR sums overflow.
-        write_wav(out_dir / "mixture.wav", item.mixture)
+        # The mixture is the sources' sum, which the writer makes one chunk at a time.
+        write_wav(out_dir / "mixture.wav", *item.sources)
         for i, est in enumerate(estimates, start=1):
             write_wav(out_dir / f"est_{i}.wav", est)
         scores = score_separation(estimates, item.sources)

@@ -9,9 +9,11 @@ There is one mixer, `make_multi_mixture_item`, and it and `SNR_RANGE_DB`
 are the mixing rule: every source after the first sits `snr_db` below the
 first, and experiments draw `snr_db` from `SNR_RANGE_DB`. A `MixtureItem`
 holds the scaled sources alone; its mixture is their sum, a value derived
-on each read, and only `fblab separate` reads it, to write mixture.wav.
-Nothing here takes a mixture: `separate` derives its encoding from the
-sources'.
+on each read. No fblab module reads it: `separate` derives the mixture's
+encoding from the sources', and `fblab separate` writes mixture.wav with
+`write_wav(path, *item.sources)`, which sums the sources one chunk at a
+time. It stays the whole-signal model of that sum, which the benchmark's
+reference separation reads.
 
 Ideal ratio masks computed from the true sources stand in for a learned
 separator, so encoder/decoder feature families can be compared on their
@@ -83,7 +85,10 @@ class MixtureItem:
         """The sum of the sources, added in order onto a copy of the first, computed on each read.
 
         A sum beyond the float range is refused with the `ValueError` of
-        `Waveform`.
+        `Waveform`. This is a signal-long array: the pipeline never builds
+        it, and `write_wav(path, *item.sources)` writes its float32 bytes
+        one chunk at a time. It is the reference those paths are checked
+        against.
         """
         total = self.sources[0].samples.copy()
         with np.errstate(over="ignore"):  # an overflowing sum reads inf and is refused by `_adopt`

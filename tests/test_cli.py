@@ -407,30 +407,64 @@ class TestSeparate:
         assert data["bank"]["kind"] == "mpgtf"
         assert data["config"]["snr_db"] == 0.0
 
-    def test_peak_memory_of_a_2s_separate(self, tmp_path):
-        # From the engine on, the run holds the item's two sources and the
-        # two estimates; the engine's block buffers, the bank and its decoder
-        # rows add about 5.3 signal lengths at 2 s. The mixture is not held
-        # beside them: the engine derives its encoding from the sources', and
-        # the CLI sums the sources only to write mixture.wav. Measured: 9.8
-        # signal lengths of float64, against 10.8 with a mixture mixed up
-        # front and framed by the engine. The first run in a process also
-        # sets up state that later runs reuse, so the second one is measured.
-        n = 2 * 8000
+    @staticmethod
+    def _separate_peak(tmp_path, seconds):
+        """The tracemalloc peak of a two-source `fblab separate` of `seconds` at 8 kHz, and its length in samples.
+
+        The first run in a process also sets up state that later runs
+        reuse, so the second one is measured.
+        """
+        n = int(seconds * 8000)
         bank, wavs = tmp_path / "bank.fbank", [tmp_path / "a.wav", tmp_path / "b.wav"]
-        run(["build-bank", "mpgtf", "--out", bank])
+        if not bank.exists():
+            run(["build-bank", "mpgtf", "--out", bank])
         write_wav(wavs[0], tone(300.0, n=n))
         write_wav(wavs[1], tone(2000.0, n=n, phase=1.0))
         argv = ["separate", bank, *wavs, "--snr-db", "0", "--out-dir"]
         with contextlib.redirect_stdout(io.StringIO()):
-            assert run([*argv, tmp_path / "warm"]) == 0
+            assert run([*argv, tmp_path / f"warm-{seconds}"]) == 0
             tracemalloc.start()
             try:
-                assert run([*argv, tmp_path / "sep"]) == 0
+                assert run([*argv, tmp_path / f"sep-{seconds}"]) == 0
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+        return peak, n
+
+    def test_peak_memory_of_a_2s_separate(self, tmp_path):
+        # From the engine on, the run holds the item's two sources and the
+        # two estimates; the engine's block buffers, the bank and its decoder
+        # rows add about 5.3 signal lengths at 2 s, and they set the peak
+        # there. The mixture is never held beside them: the engine derives
+        # its encoding from the sources', and mixture.wav is summed from the
+        # sources a chunk at a time. Measured: 9.7 signal lengths of float64,
+        # the same as when the CLI summed a whole mixture to write it (the
+        # engine's fixed buffers outweigh one 2 s signal), against 10.8 with
+        # a mixture mixed up front and framed by the engine.
+        peak, n = self._separate_peak(tmp_path, 2.0)
         assert peak < 10.3 * 8 * n
+
+    def test_peak_memory_grows_by_four_signal_lengths(self, tmp_path):
+        # Past the engine's fixed buffers the peak grows with the four
+        # signals held at the mixture.wav write: two sources and two
+        # estimates. Measured from 8 s to 32 s: 4.0 float64 signal lengths
+        # per added length, against 5.0 when a whole mixture was summed to
+        # be written.
+        peak_8, n_8 = self._separate_peak(tmp_path, 8.0)
+        peak_32, n_32 = self._separate_peak(tmp_path, 32.0)
+        assert (peak_32 - peak_8) / (8 * (n_32 - n_8)) <= 4.2
+
+    @pytest.mark.parametrize("n_sources", [2, 3])
+    def test_mixture_wav_is_the_whole_signal_sum_of_the_sources(self, tmp_path, source_wavs, n_sources):
+        bank = tmp_path / "bank.fbank"
+        run(["build-bank", "mpgtf", "--out", bank])
+        wavs = [*source_wavs, tmp_path / "c.wav"][:n_sources]
+        write_wav(tmp_path / "c.wav", tone(1100.0, phase=2.0))
+        out_dir = tmp_path / "sep"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["separate", bank, *wavs, "--out-dir", out_dir, "--snr-db", "3"]) == 0
+        item = make_multi_mixture_item([read_wav(p) for p in wavs], 3.0)
+        assert (out_dir / "mixture.wav").read_bytes() == whole_signal_wav_bytes(item.mixture, "float32")
 
     def test_identical_sources_give_identical_estimates(self, tmp_path, source_wavs):
         bank = tmp_path / "bank.fbank"

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fblab import (
@@ -52,6 +52,28 @@ def naive_encode(x, taps, frame_len, hop, apply_relu):
                 acc += sample * taps[fi, frame_len - 1 - l]
             out[fi, i] = max(acc, 0.0) if apply_relu else acc
     return out
+
+
+#: The engine's difference from the whole-signal reference, in units of
+#: eps * cond(A) * max|ref|, may reach this multiple where that term
+#: exceeds 1e-12 * max(1, max|ref|). Both paths decode through the
+#: pseudo-inverse, which scales the rounding of the encodings by up to
+#: cond(A); on thousands of random square banks (cond up to 1e5) the
+#: difference stayed below 0.6 of the term, through every engine path.
+COND_ERROR_MULTIPLE = 4.0
+
+
+def assert_matches_reference(out, ref, taps):
+    """|out - ref| <= 1e-12 * max(1, max|ref|), or COND_ERROR_MULTIPLE * eps * cond * max|ref| where larger.
+
+    cond is sigma_max / sigma_rank of the taps, with the rank of
+    `numerical_rank`: the singular values the pseudo-inverse keeps.
+    """
+    s = np.linalg.svd(taps, compute_uv=False)
+    cond = s[0] / s[numerical_rank(taps) - 1]
+    peak = float(np.max(np.abs(ref)))
+    bound = max(1e-12 * max(1.0, peak), COND_ERROR_MULTIPLE * np.finfo(np.float64).eps * cond * peak)
+    assert np.max(np.abs(out.samples - ref)) <= bound
 
 
 class TestEncode:
@@ -128,6 +150,8 @@ class TestEncode:
     apply_relu=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
+@example(seed=449, n_filters=20, frame_len=20, hop_frac=0.0, sig_len=10, block_frac=0.0,
+         apply_relu=False)  # cond 8.2e4: the difference, 2.27e-12, exceeds 1e-12 * max|ref|
 def test_blocked_roundtrip_matches_whole_signal_reference(
     seed, n_filters, frame_len, hop_frac, sig_len, block_frac, apply_relu
 ):
@@ -142,7 +166,7 @@ def test_blocked_roundtrip_matches_whole_signal_reference(
         (out,) = _resynthesize([x], bank, p, lambda enc: enc, 1, relu=apply_relu)
     assert out.sample_rate == FS and len(out) == sig_len
     assert not out.samples.flags.writeable
-    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    assert_matches_reference(out, ref, bank.taps)
 
 
 @given(
@@ -155,6 +179,8 @@ def test_blocked_roundtrip_matches_whole_signal_reference(
     apply_relu=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
+@example(seed=1684847065, n_half=22, frame_len=22, hop_frac=0.3359672153091189, sig_len=546,
+         block_frac=0.3379968553572298, apply_relu=False)  # cond 3.7e4: 1.04e-11 against 8.6e-12
 def test_folded_roundtrip_matches_whole_signal_reference(
     seed, n_half, frame_len, hop_frac, sig_len, block_frac, apply_relu
 ):
@@ -178,7 +204,7 @@ def test_folded_roundtrip_matches_whole_signal_reference(
         (out,) = _resynthesize([x], bank, p, identity, 1, relu=apply_relu)
     assert seen == {n_half}
     assert out.sample_rate == FS and len(out) == sig_len
-    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    assert_matches_reference(out, ref, bank.taps)
 
 
 def sign_split_half(taps):
@@ -380,6 +406,8 @@ def test_engine_framing_edges_match_padded_copy_model_bitwise(frame_len, hop, si
     relu=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
+@example(case=(16, 16, 1193, 70), seed=1585987471, folded=False,
+         relu=False)  # cond 2.0e4: 3.6e-12 against 3.3e-12
 def test_weigh_free_pass_matches_whole_signal_reference(case, seed, folded, relu):
     # One L x L frame operator per block: a [P; -P] bank, rectified or
     # not, or any other bank without relu.
@@ -402,7 +430,7 @@ def test_weigh_free_pass_matches_whole_signal_reference(case, seed, folded, relu
     assert add.call_count == -(-count // block)  # its blocks, not the engine's one
     assert out.sample_rate == FS and len(out) == sig_len
     assert not out.samples.flags.writeable
-    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    assert_matches_reference(out, ref, bank.taps)
 
 
 @given(case=engine_cases(), seed=st.integers(0, 2**31 - 1))

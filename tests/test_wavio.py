@@ -79,6 +79,117 @@ def test_small_chunks_write_the_whole_signal_bytes(tmp_path_factory, chunk, n, s
     assert path.read_bytes() == whole_signal_wav_bytes(w, "float32")
 
 
+def in_order_sum(signals):
+    """The whole-signal model of the summing writer's input: the samples added in order, in float64."""
+    total = signals[0].samples.copy()
+    for w in signals[1:]:
+        total += w.samples
+    return Waveform(total, signals[0].sample_rate)
+
+
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 2), st.integers(-1, 1), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-40.0, 38.0), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_a_sum_writes_the_bytes_of_its_whole_signal_sum(tmp_path_factory, count, chunk, chunks, offset, seed,
+                                                        log_scales):
+    # Lengths at and around chunk multiples, and sources of unlike scales, so
+    # the float64 sum rounds before its cast to float32 does.
+    n = max(chunks * chunk + offset, 0)
+    rng = np.random.default_rng(seed)
+    signals = [Waveform(rng.standard_normal(n) * 10.0**log_scales[c] / count, 8000) for c in range(count)]
+    path = tmp_path_factory.mktemp("wav") / "sum.wav"
+    with mock.patch.object(wavio, "CHUNK_SAMPLES", chunk):
+        write_wav(path, *signals)
+    assert path.read_bytes() == whole_signal_wav_bytes(in_order_sum(signals), "float32")
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_a_sum_of_in_range_samples_is_written_though_its_bound_is_not(tmp_path, count):
+    # The square roots of the sums of squares add to more than the float32
+    # range, so the writer sums the samples exactly, and they cancel.
+    signals = [Waveform(np.full(16, 1e38), 8000), Waveform(np.full(16, -0.75e38), 8000),
+               Waveform(np.full(16, 0.5e38), 8000)][:count]
+    path = tmp_path / "loud.wav"
+    with mock.patch.object(wavio, "CHUNK_SAMPLES", 5):
+        write_wav(path, *signals)
+    assert path.read_bytes() == whole_signal_wav_bytes(in_order_sum(signals), "float32")
+
+
+#: A sum beyond the float32 range in the second chunk of five samples, and
+#: one past the float64 range in the third: the exact pass reads every
+#: chunk, so the non-finite sum is named whichever chunk holds it.
+OUT_OF_RANGE_SUMS = {
+    "float32": ([[0.5] * 5 + [2e38] * 5, [0.5] * 5 + [2e38] * 5], r"sample magnitude 4e\+38 is beyond"),
+    "float32-each-in-range": ([[2e38], [2e38]], r"sample magnitude 4e\+38 is beyond"),
+    "float32-of-three": ([[1.0] * 6, [-3e38] * 6, [-1e38] * 6], r"sample magnitude 4e\+38 is beyond"),
+    "float64": ([[0.0] * 10 + [1e308] * 3, [0.0] * 10 + [1e308] * 3], "waveform contains non-finite samples"),
+    "float64-after-float32": ([[3e38] * 5 + [0.0] * 5 + [1.5e308], [3e38] * 5 + [0.0] * 5 + [1.5e308]],
+                              "waveform contains non-finite samples"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_SUMS))
+def test_a_sum_out_of_range_is_refused_before_the_file_opens(tmp_path, case):
+    rows, message = OUT_OF_RANGE_SUMS[case]
+    signals = [Waveform(np.array(row), 8000) for row in rows]
+    path = tmp_path / "loud.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(wavio, "CHUNK_SAMPLES", 5):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                write_wav(path, *signals)
+    assert not path.exists()
+
+
+def test_a_sum_beyond_float32_names_its_whole_signal_peak(tmp_path):
+    # The text of a whole-signal write of the float64 sum, whose peak lies in a later chunk.
+    rng = np.random.default_rng(5)
+    signals = [Waveform(3e38 * rng.standard_normal(40), 8000) for _ in range(3)]
+    total = in_order_sum(signals).samples
+    peak = max(float(total.max()), -float(total.min()))
+    assert peak >= FLOAT32_OVERFLOW and np.argmax(np.abs(total)) >= 5
+    with mock.patch.object(wavio, "CHUNK_SAMPLES", 5):
+        with pytest.raises(ValueError) as caught:
+            write_wav(tmp_path / "loud.wav", *signals)
+    assert str(caught.value) == (f"sample magnitude {peak!r} is beyond the float32 range "
+                                 f"({float(np.finfo(np.float32).max)!r})")
+    assert not (tmp_path / "loud.wav").exists()
+
+
+@pytest.mark.parametrize(
+    "signals, message",
+    [
+        ([], "^write_wav needs at least one waveform$"),
+        ([Waveform(np.zeros(4), 8000), Waveform(np.zeros(5), 8000)],
+         r"^waveforms to sum must have equal lengths, got \[4, 5\]$"),
+        ([Waveform(np.zeros(4), 8000), Waveform(np.zeros(4), 8000), Waveform(np.zeros(4), 16000)],
+         r"^waveforms to sum must share one sample rate, got \[8000, 8000, 16000\]$"),
+    ],
+    ids=["none", "lengths", "rates"],
+)
+def test_unlike_signals_are_refused_before_the_file_opens(tmp_path, signals, message):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match=message):
+        write_wav(path, *signals)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_a_sum_is_written_in_chunk_buffers(tmp_path, count):
+    # One float32 chunk, plus a float64 chunk for three or more signals, and
+    # numpy's 8192-sample float64 cast buffer: no signal-long array.
+    signals = [loud_noise(4 * wavio.CHUNK_SAMPLES + 5, seed) for seed in range(count)]
+    path = tmp_path / "sum.wav"
+    write_wav(path, *signals)  # numpy sets up its ufunc state on a first call
+    tracemalloc.start()
+    try:
+        write_wav(path, *signals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * wavio.CHUNK_SAMPLES + (8 * wavio.CHUNK_SAMPLES if count >= 3 else 0) + 96 * 1024
+
+
 def test_pcm16_roundtrip_within_one_lsb(tmp_path):
     w = sine()
     path = tmp_path / "tone.wav"
