@@ -88,12 +88,13 @@ def in_order_sum(signals):
 
 
 @given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 2), st.integers(-1, 1), st.integers(0, 2**32 - 1),
-       st.lists(st.floats(-40.0, 38.0), min_size=4, max_size=4))
+       st.lists(st.floats(-40.0, 37.0), min_size=4, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_a_sum_writes_the_bytes_of_its_whole_signal_sum(tmp_path_factory, count, chunk, chunks, offset, seed,
                                                         log_scales):
     # Lengths at and around chunk multiples, and sources of unlike scales, so
-    # the float64 sum rounds before its cast to float32 does.
+    # the float64 sum rounds before its cast to float32 does. Scales stop at
+    # 1e37, an order below the float32 range, so no draw is refused.
     n = max(chunks * chunk + offset, 0)
     rng = np.random.default_rng(seed)
     signals = [Waveform(rng.standard_normal(n) * 10.0**log_scales[c] / count, 8000) for c in range(count)]
