@@ -106,7 +106,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dsp import FrameParams, Waveform, _add_frames, _framed, frame_signal, num_frames, overlap_add
+from .dsp import FrameParams, Waveform, _add_frames, _check_waveforms, _framed, frame_signal, num_frames, overlap_add
 from .filterbank import Filterbank
 
 #: Frames per block of `_resynthesize`. Measured on 512-filter banks, L = 16,
@@ -226,22 +226,23 @@ def _resynthesize(
     the module docstring); otherwise it is the full engine with the
     identity weigh.
 
-    Raises the `ValueError`s of `encode` for a bank or signal that does
-    not fit, one for signals of unequal lengths and one for `weigh=None`
-    with more than one signal or output, before any work; and one for a
-    product of taps and samples, a sum of encodings or a weigh's result
-    that overflows a float, which `relu` or the weigh could otherwise turn
-    into a finite but wrong output.
+    Raises, before any work and in this order, a `ValueError` for
+    `weigh=None` with more than one signal or output, those of `encode`
+    for a bank or signal that does not fit (an empty one: "empty input"),
+    and those of `dsp._check_waveforms` for no signals ("need at least 1
+    waveform, got 0") or unequal lengths ("waveforms must have equal
+    lengths, got [...]"); then one for a product of taps and samples, a
+    sum of encodings or a weigh's result that overflows a float, which
+    `relu` or the weigh could otherwise turn into a finite but wrong output.
     """
     if weigh is None and (len(signals) != 1 or n_out != 1):
         raise ValueError(f"weigh=None takes one signal and n_out=1, got {len(signals)} signals and n_out={n_out}")
     for x in signals:
         _check_encode_args(x, bank, p)
-    n = len(signals[0])
-    if n == 0:
+    if not all(map(len, signals)):
         raise ValueError("empty input")
-    if any(len(x) != n for x in signals):
-        raise ValueError(f"signals must have equal lengths, got {[len(x) for x in signals]}")
+    _check_waveforms(signals, 1)
+    n = len(signals[0])
     framed = [_framed(x.samples, p) for x in signals]
     n_sig, count, frame_len = len(signals), num_frames(n, p), p.frame_len
     mixed = int(n_sig > 1)  # the encodings start at row 1 when row 0 holds their sum

@@ -5,9 +5,10 @@ Everything operates on immutable float64 values. Framing follows strided
 overlap-add sums shifted synthesis frames without window compensation.
 `_framed` owns the frame geometry for both the whole-signal `frame_signal`
 and the block engine `codec._resynthesize`. `_dot` takes every
-whole-signal dot product of the library (a waveform's energy, the
-mixer's tail energies, `si_snr`'s projection) in fixed blocks, so no
-result depends on the BLAS thread count.
+whole-signal dot product of the library (a waveform's energy and
+`si_snr`'s projection) in fixed blocks, so no result depends on the BLAS
+thread count. `_check_waveforms` states the rule for a set of waveforms
+that is summed or encoded side by side: one length and one sample rate.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ class Waveform:
     def _adopt(cls, samples: np.ndarray, sample_rate: int) -> Waveform:
         """A waveform that takes over `samples` instead of copying them.
 
-        Only for float64 arrays the library has just allocated and keeps no
-        other writable reference to: they are checked as the constructor
+        Only for float64 arrays no caller can write: ones the library has
+        just allocated and keeps no other writable reference to, or a slice
+        of another waveform's samples. They are checked as the constructor
         checks its input, then made read-only in place.
         """
         w = object.__new__(cls)
@@ -109,6 +111,19 @@ class Waveform:
     def energy(self) -> float:
         """Sum of squared samples, as computed at construction; inf if it overflows."""
         return self._energy
+
+
+def _check_waveforms(signals, least: int) -> None:
+    """Raise ValueError unless `signals` are at least `least` waveforms of one length and one sample rate.
+
+    Checked in that order; each message names the count, the lengths or the rates.
+    """
+    if len(signals) < least:
+        raise ValueError(f"need at least {least} waveform{'s' * (least != 1)}, got {len(signals)}")
+    if len({len(w) for w in signals}) > 1:
+        raise ValueError(f"waveforms must have equal lengths, got {[len(w) for w in signals]}")
+    if len({w.sample_rate for w in signals}) > 1:
+        raise ValueError(f"waveforms must share one sample rate, got {[w.sample_rate for w in signals]}")
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ def save_filterbank(path, bank: Filterbank) -> None:
 
 
 def load_filterbank(path) -> Filterbank:
-    """Read an FBANK1 file, rejecting dimension or header mismatches."""
+    """Read an FBANK1 file, rejecting dimension or header mismatches, a repeated field and a lone c1 or c2."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.read().splitlines()
@@ -148,6 +148,8 @@ def load_filterbank(path) -> Filterbank:
         if "=" not in token:
             raise ValueError(f"bad FBANK1 header token {token!r}")
         key, value = token.split("=", 1)
+        if key in fields:
+            raise ValueError(f"bad FBANK1 header: field {key!r} given twice")
         fields[key] = value
     try:
         kind = FilterbankKind(fields["kind"])
@@ -158,9 +160,10 @@ def load_filterbank(path) -> Filterbank:
         fs = int(fields["fs"])
         centers = fields.get("centers", "-")
         center_freqs = None if centers == "-" else np.array([float(v) for v in centers.split(",")])
-        erb_params = None
-        if fields.get("c1", "-") != "-" and fields.get("c2", "-") != "-":
-            erb_params = ErbParams(float(fields["c1"]), float(fields["c2"]))
+        c1, c2 = fields.get("c1", "-"), fields.get("c2", "-")
+        if (c1 == "-") != (c2 == "-"):
+            raise ValueError(f"c1 and c2 must both be given or both be '-', got c1={c1} c2={c2}")
+        erb_params = None if c1 == "-" else ErbParams(float(c1), float(c2))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad FBANK1 header: {exc}") from exc
 

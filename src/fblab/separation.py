@@ -7,9 +7,12 @@ separate` writes the scores to report.csv and report.json in `cli`.
 
 There is one mixer, `make_multi_mixture_item`, and it and `SNR_RANGE_DB`
 are the mixing rule: every source after the first sits `snr_db` below the
-first, and experiments draw `snr_db` from `SNR_RANGE_DB`. A `MixtureItem`
-holds the scaled sources alone; its mixture is their sum, a value derived
-on each read. No fblab module reads it: `separate` derives the mixture's
+first, and experiments draw `snr_db` from `SNR_RANGE_DB`. The mixer (on
+the sources cut to their common length), `MixtureItem` and
+`oracle_irm_masks` check their sources with `dsp._check_waveforms`: two
+or more, of one length and one sample rate. A `MixtureItem` holds the
+scaled sources alone; its mixture is their sum, a value derived on each
+read. No fblab module reads it: `separate` derives the mixture's
 encoding from the sources', and `fblab separate` writes mixture.wav with
 `write_wav(path, *item.sources)`, which sums the sources one chunk at a
 time. It stays the whole-signal model of that sum, which the benchmark's
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import _resynthesize, encode
-from .dsp import FrameParams, Waveform, _dot
+from .dsp import FrameParams, Waveform, _check_waveforms
 from .filterbank import Filterbank
 from .metrics import si_snr
 
@@ -66,19 +69,15 @@ class SilentSourceError(ValueError):
 class MixtureItem:
     """One separation problem: two or more scaled sources of one length and one sample rate.
 
-    Each refusal of `sources` is a `ValueError` that names its fault:
-    fewer than two, unequal lengths or more than one sample rate.
+    `dsp._check_waveforms` refuses any other `sources` with a `ValueError`
+    that names its fault: fewer than two, unequal lengths or more than one
+    sample rate.
     """
 
     sources: tuple[Waveform, ...]
 
     def __post_init__(self):
-        if len(self.sources) < 2:
-            raise ValueError(f"need at least 2 sources, got {len(self.sources)}")
-        if any(len(s) != len(self.sources[0]) for s in self.sources):
-            raise ValueError(f"sources must have equal lengths, got {[len(s) for s in self.sources]}")
-        if any(s.sample_rate != self.sources[0].sample_rate for s in self.sources):
-            raise ValueError(f"sources must share one sample rate, got {[s.sample_rate for s in self.sources]}")
+        _check_waveforms(self.sources, 2)
 
     @property
     def mixture(self) -> Waveform:
@@ -106,46 +105,41 @@ def make_multi_mixture_item(sources, snr_db: float) -> MixtureItem:
 
     `snr_db` may be any finite value; a non-finite one is refused before
     anything else. Mixing is deterministic: experiments that draw `snr_db`
-    at random, conventionally from `SNR_RANGE_DB`, own their RNG. Sources
-    must share one sample rate and are truncated to the common length;
-    source c >= 2 is scaled by its own gain
-    g_c = sqrt((E1 / E_c) * 10^(-snr_db / 10)). The item holds these
-    targets (the first source and each g_c * s_c) and nothing else; its
-    mixture is their sum, so a perfect separator would score +inf SI-SNR
-    on each. A source that is all zero over the common length raises
+    at random, conventionally from `SNR_RANGE_DB`, own their RNG. The
+    sources are cut to their common length, checked as `MixtureItem`
+    checks its sources, then refused if empty; source c >= 2 is scaled by
+    its own gain g_c = sqrt((E1 / E_c) * 10^(-snr_db / 10)), each E the
+    cut source's `Waveform.energy`. The item holds these targets (a copy
+    of the first source and each g_c * s_c) and nothing else; its mixture
+    is their sum, so a perfect separator would score +inf SI-SNR on each.
+    A source that is all zero over the common length raises
     `SilentSourceError` naming its position, and so does the `ValueError`
     for a source whose energy overflows a float (|x| >~ 1e154); an snr_db
     so extreme that a gain overflows or underflows to 0 is a `ValueError`.
     """
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db!r}")
-    if len(sources) < 2:
-        raise ValueError(f"need at least 2 sources, got {len(sources)}")
-    fs = sources[0].sample_rate
-    for s in sources[1:]:
-        if s.sample_rate != fs:
-            raise ValueError(f"sample rates differ: {fs} vs {s.sample_rate}")
-    n = min(len(s) for s in sources)
+    n = min(map(len, sources), default=0)
+    cut = [Waveform(s.samples[:n], s.sample_rate) for s in sources[:1]]  # a copy: no target shares an input's memory
+    cut += [s if len(s) == n else Waveform._adopt(s.samples[:n], s.sample_rate) for s in sources[1:]]
+    _check_waveforms(cut, 2)
     if n == 0:
         raise ValueError("empty input")
-    head = sources[0].samples[:n]
-    targets = [Waveform(head, fs)]
-    tails = [s.samples[:n] for s in sources[1:]]
-    with np.errstate(over="ignore"):  # an overflowing energy reads inf and is refused below
-        energies = [targets[0].energy()] + [_dot(tail, tail) for tail in tails]
-    for position, energy in enumerate(energies, start=1):
-        if energy == 0.0:
-            raise SilentSourceError(position, len(sources), n)
-        if energy == math.inf:
-            raise ValueError(f"source {position} of {len(sources)}: its energy overflows a float")
-    for tail, energy in zip(tails, energies[1:]):
+    for position, w in enumerate(cut, start=1):
+        if w.energy() == 0.0:
+            raise SilentSourceError(position, len(cut), n)
+        if w.energy() == math.inf:
+            raise ValueError(f"source {position} of {len(cut)}: its energy overflows a float")
+    head = cut[0]
+    targets = [head]
+    for tail in cut[1:]:
         try:  # energy != 0: the check above refused a silent source
-            g = math.sqrt((energies[0] / energy) * 10.0 ** (-snr_db / 10.0))
+            g = math.sqrt((head.energy() / tail.energy()) * 10.0 ** (-snr_db / 10.0))
         except OverflowError:
             g = math.inf
         if not 0.0 < g < math.inf:
             raise ValueError(f"snr_db={snr_db!r} gives a mixing gain {g!r} outside (0, inf)")
-        targets.append(Waveform._adopt(tail * g, fs))
+        targets.append(Waveform._adopt(tail.samples * g, head.sample_rate))
     return MixtureItem(tuple(targets))
 
 
@@ -187,13 +181,7 @@ def oracle_irm_masks(
     `apply_mask` -> `decode` is the whole-signal reference chain that the
     blocked engine of `separate` is tested against.
     """
-    if len(sources) < 2:
-        raise ValueError(f"need at least 2 sources, got {len(sources)}")
-    n = len(sources[0])
-    if any(len(s) != n for s in sources):
-        raise ValueError("sources must have equal lengths")
-    if any(s.sample_rate != sources[0].sample_rate for s in sources):
-        raise ValueError("sources must share one sample rate")
+    _check_waveforms(sources, 2)
     mags = np.stack([np.abs(encode(s, bank, frame_params, apply_relu=False)) for s in sources])
     total = mags.sum(axis=0)
     masks = np.divide(mags, total, out=np.full_like(mags, 1.0 / len(sources)), where=total > 0.0)
@@ -261,8 +249,8 @@ def score_separation(
     estimates: list[Waveform],
     sources: tuple[Waveform, ...] | list[Waveform],
 ) -> tuple[float, ...]:
-    """SI-SNR in dB of each estimate against its (scaled) source, as a tuple."""
-    return tuple(si_snr(est, src) for est, src in zip(estimates, sources))
+    """SI-SNR in dB of each estimate against its (scaled) source, as a tuple; a ValueError unless the counts match."""
+    return tuple(si_snr(est, src) for est, src in zip(estimates, sources, strict=True))
 
 
 def run_separation(

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import Waveform, _check_waveforms
 
 
 _PCM = 1
@@ -109,18 +109,14 @@ def _sum_into(parts, out: np.ndarray, acc: np.ndarray) -> np.ndarray:
 def _check_float32_range(signals) -> None:
     """Raise ValueError unless every sample of the sum of `signals` casts to a finite float32.
 
-    One signal passes when its sum of squares is below the square of the
-    overflow boundary, which bounds every |x|; a sum passes when the
-    square roots of its signals' sums of squares, added in order, stay
-    below the boundary itself, which bounds every |sum| (triangle
-    inequality, and rounding is monotone). Otherwise one exact pass sums
-    the signals a chunk at a time in float64, as their whole-signal sum
-    would be rounded.
+    The signals pass when the square roots of their sums of squares, added
+    in order, stay below the overflow boundary, which bounds every |sum|
+    (triangle inequality, and rounding is monotone); for one signal that
+    is its largest possible |x|. Otherwise, a tie included, one exact pass
+    sums the signals a chunk at a time in float64, as their whole-signal
+    sum would be rounded.
     """
-    if len(signals) == 1:
-        if signals[0].energy() < _FLOAT32_OVERFLOW**2:
-            return
-    elif sum(math.sqrt(w.energy()) for w in signals) < _FLOAT32_OVERFLOW:
+    if sum(math.sqrt(w.energy()) for w in signals) < _FLOAT32_OVERFLOW:
         return
     n = len(signals[0])
     buf = np.empty(min(n, CHUNK_SAMPLES))
@@ -147,22 +143,18 @@ def write_wav(path, *signals: Waveform) -> None:
     `Waveform(sum).samples.astype("<f4")`, and the writer holds one
     float32 chunk, plus one float64 chunk for three or more signals.
 
-    Raises ValueError, before the file is opened, for no signals, for
-    unequal lengths or rates, for a sum that overflows float64 (the
-    `Waveform` refusal of non-finite samples), for samples beyond the
-    float32 range (they would be stored as inf, which `read_wav` rejects)
-    and for a sample rate whose byte rate does not fit the header's 32-bit
-    field.
+    Raises ValueError, before the file is opened: `dsp._check_waveforms`'s
+    for no signals ("need at least 1 waveform, got 0"), unequal lengths
+    or rates ("waveforms must have equal lengths, got [...]", "... must
+    share one sample rate, got [...]"); `Waveform`'s refusal of
+    non-finite samples for a sum that overflows float64; and one each for
+    samples beyond the float32 range (stored as inf, which `read_wav`
+    rejects) and for a byte rate beyond the header's 32-bit field.
     """
-    if not signals:
-        raise ValueError("write_wav needs at least one waveform")
-    if any(len(w) != len(signals[0]) for w in signals):
-        raise ValueError(f"waveforms to sum must have equal lengths, got {[len(w) for w in signals]}")
-    sample_rate = signals[0].sample_rate
-    if any(w.sample_rate != sample_rate for w in signals):
-        raise ValueError(f"waveforms to sum must share one sample rate, got {[w.sample_rate for w in signals]}")
+    _check_waveforms(signals, 1)
     _check_float32_range(signals)
 
+    sample_rate = signals[0].sample_rate
     byte_rate = sample_rate * 4
     if byte_rate > _U32_MAX:
         raise ValueError(f"sample rate {sample_rate} Hz is too high for a 32-bit WAV: "

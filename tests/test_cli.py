@@ -193,11 +193,14 @@ class TestFreqResponse:
         ],
     )
     def test_bad_dimensions_are_typed_errors(self, tmp_path, source_wavs, capsys, command, dims, message):
-        # `dims` holds header fields, which override the defaults before them,
-        # and may go on with its own tap rows after a newline.
+        # `dims` holds header fields, which replace the defaults of the same name
+        # (a header names each field once), and may go on with its own tap rows
+        # after a newline.
         fields, _, rows = dims.partition("\n")
+        given = {token.split("=", 1)[0] for token in fields.split()}
+        defaults = " ".join(field for field in ("kind=custom", "fs=8000") if field.split("=")[0] not in given)
         bank = tmp_path / "bad.fbank"
-        bank.write_text(f"FBANK1 kind=custom fs=8000 {fields} c1=- c2=- centers=-\n{rows or '1 2 3'}\n")
+        bank.write_text(f"FBANK1 {defaults} {fields} c1=- c2=- centers=-\n{rows or '1 2 3'}\n")
         if command == "freq-response":
             args = ["freq-response", bank, "--out", tmp_path / "x.csv"]
         else:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ class TestFbank1Format:
         path = tmp_path / "bad.fbank"
         path.write_text(f"FBANK1 kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265 centers=-\n1\n")
         with pytest.raises(ValueError, match="bad FBANK1 header"):
+            load_filterbank(path)
+
+    @pytest.mark.parametrize("fields,message", [
+        ("kind=stft fs=8000 c1=abc c2=-", "c1 and c2 must both be given or both be '-', got c1=abc c2=-"),
+        ("kind=mpgtf fs=8000 c1=- c2=9.265", "c1 and c2 must both be given or both be '-', got c1=- c2=9.265"),
+        ("kind=mpgtf fs=8000 c1=24.7", "c1 and c2 must both be given or both be '-', got c1=24.7 c2=-"),
+        ("kind=custom fs=8000 fs=16000 c1=- c2=-", "field 'fs' given twice"),
+    ], ids=["c1-only", "c2-only", "c2-missing", "fs-twice"])
+    def test_rejects_a_half_erb_pair_or_a_repeated_field(self, tmp_path, fields, message):
+        path = tmp_path / "bad.fbank"
+        path.write_text(f"FBANK1 n=1 len=1 {fields} centers=-\n1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape('bad FBANK1 header: ' + message)}$"):
             load_filterbank(path)
 
     def test_stft_header_has_no_erb_params(self, tmp_path):

@@ -11,8 +11,11 @@ builds a decoder bank: the engine decodes with the bank's own
 report through return values and exceptions. No module reads an item's
 `mixture`: the pipeline derives the mixture's encoding from the sources,
 and `fblab separate` writes mixture.wav by summing the sources a chunk at
-a time, so the mixture signal is never built. The sources are read with
-`ast`, so a call is found whether or not the code path runs in a test.
+a time, so the mixture signal is never built. A set of waveforms (one
+length, one sample rate) is checked by `dsp._check_waveforms` alone, so
+the five functions that take one call it and state no rule of their own.
+The sources are read with `ast`, so a call is found whether or not the
+code path runs in a test.
 
 Every public name of `fblab`, and every dataclass field, public method and
 property of its classes, has a reader outside the unit tests: the library's
@@ -86,6 +89,23 @@ def test_cli_reads_wavs_only_in_read_source_and_banks_only_in_load_bank():
     cli = _modules()["cli"]
     assert _callers(cli, "read_wav") == {"_read_source"}
     assert _callers(cli, "load_filterbank") == {"_load_bank"}
+
+
+def _raisers(tree: ast.Module, phrase: str) -> set[str]:
+    """The top-level definitions of `tree` with a `raise` whose literal text (f-string parts too) holds `phrase`."""
+    return {top.name for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            for node in ast.walk(top) if isinstance(node, ast.Raise) and node.exc is not None
+            and any(isinstance(part, ast.Constant) and phrase in str(part.value) for part in ast.walk(node.exc))}
+
+
+def test_one_helper_checks_a_set_of_waveforms():
+    modules = _modules()
+    callers = {(name, caller) for name, tree in modules.items() for caller in _callers(tree, "_check_waveforms")}
+    assert callers == {("separation", "MixtureItem"), ("separation", "make_multi_mixture_item"),
+                       ("separation", "oracle_irm_masks"), ("codec", "_resynthesize"), ("wavio", "write_wav")}
+    for phrase in ("equal lengths", "one sample rate"):
+        assert {(name, raiser) for name, tree in modules.items()
+                for raiser in _raisers(tree, phrase)} == {("dsp", "_check_waveforms")}, phrase
 
 
 def _mixture_reads(tree: ast.Module) -> list[ast.Attribute]:

@@ -23,6 +23,7 @@ from fblab import (
     num_frames,
     pseudo_inverse,
     run_separation,
+    score_separation,
     separate,
     si_snr,
 )
@@ -116,6 +117,13 @@ class TestRunSeparation:
         value = si_snr(estimates[0], s)
         assert value > 250.0
         assert clip_si_snr(value) == 60.0
+
+    @pytest.mark.parametrize("n_estimates", [1, 3])
+    def test_score_separation_refuses_a_count_mismatch(self, n_estimates):
+        # a missing or extra estimate is an error, not a shorter tuple of scores
+        sources = [tone(300.0), tone(2000.0)]
+        with pytest.raises(ValueError, match="^zip"):
+            score_separation([sources[0]] * n_estimates, sources)
 
     def test_disjoint_sinusoids_improve_over_mixture(self, mpgtf_bank):
         item = make_multi_mixture_item([tone(300.0), tone(2000.0, phase=1.2)], 0.0)
@@ -300,6 +308,11 @@ class TestSeparateErrors:
         with pytest.raises(ValueError, match=re.escape("empty input")):
             separate([empty, s], mpgtf_bank, FP)
 
+    def test_an_empty_later_source_is_empty_input(self, mpgtf_bank):
+        # any empty source, not only the first, is refused before the lengths are compared
+        with pytest.raises(ValueError, match="^empty input$"):
+            separate([tone(440.0, n=800), Waveform(np.zeros(0), FS)], mpgtf_bank, FP)
+
     def test_source_lengths_differ(self, mpgtf_bank):
         s = tone(440.0, n=800)
         with pytest.raises(ValueError, match="equal lengths"):
@@ -310,9 +323,14 @@ class TestSeparateErrors:
         with pytest.raises(ValueError, match="at least 2"):
             separate([s], mpgtf_bank, FP)
 
+    def test_no_signals_is_the_set_check_count_error(self, mpgtf_bank):
+        # no signal for the engine's own checks to refuse: the set check names the count
+        with pytest.raises(ValueError, match="^need at least 1 waveform, got 0$"):
+            _resynthesize([], mpgtf_bank, FP, _oracle_mask_weigh, 2, relu=True)
+
     @pytest.mark.parametrize("call,message", [
         ("separate", "sample rate mismatch: bank 8000 Hz, signal 16000 Hz"),  # the engine's per-signal check
-        ("oracle_irm_masks", "sources must share one sample rate"),
+        ("oracle_irm_masks", "waveforms must share one sample rate, got [8000, 16000]"),
     ], ids=["separate", "oracle_irm_masks"])
     def test_sources_at_two_rates(self, mpgtf_bank, call, message):
         s = tone(440.0, n=800)
@@ -387,7 +405,7 @@ class TestMixtureItems:
             make_multi_mixture_item(sources, 0.0)
 
     def test_rate_mismatch(self):
-        with pytest.raises(ValueError, match="^sample rates differ: 8000 vs 16000$"):
+        with pytest.raises(ValueError, match=r"^waveforms must share one sample rate, got \[8000, 16000\]$"):
             make_multi_mixture_item([wave([1.0]), Waveform(np.ones(1), 16000)], 0.0)
 
     def test_truncates_to_shorter(self):
@@ -473,13 +491,14 @@ class TestMixtureItems:
             make_multi_mixture_item([tone(300.0), Waveform(np.zeros(0), FS)], 0.0)
 
     def test_single_source(self):
-        with pytest.raises(ValueError, match="^need at least 2 sources, got 1$"):
+        with pytest.raises(ValueError, match="^need at least 2 waveforms, got 1$"):
             make_multi_mixture_item([tone(300.0)], 0.0)
 
     @pytest.mark.parametrize("sources,message", [
-        ([tone(300.0)], "need at least 2 sources, got 1"),
-        ([tone(300.0, n=800), tone(2000.0, n=801)], "sources must have equal lengths, got [800, 801]"),
-        ([tone(300.0), Waveform(tone(2000.0).samples, 16000)], "sources must share one sample rate, got [8000, 16000]"),
+        ([tone(300.0)], "need at least 2 waveforms, got 1"),
+        ([tone(300.0, n=800), tone(2000.0, n=801)], "waveforms must have equal lengths, got [800, 801]"),
+        ([tone(300.0), Waveform(tone(2000.0).samples, 16000)],
+         "waveforms must share one sample rate, got [8000, 16000]"),
     ], ids=["one-source", "two-lengths", "two-rates"])
     def test_item_refuses_sources_whose_sum_is_no_mixture(self, sources, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

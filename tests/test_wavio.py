@@ -160,11 +160,11 @@ def test_a_sum_beyond_float32_names_its_whole_signal_peak(tmp_path):
 @pytest.mark.parametrize(
     "signals, message",
     [
-        ([], "^write_wav needs at least one waveform$"),
+        ([], "^need at least 1 waveform, got 0$"),
         ([Waveform(np.zeros(4), 8000), Waveform(np.zeros(5), 8000)],
-         r"^waveforms to sum must have equal lengths, got \[4, 5\]$"),
+         r"^waveforms must have equal lengths, got \[4, 5\]$"),
         ([Waveform(np.zeros(4), 8000), Waveform(np.zeros(4), 8000), Waveform(np.zeros(4), 16000)],
-         r"^waveforms to sum must share one sample rate, got \[8000, 8000, 16000\]$"),
+         r"^waveforms must share one sample rate, got \[8000, 8000, 16000\]$"),
     ],
     ids=["none", "lengths", "rates"],
 )
