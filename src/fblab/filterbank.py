@@ -1,24 +1,30 @@
-"""The Filterbank value type, its on-disk FBANK1 format, and FFT responses.
+"""The Filterbank value type, its on-disk FBANK2 format, and FFT responses.
 
-FBANK1 is a plain-text exchange format: one header line
+FBANK2 is a text exchange format: one header line
 
-    FBANK1 kind=<kind> n=<N> len=<L> fs=<Hz> c1=<value|-> c2=<value|-> centers=<f1,f2,...|->
+    FBANK2 kind=<kind> n=<N> len=<L> fs=<Hz> c1=<value|-> c2=<value|-> centers=<f1,f2,...|->
 
-followed by N lines of L space-separated floats, LF newlines. Every float
-is written with 17 significant digits, so taps and centers round-trip
-float64 exactly. The `centers` field is optional on read: files without
-it load with no center frequencies.
+followed by N tap rows, LF newlines. Each row is 16*L lowercase hex
+digits: the row's L taps as little-endian float64 bytes
+(`row.astype("<f8").tobytes().hex()`), so taps round-trip bit for bit,
+signed zeros and subnormals included. Header floats are written with 17
+significant digits, so c1, c2 and the centers round-trip float64 exactly.
+The `centers` field is optional on read: files without it load with no
+center frequencies. Gammatone kinds give both c1 and c2; `stft` and
+`custom` give neither.
 
-The taps are written by one `np.savetxt` call at 17 significant digits
-and read row by row by `_parse_rows`, which accepts what `float()` reads
-and names the bad row. The loader does not look for a sign-split [P; -P]
-bank; `Filterbank.sign_split_half` alone decides the fold, on the parsed
-taps.
+The loader checks every row's width, then decodes all rows with one
+`bytes.fromhex` and one `np.frombuffer`; only when that fails does it
+look for the row at fault and name it. A file of the older decimal format
+FBANK1 is refused with a note to rebuild it. The loader does not look for
+a sign-split [P; -P] bank; `Filterbank.sign_split_half` alone decides the
+fold, on the decoded taps.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +47,14 @@ class FilterbankKind(enum.Enum):
 
 
 _GAMMATONE_KINDS = {FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF}
+
+
+def _check_erb_params(kind: FilterbankKind, erb_params: ErbParams | None) -> None:
+    """Gammatone kinds carry the ERB pair they were built from; `stft` and `custom` banks carry none."""
+    if kind in _GAMMATONE_KINDS and erb_params is None:
+        raise ValueError(f"kind {kind.value} needs ERB parameters (c1, c2)")
+    if kind not in _GAMMATONE_KINDS and erb_params is not None:
+        raise ValueError(f"kind {kind.value} takes no ERB parameters (c1, c2)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +90,7 @@ class Filterbank:
                     f"gammatone center frequencies must lie in [{FC_MIN_HZ:g}, {FC_MAX_HZ:g}] Hz"
                 )
             object.__setattr__(self, "center_freqs", _frozen(cf))
+        _check_erb_params(self.kind, self.erb_params)
 
     @property
     def n_filters(self) -> int:
@@ -118,38 +133,45 @@ def _fmt(v: float) -> str:
 
 
 def save_filterbank(path, bank: Filterbank) -> None:
-    """Write a bank in FBANK1 format."""
+    """Write a bank in FBANK2 format."""
     c1 = _fmt(bank.erb_params.c1) if bank.erb_params else "-"
     c2 = _fmt(bank.erb_params.c2) if bank.erb_params else "-"
     centers = "-" if bank.center_freqs is None else ",".join(_fmt(v) for v in bank.center_freqs)
     header = (
-        f"FBANK1 kind={bank.kind.value} n={bank.n_filters} len={bank.filter_len} "
+        f"FBANK2 kind={bank.kind.value} n={bank.n_filters} len={bank.filter_len} "
         f"fs={bank.sample_rate} c1={c1} c2={c2} centers={centers}"
     )
+    digits, width = bank.taps.astype("<f8").tobytes().hex(), 16 * bank.filter_len
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, bank.taps, fmt="%.17g")
+        fh.writelines(digits[i:i + width] + "\n" for i in range(0, len(digits), width))
 
 
 def load_filterbank(path) -> Filterbank:
-    """Read an FBANK1 file, rejecting dimension or header mismatches, a repeated field and a lone c1 or c2."""
+    """Read an FBANK2 file.
+
+    Refuses dimension or header mismatches, a repeated field, a lone c1 or
+    c2, a kind and ERB pair that disagree, and a row that is not hex.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:
-            raise ValueError("not an FBANK1 file: not UTF-8 text") from exc
+            raise ValueError("not an FBANK2 file: not UTF-8 text") from exc
     if not lines:
-        raise ValueError("not an FBANK1 file: empty")
+        raise ValueError("not an FBANK2 file: empty")
     head = lines[0].split()
-    if not head or head[0] != "FBANK1":
-        raise ValueError("not an FBANK1 file: bad magic")
+    if head and head[0] == "FBANK1":
+        raise ValueError("an FBANK1 file: decimal taps are no longer read; rebuild the bank with `fblab build-bank`")
+    if not head or head[0] != "FBANK2":
+        raise ValueError("not an FBANK2 file: bad magic")
     fields = {}
     for token in head[1:]:
         if "=" not in token:
-            raise ValueError(f"bad FBANK1 header token {token!r}")
+            raise ValueError(f"bad FBANK2 header token {token!r}")
         key, value = token.split("=", 1)
         if key in fields:
-            raise ValueError(f"bad FBANK1 header: field {key!r} given twice")
+            raise ValueError(f"bad FBANK2 header: field {key!r} given twice")
         fields[key] = value
     try:
         kind = FilterbankKind(fields["kind"])
@@ -164,29 +186,43 @@ def load_filterbank(path) -> Filterbank:
         if (c1 == "-") != (c2 == "-"):
             raise ValueError(f"c1 and c2 must both be given or both be '-', got c1={c1} c2={c2}")
         erb_params = None if c1 == "-" else ErbParams(float(c1), float(c2))
+        _check_erb_params(kind, erb_params)
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad FBANK1 header: {exc}") from exc
+        raise ValueError(f"bad FBANK2 header: {exc}") from exc
 
     rows = [line for line in lines[1:] if line.strip()]
     if len(rows) != n:
-        raise ValueError(f"FBANK1 dimension mismatch: header says {n} filters, file has {len(rows)}")
-    taps = _parse_rows(rows, length)
+        raise ValueError(f"FBANK2 dimension mismatch: header says {n} filters, file has {len(rows)}")
+    taps = _decode_rows(rows, length)
 
     return Filterbank(taps, fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
 
 
-def _parse_rows(rows: list[str], length: int) -> np.ndarray:
-    """The taps of FBANK1 tap rows, each of which must hold `length` values."""
-    taps = []  # grown row by row, so no allocation is sized by the header's `len`
-    for i, line in enumerate(rows):
-        values = line.split()
-        if len(values) != length:
-            raise ValueError(f"FBANK1 dimension mismatch on row {i}: expected {length} taps, got {len(values)}")
-        try:
-            taps.append([float(tap := v) for v in values])  # `tap` names the value float() refuses
-        except ValueError:
-            raise ValueError(f"FBANK1 bad tap on row {i}: {tap!r}") from None
-    return np.array(taps)
+def _decode_rows(rows: list[str], length: int) -> np.ndarray:
+    """The taps of FBANK2 tap rows, each of which must be `length` taps of 16 hex digits."""
+    width = 16 * length
+    for i, row in enumerate(rows):  # before any decode, so no allocation is sized by the header's `len`
+        if len(row) != width:
+            raise ValueError(f"FBANK2 dimension mismatch on row {i}: expected {length} taps "
+                             f"({width} hex digits), got {len(row)} characters")
+    try:
+        data = bytes.fromhex("".join(rows))
+    except ValueError:
+        data = b""
+    if len(data) != 8 * length * len(rows):  # a non-hex digit, or whitespace that `fromhex` skips
+        for i, row in enumerate(rows):
+            for tap in (row[k:k + 16] for k in range(0, width, 16)):
+                if not _is_hex_tap(tap):
+                    raise ValueError(f"FBANK2 bad tap on row {i}: {tap!r}")
+    return np.frombuffer(data, "<f8").reshape(len(rows), length)
+
+
+def _is_hex_tap(tap: str) -> bool:
+    """Whether the 16 characters of `tap` are all hex digits, that is, decode to 8 bytes."""
+    try:
+        return len(bytes.fromhex(tap)) == 8
+    except ValueError:
+        return False
 
 
 def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, np.ndarray]:
@@ -211,9 +247,18 @@ def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, 
     return bin_hz, mags
 
 
+def _kept_singular_values(matrix: np.ndarray) -> np.ndarray:
+    """The singular values above PINV_RCOND * sigma_max, largest first: those a pseudo-inverse inverts."""
+    s = np.linalg.svd(np.asarray(matrix, dtype=np.float64), compute_uv=False)
+    return s[s > PINV_RCOND * s[0]] if s.size and s[0] > 0.0 else s[:0]
+
+
 def numerical_rank(matrix: np.ndarray) -> int:
     """Rank by counting singular values above PINV_RCOND * sigma_max."""
-    s = np.linalg.svd(np.asarray(matrix, dtype=np.float64), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > PINV_RCOND * s[0]))
+    return len(_kept_singular_values(matrix))
+
+
+def condition_number(matrix: np.ndarray) -> float:
+    """sigma_max / sigma_rank: how much a pseudo-inverse decoder stretches what `matrix` encodes; inf if it is zero."""
+    s = _kept_singular_values(matrix)
+    return float(s[0] / s[-1]) if s.size else math.inf

@@ -56,11 +56,6 @@ class StftSpec:
         if self.n_freqs < 1:
             raise ValueError(f"n_freqs must be >= 1, got {self.n_freqs}")
 
-    @property
-    def overcomplete(self) -> bool:
-        """More cosine/sine row pairs than frame_len/2, so the rows cannot be independent."""
-        return 2 * self.n_freqs > self.frame_len
-
 
 def _window_taps(window: StftWindow, length: int) -> np.ndarray:
     if window is StftWindow.HANN:

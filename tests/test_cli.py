@@ -43,6 +43,7 @@ from fblab import (
     write_wav,
 )
 from fblab.cli import main
+from test_filterbank import fbank2_text
 from test_wavio import whole_signal_wav_bytes
 
 
@@ -88,6 +89,25 @@ class TestBuildBank:
         taps1 = out1.read_text().splitlines()[1:]
         taps2 = out2.read_text().splitlines()[1:]
         assert taps1 == taps2
+
+    def test_ill_conditioned_bank_warns_after_the_save(self, tmp_path, capsys):
+        out = tmp_path / "bank.fbank"
+        assert run(["build-bank", "mpgtf", "--n-filters", "64", "--out", out]) == 0
+        assert capsys.readouterr() == ("N=64 L=16 M=24\n",
+                                       "warning: ill-conditioned bank: cond = sigma_max/sigma_rank of its analysis "
+                                       "matrix is 289 > 100; oracle separation through it scores poorly\n")
+        assert load_filterbank(out).n_filters == 64
+
+    def test_failed_save_prints_no_warning(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "bank.fbank"
+        assert run(["build-bank", "mpgtf", "--n-filters", "64", "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    @pytest.mark.parametrize("argv", [["mpgtf"], ["parampgtf"], ["stft"], ["stft", "--window", "hann"]],
+                             ids=["mpgtf", "parampgtf", "stft", "stft-hann"])
+    def test_default_banks_build_without_a_warning(self, tmp_path, capsys, argv):
+        assert run(["build-bank", *argv, "--out", tmp_path / "bank.fbank"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_stft_signsplit_dimensions(self, tmp_path, capsys):
         out = tmp_path / "stft.fbank"
@@ -177,16 +197,16 @@ class TestFreqResponse:
         else:  # WAV and bank arguments swapped
             args = ["roundtrip", wav, bank, tmp_path / "out.wav"]
         assert run(args) == 1
-        assert capsys.readouterr().err.startswith(f"error: {wav}: not an FBANK1 file")
+        assert capsys.readouterr().err.startswith(f"error: {wav}: not an FBANK2 file")
 
     @pytest.mark.parametrize("command", ["freq-response", "roundtrip"])
     @pytest.mark.parametrize(
         "dims,message",
         [
-            ("n=1 len=10000000000000", "error: FBANK1 dimension mismatch on row 0"),
-            ("n=1 len=-3", "error: bad FBANK1 header"),
-            ("n=0 len=3", "error: bad FBANK1 header"),
-            ("n=1 len=3 junk", "error: bad FBANK1 header token 'junk'\n"),
+            ("n=1 len=10000000000000", "error: FBANK2 dimension mismatch on row 0"),
+            ("n=1 len=-3", "error: bad FBANK2 header"),
+            ("n=0 len=3", "error: bad FBANK2 header"),
+            ("n=1 len=3 junk", "error: bad FBANK2 header token 'junk'\n"),
             # refused by `Filterbank`, not by the parser
             ("n=1 len=3 fs=0", "error: sample_rate must be a positive integer, got 0\n"),
             ("n=1 len=3\n1 nan 3", "error: taps contain non-finite values\n"),
@@ -200,7 +220,7 @@ class TestFreqResponse:
         given = {token.split("=", 1)[0] for token in fields.split()}
         defaults = " ".join(field for field in ("kind=custom", "fs=8000") if field.split("=")[0] not in given)
         bank = tmp_path / "bad.fbank"
-        bank.write_text(f"FBANK1 {defaults} {fields} c1=- c2=- centers=-\n{rows or '1 2 3'}\n")
+        bank.write_text(fbank2_text(f"{defaults} {fields} c1=- c2=- centers=-", rows or "1 2 3"))
         if command == "freq-response":
             args = ["freq-response", bank, "--out", tmp_path / "x.csv"]
         else:
@@ -208,27 +228,37 @@ class TestFreqResponse:
         assert run(args) == 1
         assert capsys.readouterr().err.startswith(message.replace("error: ", f"error: {bank}: ", 1))
 
-    @pytest.mark.parametrize("rows,row", [("1 2\n3 x", 1), ("1 x\n-1 -x", 0)], ids=["full-parse", "sign-split-half"])
+    @pytest.mark.parametrize("rows,row", [("1 2\n3 x", 1), ("1 x\n-1 x", 0)], ids=["full-parse", "sign-split-half"])
     def test_bad_tap_names_its_row(self, tmp_path, source_wavs, capsys, rows, row):
-        # "1 x" / "-1 -x" reads as a [P; -P] file, so only its first row is parsed.
+        # "x" stands for 16 characters that are not all hex digits. In "1 x" /
+        # "-1 x" the second row starts as the negation of the first; the
+        # first bad row is named all the same.
+        bad = "0123456789abcdex"
         bank = tmp_path / "bad.fbank"
-        bank.write_text(f"FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n{rows}\n")
+        bank.write_text(fbank2_text("kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-", rows.replace("x", bad)))
         assert run(["roundtrip", bank, source_wavs[0], tmp_path / "out.wav"]) == 1
-        assert capsys.readouterr().err == f"error: {bank}: FBANK1 bad tap on row {row}: 'x'\n"
+        assert capsys.readouterr().err == f"error: {bank}: FBANK2 bad tap on row {row}: {bad!r}\n"
+
+    def test_fbank1_bank_is_one_error_line_that_says_how_to_rebuild_it(self, tmp_path, source_wavs, capsys):
+        bank = tmp_path / "old.fbank"
+        bank.write_text("FBANK1 kind=custom n=1 len=2 fs=8000 c1=- c2=- centers=-\n1 2\n")
+        assert run(["roundtrip", bank, source_wavs[0], tmp_path / "out.wav"]) == 1
+        assert capsys.readouterr() == ("", f"error: {bank}: an FBANK1 file: decimal taps are no longer read; "
+                                           "rebuild the bank with `fblab build-bank`\n")
 
     @pytest.mark.parametrize("c1,reason", [("abc", "could not convert"), ("-3", "invalid ERB parameters")])
     def test_bad_erb_params_are_header_errors(self, tmp_path, capsys, c1, reason):
         bank = tmp_path / "bad.fbank"
-        bank.write_text(f"FBANK1 kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265 centers=-\n1\n")
+        bank.write_text(fbank2_text(f"kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265 centers=-", "1"))
         assert run(["freq-response", bank, "--out", tmp_path / "x.csv"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bank}: bad FBANK1 header: ") and reason in err
+        assert err.startswith(f"error: {bank}: bad FBANK2 header: ") and reason in err
 
     def test_unallocatable_n_fft_is_typed_error(self, tmp_path, capsys):
         # 146 TiB of spectrum exceeds the 128 TiB user address space of
         # x86-64, so the allocation fails at once and nothing is allocated.
         bank = tmp_path / "one.fbank"
-        bank.write_text("FBANK1 kind=custom n=1 len=4 fs=8000 c1=- c2=- centers=-\n1 2 3 4\n")
+        bank.write_text(fbank2_text("kind=custom n=1 len=4 fs=8000 c1=- c2=- centers=-", "1 2 3 4"))
         csv = tmp_path / "x.csv"
         assert run(["freq-response", bank, "--out", csv, "--n-fft", "10000000000000"]) == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
@@ -240,7 +270,7 @@ class TestFreqResponse:
         signs = [[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, -1, -1], [-1, 1, -1, 1]]
         rows = "\n".join(" ".join(repr(sign * scale) for sign in row) for row in signs)
         bank = tmp_path / "big.fbank"
-        bank.write_text(f"FBANK1 kind=custom n=4 len=4 fs=8000 c1=- c2=- centers=-\n{rows}\n")
+        bank.write_text(fbank2_text("kind=custom n=4 len=4 fs=8000 c1=- c2=- centers=-", rows))
         csv = tmp_path / "r.csv"
         code, err = _assert_clean_exit(["freq-response", bank, "--out", csv])
         if 4 * scale < math.inf:
@@ -353,6 +383,7 @@ class TestRoundtrip:
     def test_empty_wav_is_named(self, tmp_path, capsys):
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
+        capsys.readouterr()  # the build's conditioning warning
         empty = tmp_path / "empty.wav"
         write_wav(empty, Waveform(np.zeros(0), 8000))
         out_wav = tmp_path / "out.wav"
@@ -369,7 +400,7 @@ def test_overflowing_products_are_a_typed_error_without_warning(tmp_path, capsys
     # ReLU turned into 0: an all-zero WAV and exit 0 unless the overflow is
     # caught where it happens.
     bank, wav = tmp_path / "huge.fbank", tmp_path / "loud.wav"
-    bank.write_text(f"FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n{taps}\n")
+    bank.write_text(fbank2_text("kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-", taps))
     write_wav(wav, Waveform(1e9 * (1.5 + np.sin(np.arange(64) / 3.0)), 8000))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -604,6 +635,7 @@ class TestSeparate:
     def test_failed_run_keeps_an_out_dir_that_existed(self, tmp_path, source_wavs, capsys, kept):
         bank = tmp_path / "bank.fbank"
         run(["build-bank", "mpgtf", "--n-filters", "64", "--out", bank])
+        capsys.readouterr()  # the build's conditioning warning
         out_dir = tmp_path / "sep"
         out_dir.mkdir()
         for name in kept:
@@ -873,7 +905,7 @@ def _assert_clean_exit(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-#: Values for a mutated FBANK1 header field: small sizes, integers far beyond
+#: Values for a mutated FBANK2 header field: small sizes, integers far beyond
 #: float range, special and near-valid tokens, short text without whitespace,
 #: and None, which drops the field. No field sizes an allocation (the parser
 #: grows the taps it reads), so the values need no cap to stay small.
@@ -889,7 +921,7 @@ _FIELD_VALUES = st.one_of(
 
 class TestMutatedInputs:
     """A regression net over malformed inputs: header mutations of a small
-    WAV and of a small FBANK1 bank end in exit 0, or in exit 1 with one
+    WAV and of a small FBANK2 bank end in exit 0, or in exit 1 with one
     `error: ` line; never in an exception or a warning."""
 
     @pytest.fixture(scope="class")
@@ -930,7 +962,7 @@ class TestMutatedInputs:
             else:
                 fields[key] = value
         bank = inputs / "mutated.fbank"
-        bank.write_text("\n".join([" ".join(["FBANK1", *(f"{k}={v}" for k, v in fields.items())]), *rows]) + "\n")
+        bank.write_text("\n".join([" ".join(["FBANK2", *(f"{k}={v}" for k, v in fields.items())]), *rows]) + "\n")
         if command == "roundtrip":
             argv = ["roundtrip", bank, inputs / "a.wav", inputs / "out.wav"]
         else:
@@ -946,9 +978,10 @@ class TestMutatedInputs:
         # loader refuses) and one below it 0, without a numpy warning.
         scale = m * 10.0**k
         head, *rows = (inputs / "bank.fbank").read_text().splitlines()
+        decimals = "\n".join(" ".join(repr(float(v) * scale) for v in np.frombuffer(bytes.fromhex(row), "<f8"))
+                             for row in rows)
         bank = inputs / "scaled.fbank"
-        bank.write_text("\n".join([head, *(" ".join(repr(float(v) * scale) for v in row.split()) for row in rows)])
-                        + "\n")
+        bank.write_text(fbank2_text(head.split(" ", 1)[1], decimals))
         if command == "roundtrip":
             argv = ["roundtrip", bank, inputs / "a.wav", inputs / "out.wav"]
         elif command == "separate":

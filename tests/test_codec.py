@@ -246,8 +246,8 @@ def fold_banks(draw):
 def test_sign_split_half_matches_the_model(tmp_path_factory, case):
     from fblab import load_filterbank, save_filterbank
 
-    bank, through_fbank1, inverted = case
-    if through_fbank1:
+    bank, through_a_file, inverted = case
+    if through_a_file:
         path = tmp_path_factory.mktemp("fold") / "bank.fbank"
         save_filterbank(path, bank)
         bank = load_filterbank(path)

@@ -1,10 +1,10 @@
 """Only three fblab modules touch files, and only the CLI writes JSON or prints.
 
 `cli` writes every text output of the subcommands, `filterbank` reads and
-writes FBANK1 banks and `wavio` reads and writes WAV files; the other
+writes FBANK2 banks and `wavio` reads and writes WAV files; the other
 modules compute on values in memory. Within `cli`, each input format has
 one reader, which names the file in its errors: WAVs are read only by
-`_read_source` and FBANK1 banks only by `_load_bank`. No pipeline module
+`_read_source` and FBANK2 banks only by `_load_bank`. No pipeline module
 builds a decoder bank: the engine decodes with the bank's own
 `pinv_rows`, and `codec.pseudo_inverse` is called only by
 `stft.istft_decoder`. Only `cli` calls `print`; the other modules

@@ -18,6 +18,7 @@ from fblab import (
     istft_decoder,
     numerical_rank,
 )
+from fblab.filterbank import condition_number
 
 FS = 8000
 
@@ -63,8 +64,13 @@ class TestBuildStftBank:
             StftSpec(frame_len, n_freqs)
 
     def test_overcomplete_warning(self):
-        assert StftSpec(16, 128).overcomplete
-        assert not StftSpec(16, 8, StftMode.LINEAR).overcomplete
+        # `build-bank` warns on conditioning, not on overcompleteness: the
+        # default bank's 128 frequencies exceed frame_len/2 = 8, yet its
+        # analysis matrix is as well conditioned as the 8-frequency basis.
+        for spec in (StftSpec(16, 128), StftSpec(16, 8, StftMode.LINEAR)):
+            assert condition_number(analysis_matrix(build_stft_bank(spec, FS))) == pytest.approx(1.0, abs=1e-12)
+        hann = build_stft_bank(StftSpec(16, 128, window=StftWindow.HANN), FS)
+        assert condition_number(analysis_matrix(hann)) == pytest.approx(26.27, abs=0.01)
 
     def test_hann_window_applied(self):
         rect = build_stft_bank(StftSpec(16, 8, StftMode.LINEAR, StftWindow.RECTANGULAR), FS)
