@@ -281,26 +281,20 @@ class TestFbank1Format:
             load_filterbank(path)
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda row: row[:-1], "FBANK2 dimension mismatch on row 1: expected 2 taps (32 hex digits), got 31 characters"),
-        (lambda row: row + "00", "FBANK2 dimension mismatch on row 1: expected 2 taps (32 hex digits), got 34 characters"),
-        (lambda row: row[:16], "FBANK2 dimension mismatch on row 1: expected 2 taps (32 hex digits), got 16 characters"),
-        (lambda row: row[:20] + "g" + row[21:], "FBANK2 bad tap on row 1: '0000g00000000040'"),
-        (lambda row: row[:20] + "  " + row[22:], "FBANK2 bad tap on row 1: '0000  0000000040'"),
+        (lambda row: row[:-1], "dimension mismatch on row 1: expected 2 taps (32 hex digits), got 31 characters"),
+        (lambda row: row + "00", "dimension mismatch on row 1: expected 2 taps (32 hex digits), got 34 characters"),
+        (lambda row: row[:16], "dimension mismatch on row 1: expected 2 taps (32 hex digits), got 16 characters"),
+        (lambda row: row[:20] + "g" + row[21:], "bad tap on row 1: '0000g00000000040'"),
+        (lambda row: row[:20] + "  " + row[22:], "bad tap on row 1: '0000  0000000040'"),
     ], ids=["odd-width", "two-digits-more", "one-tap-short", "non-hex-digit", "inner-whitespace"])
     def test_bad_row_is_named(self, tmp_path, edit, message):
         # The inner whitespace keeps the row's width and sits between digit
         # pairs, where `bytes.fromhex` skips it: the row decodes to 15 bytes.
-        head, first, second, third = fbank2_text("kind=custom n=3 len=2 fs=8000 c1=- c2=-", "1 2\n3 2\n5 6").splitlines()
+        text = fbank2_text("kind=custom n=3 len=2 fs=8000 c1=- c2=-", "1 2\n3 2\n5 6")
+        head, first, second, third = text.splitlines()
         path = tmp_path / "bad.fbank"
         path.write_text("\n".join([head, first, edit(second), third]) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load_filterbank(path)
-
-    def test_refuses_an_fbank1_file_and_says_how_to_rebuild_it(self, tmp_path):
-        path = tmp_path / "old.fbank"
-        path.write_text("FBANK1 kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-\n1 2\n3 4\n")
-        message = "an FBANK1 file: decimal taps are no longer read; rebuild the bank with `fblab build-bank`"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape('FBANK2 ' + message)}$"):
             load_filterbank(path)
 
     def test_rejects_empty_file(self, tmp_path):
