@@ -16,7 +16,6 @@ from .dsp import FrameParams, Waveform, num_frames
 from .erb import (
     DEFAULT_C1,
     DEFAULT_C2,
-    FC_MAX_HZ,
     FC_MIN_HZ,
     ErbParams,
     bandwidth_b,

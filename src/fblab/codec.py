@@ -41,7 +41,8 @@ N x I array is built. It frames every input with `dsp._framed`, as
 accumulators become the returned waveforms without a copy, so besides
 its inputs the engine holds n_out signal lengths, the padded tails and
 the work buffers. A weigh-free pass, as `fblab roundtrip` makes, runs
-the same loop with one smaller product in place of both (see below).
+no frames, encodings or overlap-add, but one windowed product per block
+of output rows (see below).
 BLAS sums a product's columns in an order that depends on how many
 columns it has, so the engine agrees with the whole-signal path within
 rounding, not bitwise; for a fixed block size its output is
@@ -77,17 +78,28 @@ whole pseudo-inverse decoder),
 
     frame -> (frame * A^T) * S = frame * (A^T * S) = frame * M,
 
-so the engine computes the L x L frame operator M once per call, takes it
-for the analysis matrix and skips the decode product: one (k, L) x (L, L)
-product per block of `OPERATOR_BLOCK_FRAMES` frames, L^2 multiply-adds
-per frame in place of 2 * N' * L, 32x fewer on the default 512 x 16
-banks. M is the projector onto the bank's row space (halved for a
-rectified fold), so I or I/2 at full rank. A relu pass through a bank
-that is not sign-split rectifies each encoding, is not linear in the
-frame and runs the full engine. Both forms sum the same products,
-grouped differently: the engine rounds the N' encodings of a frame, the
-operator rounds the entries of M. So they agree within rounding, not
-bitwise, under the same conditioning-scaled bound as above.
+with M the L x L frame operator: the projector onto the bank's row space
+(halved for a rectified fold), so I or I/2 at full rank. Overlap-added at
+hop D, the pass is then a periodically time-varying FIR filter (the
+polyphase view of a filter bank: Vaidyanathan, Multirate Systems and
+Filter Banks, 1993, ch. 5). Each D-sample output row sums the P =
+ceil(L/D) frames that reach it, and those frames span one window of
+Lw = (P-1)*D + L input samples, so the row is that window times one
+(Lw, D) polyphase matrix B built once from M. So `_weigh_free_pass`
+builds no frames, no encodings and no overlap-add: it copies the windows
+of a block of `OPERATOR_BLOCK_FRAMES` rows into one buffer and runs one
+(k, Lw) x (Lw, D) product straight into the output: Lw * D multiply-adds
+per output row (192 at L = 16, hop 8) against 2 * N' * L for the engine
+(8192 on the default 512 x 16 banks). The at most 2P - 2 rows at the
+ends, where frames are missing, take their own sums of B. A relu pass
+through a bank that is not sign-split rectifies each encoding, is not
+linear in the frame and runs the full engine. Both forms sum the same
+products, grouped differently: the engine rounds the N' encodings of a
+frame and the overlap-add, the windowed form rounds the entries of M and
+B. So they agree within rounding, not bitwise, under the same
+conditioning-scaled bound as above. At D = L, P = 1 and B = M: each row
+is one frame times M, grouped in the same blocks as a frame-by-frame
+product.
 
 The whole-signal functions are the reference the tests compare against,
 and the public API for inspecting a representation:
@@ -124,11 +136,13 @@ from .filterbank import Filterbank
 #: `tests/test_separation.py` holds the peak to the budget at 64 frames.
 BLOCK_FRAMES = 64
 
-#: Frames per block of a weigh-free `_resynthesize` pass, which runs one
-#: (k, L) x (L, L) product per block. Measured on 60 s at 8 kHz, L = 16,
-#: hop 8, default STFT and 512-filter mpgtf banks, OpenBLAS on 1 thread of a
-#: shared 2-core host: 10-16 / 4.6-7.1 / 3.2-4.5 / 3.3-4.7 ms per pass at
-#: 64 / 256 / 1024 / 4096 frames, against 37-45 ms for the full engine.
+#: Output rows (D samples each) per block of a weigh-free `_resynthesize`
+#: pass, which runs one (k, Lw) x (Lw, D) windowed product per block.
+#: Measured on 60 s at 8 kHz, L = 16, hop 8 (Lw = 24), the default STFT bank,
+#: OpenBLAS on 1 thread of a shared 2-core host, median ms per pass of 40,
+#: three runs: 2.6-2.8 / 2.1-2.2 / 1.9-2.0 / 1.9-2.0 / 2.0-2.7 at 256 / 512 /
+#: 1024 / 2048 / 4096 rows. The (k, Lw) window buffer is the pass's only
+#: block-sized array.
 OPERATOR_BLOCK_FRAMES = 1024
 
 
@@ -206,10 +220,12 @@ def _resynthesize(
     inputs and the n_out outputs, a call holds, allocated once and never
     escaping it: the (1 + S, BLOCK_FRAMES, N) encodings (S = 1: one row),
     the (S + n_out, BLOCK_FRAMES, L) frame and synthesis buffers, an
-    (L, N) copy of the analysis matrix and the padded tails. A weigh-free
-    pass holds (1, OPERATOR_BLOCK_FRAMES, L) frames and encodings, which
-    it overlap-adds directly, and no synthesis buffer. Temporaries of the
-    weigh come on top (one (k, N) array for the oracle mask).
+    (L, N) copy of the analysis matrix and the padded tails. Temporaries
+    of the weigh come on top (one (k, N) array for the oracle mask). A
+    weigh-free pass holds no frames, encodings or synthesis buffer: besides
+    its input and output it holds the (OPERATOR_BLOCK_FRAMES, Lw) window
+    buffer, the L x L operator, the (P, Lw, D) slabs of B and B itself,
+    with P = ceil(L / D) and Lw = (P - 1)*D + L, and one padded window.
 
     If the bank is [P; -P], as its `Filterbank.sign_split_half` says, the
     weigh gets only the rows of P (N/2 of them), row 0 is not rectified,
@@ -221,9 +237,10 @@ def _resynthesize(
 
     `weigh=None` means no weigh at all; it takes one signal and
     `n_out == 1`. If the bank folds or `relu` is off, the pass is then
-    linear per frame: the same loop encodes with the L x L frame operator,
-    in blocks of `OPERATOR_BLOCK_FRAMES` frames, and decodes nothing (see
-    the module docstring); otherwise it is the full engine with the
+    linear per frame: `_weigh_free_pass` maps the signal through the L x L
+    frame operator, one windowed product per block of
+    `OPERATOR_BLOCK_FRAMES` output rows, with no frames and no overlap-add
+    (see the module docstring); otherwise it is the full engine with the
     identity weigh.
 
     Raises, before any work and in this order, a `ValueError` for
@@ -232,8 +249,9 @@ def _resynthesize(
     and those of `dsp._check_waveforms` for no signals ("need at least 1
     waveform, got 0") or unequal lengths ("waveforms must have equal
     lengths, got [...]"); then one for a product of taps and samples, a
-    sum of encodings or a weigh's result that overflows a float, which
-    `relu` or the weigh could otherwise turn into a finite but wrong output.
+    sum of encodings, a weigh's result or a windowed product that overflows
+    a float, which `relu` or the weigh could otherwise turn into a finite
+    but wrong output.
     """
     if weigh is None and (len(signals) != 1 or n_out != 1):
         raise ValueError(f"weigh=None takes one signal and n_out=1, got {len(signals)} signals and n_out={n_out}")
@@ -242,34 +260,28 @@ def _resynthesize(
     if not all(map(len, signals)):
         raise ValueError("empty input")
     _check_waveforms(signals, 1)
-    n = len(signals[0])
-    framed = [_framed(x.samples, p) for x in signals]
-    n_sig, count, frame_len = len(signals), num_frames(n, p), p.frame_len
-    mixed = int(n_sig > 1)  # the encodings start at row 1 when row 0 holds their sum
     analysis, synthesis, rectify = analysis_matrix(bank), bank.pinv_rows, relu
     if h := bank.sign_split_half:  # the rows of P, and Q for relu, 2*Q without
         analysis, rectify = analysis[:h], False
         if not relu:
             synthesis = 2.0 * synthesis
-    rows = np.zeros((n_out, count - 1 + -(-frame_len // p.hop), p.hop))
-    if weigh is None and not rectify:  # every frame maps linearly: one L x L operator
-        analysis_t, synthesis, block = analysis.T @ synthesis, None, OPERATOR_BLOCK_FRAMES
-    else:  # (L, N'): frames * A^T is frame-major
-        analysis_t, block = np.ascontiguousarray(analysis.T), BLOCK_FRAMES
-    block = min(block, count)
-    frames = np.empty((n_sig, block, frame_len))
-    enc = np.empty((mixed + n_sig, block, analysis_t.shape[1]))
-    synth = enc if synthesis is None else np.empty((n_out, block, frame_len))
     try:
         with np.errstate(over="raise", invalid="raise"):  # before `relu` or the weigh turns an overflow finite
+            if weigh is None and not rectify:  # every frame maps linearly: one L x L operator
+                return [_weigh_free_pass(signals[0], analysis.T @ synthesis, p)]
+            n = len(signals[0])
+            framed = [_framed(x.samples, p) for x in signals]
+            n_sig, count, frame_len = len(signals), num_frames(n, p), p.frame_len
+            mixed = int(n_sig > 1)  # the encodings start at row 1 when row 0 holds their sum
+            rows = np.zeros((n_out, count - 1 + -(-frame_len // p.hop), p.hop))
+            analysis_t, block = np.ascontiguousarray(analysis.T), min(BLOCK_FRAMES, count)  # (L, N'): frame-major
+            frames = np.empty((n_sig, block, frame_len))
+            enc = np.empty((mixed + n_sig, block, analysis_t.shape[1]))
+            synth = np.empty((n_out, block, frame_len))
             for first in range(0, count, block):
                 k = min(block, count - first)
-                for dst, (inside, tail) in zip(frames, framed):
-                    full = len(inside)
-                    split = min(max(full - first, 0), k)  # frames of this block read in place
-                    np.copyto(dst[:split], inside[first:first + split])
-                    if split < k:
-                        np.copyto(dst[split:k], tail[first + split - full:first + k - full])
+                for dst, pair in zip(frames, framed):
+                    _gather(dst, pair, first, k)
                 np.matmul(frames[:, :k], analysis_t, out=enc[mixed:, :k])
                 if mixed:
                     np.add(enc[1, :k], enc[2, :k], out=enc[0, :k])
@@ -277,14 +289,70 @@ def _resynthesize(
                         np.add(enc[0, :k], extra, out=enc[0, :k])
                 if rectify:
                     np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
-                if synthesis is not None:
-                    coeffs = enc[:, :k] if weigh is None else weigh(enc[:, :k])
-                    np.matmul(coeffs, synthesis, out=synth[:, :k])
+                coeffs = enc[:, :k] if weigh is None else weigh(enc[:, :k])
+                np.matmul(coeffs, synthesis, out=synth[:, :k])
                 _add_frames(rows, synth[:, :k], p.hop, first)
     except FloatingPointError as exc:
         raise ValueError(f"filtering the signals with the bank overflows a float ({exc})") from None
     rows.setflags(write=False)
     return [Waveform._adopt(out.ravel()[:n], bank.sample_rate) for out in rows]
+
+
+def _weigh_free_pass(x: Waveform, operator: np.ndarray, p: FrameParams) -> Waveform:
+    """`x` with every frame mapped by the L x L `operator` M and overlap-added at hop D.
+
+    Output row r (samples r*D .. r*D + D - 1) sums column slab j of M
+    (columns j*D .. j*D + D - 1, zero-padded past L) applied to frame
+    r - j, for j < P = ceil(L / D). Those P frames lie in the window
+    x[(r - P + 1)*D : r*D + L] of Lw = (P - 1)*D + L samples, where frame
+    r - j starts at offset (P - 1 - j)*D, so row r is one product: the
+    window times the (Lw, D) polyphase matrix B that adds slab j in at that
+    offset. The rows whose P frames all exist, P - 1 .. count - 1, run in
+    blocks of `OPERATOR_BLOCK_FRAMES`: their windows, framed by `_framed`
+    as the engine frames its inputs (in place, the last one zero-padded if
+    it runs past the signal), are copied into a contiguous (block, Lw)
+    buffer (the windows overlap, and BLAS needs a leading dimension of at
+    least Lw) and multiplied straight into the output. The at most 2P - 2
+    other rows take a zero-padded window and B summed over only the frames
+    that exist: a frame before the first or after the last shares samples
+    with frames that do exist, so zeroing its samples would not remove it.
+    """
+    samples, frame_len, hop = x.samples, p.frame_len, p.hop
+    taps = -(-frame_len // hop)  # P: the frames that reach one output row
+    width = (taps - 1) * hop + frame_len  # Lw: the samples they span
+    count = num_frames(len(samples), p)
+    slabs = np.zeros((taps, width, hop))  # slabs[j]: frame r - j's share of row r, placed in its window
+    for j in range(taps):
+        cols = min(hop, frame_len - j * hop)
+        at = (taps - 1 - j) * hop
+        slabs[j, at:at + frame_len, :cols] = operator[:, j * hop:j * hop + cols]
+    rows = np.empty((count - 1 + taps, hop))
+    windows = _framed(samples, FrameParams(width, hop))  # window i is row P - 1 + i's
+    whole = max(count - taps + 1, 0)  # rows P - 1 .. count - 1
+    buf = np.empty((min(OPERATOR_BLOCK_FRAMES, whole), width))
+    poly = slabs.sum(axis=0)
+    for first in range(0, whole, OPERATOR_BLOCK_FRAMES):
+        k = min(OPERATOR_BLOCK_FRAMES, whole - first)
+        _gather(buf, windows, first, k)
+        np.matmul(buf[:k], poly, out=rows[taps - 1 + first:taps - 1 + first + k])
+    window = np.empty(width)
+    for r in (*range(taps - 1), *range(max(count, taps - 1), len(rows))):
+        start = (r - taps + 1) * hop
+        lo, hi = max(start, 0), min(start + width, len(samples))
+        window.fill(0.0)
+        window[lo - start:hi - start] = samples[lo:hi]
+        np.matmul(window, slabs[max(r - count + 1, 0):min(r, taps - 1) + 1].sum(axis=0), out=rows[r])
+    rows.setflags(write=False)
+    return Waveform._adopt(rows.ravel()[:len(samples)], x.sample_rate)
+
+
+def _gather(dst: np.ndarray, framed: tuple[np.ndarray, np.ndarray], first: int, k: int) -> None:
+    """Copy frames first .. first + k - 1 of a `_framed` pair into dst[:k]: in place ones, then the padded tail."""
+    inside, tail = framed
+    split = min(max(len(inside) - first, 0), k)  # frames of this block read in place
+    np.copyto(dst[:split], inside[first:first + split])
+    if split < k:
+        np.copyto(dst[split:k], tail[first + split - len(inside):first + k - len(inside)])
 
 
 def pseudo_inverse(bank: Filterbank) -> Filterbank:

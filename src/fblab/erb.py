@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import _check_sample_rate
+
 #: Standard empirical ERB constants.
 DEFAULT_C1 = 24.7
 DEFAULT_C2 = 9.265
 
-#: Center frequencies of gammatone banks are confined to this band (Hz).
+#: Center frequencies of gammatone banks start here (Hz); the band ends at fs/2.
 FC_MIN_HZ = 100.0
-FC_MAX_HZ = 4000.0
 
 #: Factorials overflow the guard above this gammatone order.
 MAX_ORDER = 12
@@ -104,31 +105,45 @@ def erb_scale_inv(u: float, p: ErbParams = ErbParams()) -> float:
     return f_hz
 
 
-def center_count(p: ErbParams) -> float:
-    """Centres `center_frequency_grid(p)` holds: floor(span) + 1, for the span
+def _band_top(sample_rate: int) -> float:
+    """fs/2, the top of the centre band at `sample_rate`; ValueError if it is not above FC_MIN_HZ."""
+    _check_sample_rate(sample_rate)
+    top = sample_rate / 2
+    if top <= FC_MIN_HZ:
+        raise ValueError(f"no gammatone centre band at {sample_rate} Hz: fs/2 = {top:g} Hz "
+                         f"must exceed {FC_MIN_HZ:g} Hz")
+    return top
 
-        scale(FC_MAX_HZ) - scale(FC_MIN_HZ) = c2 * ln((c1*c2 + FC_MAX_HZ) / (c1*c2 + FC_MIN_HZ))
 
-    of the one band, computed as one `log1p` that neither divides by c1*c2
-    nor cancels. Returned as a float, so a span too large for one reads inf.
+def center_count(p: ErbParams, sample_rate: int = 8000) -> float:
+    """Centres `center_frequency_grid(p, sample_rate)` holds: floor(span) + 1, for the span
+
+        scale(fs/2) - scale(FC_MIN_HZ) = c2 * ln((c1*c2 + fs/2) / (c1*c2 + FC_MIN_HZ))
+
+    of the band, computed as one `log1p` that neither divides by c1*c2 nor
+    cancels. Returned as a float, so a span too large for one reads inf.
+    Raises ValueError for a rate whose fs/2 is not above FC_MIN_HZ.
     """
-    span = p.c2 * math.log1p((FC_MAX_HZ - FC_MIN_HZ) / (p.c1 * p.c2 + FC_MIN_HZ))
+    top = _band_top(sample_rate)
+    span = p.c2 * math.log1p((top - FC_MIN_HZ) / (p.c1 * p.c2 + FC_MIN_HZ))
     return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
 
 
-def center_frequency_grid(p: ErbParams) -> np.ndarray:
-    """Center frequencies spaced one ERB-rate unit apart over the band [FC_MIN_HZ, FC_MAX_HZ].
+def center_frequency_grid(p: ErbParams, sample_rate: int = 8000) -> np.ndarray:
+    """Center frequencies spaced one ERB-rate unit apart over the band [FC_MIN_HZ, fs/2].
 
     Centre j is FC_MIN_HZ + (FC_MIN_HZ + c1*c2) * expm1(j / c2) for j = 0 ..
-    `center_count(p)` - 1; j / c2 never exceeds the span's log, so expm1
-    cannot overflow. The first element is FC_MIN_HZ exactly, and a last
-    centre that rounding puts past FC_MAX_HZ is clipped to it.
-    Raises ValueError when the span is too large for a float.
+    `center_count(p, sample_rate)` - 1; j / c2 never exceeds the span's
+    log, so expm1 cannot overflow. The first element is FC_MIN_HZ exactly,
+    and a last centre that rounding puts past fs/2 is clipped to it. At
+    the default 8 kHz the band is [100, 4000] Hz. Raises ValueError when
+    fs/2 is not above FC_MIN_HZ, or when the span is too large for a float.
     """
-    count = center_count(p)
+    count = center_count(p, sample_rate)
+    top = sample_rate / 2
     if math.isinf(count):
-        raise ValueError(f"the ERB-rate span from {FC_MIN_HZ} to {FC_MAX_HZ} Hz overflows a float "
+        raise ValueError(f"the ERB-rate span from {FC_MIN_HZ} to {top} Hz overflows a float "
                          f"at c1={p.c1!r}, c2={p.c2!r}")
     # Centre 0 is placed apart: where c1*c2 overflows (one centre), its term would be inf * 0.
     steps = (FC_MIN_HZ + p.c1 * p.c2) * np.expm1(np.arange(1.0, count) / p.c2)
-    return np.concatenate(([FC_MIN_HZ], np.minimum(FC_MIN_HZ + steps, FC_MAX_HZ)))
+    return np.concatenate(([FC_MIN_HZ], np.minimum(FC_MIN_HZ + steps, top)))

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .dsp import _check_array_size, _check_sample_rate, _frozen
-from .erb import FC_MAX_HZ, FC_MIN_HZ, ErbParams
+from .erb import FC_MIN_HZ, ErbParams
 
 #: Relative singular-value cutoff for numerical rank and pseudo-inverse
 #: decoders. Multi-phase banks contain exact +/- row pairs and are
@@ -85,9 +85,9 @@ class Filterbank:
             cf = np.asarray(self.center_freqs, dtype=np.float64)
             if cf.ndim != 1 or cf.size == 0 or not np.all(np.isfinite(cf)) or not np.all(np.diff(cf) > 0):
                 raise ValueError("center_freqs must be 1-D, non-empty, finite and strictly increasing")
-            if self.kind in _GAMMATONE_KINDS and (cf[0] < FC_MIN_HZ or cf[-1] > FC_MAX_HZ):
+            if self.kind in _GAMMATONE_KINDS and (cf[0] < FC_MIN_HZ or cf[-1] > self.sample_rate / 2):
                 raise ValueError(
-                    f"gammatone center frequencies must lie in [{FC_MIN_HZ:g}, {FC_MAX_HZ:g}] Hz"
+                    f"gammatone center frequencies must lie in [{FC_MIN_HZ:g}, fs/2 = {self.sample_rate / 2:g}] Hz"
                 )
             object.__setattr__(self, "center_freqs", _frozen(cf))
         _check_erb_params(self.kind, self.erb_params)

@@ -9,7 +9,7 @@ canonical 8 kHz rate) for low-latency analysis. The multi-phase construction
 covers each center frequency with several phase shifts evenly spaced on
 [0, pi) and appends the negation of every filter, so rectified encoder
 outputs keep energy at every center. Center frequencies sit one ERB-rate
-unit apart from 100 Hz up to at most 4000 Hz.
+unit apart from 100 Hz up to at most fs/2 (4000 Hz at 8 kHz).
 
 One builder, `build_mpgtf`, makes both the fixed bank (MPGTF) and the
 parameterized one (ParaMPGTF): the construction is a deterministic
@@ -85,10 +85,10 @@ def build_mpgtf(
     n_half = n_filters // 2
     # The grid holds exactly `center_count` centres, so a grid too large for
     # the bank is refused before it is built (c1=1e-3, c2=1e6 spans 1 514 128).
-    m = center_count(p)
+    m = center_count(p, sample_rate)
     if m > n_half:
         raise ValueError(f"not enough filters for one phase per center: n_filters={n_filters} < 2*M={2 * m:.0f}")
-    centers = center_frequency_grid(p)
+    centers = center_frequency_grid(p, sample_rate)
     # Surplus phase variants go to the lowest centers, where speech energy sits.
     per_center, surplus = divmod(n_half, len(centers))
     counts = np.full(len(centers), per_center, dtype=int)
@@ -97,7 +97,7 @@ def build_mpgtf(
     # Every centre is checked before any row is sampled. The per-row
     # reference raises in the same order: a degenerate row needs a decay above
     # ~100*fs, and the ERB spacing that comes with it leaves no second
-    # centre below 4000 Hz.
+    # centre below fs/2.
     decays = []
     for fc in centers:
         b = bandwidth_b(erb(float(fc), p), order)

@@ -30,6 +30,7 @@ from fblab import (
     TraceRow,
     TrainerConfig,
     Waveform,
+    analysis_matrix,
     build_mpgtf,
     build_stft_bank,
     frequency_response,
@@ -43,6 +44,7 @@ from fblab import (
     write_wav,
 )
 from fblab.cli import main
+from fblab.filterbank import condition_number
 from test_filterbank import fbank2_text
 from test_wavio import whole_signal_wav_bytes
 
@@ -108,6 +110,23 @@ class TestBuildBank:
     def test_default_banks_build_without_a_warning(self, tmp_path, capsys, argv):
         assert run(["build-bank", *argv, "--out", tmp_path / "bank.fbank"]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fs,centers", [(11025, 27), (16000, 30)])
+    def test_default_gammatone_bank_at_other_rates_is_well_conditioned(self, tmp_path, capsys, fs, centers):
+        # The centres span [100 Hz, fs/2] at every rate, so no band is left uncovered.
+        out = tmp_path / "bank.fbank"
+        assert run(["build-bank", "mpgtf", "--fs", fs, "--out", out]) == 0
+        assert capsys.readouterr() == (f"N=512 L=16 M={centers}\n", "")
+        bank = load_filterbank(out)
+        assert condition_number(analysis_matrix(bank)) < fblab.cli.COND_WARN
+        assert bank.center_freqs[-1] < fs / 2
+
+    def test_rate_without_a_gammatone_band_is_typed_error(self, tmp_path, capsys):
+        out = tmp_path / "bank.fbank"
+        assert run(["build-bank", "mpgtf", "--fs", "200", "--out", out]) == 1
+        message = "error: no gammatone centre band at 200 Hz: fs/2 = 100 Hz must exceed 100 Hz\n"
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
 
     def test_stft_signsplit_dimensions(self, tmp_path, capsys):
         out = tmp_path / "stft.fbank"
@@ -312,27 +331,28 @@ class TestRoundtrip:
 
     @staticmethod
     def _roundtrip_peak_and_budget(tmp_path, seconds):
-        # The input and the engine's overlap-add rows handed out as the
-        # output, two signal lengths of float64, are held from the engine to
-        # the end. On top of them come, one stage at a time, the engine's two
-        # (OPERATOR_BLOCK_FRAMES, L) frame and encoding buffers, one float32
+        # The input and the weigh-free pass's output rows, two signal
+        # lengths of float64, are held from the engine to the end. On top of
+        # them come, one stage at a time, the pass's one (OPERATOR_BLOCK_FRAMES,
+        # Lw) window buffer, Lw = (ceil(L/D) - 1)*D + L, one float32
         # `write_wav` chunk and `si_snr`'s block buffer; the budget sums the
-        # first two and allows 64 kB for the rest: the bank, its decoder and
-        # interpreter objects.
-        bank = tmp_path / "stft.fbank"
+        # first two and allows 64 kB for the rest: the bank, its decoder,
+        # the polyphase matrix and interpreter objects.
+        bank, hop = tmp_path / "stft.fbank", 8
         run(["build-bank", "stft", "--out", bank])
         n = int(seconds * 8000)
         wav_in = tmp_path / "long.wav"
         write_wav(wav_in, Waveform(0.3 * np.random.default_rng(6).standard_normal(n), 8000))
         tracemalloc.start()
         try:
-            assert run(["roundtrip", bank, wav_in, tmp_path / "out.wav", "--relu", "--hop", "8"]) == 0
+            assert run(["roundtrip", bank, wav_in, tmp_path / "out.wav", "--relu", "--hop", str(hop)]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         frame_len = load_filterbank(bank).filter_len
+        window_len = (-(-frame_len // hop) - 1) * hop + frame_len
         budget = (8 * 2 * n
-                  + 8 * 2 * fblab.codec.OPERATOR_BLOCK_FRAMES * frame_len
+                  + 8 * fblab.codec.OPERATOR_BLOCK_FRAMES * window_len
                   + 4 * fblab.wavio.CHUNK_SAMPLES
                   + 64 * 1024)
         return peak, budget

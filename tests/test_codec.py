@@ -26,7 +26,7 @@ from fblab import (
 )
 import fblab.codec as codec
 from fblab.codec import _resynthesize, apply_mask
-from fblab.dsp import _add_frames
+from fblab.dsp import _add_frames, frame_signal
 from fblab.filterbank import PINV_RCOND
 from fblab.separation import _oracle_mask_weigh
 
@@ -266,6 +266,39 @@ def test_sign_split_half_is_decided_once_per_bank():
     assert checks.call_count == 2  # one per bank: the encoder, then its decoder
 
 
+def model_weigh_free(x, operator, p, block_frames):
+    """A weigh-free pass on one zero-padded copy of the input, row r = W_r * B_r.
+
+    W_r is the window x[(r - P + 1)*D : r*D + L] of the padded copy, P =
+    ceil(L / D), and B_r adds column slab j of the L x L operator (zero-padded
+    to D columns) in at row (P - 1 - j)*D, for each frame r - j that exists,
+    summed in increasing j. Rows whose frames all exist run in blocks of
+    `block_frames`, from the first such row on, with the full B; the others
+    run one at a time.
+    """
+    n, frame_len, hop = len(x), p.frame_len, p.hop
+    taps = -(-frame_len // hop)
+    width = (taps - 1) * hop + frame_len
+    count = num_frames(n, p)
+    n_rows = count - 1 + taps
+    padded = np.zeros((n_rows - 1) * hop + width)
+    padded[(taps - 1) * hop:(taps - 1) * hop + n] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)[::hop]  # row r's window
+    slabs = np.zeros((taps, width, hop))
+    for j in range(taps):
+        cols = min(hop, frame_len - j * hop)
+        slabs[j, (taps - 1 - j) * hop:(taps - 1 - j) * hop + frame_len, :cols] = operator[:, j * hop:j * hop + cols]
+    rows = np.empty((n_rows, hop))
+    inner = [r for r in range(n_rows) if taps - 1 <= r < count]
+    for first in range(0, len(inner), block_frames):
+        at = inner[first:first + block_frames]
+        rows[at[0]:at[-1] + 1] = np.ascontiguousarray(windows[at[0]:at[-1] + 1]) @ slabs.sum(axis=0)
+    for r in sorted(set(range(n_rows)) - set(inner)):
+        existing = slabs[max(r - count + 1, 0):min(r, taps - 1) + 1]  # frames r - j with 0 <= r - j < count
+        rows[r] = np.matmul(np.ascontiguousarray(windows[r]), existing.sum(axis=0))
+    return rows.ravel()[:n]
+
+
 def model_resynthesize(signals, bank, p, weigh, n_out, *, relu, block_frames):
     """The engine as it ran on one zero-padded (S, (count-1)*D + L) copy of all inputs.
 
@@ -273,18 +306,11 @@ def model_resynthesize(signals, bank, p, weigh, n_out, *, relu, block_frames):
     place and pads only the tail, must match bit for bit. It decodes with
     the taps of the public `pseudo_inverse(bank)`, which are C-ordered, so
     an engine whose decoder rows BLAS reads in another order fails it. A
-    weigh-free pass with no relu left to apply multiplies each block of
-    frames by the L x L operator A^T * S and decodes nothing. With S > 1
+    weigh-free pass with no relu left to apply maps each frame by the L x L
+    operator A^T * S, in the windowed form of `model_weigh_free`. With S > 1
     signals the weigh gets 1 + S rows: the sum of the encodings, added in
     signal order, then the encodings.
     """
-    n = len(signals[0])
-    count = num_frames(n, p)
-    padded = np.zeros((len(signals), (count - 1) * p.hop + p.frame_len))
-    for row, x in zip(padded, signals):
-        row[:n] = x.samples
-    windows = np.lib.stride_tricks.sliding_window_view(padded, p.frame_len, axis=1)[:, ::p.hop]
-    block = min(block_frames, count)
     dec = pseudo_inverse(bank).taps
     h = sign_split_half(bank.taps)
     if h:
@@ -292,12 +318,20 @@ def model_resynthesize(signals, bank, p, weigh, n_out, *, relu, block_frames):
         synthesis = dec[:h] if relu else 2.0 * dec[:h]
     else:
         analysis, synthesis, rectify = analysis_matrix(bank), dec, relu
-    operator = weigh is None and not rectify
-    analysis_t = analysis.T @ synthesis if operator else np.ascontiguousarray(analysis.T)
+    if weigh is None and not rectify:
+        return [model_weigh_free(signals[0].samples, analysis.T @ synthesis, p, block_frames)]
+    n = len(signals[0])
+    count = num_frames(n, p)
+    padded = np.zeros((len(signals), (count - 1) * p.hop + p.frame_len))
+    for row, x in zip(padded, signals):
+        row[:n] = x.samples
+    windows = np.lib.stride_tricks.sliding_window_view(padded, p.frame_len, axis=1)[:, ::p.hop]
+    block = min(block_frames, count)
+    analysis_t = np.ascontiguousarray(analysis.T)
     mixed = int(len(signals) > 1)
     frames = np.empty((len(signals), block, p.frame_len))
     enc = np.empty((mixed + len(signals), block, analysis_t.shape[1]))
-    synth = enc if operator else np.empty((n_out, block, p.frame_len))
+    synth = np.empty((n_out, block, p.frame_len))
     rows = np.zeros((n_out, count - 1 + -(-p.frame_len // p.hop), p.hop))
     for first in range(0, count, block):
         k = min(block, count - first)
@@ -309,9 +343,8 @@ def model_resynthesize(signals, bank, p, weigh, n_out, *, relu, block_frames):
                 enc[0, :k] += extra
         if rectify:
             np.maximum(enc[0, :k], 0.0, out=enc[0, :k])
-        if not operator:
-            coeffs = enc[:, :k] if weigh is None else weigh(enc[:, :k])
-            np.matmul(coeffs, synthesis, out=synth[:, :k])
+        coeffs = enc[:, :k] if weigh is None else weigh(enc[:, :k])
+        np.matmul(coeffs, synthesis, out=synth[:, :k])
         _add_frames(rows, synth[:, :k], p.hop, first)
     return [out.ravel()[:n] for out in rows]
 
@@ -392,10 +425,11 @@ def test_engine_framing_matches_padded_copy_model_bitwise(case, seed, n_sig, wei
         (1, 1, 7, 3),  # L = 1: every frame inside
     ],
 )
-@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("oracle", [False, True, None])  # the identity weigh, the oracle mask, no weigh
 @pytest.mark.parametrize("folded", [False, True])
 def test_engine_framing_edges_match_padded_copy_model_bitwise(frame_len, hop, sig_len, block, oracle, folded):
-    weigh = "oracle" if oracle else "identity"
+    # With no weigh, a folded bank takes the windowed weigh-free pass and a plain one the engine.
+    weigh = {False: "identity", True: "oracle", None: "none"}[oracle]
     assert_engine_matches_model(7, frame_len, hop, sig_len, block, 2, weigh, folded, relu=True)
 
 
@@ -409,8 +443,8 @@ def test_engine_framing_edges_match_padded_copy_model_bitwise(frame_len, hop, si
 @example(case=(16, 16, 1193, 70), seed=1585987471, folded=False,
          relu=False)  # cond 2.0e4: 3.6e-12 against 3.3e-12
 def test_weigh_free_pass_matches_whole_signal_reference(case, seed, folded, relu):
-    # One L x L frame operator per block: a [P; -P] bank, rectified or
-    # not, or any other bank without relu.
+    # One windowed product per block of output rows, and no overlap-add: a
+    # [P; -P] bank, rectified or not, or any other bank without relu.
     frame_len, hop, sig_len, block = case
     rng = np.random.default_rng(seed)
     p = FrameParams(frame_len, hop)
@@ -425,12 +459,57 @@ def test_weigh_free_pass_matches_whole_signal_reference(case, seed, folded, relu
     count = num_frames(sig_len, p)
     with mock.patch.object(codec, "OPERATOR_BLOCK_FRAMES", block), \
             mock.patch.object(codec, "BLOCK_FRAMES", count + 1), \
-            mock.patch.object(codec, "_add_frames", wraps=_add_frames) as add:
+            mock.patch.object(codec, "_add_frames", wraps=_add_frames) as add, \
+            mock.patch.object(np, "matmul", wraps=np.matmul) as products:
         (out,) = _resynthesize([x], bank, p, None, 1, relu=relu)
-    assert add.call_count == -(-count // block)  # its blocks, not the engine's one
+    assert add.call_count == 0
+    whole = max(count - -(-frame_len // hop) + 1, 0)  # rows P - 1 .. count - 1, whose P frames all exist
+    blocks = [call for call in products.call_args_list if call.args[0].ndim == 2]  # edge rows are 1-D
+    assert len(blocks) == -(-whole // block)  # its blocks, not the engine's one
     assert out.sample_rate == FS and len(out) == sig_len
     assert not out.samples.flags.writeable
     assert_matches_reference(out, ref, bank.taps)
+
+
+def closed_form_operator(bank, relu):
+    """The L x L frame operator of a weigh-free pass, in the engine's closed form A^T * S."""
+    dec, h = pseudo_inverse(bank).taps, sign_split_half(bank.taps)
+    if h:
+        return analysis_matrix(bank)[:h].T @ (dec[:h] if relu else 2.0 * dec[:h])
+    return analysis_matrix(bank).T @ dec
+
+
+@pytest.mark.parametrize("hop", [1, 5, 8, 16])  # P = L; D does not divide L; D = L/2; D = L
+@pytest.mark.parametrize("extra", [-11, 0, 3, 40])  # n < L; n = L; n = L + j*D (and a padded frame unless D | 3)
+@pytest.mark.parametrize("block", [1, 4, 1024])
+@pytest.mark.parametrize("folded", [False, True])
+def test_weigh_free_pass_edges_match_whole_signal_reference(hop, extra, block, folded):
+    frame_len = 16
+    rng = np.random.default_rng(hop * 1000 + extra * 10 + block)
+    p = FrameParams(frame_len, hop)
+    sig_len = frame_len + (extra if extra <= 0 else hop * (extra // 8) + extra % 8)
+    half = rng.standard_normal((12, frame_len))
+    bank = Filterbank(np.vstack([half, -half]) if folded else half, FS)
+    relu = folded
+    x = Waveform(rng.standard_normal(sig_len), FS)
+    ref = decode(encode(x, bank, p, apply_relu=relu), pseudo_inverse(bank), p).samples[:sig_len]
+    with mock.patch.object(codec, "OPERATOR_BLOCK_FRAMES", block):
+        (out,) = _resynthesize([x], bank, p, None, 1, relu=relu)
+    assert len(out) == sig_len
+    assert_matches_reference(out, ref, bank.taps)
+    if hop == frame_len:  # one frame per row: the rows are the frames times M, block by block
+        frames = frame_signal(x, p)
+        rows = [frames[at:at + block] @ closed_form_operator(bank, relu) for at in range(0, len(frames), block)]
+        assert np.array_equal(out.samples, np.concatenate(rows).ravel()[:sig_len])
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_weigh_free_pass_refuses_an_overflow(relu):
+    # The default sign-split STFT bank folds, so both passes are weigh-free;
+    # at hop 1 sixteen frames of 1e308 overlap at every sample.
+    x = Waveform(np.full(200, 1e308), FS)
+    with pytest.raises(ValueError, match="^filtering the signals with the bank overflows a float "):
+        _resynthesize([x], build_stft_bank(StftSpec(16), FS), FrameParams(16, 1), None, 1, relu=relu)
 
 
 @given(case=engine_cases(), seed=st.integers(0, 2**31 - 1))

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblab import ErbParams, bandwidth_b, center_frequency_grid, erb, erb_scale, erb_scale_inv
-from fblab.erb import FC_MAX_HZ, FC_MIN_HZ, center_count
+from fblab.erb import FC_MIN_HZ, center_count
+
+#: The top of the centre band at the default rate, fs/2 = 8000 / 2.
+TOP_HZ = 4000.0
 
 DEFAULTS = ErbParams()
 
@@ -124,7 +127,7 @@ class TestCenterCount:
         count = center_count(p)
         assert count <= 20000  # the range keeps the grid small
         assert len(center_frequency_grid(p)) == count
-        span = erb_scale(FC_MAX_HZ, p) - erb_scale(FC_MIN_HZ, p)
+        span = erb_scale(TOP_HZ, p) - erb_scale(FC_MIN_HZ, p)
         if abs(span - round(span)) > 1e-9:  # not within rounding of an integer
             assert count == math.floor(span) + 1
 
@@ -173,6 +176,31 @@ class TestCenterFrequencyGrid:
     def test_overflowing_step_ends_the_grid(self, c1, c2):
         assert center_frequency_grid(ErbParams(c1, c2)).tolist() == [100.0]
 
+    @pytest.mark.parametrize("rate,count,top", [(8000, 24, 3707.660905622449), (11025, 27, 5212.861918661661),
+                                                (16000, 30, 7293.606283140182)])
+    def test_band_ends_at_half_the_rate(self, rate, count, top):
+        grid = center_frequency_grid(DEFAULTS, rate)
+        assert len(grid) == center_count(DEFAULTS, rate) == count
+        assert grid[0] == 100.0
+        assert grid[-1] == pytest.approx(top, rel=1e-12)
+        next_step = 100.0 + (100.0 + DEFAULTS.c1 * DEFAULTS.c2) * math.expm1(count / DEFAULTS.c2)
+        assert grid[-1] <= rate / 2 < next_step
+
+    def test_default_rate_is_8_khz(self):
+        assert center_frequency_grid(DEFAULTS).tobytes() == center_frequency_grid(DEFAULTS, 8000).tobytes()
+
+    @pytest.mark.parametrize("rate", [1, 199, 200])
+    def test_rate_without_a_band_is_typed_error(self, rate):
+        message = f"no gammatone centre band at {rate} Hz: fs/2 = {rate / 2:g} Hz must exceed 100 Hz"
+        for fn in (center_count, center_frequency_grid):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                fn(DEFAULTS, rate)
+
+    @pytest.mark.parametrize("rate", [0, 8000.0, 10**400])
+    def test_bad_rate_is_typed_error(self, rate):
+        with pytest.raises(ValueError, match="^sample_rate must"):
+            center_frequency_grid(DEFAULTS, rate)
+
     def test_span_beyond_a_float_is_typed_error(self):
         message = "span from 100.0 to 4000.0 Hz overflows a float at c1=1e-320, c2=1e+308"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -188,6 +216,6 @@ class TestCenterFrequencyGrid:
         np.testing.assert_allclose(np.diff(scale), 1.0, atol=1e-9)
         # the grid ends at the last centre in the band: one more step leaves it
         next_step = 100.0 + (100.0 + params.c1 * params.c2) * math.expm1(len(grid) / params.c2)
-        span = erb_scale(FC_MAX_HZ, params) - erb_scale(FC_MIN_HZ, params)
+        span = erb_scale(TOP_HZ, params) - erb_scale(FC_MIN_HZ, params)
         if abs(span - round(span)) > 1e-9:  # not within rounding of an integer
             assert next_step > 4000.0

@@ -89,8 +89,13 @@ class TestFilterbankType:
             Filterbank(np.ones((2, 4)), FS, kind=kind, center_freqs=np.array([]))
 
     def test_gammatone_centers_must_stay_in_band(self):
-        with pytest.raises(ValueError, match=r"\[100, 4000\]"):
-            Filterbank(np.ones((2, 4)), FS, kind=FilterbankKind.MPGTF, center_freqs=np.array([50.0, 200.0]))
+        # The band is [100 Hz, fs/2]: 4000 Hz at 8 kHz, 8000 Hz at 16 kHz.
+        for rate, centers in [(FS, [50.0, 200.0]), (FS, [200.0, 4000.5]), (16000, [200.0, 8000.5])]:
+            with pytest.raises(ValueError, match=re.escape(f"[100, fs/2 = {rate // 2}] Hz")):
+                Filterbank(np.ones((2, 4)), rate, kind=FilterbankKind.MPGTF, center_freqs=np.array(centers))
+        bank = Filterbank(np.ones((2, 4)), 16000, kind=FilterbankKind.MPGTF, center_freqs=np.array([100.0, 8000.0]),
+                          erb_params=ErbParams())
+        assert bank.center_freqs[-1] == 8000.0
 
     def test_stft_centers_may_leave_band(self):
         bank = Filterbank(np.ones((2, 4)), FS, kind=FilterbankKind.STFT, center_freqs=np.array([15.0, 31.0]))
@@ -370,12 +375,12 @@ def fbank_records(draw):
     taps = draw(hnp.arrays(np.float64, shape, elements=st.one_of(st.sampled_from(_EDGE_FLOATS), _FINITE)))
     kind = draw(st.sampled_from(list(FilterbankKind)))
     gammatone = kind in (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF)
-    in_band = st.floats(100.0, 4000.0) if gammatone else _FINITE
+    sample_rate = draw(st.integers(200 if gammatone else 1, 2**53))  # a gammatone band needs fs/2 >= 100 Hz
+    in_band = st.floats(100.0, sample_rate / 2) if gammatone else _FINITE
     centers = draw(st.none() | st.lists(in_band, min_size=1, max_size=9, unique=True).map(sorted))
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     erb_params = draw(st.tuples(positive, positive).filter(lambda c: c[0] * c[1] > 0.0).map(
         lambda c: ErbParams(*c))) if gammatone else None
-    sample_rate = draw(st.integers(1, 2**53))
     return Filterbank(taps, sample_rate, kind=kind, center_freqs=centers, erb_params=erb_params)
 
 
@@ -403,7 +408,9 @@ class TestConditionNumber:
         (build_mpgtf(ErbParams(), 512, 16, FS, order=3), 16, 161.6),
         (build_stft_bank(StftSpec(), FS), 16, 1.0),
         (build_stft_bank(StftSpec(window=StftWindow.HANN), FS), 15, 26.27),
-    ], ids=["mpgtf", "mpgtf-64", "mpgtf-order-3", "stft", "stft-hann"])
+        (build_mpgtf(ErbParams(), 512, 16, 11025), 16, 7.578),  # centres up to fs/2 at every rate
+        (build_mpgtf(ErbParams(), 512, 16, 16000), 16, 9.812),
+    ], ids=["mpgtf", "mpgtf-64", "mpgtf-order-3", "stft", "stft-hann", "mpgtf-11025hz", "mpgtf-16khz"])
     def test_rank_and_cond_of_built_banks(self, bank, rank, cond):
         a = analysis_matrix(bank)
         assert numerical_rank(a) == rank
