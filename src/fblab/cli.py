@@ -43,7 +43,7 @@ import numpy as np
 
 from .codec import _resynthesize, analysis_matrix
 from .dsp import FrameParams, Waveform
-from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams
+from .erb import DEFAULT_C1, DEFAULT_C2, ErbParams, center_count
 from .filterbank import (Filterbank, FilterbankKind, condition_number, frequency_response, load_filterbank,
                          save_filterbank)
 from .gammatone import build_mpgtf, build_parampgtf
@@ -244,7 +244,8 @@ def cmd_build_bank(args) -> int:
     if cond > COND_WARN:  # after the save, so a failed save reports only its error
         print(f"warning: ill-conditioned bank: cond = sigma_max/sigma_rank of its analysis matrix is {cond:.3g} "
               f"> {COND_WARN:g}; oracle separation through it scores poorly", file=sys.stderr)
-    print(f"N={bank.n_filters} L={bank.filter_len} M={len(bank.center_freqs)}")
+    n_centers = args.nfreqs if bank.erb_params is None else int(center_count(bank.erb_params, bank.sample_rate))
+    print(f"N={bank.n_filters} L={bank.filter_len} M={n_centers}")
     return 0
 
 
@@ -369,7 +370,7 @@ def cmd_train(args) -> int:
             "c2": best.c2,
             "init": {"c1": init.c1, "c2": init.c2},
             "iterations": len(trace),
-            "best_dev_loss": next((row.dev_loss for row in trace if (row.c1, row.c2) == (best.c1, best.c2)), None),
+            "best_dev_loss": min((row.dev_loss for row in trace), default=None),
             "seed": seed,
             "config": {
                 "learning_rate": cfg.learning_rate,

@@ -33,7 +33,7 @@ from .dsp import _check_sample_rate
 DEFAULT_C1 = 24.7
 DEFAULT_C2 = 9.265
 
-#: Center frequencies of gammatone banks start here (Hz); the band ends at fs/2.
+#: Center frequencies of gammatone banks start here (Hz); the band ends below fs/2.
 FC_MIN_HZ = 100.0
 
 #: Factorials overflow the guard above this gammatone order.
@@ -115,35 +115,46 @@ def _band_top(sample_rate: int) -> float:
     return top
 
 
+def _centers_past_the_first(p: ErbParams, steps: np.ndarray) -> np.ndarray:
+    """Centres j = `steps` (float64, each >= 1) of the grid: FC_MIN_HZ + (FC_MIN_HZ + c1*c2) * expm1(j / c2)."""
+    return FC_MIN_HZ + (FC_MIN_HZ + p.c1 * p.c2) * np.expm1(steps / p.c2)
+
+
 def center_count(p: ErbParams, sample_rate: int = 8000) -> float:
     """Centres `center_frequency_grid(p, sample_rate)` holds: floor(span) + 1, for the span
 
         scale(fs/2) - scale(FC_MIN_HZ) = c2 * ln((c1*c2 + fs/2) / (c1*c2 + FC_MIN_HZ))
 
     of the band, computed as one `log1p` that neither divides by c1*c2 nor
-    cancels. Returned as a float, so a span too large for one reads inf.
-    Raises ValueError for a rate whose fs/2 is not above FC_MIN_HZ.
+    cancels; one fewer when centre floor(span) rounds to fs/2 or past it,
+    where a phase-shifted row is rounding noise. Returned as a float, so a
+    span too large for one reads inf. Raises ValueError for a rate whose
+    fs/2 is not above FC_MIN_HZ.
     """
     top = _band_top(sample_rate)
     span = p.c2 * math.log1p((top - FC_MIN_HZ) / (p.c1 * p.c2 + FC_MIN_HZ))
-    return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
+    if not math.isfinite(span):
+        return math.inf
+    last = math.floor(span)
+    if last and _centers_past_the_first(p, np.float64(last)) >= top:
+        last -= 1
+    return last + 1.0
 
 
 def center_frequency_grid(p: ErbParams, sample_rate: int = 8000) -> np.ndarray:
-    """Center frequencies spaced one ERB-rate unit apart over the band [FC_MIN_HZ, fs/2].
+    """Center frequencies spaced one ERB-rate unit apart over the band [FC_MIN_HZ, fs/2).
 
     Centre j is FC_MIN_HZ + (FC_MIN_HZ + c1*c2) * expm1(j / c2) for j = 0 ..
     `center_count(p, sample_rate)` - 1; j / c2 never exceeds the span's
     log, so expm1 cannot overflow. The first element is FC_MIN_HZ exactly,
-    and a last centre that rounding puts past fs/2 is clipped to it. At
-    the default 8 kHz the band is [100, 4000] Hz. Raises ValueError when
-    fs/2 is not above FC_MIN_HZ, or when the span is too large for a float.
+    and every centre lies below fs/2: a last centre that rounding puts at
+    fs/2 or past it is not counted. At the default 8 kHz the band is
+    [100, 4000) Hz. Raises ValueError when fs/2 is not above FC_MIN_HZ, or
+    when the span is too large for a float.
     """
     count = center_count(p, sample_rate)
-    top = sample_rate / 2
     if math.isinf(count):
-        raise ValueError(f"the ERB-rate span from {FC_MIN_HZ} to {top} Hz overflows a float "
+        raise ValueError(f"the ERB-rate span from {FC_MIN_HZ} to {sample_rate / 2} Hz overflows a float "
                          f"at c1={p.c1!r}, c2={p.c2!r}")
     # Centre 0 is placed apart: where c1*c2 overflows (one centre), its term would be inf * 0.
-    steps = (FC_MIN_HZ + p.c1 * p.c2) * np.expm1(np.arange(1.0, count) / p.c2)
-    return np.concatenate(([FC_MIN_HZ], np.minimum(FC_MIN_HZ + steps, top)))
+    return np.concatenate(([FC_MIN_HZ], _centers_past_the_first(p, np.arange(1.0, count))))

@@ -2,16 +2,17 @@
 
 FBANK2 is a text exchange format: one header line
 
-    FBANK2 kind=<kind> n=<N> len=<L> fs=<Hz> c1=<value|-> c2=<value|-> centers=<f1,f2,...|->
+    FBANK2 kind=<kind> n=<N> len=<L> fs=<Hz> c1=<value|-> c2=<value|->
 
 followed by N tap rows, LF newlines. Each row is 16*L lowercase hex
 digits: the row's L taps as little-endian float64 bytes
 (`row.astype("<f8").tobytes().hex()`), so taps round-trip bit for bit,
-signed zeros and subnormals included. Header floats are written with 17
-significant digits, so c1, c2 and the centers round-trip float64 exactly.
-The `centers` field is optional on read: files without it load with no
-center frequencies. Gammatone kinds give both c1 and c2; `stft` and
-`custom` give neither.
+signed zeros and subnormals included. c1 and c2 are written with 17
+significant digits, so they round-trip float64 exactly. Gammatone kinds
+give both; `stft` and `custom` give neither. A gammatone bank's centre
+frequencies are not stored: they are `erb.center_frequency_grid(
+ErbParams(c1, c2), fs)`. The loader ignores header fields it does not
+know, such as the centre list (`centers`) that earlier FBANK2 files carry.
 
 The loader checks every row's width, then decodes all rows with one
 `bytes.fromhex` and one `np.frombuffer`; only when that fails does it
@@ -31,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .dsp import _check_array_size, _check_sample_rate, _frozen
-from .erb import FC_MIN_HZ, ErbParams
+from .erb import ErbParams
 
 #: Relative singular-value cutoff for numerical rank and pseudo-inverse
 #: decoders. Multi-phase banks contain exact +/- row pairs and are
@@ -62,14 +63,14 @@ class Filterbank:
     """An N x L matrix of FIR taps plus provenance metadata.
 
     `taps[n, k]` is the coefficient of filter n at time index k (sample
-    k+1 for the gammatone family, sample k for STFT rows). `center_freqs`
-    holds the distinct center-frequency grid, not one entry per row.
+    k+1 for the gammatone family, sample k for STFT rows). A gammatone
+    bank's centre grid is `erb.center_frequency_grid(erb_params,
+    sample_rate)`, so the bank does not hold a copy of it.
     """
 
     taps: np.ndarray
     sample_rate: int
     kind: FilterbankKind = FilterbankKind.CUSTOM
-    center_freqs: np.ndarray | None = None
     erb_params: ErbParams | None = None
 
     def __post_init__(self):
@@ -81,15 +82,6 @@ class Filterbank:
         _check_sample_rate(self.sample_rate)
         object.__setattr__(self, "taps", _frozen(taps))
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
-        if self.center_freqs is not None:
-            cf = np.asarray(self.center_freqs, dtype=np.float64)
-            if cf.ndim != 1 or cf.size == 0 or not np.all(np.isfinite(cf)) or not np.all(np.diff(cf) > 0):
-                raise ValueError("center_freqs must be 1-D, non-empty, finite and strictly increasing")
-            if self.kind in _GAMMATONE_KINDS and (cf[0] < FC_MIN_HZ or cf[-1] > self.sample_rate / 2):
-                raise ValueError(
-                    f"gammatone center frequencies must lie in [{FC_MIN_HZ:g}, fs/2 = {self.sample_rate / 2:g}] Hz"
-                )
-            object.__setattr__(self, "center_freqs", _frozen(cf))
         _check_erb_params(self.kind, self.erb_params)
 
     @property
@@ -136,10 +128,9 @@ def save_filterbank(path, bank: Filterbank) -> None:
     """Write a bank in FBANK2 format."""
     c1 = _fmt(bank.erb_params.c1) if bank.erb_params else "-"
     c2 = _fmt(bank.erb_params.c2) if bank.erb_params else "-"
-    centers = "-" if bank.center_freqs is None else ",".join(_fmt(v) for v in bank.center_freqs)
     header = (
         f"FBANK2 kind={bank.kind.value} n={bank.n_filters} len={bank.filter_len} "
-        f"fs={bank.sample_rate} c1={c1} c2={c2} centers={centers}"
+        f"fs={bank.sample_rate} c1={c1} c2={c2}"
     )
     digits, width = bank.taps.astype("<f8").tobytes().hex(), 16 * bank.filter_len
     with open(path, "w", newline="\n") as fh:
@@ -180,8 +171,6 @@ def load_filterbank(path) -> Filterbank:
         if n < 1 or length < 1:
             raise ValueError(f"n and len must be >= 1, got n={n} len={length}")
         fs = int(fields["fs"])
-        centers = fields.get("centers", "-")
-        center_freqs = None if centers == "-" else np.array([float(v) for v in centers.split(",")])
         c1, c2 = fields.get("c1", "-"), fields.get("c2", "-")
         if (c1 == "-") != (c2 == "-"):
             raise ValueError(f"c1 and c2 must both be given or both be '-', got c1={c1} c2={c2}")
@@ -195,7 +184,7 @@ def load_filterbank(path) -> Filterbank:
         raise ValueError(f"FBANK2 dimension mismatch: header says {n} filters, file has {len(rows)}")
     taps = _decode_rows(rows, length)
 
-    return Filterbank(taps, fs, kind=kind, center_freqs=center_freqs, erb_params=erb_params)
+    return Filterbank(taps, fs, kind=kind, erb_params=erb_params)
 
 
 def _decode_rows(rows: list[str], length: int) -> np.ndarray:

@@ -9,7 +9,7 @@ canonical 8 kHz rate) for low-latency analysis. The multi-phase construction
 covers each center frequency with several phase shifts evenly spaced on
 [0, pi) and appends the negation of every filter, so rectified encoder
 outputs keep energy at every center. Center frequencies sit one ERB-rate
-unit apart from 100 Hz up to at most fs/2 (4000 Hz at 8 kHz).
+unit apart on the band [100 Hz, fs/2), [100, 4000) Hz at 8 kHz.
 
 One builder, `build_mpgtf`, makes both the fixed bank (MPGTF) and the
 parameterized one (ParaMPGTF): the construction is a deterministic
@@ -128,7 +128,7 @@ def build_mpgtf(
         raise ValueError("degenerate gammatone filter: all taps are zero")
     rows /= peaks[:, None]
     taps = np.vstack([rows, -rows])  # the negated copies supply [pi, 2*pi)
-    return Filterbank(taps, sample_rate, kind=kind, center_freqs=centers, erb_params=p)
+    return Filterbank(taps, sample_rate, kind=kind, erb_params=p)
 
 
 #: ParaMPGTF: the same construction, labelled PARAMPGTF for trainable (c1, c2).

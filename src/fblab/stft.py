@@ -78,7 +78,7 @@ def build_stft_bank(spec: StftSpec, sample_rate: int) -> Filterbank:
     rows = pairs.reshape(2 * spec.n_freqs, spec.frame_len)
     if spec.mode is StftMode.SIGN_SPLIT:
         rows = np.vstack([rows, -rows])
-    return Filterbank(rows, sample_rate, kind=FilterbankKind.STFT, center_freqs=freqs)
+    return Filterbank(rows, sample_rate, kind=FilterbankKind.STFT)
 
 
 def istft_decoder(bank: Filterbank) -> Filterbank:

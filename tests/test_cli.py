@@ -33,6 +33,7 @@ from fblab import (
     analysis_matrix,
     build_mpgtf,
     build_stft_bank,
+    center_frequency_grid,
     frequency_response,
     load_filterbank,
     make_multi_mixture_item,
@@ -113,13 +114,13 @@ class TestBuildBank:
 
     @pytest.mark.parametrize("fs,centers", [(11025, 27), (16000, 30)])
     def test_default_gammatone_bank_at_other_rates_is_well_conditioned(self, tmp_path, capsys, fs, centers):
-        # The centres span [100 Hz, fs/2] at every rate, so no band is left uncovered.
+        # The centres span [100 Hz, fs/2) at every rate, so no band is left uncovered.
         out = tmp_path / "bank.fbank"
         assert run(["build-bank", "mpgtf", "--fs", fs, "--out", out]) == 0
         assert capsys.readouterr() == (f"N=512 L=16 M={centers}\n", "")
         bank = load_filterbank(out)
         assert condition_number(analysis_matrix(bank)) < fblab.cli.COND_WARN
-        assert bank.center_freqs[-1] < fs / 2
+        assert center_frequency_grid(bank.erb_params, fs)[-1] < fs / 2
 
     def test_rate_without_a_gammatone_band_is_typed_error(self, tmp_path, capsys):
         out = tmp_path / "bank.fbank"
@@ -131,7 +132,7 @@ class TestBuildBank:
     def test_stft_signsplit_dimensions(self, tmp_path, capsys):
         out = tmp_path / "stft.fbank"
         assert run(["build-bank", "stft", "--mode", "signsplit", "--nfreqs", "128", "--out", out]) == 0
-        assert "N=512 L=16" in capsys.readouterr().out
+        assert capsys.readouterr().out == "N=512 L=16 M=128\n"
         assert load_filterbank(out).taps.shape == (512, 16)
 
     def test_tiny_c2_builds_one_center(self, tmp_path, capsys):
@@ -139,7 +140,8 @@ class TestBuildBank:
         out = tmp_path / "x.fbank"
         assert run(["build-bank", "parampgtf", "--c2", "1e-3", "--out", out]) == 0
         assert capsys.readouterr().out.strip() == "N=512 L=16 M=1"
-        assert len(load_filterbank(out).center_freqs) == 1
+        bank = load_filterbank(out)
+        assert len(center_frequency_grid(bank.erb_params, bank.sample_rate)) == 1
 
     def test_vanishing_c2_is_typed_error(self, tmp_path, capsys):
         out = tmp_path / "x.fbank"
@@ -239,7 +241,7 @@ class TestFreqResponse:
         given = {token.split("=", 1)[0] for token in fields.split()}
         defaults = " ".join(field for field in ("kind=custom", "fs=8000") if field.split("=")[0] not in given)
         bank = tmp_path / "bad.fbank"
-        bank.write_text(fbank2_text(f"{defaults} {fields} c1=- c2=- centers=-", rows or "1 2 3"))
+        bank.write_text(fbank2_text(f"{defaults} {fields} c1=- c2=-", rows or "1 2 3"))
         if command == "freq-response":
             args = ["freq-response", bank, "--out", tmp_path / "x.csv"]
         else:
@@ -254,13 +256,13 @@ class TestFreqResponse:
         # first bad row is named all the same.
         bad = "0123456789abcdex"
         bank = tmp_path / "bad.fbank"
-        bank.write_text(fbank2_text("kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-", rows.replace("x", bad)))
+        bank.write_text(fbank2_text("kind=custom n=2 len=2 fs=8000 c1=- c2=-", rows.replace("x", bad)))
         assert run(["roundtrip", bank, source_wavs[0], tmp_path / "out.wav"]) == 1
         assert capsys.readouterr().err == f"error: {bank}: FBANK2 bad tap on row {row}: {bad!r}\n"
 
     def test_fbank1_bank_is_one_error_line_that_says_how_to_rebuild_it(self, tmp_path, source_wavs, capsys):
         bank = tmp_path / "old.fbank"
-        bank.write_text("FBANK1 kind=custom n=1 len=2 fs=8000 c1=- c2=- centers=-\n1 2\n")
+        bank.write_text("FBANK1 kind=custom n=1 len=2 fs=8000 c1=- c2=-\n1 2\n")
         assert run(["roundtrip", bank, source_wavs[0], tmp_path / "out.wav"]) == 1
         assert capsys.readouterr() == ("", f"error: {bank}: an FBANK1 file: decimal taps are no longer read; "
                                            "rebuild the bank with `fblab build-bank`\n")
@@ -268,7 +270,7 @@ class TestFreqResponse:
     @pytest.mark.parametrize("c1,reason", [("abc", "could not convert"), ("-3", "invalid ERB parameters")])
     def test_bad_erb_params_are_header_errors(self, tmp_path, capsys, c1, reason):
         bank = tmp_path / "bad.fbank"
-        bank.write_text(fbank2_text(f"kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265 centers=-", "1"))
+        bank.write_text(fbank2_text(f"kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265", "1"))
         assert run(["freq-response", bank, "--out", tmp_path / "x.csv"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bank}: bad FBANK2 header: ") and reason in err
@@ -277,7 +279,7 @@ class TestFreqResponse:
         # 146 TiB of spectrum exceeds the 128 TiB user address space of
         # x86-64, so the allocation fails at once and nothing is allocated.
         bank = tmp_path / "one.fbank"
-        bank.write_text(fbank2_text("kind=custom n=1 len=4 fs=8000 c1=- c2=- centers=-", "1 2 3 4"))
+        bank.write_text(fbank2_text("kind=custom n=1 len=4 fs=8000 c1=- c2=-", "1 2 3 4"))
         csv = tmp_path / "x.csv"
         assert run(["freq-response", bank, "--out", csv, "--n-fft", "10000000000000"]) == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
@@ -289,7 +291,7 @@ class TestFreqResponse:
         signs = [[1, 1, 1, 1], [1, -1, 1, -1], [-1, -1, -1, -1], [-1, 1, -1, 1]]
         rows = "\n".join(" ".join(repr(sign * scale) for sign in row) for row in signs)
         bank = tmp_path / "big.fbank"
-        bank.write_text(fbank2_text("kind=custom n=4 len=4 fs=8000 c1=- c2=- centers=-", rows))
+        bank.write_text(fbank2_text("kind=custom n=4 len=4 fs=8000 c1=- c2=-", rows))
         csv = tmp_path / "r.csv"
         code, err = _assert_clean_exit(["freq-response", bank, "--out", csv])
         if 4 * scale < math.inf:
@@ -420,7 +422,7 @@ def test_overflowing_products_are_a_typed_error_without_warning(tmp_path, capsys
     # ReLU turned into 0: an all-zero WAV and exit 0 unless the overflow is
     # caught where it happens.
     bank, wav = tmp_path / "huge.fbank", tmp_path / "loud.wav"
-    bank.write_text(fbank2_text("kind=custom n=2 len=2 fs=8000 c1=- c2=- centers=-", taps))
+    bank.write_text(fbank2_text("kind=custom n=2 len=2 fs=8000 c1=- c2=-", taps))
     write_wav(wav, Waveform(1e9 * (1.5 + np.sin(np.arange(64) / 3.0)), 8000))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -807,10 +809,12 @@ class TestTrain:
         assert not out_dir.exists()
 
     def test_best_dev_loss_is_that_of_the_returned_point(self, tmp_path, monkeypatch):
-        # The returned point is not the row of least dev loss, so only the row at that point gives its loss.
+        # `train_parampgtf` returns the point of the row of least dev loss, here
+        # neither the first row nor the last, so that row's loss is the best.
         self._write_pairs(tmp_path / "train", 1, 0)
         self._write_pairs(tmp_path / "dev", 1, 1)
-        trace = [TraceRow(0, 24.7, 9.265, -3.0, -4.0), TraceRow(1, 25.0, 9.2, -3.5, -2.0)]
+        trace = [TraceRow(0, 24.7, 9.265, -3.0, -1.0), TraceRow(1, 25.0, 9.2, -3.5, -2.0),
+                 TraceRow(2, 25.1, 9.1, -3.6, -1.5)]
         monkeypatch.setattr(fblab.cli, "train_parampgtf", lambda *args, **kwargs: (ErbParams(25.0, 9.2), trace))
         out_dir = tmp_path / "out"
         assert run(["train", tmp_path / "train", tmp_path / "dev", "--out-dir", out_dir, "--n-filters", "128"]) == 0

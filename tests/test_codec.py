@@ -733,10 +733,10 @@ class TestPseudoInverse:
     @pytest.mark.parametrize("bank", [build_mpgtf(ErbParams(), 128, 16, FS), build_stft_bank(StftSpec(), FS)],
                              ids=["mpgtf", "stft"])
     def test_decoder_carries_taps_and_rate_alone(self, bank):
-        # A decoder is not a member of its encoder's family: no kind, centres or
-        # ERB parameters, so `istft_decoder` refuses a decoder of an STFT bank.
+        # A decoder is not a member of its encoder's family: no kind or ERB
+        # parameters, so `istft_decoder` refuses a decoder of an STFT bank.
         dec = pseudo_inverse(bank)
-        assert (dec.kind, dec.center_freqs, dec.erb_params) == (FilterbankKind.CUSTOM, None, None)
+        assert (dec.kind, dec.erb_params) == (FilterbankKind.CUSTOM, None)
         assert dec.sample_rate == bank.sample_rate
         with pytest.raises(ValueError, match="^istft_decoder requires an STFT bank, got kind='custom'$"):
             istft_decoder(dec)

@@ -144,7 +144,7 @@ class TestCenterFrequencyGrid:
     def test_default_count_and_range(self):
         grid = center_frequency_grid(DEFAULTS)
         assert len(grid) == 24
-        assert np.all(grid <= 4000.0)
+        assert np.all(grid < 4000.0)
         assert np.all(np.diff(grid) > 0)
 
     def test_second_center(self):
@@ -184,7 +184,18 @@ class TestCenterFrequencyGrid:
         assert grid[0] == 100.0
         assert grid[-1] == pytest.approx(top, rel=1e-12)
         next_step = 100.0 + (100.0 + DEFAULTS.c1 * DEFAULTS.c2) * math.expm1(count / DEFAULTS.c2)
-        assert grid[-1] <= rate / 2 < next_step
+        assert grid[-1] < rate / 2 < next_step
+
+    @pytest.mark.parametrize("c2", [2.8341247219974894, 3.198807472164571, 5.178525459860994])
+    def test_a_step_that_rounds_to_half_the_rate_is_left_out(self, c2):
+        # At these c2 (c1 = 24.7) centre floor(span) rounds to 4000 Hz or just past it.
+        p = ErbParams(24.7, c2)
+        step = math.floor(c2 * math.log1p(3900.0 / (24.7 * c2 + 100.0)))
+        grid = center_frequency_grid(p)
+        top_step = 100.0 + (100.0 + 24.7 * c2) * np.expm1(step / c2)
+        assert top_step >= TOP_HZ and top_step == pytest.approx(TOP_HZ, rel=1e-14)
+        assert center_count(p) == len(grid) == step
+        assert grid[-1] < TOP_HZ
 
     def test_default_rate_is_8_khz(self):
         assert center_frequency_grid(DEFAULTS).tobytes() == center_frequency_grid(DEFAULTS, 8000).tobytes()
@@ -211,7 +222,7 @@ class TestCenterFrequencyGrid:
     def test_grid_properties_random_params(self, params):
         grid = center_frequency_grid(params)
         assert grid[0] == 100.0
-        assert np.all(grid <= 4000.0)
+        assert np.all(grid < 4000.0)
         scale = np.array([erb_scale(f, params) for f in grid])
         np.testing.assert_allclose(np.diff(scale), 1.0, atol=1e-9)
         # the grid ends at the last centre in the band: one more step leaves it

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import struct
@@ -16,6 +17,7 @@ from fblab import (
     build_mpgtf,
     build_parampgtf,
     build_stft_bank,
+    center_frequency_grid,
     frequency_response,
     load_filterbank,
     save_filterbank,
@@ -28,6 +30,16 @@ from fblab import (
 from fblab.filterbank import condition_number
 
 FS = 8000
+
+#: The header of the default mpgtf bank as files carried it while FBANK2 stored the centre list.
+_HEADER_WITH_CENTERS = (
+    "FBANK2 kind=mpgtf n=512 len=16 fs=8000 c1=24.699999999999999 c2=9.2650000000000006 centers=100,"
+    "137.47957310698982,179.23081300060801,225.7405752030318,277.55120371700446,335.26685522538799,"
+    "399.56054407995998,471.18199023010988,550.9663616050625,639.84401289335688,738.85133428216079,"
+    "849.14283666209565,972.00461422149488,1108.8693414155773,1261.3329791881497,1431.1733852548134,"
+    "1620.371045459656,1831.1321679509488,2065.9144094738949,2327.45553377122,2618.8053362733135,"
+    "2943.3612073473782,3304.9077488038056,3707.6609056224488"
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,33 +85,14 @@ class TestFilterbankType:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Filterbank(np.ones((2, 4)), FS, kind=kind, erb_params=erb_params)
 
-    def test_rejects_non_increasing_centers(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Filterbank(np.ones((2, 4)), FS, center_freqs=np.array([200.0, 150.0]))
-
-    @pytest.mark.parametrize("kind", list(FilterbankKind))
-    @pytest.mark.parametrize("centers", [[1.0, np.inf], [-np.inf, 5.0], [np.nan]], ids=["inf", "-inf", "nan"])
-    def test_rejects_non_finite_centers(self, kind, centers):
-        with pytest.raises(ValueError, match="finite"):
-            Filterbank(np.ones((2, 4)), FS, kind=kind, center_freqs=np.array(centers))
-
-    @pytest.mark.parametrize("kind", [FilterbankKind.MPGTF, FilterbankKind.STFT])
-    def test_rejects_empty_centers(self, kind):
-        with pytest.raises(ValueError, match="non-empty"):
-            Filterbank(np.ones((2, 4)), FS, kind=kind, center_freqs=np.array([]))
-
     def test_gammatone_centers_must_stay_in_band(self):
-        # The band is [100 Hz, fs/2]: 4000 Hz at 8 kHz, 8000 Hz at 16 kHz.
-        for rate, centers in [(FS, [50.0, 200.0]), (FS, [200.0, 4000.5]), (16000, [200.0, 8000.5])]:
-            with pytest.raises(ValueError, match=re.escape(f"[100, fs/2 = {rate // 2}] Hz")):
-                Filterbank(np.ones((2, 4)), rate, kind=FilterbankKind.MPGTF, center_freqs=np.array(centers))
-        bank = Filterbank(np.ones((2, 4)), 16000, kind=FilterbankKind.MPGTF, center_freqs=np.array([100.0, 8000.0]),
-                          erb_params=ErbParams())
-        assert bank.center_freqs[-1] == 8000.0
-
-    def test_stft_centers_may_leave_band(self):
-        bank = Filterbank(np.ones((2, 4)), FS, kind=FilterbankKind.STFT, center_freqs=np.array([15.0, 31.0]))
-        assert bank.center_freqs[0] == 15.0
+        # A bank holds no centres: they are the grid of its ERB pair at its
+        # rate, inside the band [100 Hz, fs/2). At (24.7, 2.834...) the grid's
+        # last step rounds to fs/2 at 8 kHz and is left out.
+        for p, rate in itertools.product([ErbParams(), ErbParams(24.7, 2.8341247219974894)], (FS, 11025, 16000)):
+            bank = build_mpgtf(p, 512, 16, rate)
+            grid = center_frequency_grid(bank.erb_params, bank.sample_rate)
+            assert grid[0] == 100.0 and grid[-1] < rate / 2
 
     def test_taps_immutable(self):
         bank = Filterbank(np.ones((2, 4)), FS)
@@ -119,9 +112,9 @@ class TestFbank1Format:
         np.testing.assert_array_equal(back.taps, bank.taps)  # the float64 bytes themselves round-trip
 
         # A Filterbank is exactly its FBANK2 record: every field survives,
-        # for each kind, with and without centres and ERB parameters.
+        # for each kind, with and without ERB parameters.
         names = [f.name for f in dataclasses.fields(Filterbank)]
-        assert names == ["taps", "sample_rate", "kind", "center_freqs", "erb_params"]
+        assert names == ["taps", "sample_rate", "kind", "erb_params"]
         banks = [
             bank,
             build_parampgtf(ErbParams(30.0, 8.5), 128, 16, FS),
@@ -146,12 +139,7 @@ class TestFbank1Format:
         path = tmp_path / "bank.fbank"
         save_filterbank(path, bank)
         header = path.read_text().splitlines()[0]
-        centers = ",".join(f"{v:.17g}" for v in bank.center_freqs)
-        assert header == (
-            "FBANK2 kind=mpgtf n=64 len=16 fs=8000 c1=24.699999999999999 c2=9.2650000000000006 "
-            f"centers={centers}"
-        )
-        assert header.split("centers=")[1].startswith("100,137.47957310698982,")
+        assert header == "FBANK2 kind=mpgtf n=64 len=16 fs=8000 c1=24.699999999999999 c2=9.2650000000000006"
 
     def test_tap_rows_are_the_little_endian_float64_bytes_in_hex(self, tmp_path):
         bank = Filterbank([[1.0, -2.0], [0.0, -0.0], [5e-324, 1.7976931348623157e308]], FS)
@@ -165,36 +153,43 @@ class TestFbank1Format:
 
     @pytest.mark.parametrize("builder", [build_mpgtf, build_parampgtf])
     def test_roundtrip_preserves_center_freqs(self, tmp_path, builder):
-        bank = builder(ErbParams(30.0, 8.5), 128, 16, FS)
+        # The centres are the grid of the ERB pair and rate, which round-trip exactly.
+        p = ErbParams(30.0, 8.5)
         path = tmp_path / "bank.fbank"
-        save_filterbank(path, bank)
+        save_filterbank(path, builder(p, 128, 16, FS))
         back = load_filterbank(path)
-        assert back.center_freqs.tobytes() == bank.center_freqs.tobytes()
+        assert center_frequency_grid(back.erb_params, back.sample_rate).tobytes() == \
+            center_frequency_grid(p, FS).tobytes()
 
     def test_header_without_centers_still_loads(self, tmp_path):
         path = tmp_path / "old.fbank"
         path.write_text(fbank2_text("kind=mpgtf n=2 len=2 fs=8000 c1=24.7 c2=9.265", "1 2\n3 4"))
         bank = load_filterbank(path)
-        assert bank.center_freqs is None
+        assert (bank.kind, bank.sample_rate, bank.erb_params) == (FilterbankKind.MPGTF, FS, ErbParams(24.7, 9.265))
         np.testing.assert_array_equal(bank.taps, [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_bank_without_centers_writes_dash(self, tmp_path):
-        path = tmp_path / "custom.fbank"
-        save_filterbank(path, Filterbank(np.ones((2, 4)), FS))
-        assert path.read_text().splitlines()[0].endswith(" centers=-")
-        assert load_filterbank(path).center_freqs is None
+    def test_header_with_a_centers_list_loads_the_same_bank(self, tmp_path):
+        # Files written before the centre list left the header carry it as
+        # `centers=`; the loader ignores it like any field it does not know.
+        bank = build_mpgtf(ErbParams())
+        path = tmp_path / "bank.fbank"
+        save_filterbank(path, bank)
+        rows = path.read_text().splitlines()[1:]
+        path.write_text("\n".join([_HEADER_WITH_CENTERS, *rows]) + "\n")
+        back = load_filterbank(path)
+        assert back.taps.tobytes() == bank.taps.tobytes()
+        assert (back.kind, back.sample_rate, back.erb_params) == (FilterbankKind.MPGTF, FS, ErbParams())
 
     @pytest.mark.parametrize("centers", ["", "100,abc", "100,nan", "100,inf"])
-    def test_rejects_bad_centers(self, tmp_path, centers):
-        path = tmp_path / "bad.fbank"
+    def test_ignores_any_centers_field(self, tmp_path, centers):
+        path = tmp_path / "old.fbank"
         path.write_text(fbank2_text(f"kind=custom n=1 len=1 fs=8000 c1=- c2=- centers={centers}", "1"))
-        with pytest.raises(ValueError):
-            load_filterbank(path)
+        assert load_filterbank(path).taps.tolist() == [[1.0]]
 
     @pytest.mark.parametrize("c1", ["abc", "-3"])
     def test_rejects_bad_erb_params_as_header_error(self, tmp_path, c1):
         path = tmp_path / "bad.fbank"
-        path.write_text(fbank2_text(f"kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265 centers=-", "1"))
+        path.write_text(fbank2_text(f"kind=mpgtf n=1 len=1 fs=8000 c1={c1} c2=9.265", "1"))
         with pytest.raises(ValueError, match="bad FBANK2 header"):
             load_filterbank(path)
 
@@ -206,7 +201,7 @@ class TestFbank1Format:
     ], ids=["c1-only", "c2-only", "c2-missing", "fs-twice"])
     def test_rejects_a_half_erb_pair_or_a_repeated_field(self, tmp_path, fields, message):
         path = tmp_path / "bad.fbank"
-        path.write_text(fbank2_text(f"n=1 len=1 {fields} centers=-", "1"))
+        path.write_text(fbank2_text(f"n=1 len=1 {fields}", "1"))
         with pytest.raises(ValueError, match=f"^{re.escape('bad FBANK2 header: ' + message)}$"):
             load_filterbank(path)
 
@@ -218,7 +213,7 @@ class TestFbank1Format:
     ], ids=["mpgtf-without", "parampgtf-without", "stft-with", "custom-with"])
     def test_rejects_a_kind_and_erb_pair_that_disagree(self, tmp_path, fields, message):
         path = tmp_path / "bad.fbank"
-        path.write_text(fbank2_text(f"n=1 len=1 fs=8000 {fields} centers=-", "1"))
+        path.write_text(fbank2_text(f"n=1 len=1 fs=8000 {fields}", "1"))
         with pytest.raises(ValueError, match=f"^{re.escape('bad FBANK2 header: ' + message)}$"):
             load_filterbank(path)
 
@@ -252,7 +247,7 @@ class TestFbank1Format:
     )
     def test_rejects_bad_dimensions_before_allocating(self, tmp_path, dims, message):
         path = tmp_path / "bad.fbank"
-        path.write_text(fbank2_text(f"kind=custom {dims} fs=8000 c1=- c2=- centers=-", "1 2 3"))
+        path.write_text(fbank2_text(f"kind=custom {dims} fs=8000 c1=- c2=-", "1 2 3"))
         with pytest.raises(ValueError, match=message):
             load_filterbank(path)
 
@@ -367,7 +362,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def fbank_records(draw):
-    """Banks of arbitrary finite taps up to 9 x 9, of every kind, with and without centres.
+    """Banks of arbitrary finite taps up to 9 x 9, of every kind.
 
     Gammatone kinds carry an ERB pair, and the other kinds none.
     """
@@ -376,12 +371,10 @@ def fbank_records(draw):
     kind = draw(st.sampled_from(list(FilterbankKind)))
     gammatone = kind in (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF)
     sample_rate = draw(st.integers(200 if gammatone else 1, 2**53))  # a gammatone band needs fs/2 >= 100 Hz
-    in_band = st.floats(100.0, sample_rate / 2) if gammatone else _FINITE
-    centers = draw(st.none() | st.lists(in_band, min_size=1, max_size=9, unique=True).map(sorted))
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     erb_params = draw(st.tuples(positive, positive).filter(lambda c: c[0] * c[1] > 0.0).map(
         lambda c: ErbParams(*c))) if gammatone else None
-    return Filterbank(taps, sample_rate, kind=kind, center_freqs=centers, erb_params=erb_params)
+    return Filterbank(taps, sample_rate, kind=kind, erb_params=erb_params)
 
 
 @given(bank=fbank_records())
@@ -452,7 +445,7 @@ class TestFrequencyResponse:
         # at the production 16-tap length the peak still lands within a
         # couple of bins for centers with at least two cycles in the window
         bank = build_mpgtf(ErbParams(), 512, 16, FS)
-        centers = bank.center_freqs
+        centers = center_frequency_grid(ErbParams(), FS)
         idx = int(np.searchsorted(centers, 2000.0))
         per = np.full(len(centers), 256 // len(centers))
         per[: 256 - per.sum()] += 1

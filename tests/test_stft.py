@@ -23,6 +23,11 @@ from fblab.filterbank import condition_number
 FS = 8000
 
 
+def nominal_freqs(n_freqs):
+    """The frequencies of an STFT bank's row pairs at FS: half a step above each multiple of FS / (2 * n_freqs)."""
+    return (np.arange(n_freqs) + 0.5) * (FS / 2 / n_freqs)
+
+
 class TestBuildStftBank:
     def test_filter_counts(self):
         assert build_stft_bank(StftSpec(16, 8, StftMode.LINEAR), FS).n_filters == 16
@@ -49,11 +54,14 @@ class TestBuildStftBank:
         np.testing.assert_array_equal(bank.taps[half:], -bank.taps[:half])
 
     def test_frequencies_within_half_band(self):
+        # Row pair k is the cosine and sine at (k + 1/2) * fs / (2 * n_freqs):
+        # evenly spaced, and inside (0, fs/2).
         bank = build_stft_bank(StftSpec(), FS)
-        assert np.all(bank.center_freqs > 0)
-        assert np.all(bank.center_freqs <= FS / 2)
-        steps = np.diff(bank.center_freqs)
-        np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
+        freqs = nominal_freqs(128)
+        assert np.all(freqs > 0) and np.all(freqs < FS / 2)
+        phase = 2 * np.pi * np.outer(freqs, np.arange(16)) / FS
+        np.testing.assert_allclose(bank.taps[0:256:2], np.cos(phase), atol=1e-12)
+        np.testing.assert_allclose(bank.taps[1:256:2], np.sin(phase), atol=1e-12)
 
     @pytest.mark.parametrize("frame_len,n_freqs,message", [
         (0, 8, "frame_len must be >= 1, got 0"),
@@ -84,7 +92,7 @@ class TestBuildStftBank:
         bank = build_stft_bank(StftSpec(256, 8, StftMode.LINEAR), FS)
         bin_hz, mags = frequency_response(bank, 512)
         peaks = bin_hz[np.argmax(mags[:, :257], axis=1)]  # folded to [0, fs/2]
-        nominal = np.repeat(bank.center_freqs, 2)
+        nominal = np.repeat(nominal_freqs(8), 2)
         assert np.all(np.abs(peaks - nominal) <= FS / 512 + 1e-9)
 
 
