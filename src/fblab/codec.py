@@ -365,8 +365,8 @@ def pseudo_inverse(bank: Filterbank) -> Filterbank:
     `Filterbank.pinv_rows`, which the bank computes once; the pipeline
     engine reads them there and builds no decoder bank. This bank is for
     `decode` and for inspecting the decoder. It carries the taps and the
-    sample rate alone: its kind is `custom`, with no centre frequencies or
-    ERB parameters, since a decoder is not a member of its encoder's family.
+    sample rate alone: its kind is `custom`, with no ERB parameters, since
+    a decoder is not a member of its encoder's family.
 
     A sign-split bank [P; -P] (`Filterbank.sign_split_half` is nonzero) has
     analysis matrix [1; -1] (x) A for A the analysis matrix of P, and

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -194,24 +195,15 @@ def _decode_rows(rows: list[str], length: int) -> np.ndarray:
         if len(row) != width:
             raise ValueError(f"FBANK2 dimension mismatch on row {i}: expected {length} taps "
                              f"({width} hex digits), got {len(row)} characters")
+    joined = "".join(rows)
     try:
-        data = bytes.fromhex("".join(rows))
+        data = bytes.fromhex(joined)
     except ValueError:
         data = b""
     if len(data) != 8 * length * len(rows):  # a non-hex digit, or whitespace that `fromhex` skips
-        for i, row in enumerate(rows):
-            for tap in (row[k:k + 16] for k in range(0, width, 16)):
-                if not _is_hex_tap(tap):
-                    raise ValueError(f"FBANK2 bad tap on row {i}: {tap!r}")
+        i, k = divmod(re.search("[^0-9a-fA-F]", joined).start() // 16, length)  # the first bad tap's row and index
+        raise ValueError(f"FBANK2 bad tap on row {i}: {rows[i][16 * k:16 * k + 16]!r}")
     return np.frombuffer(data, "<f8").reshape(len(rows), length)
-
-
-def _is_hex_tap(tap: str) -> bool:
-    """Whether the 16 characters of `tap` are all hex digits, that is, decode to 8 bytes."""
-    try:
-        return len(bytes.fromhex(tap)) == 8
-    except ValueError:
-        return False
 
 
 def frequency_response(bank: Filterbank, n_fft: int = 512) -> tuple[np.ndarray, np.ndarray]:

@@ -34,23 +34,9 @@ import math
 
 import numpy as np
 
-from .dsp import _check_array_size, _check_sample_rate
+from .dsp import _check_array_size
 from .erb import ErbParams, bandwidth_b, center_count, center_frequency_grid, erb
 from .filterbank import Filterbank, FilterbankKind
-
-
-def _check_filter(center_fc: float, length: int, sample_rate: int) -> None:
-    """Raise ValueError for a gammatone filter that cannot be sampled.
-
-    `build_mpgtf` has checked the rate on entry, and `bandwidth_b` the
-    order. The decay needs no check: every centre is >= 100 Hz, so its ERB
-    is >= 100 / c2 > 5e-307, and `bandwidth_b` scales that by at least
-    7.5e-12 (order 12), which leaves b > 4e-318.
-    """
-    if not 0 < center_fc < sample_rate / 2:
-        raise ValueError(f"center_fc must lie in (0, fs/2) = (0, {sample_rate / 2}), got {center_fc}")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
 
 
 def build_mpgtf(
@@ -75,8 +61,14 @@ def build_mpgtf(
     each row is bitwise that model's `gammatone_ir` filter of its
     (fc, b, phi), and a bad input raises the same ValueError as the bank
     built one model filter per row.
+
+    Each check runs once, in this order, and raises ValueError: `kind` is
+    a gammatone kind; `n_filters` is positive and even; an n_filters x
+    frame_len array fits numpy; `sample_rate` is a positive integer with
+    fs/2 above 100 Hz (in `center_count`); n_filters/2 rows give every
+    centre a phase; `order` lies in 1..12 (in `bandwidth_b`); `frame_len`
+    is >= 1; and no row samples to all zeros.
     """
-    _check_sample_rate(sample_rate)  # before it bounds the centres
     if kind not in (FilterbankKind.MPGTF, FilterbankKind.PARAMPGTF):
         raise ValueError(f"not a multi-phase gammatone kind: {kind}")
     if n_filters < 2 or n_filters % 2 != 0:
@@ -94,15 +86,12 @@ def build_mpgtf(
     counts = np.full(len(centers), per_center, dtype=int)
     counts[:surplus] += 1
 
-    # Every centre is checked before any row is sampled. The per-row
-    # reference raises in the same order: a degenerate row needs a decay above
-    # ~100*fs, and the ERB spacing that comes with it leaves no second
-    # centre below fs/2.
-    decays = []
-    for fc in centers:
-        b = bandwidth_b(erb(float(fc), p), order)
-        _check_filter(float(fc), frame_len, sample_rate)
-        decays.append(b)
+    # No decay needs a check: every centre is >= 100 Hz, so its ERB is
+    # >= 100 / c2 > 5e-307, and `bandwidth_b` (which checks the order) scales
+    # that by at least 7.5e-12 (order 12), which leaves b > 4e-318.
+    decays = [bandwidth_b(erb(float(fc), p), order) for fc in centers]
+    if frame_len < 1:  # after the order, as the per-row reference checks them
+        raise ValueError(f"length must be >= 1, got {frame_len}")
 
     # Row r takes phase k of its centre's count, evenly spaced on [0, pi).
     row_count = np.repeat(counts, counts)

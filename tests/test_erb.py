@@ -14,6 +14,9 @@ TOP_HZ = 4000.0
 
 DEFAULTS = ErbParams()
 
+#: The rates the tests build gammatone banks at: the default 8 kHz, and 11.025 and 16 kHz.
+MEASURED_RATES = st.sampled_from([8000, 11025, 16000])
+
 valid_params = st.builds(
     ErbParams,
     st.floats(1.0, 100.0, allow_nan=False),
@@ -120,14 +123,16 @@ class TestCenterCount:
     def test_default_count(self):
         assert center_count(DEFAULTS) == 24.0
 
-    @given(c1=st.floats(1e-3, 1e3), c2=st.floats(1e-2, 1e3))
+    @given(c1=st.floats(1e-3, 1e3), c2=st.floats(1e-2, 1e3), fs=MEASURED_RATES)
     @settings(max_examples=200, deadline=None)
-    def test_matches_the_grid(self, c1, c2):
+    def test_matches_the_grid(self, c1, c2, fs):
         p = ErbParams(c1, c2)
-        count = center_count(p)
+        count = center_count(p, fs)
         assert count <= 20000  # the range keeps the grid small
-        assert len(center_frequency_grid(p)) == count
-        span = erb_scale(TOP_HZ, p) - erb_scale(FC_MIN_HZ, p)
+        grid = center_frequency_grid(p, fs)
+        assert len(grid) == count
+        assert grid[-1] < fs / 2  # so the builder needs no band check per centre
+        span = erb_scale(fs / 2, p) - erb_scale(FC_MIN_HZ, p)
         if abs(span - round(span)) > 1e-9:  # not within rounding of an integer
             assert count == math.floor(span) + 1
 
@@ -217,16 +222,17 @@ class TestCenterFrequencyGrid:
         with pytest.raises(ValueError, match=re.escape(message)):
             center_frequency_grid(ErbParams(1e-320, 1e308))
 
-    @given(valid_params)
+    @given(valid_params, MEASURED_RATES)
     @settings(max_examples=50, deadline=None)
-    def test_grid_properties_random_params(self, params):
-        grid = center_frequency_grid(params)
+    def test_grid_properties_random_params(self, params, fs):
+        grid = center_frequency_grid(params, fs)
+        assert len(grid) == center_count(params, fs)
         assert grid[0] == 100.0
-        assert np.all(grid < 4000.0)
+        assert np.all(grid < fs / 2)
         scale = np.array([erb_scale(f, params) for f in grid])
         np.testing.assert_allclose(np.diff(scale), 1.0, atol=1e-9)
         # the grid ends at the last centre in the band: one more step leaves it
         next_step = 100.0 + (100.0 + params.c1 * params.c2) * math.expm1(len(grid) / params.c2)
-        span = erb_scale(TOP_HZ, params) - erb_scale(FC_MIN_HZ, params)
+        span = erb_scale(fs / 2, params) - erb_scale(FC_MIN_HZ, params)
         if abs(span - round(span)) > 1e-9:  # not within rounding of an integer
-            assert next_step > 4000.0
+            assert next_step > fs / 2

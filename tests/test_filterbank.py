@@ -280,22 +280,37 @@ class TestFbank1Format:
         with pytest.raises(ValueError, match="^taps contain non-finite values$"):
             load_filterbank(path)
 
-    @pytest.mark.parametrize("edit,message", [
-        (lambda row: row[:-1], "dimension mismatch on row 1: expected 2 taps (32 hex digits), got 31 characters"),
-        (lambda row: row + "00", "dimension mismatch on row 1: expected 2 taps (32 hex digits), got 34 characters"),
-        (lambda row: row[:16], "dimension mismatch on row 1: expected 2 taps (32 hex digits), got 16 characters"),
-        (lambda row: row[:20] + "g" + row[21:], "bad tap on row 1: '0000g00000000040'"),
-        (lambda row: row[:20] + "  " + row[22:], "bad tap on row 1: '0000  0000000040'"),
-    ], ids=["odd-width", "two-digits-more", "one-tap-short", "non-hex-digit", "inner-whitespace"])
-    def test_bad_row_is_named(self, tmp_path, edit, message):
+    @pytest.mark.parametrize("index,edit,message", [
+        (1, lambda row: row[:-1], "dimension mismatch on row 1: expected 2 taps (32 hex digits), got 31 characters"),
+        (1, lambda row: row + "00", "dimension mismatch on row 1: expected 2 taps (32 hex digits), got 34 characters"),
+        (1, lambda row: row[:16], "dimension mismatch on row 1: expected 2 taps (32 hex digits), got 16 characters"),
+        (1, lambda row: row[:20] + "g" + row[21:], "bad tap on row 1: '0000g00000000040'"),
+        (1, lambda row: row[:20] + "  " + row[22:], "bad tap on row 1: '0000  0000000040'"),
+        (1, lambda row: row[:20] + "é" + row[21:], "bad tap on row 1: '0000é00000000040'"),
+        (2, lambda row: row[:-1] + "x", "bad tap on row 2: '000000000000184x'"),
+    ], ids=["odd-width", "two-digits-more", "one-tap-short", "non-hex-digit", "inner-whitespace", "non-ascii",
+            "last-tap-of-last-row"])
+    def test_bad_row_is_named(self, tmp_path, index, edit, message):
         # The inner whitespace keeps the row's width and sits between digit
         # pairs, where `bytes.fromhex` skips it: the row decodes to 15 bytes.
         text = fbank2_text("kind=custom n=3 len=2 fs=8000 c1=- c2=-", "1 2\n3 2\n5 6")
-        head, first, second, third = text.splitlines()
+        head, *rows = text.splitlines()
+        rows[index] = edit(rows[index])
         path = tmp_path / "bad.fbank"
-        path.write_text("\n".join([head, first, edit(second), third]) + "\n")
+        path.write_text("\n".join([head, *rows]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape('FBANK2 ' + message)}$"):
             load_filterbank(path)
+
+    def test_uppercase_hex_rows_load_the_same_taps(self, tmp_path):
+        # The writer uses a-f; `bytes.fromhex` reads A-F as the same digits.
+        bank = build_mpgtf(ErbParams(), 64, 16, FS)
+        path = tmp_path / "bank.fbank"
+        save_filterbank(path, bank)
+        head, *rows = path.read_text().splitlines()
+        upper = [row.upper() for row in rows]
+        assert upper != rows
+        path.write_text("\n".join([head, *upper]) + "\n")
+        assert load_filterbank(path).taps.tobytes() == bank.taps.tobytes()
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.fbank"

@@ -231,6 +231,7 @@ class TestBroadcastMatchesPerRowLoop:
         dict(p=ErbParams(DEFAULTS.c1, 1e-300)),  # one centre, every tap underflows
         dict(n_filters=24),
         dict(n_filters=511),
+        dict(n_filters=511, sample_rate=0),  # the reference names n_filters before it reads the rate
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_same_error_as_per_row_loop(self, kwargs):
         args = dict(p=DEFAULTS) | kwargs
